@@ -43,7 +43,6 @@ from .exact_protocol import (
     ControlledGroupUnitary,
     HighRankControlledUnitary,
     build_exact_gates,
-    exact_cost,
     lift_highrank,
     run_exact_protocol,
     run_lifted_protocol,

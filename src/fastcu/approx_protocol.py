@@ -29,6 +29,7 @@ from .qsim import (
     maximally_entangled,
     measure_registers,
     operator_norm,
+    operator_norms,
     partial_trace,
     product_state,
     shift_gate,
@@ -136,20 +137,6 @@ def correction_gate_for(spec: QuasigroupProtocolSpec, outcome_l: int, outcome_m:
     return np.diag(diag)
 
 
-@dataclass(frozen=True, eq=False)
-class HatGateSet:
-    shift_gates: dict[int, np.ndarray]
-    fourier: np.ndarray
-    corrections: dict[tuple[int, int], np.ndarray]
-
-
-def build_hat_gates(spec: QuasigroupProtocolSpec) -> HatGateSet:
-    n = spec.order
-    shifts = {k: left_div_permutation(spec.quasigroup, k) for k in spec.represented}
-    corrections = {(l, m): correction_gate_for(spec, l, m) for l in range(n) for m in range(n)}
-    return HatGateSet(shift_gates=shifts, fourier=fourier_gate(n), corrections=corrections)
-
-
 def _check_support(state: PureState, control: str, n_terms: int, d_a: int) -> None:
     if d_a == n_terms:
         return
@@ -241,15 +228,21 @@ def residual_table(spec: QuasigroupProtocolSpec) -> ResidualTable:
         prods = np.einsum("lab,lbc->lac", mats.conj().transpose(0, 2, 1),
                           mats[spec.quasigroup.table[:, k]])
         out[t] = prods - mats[k]
-        norms[t] = _op_norms(out[t])
+        norms[t] = operator_norms(out[t])
     if norms.max() > RESIDUAL_CAP:
         raise DimensionMismatch(f"residual norm {norms.max():.3f} exceeds the cap of 2")
     return ResidualTable(ks=ks, matrices=out, norms=norms)
 
 
-def _op_norms(stack: np.ndarray) -> np.ndarray:
-    from .qsim import operator_norms
-    return operator_norms(stack)
+def averaged_residual_gap(residuals: np.ndarray) -> float:
+    """Dilation gap of one control term from its per-outcome residuals E_l.
+
+    The gap is sqrt(lambda_max((1/N) sum_l E_l^dag E_l)), the exact operator
+    norm of the difference between two dilations that differ by E_l / sqrt(N)
+    in outcome block l.
+    """
+    h = np.einsum("lab,lac->bc", residuals.conj(), residuals) / residuals.shape[0]
+    return math.sqrt(max(0.0, max_hermitian_eigenvalue(h)))
 
 
 @dataclass(frozen=True)
@@ -277,11 +270,7 @@ def dilation_error(spec: QuasigroupProtocolSpec, eta: float, delta_cert: float) 
     """Exact ||U' - V'||_inf from the residual table, with the (eta, delta) bound."""
     table = residual_table(spec)
     n = spec.order
-    per_k = {}
-    for t, k in enumerate(table.ks):
-        e = table.matrices[t]
-        h = np.einsum("lab,lac->bc", e.conj(), e) / n
-        per_k[k] = math.sqrt(max(0.0, max_hermitian_eigenvalue(h)))
+    per_k = {k: averaged_residual_gap(table.matrices[t]) for t, k in enumerate(table.ks)}
     measured = max(per_k.values())
     bound = math.sqrt(eta * eta + 4.0 * delta_cert)
     target = spec.target_matrix()

@@ -17,11 +17,11 @@ import numpy as np
 from . import serialize
 from .algebra import certify_approx_rep, ordinary_rep, right_quasigroup_from_table
 from .approx_protocol import QuasigroupProtocolSpec, dilation_error
-from .compiler import CompileTargets, compile_target, lemma_advisory, normalize_su
+from .compiler import CompileTargets, compile_target, normalize_su, target_gap
 from .demos import EXACT_DEMOS, exact_demo_instance
 from .errors import FastcuError, SchemaMismatch
 from .exact_protocol import run_exact_protocol
-from .net import DEFAULT_CAP, build_net
+from .net import DEFAULT_CAP, advisory_m, build_net
 from .qgbuilder import assemble_quasigroup
 from .qsim import RegisterLayout, random_pure_state
 
@@ -48,7 +48,6 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--eta", type=float, required=True)
     q.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    q.add_argument("--threads", type=int, default=1)
     q.add_argument("--out", default=None)
 
     c = sub.add_parser("compile", help="compile a controlled unitary from a representation JSON")
@@ -58,8 +57,6 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--delta-target", type=float, default=None)
     c.add_argument("--epsilon-target", type=float, default=None)
     c.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    c.add_argument("--threads", type=int, default=1)
-    c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="re-run all checks against a saved bundle")
@@ -130,7 +127,7 @@ def _qg_bundle(built, d: int, m: int) -> dict:
 
 def cmd_qg_build(args) -> int:
     net = build_net(args.d, args.m, cap=args.cap)
-    built = assemble_quasigroup(net, args.eta, workers=max(1, args.threads))
+    built = assemble_quasigroup(net, args.eta)
     print(f"quasigroup N={net.size} eta={args.eta}: delta_cert={built.certificate.delta_cert:.6f} "
           f"(matching bound {built.delta_from_matching:.6f})")
     _emit(_qg_bundle(built, args.d, args.m), args.out)
@@ -143,9 +140,9 @@ def cmd_compile(args) -> int:
     target = normalize_su(blocks)
     targets = CompileTargets(zeta=args.zeta_target, eta=args.eta,
                              delta=args.delta_target, epsilon=args.epsilon_target)
-    result = compile_target(target, targets, cap=args.cap, workers=max(1, args.threads))
+    result = compile_target(target, targets, cap=args.cap)
     plan, report = result.plan, result.report
-    advisory = lemma_advisory(target.d_b, plan.zeta) if 0 < plan.zeta < 1 else None
+    advisory = advisory_m(target.d_b, plan.zeta) if 0 < plan.zeta < 1 else None
     print(f"compiled at m={plan.m}: zeta={plan.zeta:.4f} eta={plan.eta:.4f} "
           f"delta_cert={plan.delta_cert:.4f} cost={report.cost_ebits:.4f} ebits")
     print(f"measured diamond bound {report.diamond_bound_measured:.4f} <= "
@@ -154,7 +151,6 @@ def cmd_compile(args) -> int:
     bundle = {
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "compile",
-        "seed": args.seed,
         "target": {"dim": target.d_b,
                    "matrices": serialize.complex_to_pairs(target.blocks),
                    "phases": target.phases.tolist()},
@@ -234,15 +230,27 @@ def _verify_compile_bundle(doc: dict) -> int:
     assignment = list(plan["assignment"])
     zeta = max(float(np.linalg.svd(w - net.matrices[k], compute_uv=False)[0])
                for w, k in zip(blocks, assignment))
-    if zeta > plan["zeta"] + 1e-12:
+    if abs(zeta - plan["zeta"]) > 1e-12:
         return _fail("zeta", f"stored zeta={plan['zeta']} but recomputed {zeta}")
     print(f"ok zeta: {zeta:.6f}")
 
     spec = QuasigroupProtocolSpec(quasigroup, ordinary_rep(quasigroup, net.matrices),
                                   term_map=tuple(assignment))
-    rep = dilation_error(spec, plan["eta"], cert.delta_cert)
+    gap_target_actual = target_gap(blocks, spec)
+    measured = 2.0 * gap_target_actual
     bound = 2.0 * (zeta + math.sqrt(plan["eta"] ** 2 + 4.0 * cert.delta_cert))
-    measured = doc["report"]["diamond_bound_measured"]
+    recomputed = {
+        "gap_target_plan": zeta,
+        "gap_plan_actual": dilation_error(spec, plan["eta"], cert.delta_cert).measured,
+        "gap_target_actual": gap_target_actual,
+        "diamond_bound_measured": measured,
+        "certified_error_bound": bound,
+    }
+    for name, value in recomputed.items():
+        stored = doc["report"][name]
+        if abs(stored - value) > 1e-9:
+            return _fail("report", f"stored {name}={stored} but recomputed {value}")
+    print("ok report: every stored gap matches its recomputation")
     if measured > bound + 1e-9:
         return _fail("bound", f"measured {measured} exceeds certified {bound}")
     print(f"ok bound: measured {measured:.6f} <= certified {bound:.6f}")

@@ -23,11 +23,11 @@ from .algebra import (
     right_quasigroup_from_table,
     direct_product_table,
 )
-from .approx_protocol import QuasigroupProtocolSpec, dilation_error
+from .approx_protocol import QuasigroupProtocolSpec, averaged_residual_gap, dilation_error
 from .errors import BlockOverlap, BudgetExhausted, DimensionMismatch, NotUnitary
-from .net import DEFAULT_CAP, NetFamily, advisory_m, build_net, net_size, nearest_in_net
+from .net import DEFAULT_CAP, NetFamily, build_net, net_size, nearest_in_net
 from .qgbuilder import BuiltQuasigroup, assemble_or_reject
-from .qsim import is_unitary, max_hermitian_eigenvalue, operator_norm
+from .qsim import is_unitary, operator_norm
 
 ETA_GRID_SIZE = 16
 ETA_FLOOR = 1e-6
@@ -172,7 +172,7 @@ def _eta_grid(zeta: float, eta_budget: float) -> list[float]:
 
 def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
                    cap: int = DEFAULT_CAP, net_override: NetFamily | None = None,
-                   d_a: int = 0, workers: int = 1) -> CompileResult:
+                   d_a: int = 0) -> CompileResult:
     """Search degrees m = 1, 2, ... for a plan meeting the targets.
 
     For each degree the block approximations fix zeta; the threshold grid is
@@ -241,7 +241,7 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
             else:
                 reject_above = targets.delta
             t0 = time.perf_counter()
-            candidate, worst = assemble_or_reject(fam, eta, reject_above, workers=workers)
+            candidate, worst = assemble_or_reject(fam, eta, reject_above)
             timings[f"assemble_m{m}_eta{eta:.4f}"] = time.perf_counter() - t0
             ok = candidate is not None
             trace.append(ScanTracePoint(m=m or 0, eta=float(eta), delta=worst,
@@ -295,9 +295,7 @@ def error_budget(target: TargetControlledUnitary, plan: CompilationPlan,
     All three gaps come from the block-diagonal structure of the dilations:
     the worst eigenvalue of an averaged residual Gram matrix per control term.
     """
-    n = spec.order
     mats = spec.rep.matrices
-    table = spec.quasigroup.table
 
     gap_tu = 0.0
     for w, k in zip(target.blocks, plan.assignment):
@@ -305,14 +303,7 @@ def error_budget(target: TargetControlledUnitary, plan: CompilationPlan,
 
     dil = dilation_error(spec, plan.eta, plan.delta_cert)
     gap_uv = dil.measured
-
-    gap_tv = 0.0
-    for w, k in zip(target.blocks, plan.assignment):
-        branch_blocks = np.einsum("lab,lbc->lac", mats.conj().transpose(0, 2, 1),
-                                  mats[table[:, k]])
-        e = w[None] - branch_blocks
-        h = np.einsum("lab,lac->bc", e.conj(), e) / n
-        gap_tv = max(gap_tv, math.sqrt(max(0.0, max_hermitian_eigenvalue(h))))
+    gap_tv = target_gap(target.blocks, spec)
 
     bound = 2.0 * (plan.zeta + math.sqrt(plan.eta ** 2 + 4.0 * plan.delta_cert))
     cost = math.log2(plan.net.size)
@@ -344,9 +335,20 @@ def error_budget(target: TargetControlledUnitary, plan: CompilationPlan,
     )
 
 
-def lemma_advisory(d: int, zeta: float) -> int:
-    """Calibrated degree suggestion for a target block error; never trusted."""
-    return advisory_m(d, zeta)
+def target_gap(blocks: np.ndarray, spec: QuasigroupProtocolSpec) -> float:
+    """Exact || T' - V' ||: dilation gap between the requested blocks and the branches.
+
+    ``blocks[i]`` is the requested block of control term i; its residuals
+    against the implemented branch blocks V_l^dag V_{l*k} give one averaged
+    residual gap per term, and the worst one is the gap.
+    """
+    mats = spec.rep.matrices
+    mats_dag = mats.conj().transpose(0, 2, 1)
+    gap = 0.0
+    for w, k in zip(blocks, spec.term_map):
+        branch_blocks = np.einsum("lab,lbc->lac", mats_dag, mats[spec.quasigroup.table[:, k]])
+        gap = max(gap, averaged_residual_gap(w[None] - branch_blocks))
+    return gap
 
 
 # --------------------------------------------------------------------------- #

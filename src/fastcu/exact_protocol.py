@@ -92,10 +92,6 @@ class ControlledGroupUnitary:
         return math.log2(self.group.order)
 
 
-def exact_cost(cgu: ControlledGroupUnitary) -> float:
-    return cgu.cost_ebits()
-
-
 @dataclass(frozen=True, eq=False)
 class ExactGateSet:
     """Local gates of the protocol for one controlled-group unitary."""

@@ -138,25 +138,6 @@ class NetFamily:
             raise NotUnitary(f"element {int(res.argmax())} is not unitary")
         return cls(d=mats.shape[1], matrices=mats)
 
-    def duplicate_report(self, decimals: int = 9) -> dict[int, int]:
-        """Diagnostic: label count per distinct matrix, keyed by first label seen."""
-        seen: dict[bytes, int] = {}
-        counts: dict[int, int] = {}
-        for i in range(self.size):
-            key = np.round(self.matrices[i], decimals).tobytes()
-            first = seen.setdefault(key, i)
-            counts[first] = counts.get(first, 0) + 1
-        return counts
-
-    def distinct_classes(self, decimals: int = 9) -> np.ndarray:
-        """Class id per label; labels with equal matrices share an id."""
-        seen: dict[bytes, int] = {}
-        out = np.empty(self.size, dtype=np.int64)
-        for i in range(self.size):
-            key = np.round(self.matrices[i], decimals).tobytes()
-            out[i] = seen.setdefault(key, len(seen))
-        return out
-
 
 def net_size(d: int, m: int) -> int:
     """Exact size of the family with inverses included: 2 * 6^(m*d(d-1)/2)."""

@@ -6,22 +6,26 @@ permutation, becomes column k of the product table.  The assembled table is a
 right quasigroup by construction and its (eta, delta) certificate is recounted
 exhaustively afterwards.
 
-Matchings are found with an augmenting-path (Hopcroft-Karp) search.  Families
-of 2x2 special unitaries additionally get a fast route: such matrices embed
-isometrically into unit quaternions, where the operator-norm distance is the
-Euclidean distance, so candidate edges come from a KD-tree and duplicate
-labels collapse into classes matched by an integer max-flow.  Both routes
-return maximum matchings; only the tie-breaking differs.
+Labels with equal matrices collapse into classes, and every column comes from
+an integer max-flow on the class graph, whose capacities are the class sizes.
+Isometries that permute the classes (inversion, entrywise conjugation and, for
+2x2 families, the axis-permuting rotations) carry one flow to a whole orbit of
+classes.
+Only the source of candidate class edges depends on the family: 2x2 special
+unitaries embed isometrically into unit quaternions, where the operator-norm
+distance is the Euclidean distance, so a KD-tree supplies them; any other
+family gets dense operator norms between class representatives.
+``build_graph`` and ``max_matching`` are the per-label SVD reference.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import maximum_bipartite_matching, maximum_flow
 from scipy.spatial import cKDTree
 
 from .algebra import (
@@ -36,7 +40,6 @@ from .qsim import operator_norms
 
 EDGE_GUARD = 1e-12
 WITNESS_MAX_N = 20
-FLOW_MIN_SIZE = 160
 
 
 def su2_quaternions(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
@@ -59,16 +62,10 @@ def su2_quaternions(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
 
 
 def residual_norm_matrix(matrices: np.ndarray, k: int) -> np.ndarray:
-    """Dense (l, j) matrix of distances between V_l V_k and V_j."""
+    """Dense (l, j) matrix of distances between V_l V_k and V_j, by SVD."""
     mats = np.asarray(matrices, dtype=complex)
     prods = mats @ mats[k]
-    quats = su2_quaternions(mats)
-    if quats is not None:
-        qp = su2_quaternions(prods)
-        if qp is not None:
-            gram = qp @ quats.T
-            return np.sqrt(np.clip(2.0 - 2.0 * gram, 0.0, None))
-    n, d = mats.shape[0], mats.shape[1]
+    n = mats.shape[0]
     return operator_norms(prods[:, None, :, :] - mats[None, :, :, :]).reshape(n, n)
 
 
@@ -94,73 +91,6 @@ def build_graph(net: NetFamily, k: int, eta: float) -> CompatGraph:
                        boundary_count=boundary)
 
 
-def hopcroft_karp(adjacency_lists: list[np.ndarray], n_right: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Maximum bipartite matching by layered augmenting paths.
-
-    ``adjacency_lists[l]`` holds the right neighbors of left vertex l.  Returns
-    the matching size and the pairing arrays (-1 for unmatched).
-    """
-    n_left = len(adjacency_lists)
-    pair_left = np.full(n_left, -1, dtype=np.int64)
-    pair_right = np.full(n_right, -1, dtype=np.int64)
-    inf = n_left + n_right + 1
-    dist = np.empty(n_left, dtype=np.int64)
-    matched = 0
-    while True:
-        queue = deque()
-        for l in range(n_left):
-            if pair_left[l] < 0:
-                dist[l] = 0
-                queue.append(l)
-            else:
-                dist[l] = inf
-        reachable_free = inf
-        while queue:
-            l = queue.popleft()
-            if dist[l] >= reachable_free:
-                continue
-            for r in adjacency_lists[l]:
-                nxt = pair_right[r]
-                if nxt < 0:
-                    reachable_free = min(reachable_free, dist[l] + 1)
-                elif dist[nxt] == inf:
-                    dist[nxt] = dist[l] + 1
-                    queue.append(nxt)
-        if reachable_free == inf:
-            return matched, pair_left, pair_right
-        # iterative DFS along the level structure
-        for start in range(n_left):
-            if pair_left[start] >= 0:
-                continue
-            stack = [(start, iter(adjacency_lists[start]))]
-            path = []
-            while stack:
-                l, it = stack[-1]
-                advanced = False
-                for r in it:
-                    nxt = pair_right[r]
-                    if nxt < 0 and dist[l] + 1 == reachable_free:
-                        path.append((l, r))
-                        for pl, pr in path:
-                            pair_left[pl] = pr
-                            pair_right[pr] = pl
-                        matched += 1
-                        stack = []
-                        path = []
-                        advanced = True
-                        break
-                    if nxt >= 0 and dist[nxt] == dist[l] + 1:
-                        path.append((l, r))
-                        stack.append((nxt, iter(adjacency_lists[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    dist[l] = inf
-                    stack.pop()
-                    if path:
-                        path.pop()
-
-
 @dataclass(frozen=True, eq=False)
 class MatchingResult:
     """Maximum matching of a compatibility graph plus its arbitrary completion."""
@@ -181,12 +111,16 @@ def _complete_permutation(pair_left: np.ndarray, pair_right: np.ndarray) -> np.n
 
 
 def max_matching(graph: CompatGraph) -> MatchingResult:
-    adjacency_lists = [np.flatnonzero(row) for row in graph.adjacency]
-    matched, pair_left, pair_right = hopcroft_karp(adjacency_lists, graph.n)
+    """Maximum matching of one compatibility graph, completed to a permutation."""
+    pair_left = maximum_bipartite_matching(csr_matrix(graph.adjacency),
+                                           perm_type="column").astype(np.int64)
+    pair_right = np.full(graph.n, -1, dtype=np.int64)
+    matched_left = np.flatnonzero(pair_left >= 0)
+    pair_right[pair_left[matched_left]] = matched_left
     completed = _complete_permutation(pair_left, pair_right)
-    pairs = {int(l): int(pair_left[l]) for l in np.flatnonzero(pair_left >= 0)}
-    return MatchingResult(pairs=pairs, matched_count=matched,
-                          completed=completed, inside_threshold_count=matched)
+    pairs = {int(l): int(pair_left[l]) for l in matched_left}
+    return MatchingResult(pairs=pairs, matched_count=len(matched_left),
+                          completed=completed, inside_threshold_count=len(matched_left))
 
 
 def hall_deficiency_witness(graph: CompatGraph, t: int) -> np.ndarray | None:
@@ -212,7 +146,7 @@ def hall_deficiency_witness(graph: CompatGraph, t: int) -> np.ndarray | None:
 
 
 # --------------------------------------------------------------------------- #
-#                     class-level geometry for large families                 #
+#                          class-level family geometry                        #
 # --------------------------------------------------------------------------- #
 
 
@@ -228,52 +162,83 @@ def quaternion_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     return out
 
 
-def quaternion_conjugate(q: np.ndarray) -> np.ndarray:
-    out = q.copy()
-    out[..., 1:] *= -1.0
+def _matrix_keys(mats: np.ndarray, decimals: int = 9) -> list[bytes]:
+    # adding 0.0 canonicalizes -0.0 so negated entries hash consistently
+    rounded = np.round(mats, decimals) + 0.0
+    return [row.tobytes() for row in rounded.reshape(len(mats), -1)]
+
+
+def _axis_rotations():
+    """The 24 rotations of R^3 that permute the coordinate axes up to sign.
+
+    Each is (perm, signs): rotated coordinate i is ``signs[i] * v[perm[i]]``.
+    """
+    out = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            rot = np.zeros((3, 3))
+            rot[np.arange(3), perm] = signs
+            if np.linalg.det(rot) > 0:
+                out.append((np.array(perm), np.array(signs)))
     return out
 
 
+def _su2_from_quaternions(quats: np.ndarray) -> np.ndarray:
+    """Inverse of ``su2_quaternions``: w I + i (x X + y Y + z Z)."""
+    a = quats[:, 0] + 1j * quats[:, 3]
+    b = quats[:, 2] + 1j * quats[:, 1]
+    return np.stack([np.stack([a, b], axis=1),
+                     np.stack([-b.conj(), a.conj()], axis=1)], axis=1)
+
+
 class FamilyGeometry:
-    """Precomputed label classes and quaternion KD-tree for one family.
+    """Label classes, their symmetry maps and a candidate-edge source for one family.
 
     Labels with equal matrices share a class; the per-k graph, matching and
-    table column depend on k only through its class.  Two involutions of the
-    family cut the matchings further: the graph of the inverse class is the
-    transpose of the graph of the class, and when the family is closed under
-    entrywise conjugation (an isometry), the graph of the conjugate class is
-    the class-relabeled graph.  One maximum matching therefore serves an orbit
-    of up to four classes.
+    table column depend on k only through its class.  Isometries of the
+    family cut the matchings further.  The graph of the inverse class is the
+    transpose of the graph of the class.  A map that preserves products and
+    distances and permutes the family's classes (with their multiplicities)
+    sends the graph of a class to the class-relabeled graph of its image:
+    entrywise conjugation, and for 2x2 families conjugation by the rotations
+    that permute the Pauli axes up to sign.  One maximum matching therefore
+    serves a whole orbit of classes.
     """
 
     def __init__(self, net: NetFamily):
         self.net = net
         self.n = net.size
-        self.quats = su2_quaternions(net.matrices)
+        keys = _matrix_keys(net.matrices)
+        key_to_class: dict[bytes, int] = {}
+        self.classes = np.array([key_to_class.setdefault(key, len(key_to_class))
+                                 for key in keys], dtype=np.int64)
+        self.n_classes = len(key_to_class)
+        order = np.argsort(self.classes, kind="stable")
+        counts = np.bincount(self.classes, minlength=self.n_classes)
+        self.class_offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.class_labels = order            # labels grouped by class, ascending in each
+        self.class_counts = counts
+        self.class_reps = order[self.class_offsets[:-1]]
+        self.rep_matrices = net.matrices[self.class_reps]
+        self.quats = su2_quaternions(self.rep_matrices)
+        self.tree = cKDTree(self.quats) if self.quats is not None else None
+        self.inverse_class = self._class_map(self.rep_matrices.conj().transpose(0, 2, 1),
+                                             key_to_class)
+        self.conjugate_class = self._class_map(self.rep_matrices.conj(), key_to_class)
+        candidates = [np.arange(self.n_classes), self.conjugate_class]
         if self.quats is not None:
-            self.classes = _quaternion_classes(self.quats)
-            self.n_classes = int(self.classes.max()) + 1
-            order = np.argsort(self.classes, kind="stable")
-            counts = np.bincount(self.classes, minlength=self.n_classes)
-            self.class_offsets = np.concatenate([[0], np.cumsum(counts)])
-            self.class_labels = order            # labels grouped by class, ascending in each
-            self.class_counts = counts
-            self.class_reps = order[self.class_offsets[:-1]]
-            self.tree = cKDTree(self.quats[self.class_reps])
-            self.inverse_class = self._class_map(quaternion_conjugate)
-            self.conjugate_class = self._class_map(_quaternion_entrywise_conj)
-        else:
-            self.classes = None
-            self.inverse_class = None
-            self.conjugate_class = None
+            for perm, signs in _axis_rotations():
+                rotated = self.quats.copy()
+                rotated[:, 1:] = self.quats[:, 1 + perm] * signs
+                candidates.append(self._class_map(_su2_from_quaternions(rotated), key_to_class))
+        # class permutations of the family's relabeling isometries, distinct
+        unique = {c.tobytes(): c for c in candidates if c is not None}
+        self.relabels = list(unique.values())
 
-    def _class_map(self, transform) -> np.ndarray | None:
-        """Class permutation induced by a quaternion map, or None if not closed."""
-        key_to_class = {_quaternion_key(self.quats[rep]): c
-                        for c, rep in enumerate(self.class_reps)}
+    def _class_map(self, images: np.ndarray, key_to_class: dict[bytes, int]) -> np.ndarray | None:
+        """Class permutation sending each representative to its image, or None if not closed."""
         out = np.empty(self.n_classes, dtype=np.int64)
-        for c, rep in enumerate(self.class_reps):
-            key = _quaternion_key(transform(self.quats[rep]))
+        for c, key in enumerate(_matrix_keys(images)):
             if key not in key_to_class:
                 return None
             out[c] = key_to_class[key]
@@ -282,66 +247,44 @@ class FamilyGeometry:
             return None
         return out
 
-    @property
-    def supports_flow(self) -> bool:
-        return self.quats is not None
-
     def labels_of(self, cls: int) -> np.ndarray:
         return self.class_labels[self.class_offsets[cls]:self.class_offsets[cls + 1]]
 
-    def orbit_of(self, cls: int) -> dict[int, str]:
-        """Classes whose graphs derive from this one, with the transport rule."""
-        orbit = {cls: "id"}
-        inv, conj = self.inverse_class, self.conjugate_class
-        if inv is not None:
-            orbit.setdefault(int(inv[cls]), "transpose")
-        if conj is not None:
-            orbit.setdefault(int(conj[cls]), "relabel")
+    def orbit_of(self, cls: int) -> dict[int, tuple[np.ndarray, bool]]:
+        """Classes whose graphs derive from this one, each with its transport.
+
+        A transport (sigma, transposed) sends the edge (l, r) of this class's
+        graph to (sigma[l], sigma[r]), or to (sigma[r], sigma[l]) when
+        transposed; it reaches sigma[cls], or sigma[inverse[cls]].
+        """
+        orbit: dict[int, tuple[np.ndarray, bool]] = {}
+        inv = self.inverse_class
+        for sigma in self.relabels:
+            orbit.setdefault(int(sigma[cls]), (sigma, False))
             if inv is not None:
-                orbit.setdefault(int(conj[inv[cls]]), "transpose_relabel")
+                orbit.setdefault(int(sigma[inv[cls]]), (sigma, True))
         return orbit
 
-    def transport_edges(self, lefts: np.ndarray, rights: np.ndarray, rule: str):
-        if rule == "id":
-            return lefts, rights
-        if rule == "transpose":
-            return rights, lefts
-        sigma = self.conjugate_class
-        if rule == "relabel":
-            return sigma[lefts], sigma[rights]
-        if rule == "transpose_relabel":
+    @staticmethod
+    def transport_edges(lefts: np.ndarray, rights: np.ndarray,
+                        transport: tuple[np.ndarray, bool]):
+        sigma, transposed = transport
+        if transposed:
             return sigma[rights], sigma[lefts]
-        raise DimensionMismatch(f"unknown transport rule {rule!r}")
+        return sigma[lefts], sigma[rights]
 
     def candidate_edges(self, k: int, radius: float):
-        """Class-level edges (cl, cr, dist) with dist at most the query radius."""
-        prodq = quaternion_product(self.quats[self.class_reps], self.quats[k])
-        coo = self.tree.sparse_distance_matrix(cKDTree(prodq), radius,
-                                               output_type="coo_matrix")
-        # rows index the static class points (right side), columns the products
-        return coo.col.astype(np.int64), coo.row.astype(np.int64), coo.data
-
-
-def _quaternion_entrywise_conj(q: np.ndarray) -> np.ndarray:
-    """Quaternion coordinates of the entrywise complex conjugate matrix."""
-    out = q.copy()
-    out[..., 1] *= -1.0
-    out[..., 3] *= -1.0
-    return out
-
-
-def _quaternion_key(q: np.ndarray, decimals: int = 9) -> bytes:
-    # adding 0.0 canonicalizes -0.0 so negated coordinates hash consistently
-    return (np.round(q, decimals) + 0.0).tobytes()
-
-
-def _quaternion_classes(quats: np.ndarray, decimals: int = 9) -> np.ndarray:
-    seen: dict[bytes, int] = {}
-    out = np.empty(quats.shape[0], dtype=np.int64)
-    rounded = np.round(quats, decimals) + 0.0
-    for i in range(quats.shape[0]):
-        out[i] = seen.setdefault(rounded[i].tobytes(), len(seen))
-    return out
+        """Class-level edges (cl, cr, dist) of label k's graph with dist at most radius."""
+        if self.tree is not None:
+            prodq = quaternion_product(self.quats, self.quats[self.classes[k]])
+            coo = self.tree.sparse_distance_matrix(cKDTree(prodq), radius,
+                                                   output_type="coo_matrix")
+            # rows index the static class points (right side), columns the products
+            return coo.col.astype(np.int64), coo.row.astype(np.int64), coo.data
+        reps = self.rep_matrices
+        norms = operator_norms((reps @ self.net.matrices[k])[:, None] - reps[None])
+        lefts, rights = np.nonzero(norms <= radius)
+        return lefts, rights, norms[lefts, rights]
 
 
 def _solve_class_flow(geom: FamilyGeometry, lefts: np.ndarray,
@@ -432,106 +375,63 @@ def _process_seed_class(geom: FamilyGeometry, eta: float, cls: int, want_columns
     rep = int(geom.class_reps[cls])
     lefts, rights, dists = geom.candidate_edges(rep, radius=eta + 10 * EDGE_GUARD)
     keep = dists < (eta - EDGE_GUARD)
-    boundary = int(np.count_nonzero(np.abs(dists - eta) <= EDGE_GUARD))
+    on_edge = np.abs(dists - eta) <= EDGE_GUARD
+    counts = geom.class_counts
+    # label pairs within EDGE_GUARD of eta, dropped as non-edges
+    boundary = int(np.sum(counts[lefts[on_edge]] * counts[rights[on_edge]]))
     size, flows = _solve_class_flow(geom, lefts[keep], rights[keep])
     per_member = {}
-    for member, rule in geom.orbit_of(cls).items():
+    for member, transport in geom.orbit_of(cls).items():
         column = None
         if want_columns:
-            tl, tr = geom.transport_edges(flows[0], flows[1], rule)
+            tl, tr = geom.transport_edges(flows[0], flows[1], transport)
             column = _expand_column(geom, tl, tr, flows[2])
         per_member[member] = column
-    return cls, size, boundary, per_member
+    return size, boundary, per_member
 
 
-def _matching_pass(geom: FamilyGeometry, net: NetFamily, eta: float,
-                   want_columns: bool, reject_above: float | None,
-                   workers: int = 1):
+def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
+                   reject_above: float | None):
     """Shared core: matching size (and optionally column) per class.
 
-    One flow solve covers a whole symmetry orbit of classes.  Returns
-    (sizes, columns, boundary_total, worst_frac, complete); an early bail on
-    ``reject_above`` leaves the pass incomplete.  ``workers`` > 1 spreads the
-    independent per-class pipelines over a thread pool; results are merged in
-    class order so the outcome does not depend on scheduling.
+    One flow solve covers a whole symmetry orbit of classes, seeded by its
+    lowest class.  Returns (sizes, columns, boundary_total, worst_frac,
+    complete); an early bail on ``reject_above`` leaves the pass incomplete.
     """
-    n = net.size
-    fast = geom.supports_flow and n > FLOW_MIN_SIZE
+    n = geom.n
     sizes: dict[int, int] = {}
     columns: dict[int, np.ndarray] = {}
     boundary_total = 0
     worst = 0.0
-
-    if fast:
-        seeds = []
-        seen: set[int] = set()
-        for cls in range(geom.n_classes):
-            if cls in seen:
+    for cls in range(geom.n_classes):
+        if cls in sizes:
+            continue
+        size, boundary, per_member = _process_seed_class(geom, eta, cls, want_columns)
+        for member, column in per_member.items():
+            if member in sizes:
                 continue
-            seen.update(geom.orbit_of(cls))
-            seeds.append(cls)
-
-        def handle(result) -> bool:
-            nonlocal boundary_total, worst
-            _, size, boundary, per_member = result
-            for member, column in per_member.items():
-                if member in sizes:
-                    continue
-                sizes[member] = size
-                boundary_total += boundary * int(geom.class_counts[member])
-                if column is not None:
-                    columns[member] = column
-            worst = max(worst, (n - size) / n)
-            return reject_above is not None and worst > reject_above
-
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(
-                        lambda c: _process_seed_class(geom, eta, c, want_columns),
-                        seeds, chunksize=8):
-                    if handle(result):
-                        return sizes, columns, boundary_total, worst, False
-        else:
-            for cls in seeds:
-                if handle(_process_seed_class(geom, eta, cls, want_columns)):
-                    return sizes, columns, boundary_total, worst, False
-    else:
-        for k in range(n):
-            graph = build_graph(net, k, eta)
-            result = max_matching(graph)
-            sizes[k] = result.matched_count
-            boundary_total += graph.boundary_count
-            if want_columns:
-                columns[k] = result.completed
-            worst = max(worst, (n - result.matched_count) / n)
-            if reject_above is not None and worst > reject_above:
-                return sizes, columns, boundary_total, worst, False
+            sizes[member] = size
+            boundary_total += boundary * int(geom.class_counts[member])
+            if column is not None:
+                columns[member] = column
+        worst = max(worst, (n - size) / n)
+        if reject_above is not None and worst > reject_above:
+            return sizes, columns, boundary_total, worst, False
     return sizes, columns, boundary_total, worst, True
 
 
-def _finish_build(net: NetFamily, geom: FamilyGeometry, eta: float, sizes, columns,
+def _finish_build(geom: FamilyGeometry, eta: float, sizes, columns,
                   boundary_total: int) -> BuiltQuasigroup:
-    n = net.size
-    fast = geom.supports_flow and n > FLOW_MIN_SIZE
+    net, n = geom.net, geom.n
     dtype = np.int16 if n < 2 ** 15 else np.int32
-    if fast:
-        col_matrix = np.empty((geom.n_classes, n), dtype=dtype)
-        for cls, col in columns.items():
-            col_matrix[cls] = col
-        # row k of the transposed table is column k of the table
-        table_t = col_matrix[geom.classes]
-        size_by_class = np.empty(geom.n_classes, dtype=np.int64)
-        for cls, size in sizes.items():
-            size_by_class[cls] = size
-        matched_counts = size_by_class[geom.classes]
-    else:
-        table_t = np.empty((n, n), dtype=dtype)
-        matched_counts = np.empty(n, dtype=np.int64)
-        for k in range(n):
-            table_t[k] = columns[k]
-            matched_counts[k] = sizes[k]
+    col_matrix = np.empty((geom.n_classes, n), dtype=dtype)
+    size_by_class = np.empty(geom.n_classes, dtype=np.int64)
+    for cls, col in columns.items():
+        col_matrix[cls] = col
+        size_by_class[cls] = sizes[cls]
+    # row k of the transposed table is column k of the table
+    table_t = col_matrix[geom.classes]
+    matched_counts = size_by_class[geom.classes]
     try:
         quasigroup = quasigroup_from_transposed(table_t)
     except Exception as exc:  # pragma: no cover - permutation columns by construction
@@ -545,7 +445,7 @@ def _finish_build(net: NetFamily, geom: FamilyGeometry, eta: float, sizes, colum
                            boundary_total=boundary_total)
 
 
-def assemble_quasigroup(net: NetFamily, eta: float, workers: int = 1) -> BuiltQuasigroup:
+def assemble_quasigroup(net: NetFamily, eta: float) -> BuiltQuasigroup:
     """Build the full product table, one maximum matching per label, and certify it.
 
     The certificate's delta comes from an exhaustive recount on the assembled
@@ -555,13 +455,13 @@ def assemble_quasigroup(net: NetFamily, eta: float, workers: int = 1) -> BuiltQu
     if eta <= 0:
         raise DimensionMismatch(f"eta must be positive, got {eta}")
     geom = FamilyGeometry(net)
-    sizes, columns, boundary, _, _ = _matching_pass(geom, net, eta, want_columns=True,
-                                                    reject_above=None, workers=workers)
-    return _finish_build(net, geom, eta, sizes, columns, boundary)
+    sizes, columns, boundary, _, _ = _matching_pass(geom, eta, want_columns=True,
+                                                    reject_above=None)
+    return _finish_build(geom, eta, sizes, columns, boundary)
 
 
-def assemble_or_reject(net: NetFamily, eta: float, delta_bound: float,
-                       workers: int = 1) -> tuple[BuiltQuasigroup | None, float]:
+def assemble_or_reject(net: NetFamily, eta: float,
+                       delta_bound: float) -> tuple[BuiltQuasigroup | None, float]:
     """Assemble unless some matching already exceeds the deficiency bound.
 
     Returns (built, worst_matching_deficiency); ``built`` is None exactly when
@@ -572,10 +472,10 @@ def assemble_or_reject(net: NetFamily, eta: float, delta_bound: float,
         raise DimensionMismatch(f"eta must be positive, got {eta}")
     geom = FamilyGeometry(net)
     sizes, columns, boundary, worst, complete = _matching_pass(
-        geom, net, eta, want_columns=True, reject_above=delta_bound, workers=workers)
+        geom, eta, want_columns=True, reject_above=delta_bound)
     if not complete:
         return None, worst
-    return _finish_build(net, geom, eta, sizes, columns, boundary), worst
+    return _finish_build(geom, eta, sizes, columns, boundary), worst
 
 
 @dataclass(frozen=True)
@@ -585,8 +485,8 @@ class EtaScanPoint:
     complete: bool
 
 
-def scan_quasigroup_deltas(net: NetFamily, etas, reject_above: float | None = None,
-                           workers: int = 1) -> list[EtaScanPoint]:
+def scan_quasigroup_deltas(net: NetFamily, etas,
+                           reject_above: float | None = None) -> list[EtaScanPoint]:
     """Matching-derived deficiency per eta, without building tables.
 
     With ``reject_above`` set, a scan point stops early once some label's
@@ -596,9 +496,7 @@ def scan_quasigroup_deltas(net: NetFamily, etas, reject_above: float | None = No
     geom = FamilyGeometry(net)
     points = []
     for eta in etas:
-        _, _, _, worst, complete = _matching_pass(geom, net, float(eta),
-                                                  want_columns=False,
-                                                  reject_above=reject_above,
-                                                  workers=workers)
+        _, _, _, worst, complete = _matching_pass(geom, float(eta), want_columns=False,
+                                                  reject_above=reject_above)
         points.append(EtaScanPoint(eta=float(eta), delta_matching=worst, complete=complete))
     return points

@@ -10,7 +10,6 @@ from fastcu.algebra import certify_approx_rep, ordinary_rep
 from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
     branch_family,
-    build_hat_gates,
     correction_gate_for,
     dilation_error,
     dilation_pair,
@@ -84,9 +83,8 @@ def test_hat_gates_trivial_order_one():
     table = np.zeros((1, 1), dtype=int)
     q = algebra.right_quasigroup_from_table(table)
     spec = QuasigroupProtocolSpec(q, ordinary_rep(q, np.eye(2)[None]), term_map=(0,))
-    gates = build_hat_gates(spec)
-    assert np.allclose(gates.shift_gates[0], [[1.0]])
-    assert np.allclose(gates.fourier, [[1.0]])
+    assert np.allclose(left_div_permutation(spec.quasigroup, 0), [[1.0]])
+    assert np.allclose(qsim.fourier_gate(spec.order), [[1.0]])
 
 
 def test_measured_variant_exact_rep_equals_target():

@@ -115,3 +115,48 @@ def test_report_on_qg_bundle(tmp_path):
     assert cli.main(["report", str(out), "--out", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 2
+
+
+@pytest.fixture(scope="module")
+def compile_bundle(tmp_path_factory):
+    rng = np.random.default_rng(72)
+    blocks = np.stack([qsim.haar_special_unitary(2, rng) for _ in range(2)])
+    root = tmp_path_factory.mktemp("compile")
+    target = root / "target.json"
+    serialize.save_json(serialize.rep_to_json(blocks), target)
+    bundle = root / "bundle.json"
+    assert cli.main(["compile", str(target), "--zeta-target", "0.9", "--eta", "1.4",
+                     "--delta-target", "0.5", "--out", str(bundle)]) == 0
+    return json.loads(bundle.read_text())
+
+
+@pytest.mark.parametrize("field", ["gap_target_plan", "gap_plan_actual", "gap_target_actual",
+                                   "diamond_bound_measured", "certified_error_bound"])
+@pytest.mark.parametrize("scale", [0.0, 1.5])
+def test_verify_rejects_tampered_report(compile_bundle, tmp_path, capsys, field, scale):
+    doc = json.loads(json.dumps(compile_bundle))
+    assert doc["report"][field] > 0
+    doc["report"][field] *= scale
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 1
+    assert f"FAIL report: stored {field}=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shift", [-0.05, 0.5])
+def test_verify_rejects_tampered_zeta(compile_bundle, tmp_path, capsys, shift):
+    doc = json.loads(json.dumps(compile_bundle))
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 0
+    doc["plan"]["zeta"] += shift
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 1
+    assert "FAIL zeta" in capsys.readouterr().out
+
+
+def test_compile_bundle_carries_no_seed(compile_bundle):
+    # compilation is deterministic in its inputs; no seed is read or recorded
+    assert "seed" not in compile_bundle

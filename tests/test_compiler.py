@@ -13,7 +13,6 @@ from fastcu.compiler import (
     block_diagonal_compose,
     compile_target,
     error_budget,
-    lemma_advisory,
     normalize_su,
 )
 from fastcu.errors import BlockOverlap, BudgetExhausted, DimensionMismatch, NotUnitary
@@ -147,8 +146,8 @@ def test_cost_identity_on_reports():
 
 
 def test_lemma_advisory_positive_and_monotone():
-    assert lemma_advisory(2, 0.5) >= 1
-    assert lemma_advisory(2, 0.1) >= lemma_advisory(2, 0.4)
+    assert net.advisory_m(2, 0.5) >= 1
+    assert net.advisory_m(2, 0.1) >= net.advisory_m(2, 0.4)
 
 
 def test_block_compose_example_shape():

@@ -12,7 +12,6 @@ from fastcu.exact_protocol import (
     HighRankControlledUnitary,
     build_exact_gates,
     correction_gate_for,
-    exact_cost,
     lift_highrank,
     run_exact_protocol,
     run_lifted_protocol,
@@ -91,7 +90,7 @@ def test_protocol_exact_on_random_inputs(maker, cost):
         assert record.uniformity_error <= 1e-10
         assert len(record.branches) == n * n
         assert record.cost_ebits == pytest.approx(cost, abs=1e-12)
-    assert exact_cost(cgu) == pytest.approx(cost, abs=1e-12)
+    assert cgu.cost_ebits() == pytest.approx(cost, abs=1e-12)
 
 
 def test_identity_only_subset_acts_trivially(klein_pauli):
@@ -219,10 +218,10 @@ def test_exactness_holds_over_hundred_inputs(klein_pauli):
 
 def test_cost_values(klein_pauli, c3_diag):
     group, rep = klein_pauli
-    assert exact_cost(ControlledGroupUnitary.from_subset(group, rep, (0,))) == 2.0
+    assert ControlledGroupUnitary.from_subset(group, rep, (0,)).cost_ebits() == 2.0
     g3, r3 = c3_diag
-    assert exact_cost(ControlledGroupUnitary.from_subset(g3, r3, (0, 1))) == pytest.approx(
+    assert ControlledGroupUnitary.from_subset(g3, r3, (0, 1)).cost_ebits() == pytest.approx(
         np.log2(3), abs=1e-12)
     trivial = algebra.group_from_cayley([[0]])
     rep1 = algebra.projective_rep(trivial, np.eye(2)[None])
-    assert exact_cost(ControlledGroupUnitary.from_subset(trivial, rep1, (0,))) == 0.0
+    assert ControlledGroupUnitary.from_subset(trivial, rep1, (0,)).cost_ebits() == 0.0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fastcu import net, qsim
+from fastcu import net, qgbuilder, qsim
 from fastcu.errors import DimensionMismatch, NetTooLarge, NotSpecial, NotUnitary
 
 
@@ -67,9 +67,13 @@ def test_inverses_included_and_verified():
 
 def test_duplicates_kept_with_report():
     fam = net.build_net(2, 2)
-    report = fam.duplicate_report()
-    assert sum(report.values()) == fam.size
-    assert any(count > 1 for count in report.values())   # e.g. V V^-1 words collide
+    geom = qgbuilder.FamilyGeometry(fam)
+    assert geom.class_counts.sum() == fam.size
+    assert geom.n_classes < fam.size                     # e.g. V V^-1 words collide
+    for cls in range(geom.n_classes):
+        labels = geom.labels_of(cls)
+        assert np.array_equal(geom.classes[labels], np.full(len(labels), cls))
+        assert np.allclose(fam.matrices[labels], fam.matrices[labels[0]], atol=1e-12)
 
 
 def test_two_level_identity():

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_right_quasigroup
 from fastcu import algebra, net, qgbuilder, qsim
@@ -39,7 +43,7 @@ def random_graph(n: int, p: float, rng) -> qgbuilder.CompatGraph:
     return qgbuilder.CompatGraph(k=0, n=n, adjacency=adj, eta=0.5, boundary_count=0)
 
 
-def test_hopcroft_karp_against_brute_force():
+def test_max_matching_against_brute_force():
     rng = np.random.default_rng(30)
     for _ in range(40):
         n = int(rng.integers(1, 11))
@@ -120,21 +124,54 @@ def test_matched_counts_monotone_in_eta(net_m1):
         assert np.all(a <= b)
 
 
-def test_flow_and_dense_paths_agree(net_m2, monkeypatch):
+def test_flow_and_dense_paths_agree(net_m2):
+    # class-level flow against the per-label SVD graph and its maximum matching
     for eta in (0.45, 0.8, 1.3):
-        dense = qgbuilder.assemble_quasigroup(net_m2, eta)
-        monkeypatch.setattr(qgbuilder, "FLOW_MIN_SIZE", 8)
-        flow = qgbuilder.assemble_quasigroup(net_m2, eta)
-        monkeypatch.undo()
-        assert np.array_equal(flow.matched_counts, dense.matched_counts)
-        assert flow.certificate.delta_cert == dense.certificate.delta_cert
-        # both tables are valid; matched pairs of each are genuine edges
+        built = qgbuilder.assemble_quasigroup(net_m2, eta)
         for k in (0, 17, 40):
             graph = qgbuilder.build_graph(net_m2, k, eta)
-            for built in (dense, flow):
-                col = built.quasigroup.table[:, k]
-                matched = int(graph.adjacency[np.arange(net_m2.size), col].sum())
-                assert matched >= built.matched_counts[k] - graph.boundary_count
+            assert built.matched_counts[k] == qgbuilder.max_matching(graph).matched_count
+            # the column's pairs below eta are genuine edges of the reference graph
+            col = built.quasigroup.table[:, k]
+            matched = int(graph.adjacency[np.arange(net_m2.size), col].sum())
+            assert matched >= built.matched_counts[k] - graph.boundary_count
+
+
+@settings(deadline=None, max_examples=6)
+@given(m=st.sampled_from([1, 2]), eta=st.floats(0.3, 2.1))
+@example(m=2, eta=6 * math.sqrt(2) / 5)    # a residual norm of many label pairs: boundary ties
+def test_matched_counts_equal_reference_matching(net_m1, net_m2, m, eta):
+    fam = net_m1 if m == 1 else net_m2
+    built = qgbuilder.assemble_quasigroup(fam, eta)
+    boundary = 0
+    for k in range(fam.size):
+        graph = qgbuilder.build_graph(fam, k, eta)
+        assert built.matched_counts[k] == qgbuilder.max_matching(graph).matched_count
+        boundary += graph.boundary_count
+    assert built.boundary_total == boundary
+    assert built.certificate.delta_cert <= built.delta_from_matching + 1e-12
+
+
+def _closed_su3_family(count: int, rng) -> net.NetFamily:
+    """Random SU(3) elements with their inverses, conjugates and conjugate inverses."""
+    mats = []
+    for _ in range(count):
+        g = qsim.haar_special_unitary(3, rng)
+        mats += [g, g.conj().T, g.conj(), g.T]
+    return net.NetFamily.from_unitaries(np.stack(mats))
+
+
+def test_dense_class_edges_for_non_su2_family():
+    fam = _closed_su3_family(4, np.random.default_rng(35))
+    geom = qgbuilder.FamilyGeometry(fam)
+    assert geom.tree is None
+    assert geom.n_classes == fam.size
+    assert geom.inverse_class is not None and geom.conjugate_class is not None
+    for eta in (0.8, 1.2, 1.6):
+        built = qgbuilder.assemble_quasigroup(fam, eta)
+        for k in range(fam.size):
+            graph = qgbuilder.build_graph(fam, k, eta)
+            assert built.matched_counts[k] == qgbuilder.max_matching(graph).matched_count
 
 
 def test_assemble_or_reject_bail(net_m2):
@@ -230,15 +267,14 @@ def test_su2_quaternions_rejects_non_special():
             assert np.linalg.norm(quats[i] - quats[j]) == pytest.approx(want, abs=1e-12)
 
 
-def test_orbit_transport_consistency(net_m2, monkeypatch):
-    monkeypatch.setattr(qgbuilder, "FLOW_MIN_SIZE", 8)
+def test_orbit_transport_consistency(net_m2):
     geom = qgbuilder.FamilyGeometry(net_m2)
     assert geom.inverse_class is not None
     assert geom.conjugate_class is not None
     eta = 0.7
     # derive every class column via orbits, then check each against direct solves
-    sizes, columns, _, _, _ = qgbuilder._matching_pass(geom, net_m2, eta,
-                                                       want_columns=True, reject_above=None)
+    sizes, columns, _, _, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
+                                                       reject_above=None)
     rng = np.random.default_rng(33)
     n = net_m2.size
     for cls in rng.choice(geom.n_classes, 8, replace=False):
@@ -251,5 +287,29 @@ def test_orbit_transport_consistency(net_m2, monkeypatch):
         assert np.array_equal(np.sort(column), np.arange(n))
         # matched pairs of the stored (possibly orbit-derived) column are genuine edges
         graph = qgbuilder.build_graph(net_m2, rep, eta)
+        assert qgbuilder.max_matching(graph).matched_count == size
         matched = int(graph.adjacency[np.arange(n), column].sum())
         assert matched == size
+
+
+def test_symmetry_orbits_transport_candidate_edges(net_m2):
+    geom = qgbuilder.FamilyGeometry(net_m2)
+    # the generator alphabet is closed under the 24 axis rotations, which
+    # include entrywise conjugation (a rotation by pi about the y axis)
+    assert len(geom.relabels) == 24
+    assert any(np.array_equal(p, geom.conjugate_class) for p in geom.relabels)
+    eta = 0.9
+
+    def edges(cls):
+        lefts, rights, dists = geom.candidate_edges(int(geom.class_reps[cls]), radius=eta)
+        keep = dists < eta - 1e-9
+        return set(zip(lefts[keep].tolist(), rights[keep].tolist()))
+
+    for cls in (0, 5, 17):
+        base = edges(cls)
+        orbit = geom.orbit_of(cls)
+        assert len(orbit) > 4
+        for member, transport in orbit.items():
+            tl, tr = geom.transport_edges(*map(np.array, zip(*base)), transport)
+            assert set(zip(tl.tolist(), tr.tolist())) == edges(member)
+            assert geom.class_counts[member] == geom.class_counts[cls]
