@@ -61,6 +61,7 @@ from .qsim import (
     PureState,
     RegisterLayout,
     UnitaryEnsembleChannel,
+    apply_controlled,
     apply_on,
     choi_matrix,
     maximally_entangled,

@@ -16,17 +16,18 @@ import numpy as np
 
 from .algebra import ProjectiveRep, RightQuasigroup
 from .errors import DimensionMismatch, UnsupportedInput
+from .exact_protocol import OneRoundBlocks, check_support, one_round_circuit
 from .qsim import (
     PureState,
     RegisterLayout,
     UnitaryEnsembleChannel,
+    apply_controlled,
     apply_on,
     basis_state,
     choi_matrix,
     controlled_gate,
     fourier_gate,
     max_hermitian_eigenvalue,
-    maximally_entangled,
     measure_registers,
     operator_norm,
     operator_norms,
@@ -35,7 +36,6 @@ from .qsim import (
     shift_gate,
 )
 
-SUPPORT_TOL = 1e-12
 RESIDUAL_CAP = 2.0 + 1e-9
 
 
@@ -127,26 +127,37 @@ def left_div_permutation(quasigroup: RightQuasigroup, k: int) -> np.ndarray:
     return out
 
 
-def correction_gate_for(spec: QuasigroupProtocolSpec, outcome_l: int, outcome_m: int) -> np.ndarray:
-    """Diagonal control-register phase gate for branch (l, m), with term relabeling."""
+def correction_phases(spec: QuasigroupProtocolSpec, outcome_l, outcome_m) -> np.ndarray:
+    """Diagonal of the control-register phase gate for branch (l, m), with term relabeling.
+
+    Outcomes may be integer arrays; they broadcast and the result has shape
+    ``broadcast(l, m).shape + (d_a,)``.  Control states without a term get phase 1.
+    """
     n = spec.order
-    diag = np.ones(spec.d_a, dtype=complex)
-    for i, k in enumerate(spec.term_map):
-        prod = spec.quasigroup.table[outcome_l, k]
-        diag[i] = np.exp(-2j * np.pi * ((outcome_m * prod) % n) / n)
-    return np.diag(diag)
+    ls, ms = np.asarray(outcome_l)[..., None], np.asarray(outcome_m)[..., None]
+    prods = spec.quasigroup.table[ls, list(spec.term_map)]
+    out = np.ones(np.broadcast_shapes(ls.shape, ms.shape)[:-1] + (spec.d_a,), dtype=complex)
+    out[..., :spec.n_terms] = np.exp(-2j * np.pi * ((ms * prods) % n) / n)
+    return out
 
 
-def _check_support(state: PureState, control: str, n_terms: int, d_a: int) -> None:
-    if d_a == n_terms:
-        return
-    layout = state.layout
-    axis = layout.axis(control)
-    t = np.moveaxis(state.tensor(), axis, 0).reshape(d_a, -1)
-    mass = float(np.sum(np.abs(t[n_terms:]) ** 2))
-    if mass > SUPPORT_TOL:
-        raise UnsupportedInput(
-            f"input has probability {mass:.3e} on control states without a term")
+def correction_gate_for(spec: QuasigroupProtocolSpec, outcome_l: int, outcome_m: int) -> np.ndarray:
+    """Correction of one branch (l, m) as a diagonal control-register gate."""
+    return np.diag(correction_phases(spec, outcome_l, outcome_m))
+
+
+def build_quasigroup_gates(spec: QuasigroupProtocolSpec) -> OneRoundBlocks:
+    """Block stacks of the quasigroup protocol; the correction undoes V_l."""
+    n = spec.order
+    eye = np.eye(n, dtype=complex)
+    shifts = [left_div_permutation(spec.quasigroup, k) for k in spec.term_map]
+    shifts += [eye] * (spec.d_a - spec.n_terms)
+    outcomes = np.arange(n)
+    phases = correction_phases(spec, outcomes[:, None], outcomes[None, :])
+    mats = spec.rep.matrices
+    return OneRoundBlocks(shifts=np.stack(shifts), reps=mats, fourier=fourier_gate(n),
+                          phases=phases.reshape(n * n, 1, spec.d_a) * np.eye(spec.d_a),
+                          undo=mats.conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +175,11 @@ class MeasuredRunRecord:
 def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
                          control: str = "A", target: str = "B",
                          ancilla_names: tuple[str, str] = ("a", "b")) -> MeasuredRunRecord:
-    """Simulate every branch; branch (l, m) must equal the l-th branch unitary's action."""
+    """Simulate every branch; branch (l, m) must equal the l-th branch unitary's action.
+
+    The outcome-dependent corrections are applied before the one measurement
+    of (a, b), controlled on the ancillas (deferred measurement).
+    """
     n = spec.order
     layout = state.layout
     if layout.dim_of(control) != spec.d_a or layout.dim_of(target) != spec.d_b:
@@ -172,30 +187,25 @@ def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
     for name in ancilla_names:
         if name in layout.names:
             raise DimensionMismatch(f"ancilla name {name!r} collides with an input register")
-    _check_support(state, control, spec.n_terms, spec.d_a)
+    check_support(state, control, range(spec.n_terms, spec.d_a))
 
     anc_a, anc_b = ancilla_names
-    full = product_state(state, maximally_entangled(n, names=(anc_a, anc_b)))
-    shift_blocks = {i: left_div_permutation(spec.quasigroup, k)
-                    for i, k in enumerate(spec.term_map)}
-    full = apply_on(full, controlled_gate(spec.d_a, shift_blocks, n), (control, anc_a))
-    rep_blocks = {j: spec.rep.matrices[j] for j in range(n)}
-    full = apply_on(full, controlled_gate(n, rep_blocks, spec.d_b), (anc_b, target))
-    full = apply_on(full, fourier_gate(n), anc_b)
+    blocks = build_quasigroup_gates(spec)
+    full = one_round_circuit(state, blocks, control, target, ancilla_names)
+    full = apply_controlled(full, blocks.phases, ancilla_names, control)
+    full = apply_controlled(full, blocks.undo, anc_a, target)
 
     target_mat = spec.target_matrix()
-    expected = {l: apply_on(state, spec.branch_matrix(l), (control, target))
-                for l in range(n)}
-    max_branch_distance = max(operator_norm(target_mat - spec.branch_matrix(l))
-                              for l in range(n))
+    branch_mats = [spec.branch_matrix(l) for l in range(n)]
+    expected = {l: apply_on(state, u, (control, target)) for l, u in enumerate(branch_mats)}
+    max_branch_distance = max(operator_norm(target_mat - u) for u in branch_mats)
 
     branches = []
     max_dev = 0.0
     l_marginals = np.zeros(n)
-    for branch in measure_registers(full, (anc_a, anc_b)):
+    for branch in measure_registers(full, ancilla_names):
         l, m = branch.outcome[anc_a], branch.outcome[anc_b]
-        post = apply_on(branch.post_state, correction_gate_for(spec, l, m), control)
-        post = apply_on(post, spec.rep.matrices[l].conj().T, target)
+        post = branch.post_state
         max_dev = max(max_dev, post.distance(expected[l]))
         l_marginals[l] += branch.probability
         branches.append((l, m, branch.probability, post))
@@ -362,58 +372,52 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
         raise DimensionMismatch("hidden variant expects a bare (control, target) input")
     if layout.dim_of(control) != spec.d_a or layout.dim_of(target) != spec.d_b:
         raise DimensionMismatch("input registers do not match the protocol spec")
-    _check_support(state, control, spec.n_terms, spec.d_a)
+    check_support(state, control, range(spec.n_terms, spec.d_a))
 
     d = spec.d_a * spec.d_b
-    fam = branch_family(spec)
+    channel = branch_family(spec).channel()
     rho_out = np.zeros((d, d), dtype=complex)
     trajectories = []
-    for r in range(n):
-        final_states = _hidden_trajectories(spec, state, control, target, r)
-        for m, s, prob, st in final_states:
-            weight = prob / n
-            rho = partial_trace(st, (control, target))
-            rho_out += weight * rho
-            trajectories.append((r, m, s, weight, st))
+    for r, m, s, prob, st in _hidden_trajectories(spec, state, control, target):
+        weight = prob / n
+        rho_out += weight * partial_trace(st, (control, target))
+        trajectories.append((r, m, s, weight, st))
     psi = state.amps
-    expected = fam.channel().apply(np.outer(psi, psi.conj()))
+    expected = channel.apply(np.outer(psi, psi.conj()))
     deviation = operator_norm(rho_out - expected)
     return HiddenRunRecord(trajectories=trajectories, output_density=rho_out,
                            expected_density=expected, deviation=deviation,
-                           ensemble=fam.channel())
+                           ensemble=channel)
 
 
 def _hidden_trajectories(spec: QuasigroupProtocolSpec, state: PureState,
-                         control: str, target: str, seed_r: int):
-    """Pure-state branches of the hidden circuit for one shared-randomness seed."""
+                         control: str, target: str):
+    """Pure-state branches (seed r, m, s, probability, state) of the hidden circuit.
+
+    Seed by seed, the one-round opening (shared by every seed) is joined by
+    the correlated pair (x, y) = (r, r).  The branch pointer a shifts x down
+    by l, x shifts y down by its own value, the phases are controlled on
+    (a, b) and V_l^dag on y, and then (b, x) is measured once.  That equals
+    measuring b and x first and correcting each branch classically, because
+    a gate controlled on a register commutes with measuring it.  Post states
+    live on (control, target, a, y).
+    """
     n = spec.order
+    blocks = build_quasigroup_gates(spec)
+    shift_powers = np.stack([shift_gate(n, l) for l in range(n)])
     x_layout = RegisterLayout.of(("x", n), ("y", n))
-    seed = basis_state(x_layout, {"x": seed_r, "y": seed_r})
-    full = product_state(state, maximally_entangled(n, names=("a", "b")), seed)
-
-    shift_blocks = {i: left_div_permutation(spec.quasigroup, k)
-                    for i, k in enumerate(spec.term_map)}
-    full = apply_on(full, controlled_gate(spec.d_a, shift_blocks, n), (control, "a"))
-    rep_blocks = {j: spec.rep.matrices[j] for j in range(n)}
-    full = apply_on(full, controlled_gate(n, rep_blocks, spec.d_b), ("b", target))
-    full = apply_on(full, fourier_gate(n), "b")
-    # branch pointer drives the sender's shared register down by l
-    x_shift = shift_gate(n)
-    shift_powers = {l: np.linalg.matrix_power(x_shift, l) for l in range(n)}
-    full = apply_on(full, controlled_gate(n, shift_powers, n), ("a", "x"))
-
-    out = []
-    for b_branch in measure_registers(full, "b"):
-        m = b_branch.outcome["b"]
-        for x_branch in measure_registers(b_branch.post_state, "x"):
-            s = x_branch.outcome["x"]
-            st = apply_on(x_branch.post_state, shift_powers[s], "y")
-            corr = {l: correction_gate_for(spec, l, m) for l in range(n)}
-            st = apply_on(st, controlled_gate(n, corr, spec.d_a), ("a", control))
-            vdag = {l: spec.rep.matrices[l].conj().T for l in range(n)}
-            st = apply_on(st, controlled_gate(n, vdag, spec.d_b), ("y", target))
-            out.append((m, s, b_branch.probability * x_branch.probability, st))
-    return out
+    opened = one_round_circuit(state, blocks, control, target, ("a", "b"))
+    for r in range(n):
+        full = product_state(opened, basis_state(x_layout, {"x": r, "y": r}))
+        # the branch pointer drives the sender's shared register down by l
+        full = apply_controlled(full, shift_powers, "a", "x")
+        # relay: the receiver's register goes down by the sender's, leaving l in y
+        full = apply_controlled(full, shift_powers, "x", "y")
+        full = apply_controlled(full, blocks.phases, ("a", "b"), control)
+        full = apply_controlled(full, blocks.undo, "y", target)
+        for branch in measure_registers(full, ("b", "x")):
+            yield (r, branch.outcome["b"], branch.outcome["x"], branch.probability,
+                   branch.post_state)
 
 
 @dataclass(frozen=True)
@@ -443,10 +447,8 @@ def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
     entangled = PureState(layout, amps.reshape(-1))
 
     choi_circ = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(n):
-        for m, s, prob, st in _hidden_trajectories(spec, entangled, "A", "B", r):
-            rho = partial_trace(st, ("A", "B", "Ar", "Br"))
-            choi_circ += (prob / n) * rho
+    for *_, prob, st in _hidden_trajectories(spec, entangled, "A", "B"):
+        choi_circ += (prob / n) * partial_trace(st, ("A", "B", "Ar", "Br"))
     choi_circ *= d   # rescale to the unnormalized pair-state convention
 
     choi_ens = choi_matrix(branch_family(spec).channel())

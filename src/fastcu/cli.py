@@ -19,9 +19,9 @@ from .algebra import certify_approx_rep, ordinary_rep, right_quasigroup_from_tab
 from .approx_protocol import QuasigroupProtocolSpec, dilation_error
 from .compiler import CompileTargets, compile_target, normalize_su, target_gap
 from .demos import EXACT_DEMOS, exact_demo_instance
-from .errors import FastcuError, SchemaMismatch
+from .errors import DimensionMismatch, FastcuError, NotRightQuasigroup, SchemaMismatch
 from .exact_protocol import run_exact_protocol
-from .net import DEFAULT_CAP, advisory_m, build_net
+from .net import DEFAULT_CAP, advisory_m, build_net, net_size
 from .qgbuilder import assemble_quasigroup
 from .qsim import RegisterLayout, random_pure_state
 
@@ -74,32 +74,42 @@ def _emit(doc: dict, out: str | None) -> None:
         print(f"wrote {out}")
 
 
-def cmd_exact_demo(args) -> int:
-    cgu = exact_demo_instance(args.name)
-    rng = np.random.default_rng(args.seed)
+def _exact_demo_bundle(name: str, seed: int, trials: int) -> dict:
+    """Run a demo on ``trials`` seeded random inputs; the bundle holds the worst branch."""
+    cgu = exact_demo_instance(name)
+    rng = np.random.default_rng(seed)
     layout = RegisterLayout.of(("A", cgu.d_a), ("B", cgu.d_b))
     worst_dev = 0.0
     worst_uni = 0.0
-    for _ in range(DEMO_TRIALS):
+    for _ in range(trials):
         record = run_exact_protocol(cgu, random_pure_state(layout, rng))
         worst_dev = max(worst_dev, record.max_deviation)
         worst_uni = max(worst_uni, record.uniformity_error)
-    doc = {
+    return {
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "exact-demo",
-        "example": args.name,
-        "seed": args.seed,
-        "trials": DEMO_TRIALS,
+        "example": name,
+        "seed": seed,
+        "trials": trials,
         "N": cgu.group.order,
         "S": list(cgu.subset),
         "cost_ebits": cgu.cost_ebits(),
         "max_branch_deviation": worst_dev,
         "uniformity_error": worst_uni,
     }
+
+
+def _demo_ok(doc: dict) -> bool:
+    return doc["max_branch_deviation"] <= 1e-9 and doc["uniformity_error"] <= 1e-10
+
+
+def cmd_exact_demo(args) -> int:
+    doc = _exact_demo_bundle(args.name, args.seed, DEMO_TRIALS)
     print(f"{args.name}: N={doc['N']} cost={doc['cost_ebits']:.6f} ebits "
-          f"max_dev={worst_dev:.3e} uniformity={worst_uni:.3e} over {DEMO_TRIALS} inputs")
+          f"max_dev={doc['max_branch_deviation']:.3e} "
+          f"uniformity={doc['uniformity_error']:.3e} over {DEMO_TRIALS} inputs")
     _emit(doc, args.out)
-    return 0 if worst_dev <= 1e-9 and worst_uni <= 1e-10 else 1
+    return 0 if _demo_ok(doc) else 1
 
 
 def cmd_net_build(args) -> int:
@@ -185,24 +195,37 @@ def _fail(name: str, detail: str) -> int:
     return 1
 
 
-def _verify_quasigroup_bundle(doc: dict) -> int:
-    table = np.asarray(doc["table"], dtype=np.int64)
-    n = table.shape[0]
-    idx = np.arange(n)
-    for col in range(n):
-        if not np.array_equal(np.sort(table[:, col]), idx):
-            return _fail("axioms", f"column {col} is not a permutation")
+def _verify_table_and_net(table, net_doc: dict):
+    """The bundle's quasigroup and family, or None after printing the failed check.
+
+    The family is rebuilt with the table order as its cap, so a bundle built
+    with ``--cap`` above the default verifies without a flag.
+    """
+    try:
+        quasigroup = right_quasigroup_from_table(np.asarray(table, dtype=np.int64))
+    except (NotRightQuasigroup, DimensionMismatch) as exc:
+        _fail("axioms", str(exc))
+        return None
+    n = quasigroup.order
     print(f"ok axioms: all {n} columns are permutations")
-    quasigroup = right_quasigroup_from_table(table)
-    net = build_net(doc["net"]["d"], doc["net"]["m"])
-    if net.size != n:
-        return _fail("net", f"net size {net.size} does not match table order {n}")
+    d, m = net_doc["d"], net_doc["m"]
+    if net_size(d, m) != n:
+        _fail("net", f"net size {net_size(d, m)} does not match table order {n}")
+        return None
+    return quasigroup, build_net(d, m, cap=n)
+
+
+def _verify_quasigroup_bundle(doc: dict) -> int:
+    loaded = _verify_table_and_net(doc["table"], doc["net"])
+    if loaded is None:
+        return 1
+    quasigroup, net = loaded
     cert = certify_approx_rep(net.matrices, quasigroup, doc["eta"])
     if abs(cert.delta_cert - doc["delta_cert"]) > 1e-12:
         return _fail("recount", f"stored delta_cert={doc['delta_cert']} but recount={cert.delta_cert}")
     print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
     spec = QuasigroupProtocolSpec(quasigroup, ordinary_rep(quasigroup, net.matrices),
-                                  term_map=tuple(range(min(3, n))))
+                                  term_map=tuple(range(min(3, quasigroup.order))))
     rep = dilation_error(spec, doc["eta"], cert.delta_cert)
     if rep.measured > rep.certified_gap_bound + 1e-9:
         return _fail("dilation", f"measured {rep.measured} exceeds bound {rep.certified_gap_bound}")
@@ -212,15 +235,10 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
 
 def _verify_compile_bundle(doc: dict) -> int:
     plan = doc["plan"]
-    table = np.asarray(plan["table"], dtype=np.int64)
-    n = table.shape[0]
-    idx = np.arange(n)
-    for col in range(n):
-        if not np.array_equal(np.sort(table[:, col]), idx):
-            return _fail("axioms", f"column {col} is not a permutation")
-    print(f"ok axioms: all {n} columns are permutations")
-    quasigroup = right_quasigroup_from_table(table)
-    net = build_net(plan["net"]["d"], plan["net"]["m"])
+    loaded = _verify_table_and_net(plan["table"], plan["net"])
+    if loaded is None:
+        return 1
+    quasigroup, net = loaded
     cert = certify_approx_rep(net.matrices, quasigroup, plan["eta"])
     if abs(cert.delta_cert - plan["delta_cert"]) > 1e-12:
         return _fail("recount", f"stored delta_cert={plan['delta_cert']} but recount={cert.delta_cert}")
@@ -262,6 +280,28 @@ def _verify_compile_bundle(doc: dict) -> int:
     return 0
 
 
+def _verify_exact_demo_bundle(doc: dict) -> int:
+    """Re-run the demo from its example, seed and trials; no stored number is evidence."""
+    trials = doc["trials"]
+    if not isinstance(trials, int) or trials < 1:
+        return _fail("record", f"trials={trials!r} is not a positive integer")
+    redo = _exact_demo_bundle(doc["example"], int(doc["seed"]), trials)
+    for name in ("N", "S"):
+        if doc[name] != redo[name]:
+            return _fail("instance", f"stored {name}={doc[name]} but the demo has {redo[name]}")
+    for name in ("cost_ebits", "max_branch_deviation", "uniformity_error"):
+        if abs(doc[name] - redo[name]) > 1e-9:
+            return _fail("record", f"stored {name}={doc[name]} but recomputed {redo[name]}")
+    print(f"ok record: N={redo['N']} S={redo['S']} cost={redo['cost_ebits']:.6f} ebits "
+          f"over {redo['trials']} inputs")
+    if not _demo_ok(redo):
+        return _fail("exactness", f"max deviation {redo['max_branch_deviation']:.3e}, "
+                                  f"uniformity error {redo['uniformity_error']:.3e}")
+    print(f"ok exactness: dev={redo['max_branch_deviation']:.3e} "
+          f"uniformity={redo['uniformity_error']:.3e}")
+    return 0
+
+
 def cmd_verify(args) -> int:
     doc = serialize.load_json(args.bundle)
     kind = doc.get("kind")
@@ -270,9 +310,7 @@ def cmd_verify(args) -> int:
     if kind == "compile":
         return _verify_compile_bundle(doc)
     if kind == "exact-demo":
-        ok = doc["max_branch_deviation"] <= 1e-9 and doc["uniformity_error"] <= 1e-10
-        print(("ok" if ok else "FAIL") + f" demo record: dev={doc['max_branch_deviation']:.3e}")
-        return 0 if ok else 1
+        return _verify_exact_demo_bundle(doc)
     raise SchemaMismatch(f"cannot verify bundle of kind {kind!r}")
 
 

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .qsim import (
     PureState,
-    RegisterLayout,
+    apply_controlled,
     apply_on,
     controlled_gate,
     fourier_gate,
@@ -92,15 +92,6 @@ class ControlledGroupUnitary:
         return math.log2(self.group.order)
 
 
-@dataclass(frozen=True, eq=False)
-class ExactGateSet:
-    """Local gates of the protocol for one controlled-group unitary."""
-
-    shift_gates: dict[int, np.ndarray]      # per subset label, acts on Alice's ancilla
-    fourier: np.ndarray                     # acts on Bob's ancilla
-    corrections: dict[tuple[int, int], np.ndarray]  # per outcome pair, acts on the control
-
-
 def shift_gate_for(cgu: ControlledGroupUnitary, k: int) -> np.ndarray:
     """Ancilla gate |j> -> weight(j,k) |j * k^{-1}>; the weights are factor quotients."""
     if cgu.rep.factor_system is None:
@@ -114,37 +105,30 @@ def shift_gate_for(cgu: ControlledGroupUnitary, k: int) -> np.ndarray:
     return out
 
 
-def correction_gate_for(cgu: ControlledGroupUnitary, outcome_l: int, outcome_m: int,
-                        fourier: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal control-register gate cancelling the Fourier phase of branch (l, m).
+def correction_phases(cgu: ControlledGroupUnitary, outcome_l, outcome_m,
+                      fourier: np.ndarray | None = None) -> np.ndarray:
+    """Diagonal of the control-register gate cancelling the Fourier phase of branch (l, m).
 
     For any flat unitary in place of the Fourier gate (all entries of modulus
     1/sqrt(N)), the cancelling phase is the conjugated, rescaled entry at
     (m, l*k); with the standard Fourier gate this is exp(-2*pi*i*m*(l*k)/N).
+    Outcomes may be integer arrays; they broadcast and the result has shape
+    ``broadcast(l, m).shape + (d_a,)``.  Unsupported labels get phase 1.
     """
     group = cgu.group
     n = group.order
     f = fourier_gate(n) if fourier is None else fourier
-    diag = np.ones(cgu.d_a, dtype=complex)
-    scale = math.sqrt(n)
-    for i, k in enumerate(cgu.labels):
-        if k is not None:
-            diag[i] = np.conj(scale * f[outcome_m, group.cayley[outcome_l, k]])
-    return np.diag(diag)
+    ls, ms = np.asarray(outcome_l)[..., None], np.asarray(outcome_m)[..., None]
+    active = [i for i, k in enumerate(cgu.labels) if k is not None]
+    out = np.ones(np.broadcast_shapes(ls.shape, ms.shape)[:-1] + (cgu.d_a,), dtype=complex)
+    out[..., active] = np.conj(math.sqrt(n) * f[ms, group.cayley[ls, list(cgu.subset)]])
+    return out
 
 
-def build_exact_gates(cgu: ControlledGroupUnitary) -> ExactGateSet:
-    """Construct every local gate of the protocol and check unitarity."""
-    n = cgu.group.order
-    shifts = {k: shift_gate_for(cgu, k) for k in cgu.subset}
-    fourier = fourier_gate(n)
-    corrections = {(l, m): correction_gate_for(cgu, l, m)
-                   for l in range(n) for m in range(n)}
-    for name, gate in [("fourier", fourier), *((f"shift[{k}]", g) for k, g in shifts.items()),
-                       *((f"correction{lm}", g) for lm, g in corrections.items())]:
-        if not is_unitary(gate):
-            raise DimensionMismatch(f"gate {name} failed the unitarity check")
-    return ExactGateSet(shift_gates=shifts, fourier=fourier, corrections=corrections)
+def correction_gate_for(cgu: ControlledGroupUnitary, outcome_l: int, outcome_m: int,
+                        fourier: np.ndarray | None = None) -> np.ndarray:
+    """Correction of one branch (l, m) as a diagonal control-register gate."""
+    return np.diag(correction_phases(cgu, outcome_l, outcome_m, fourier))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +145,9 @@ class ExactRunRecord:
         return np.array([p for _, _, p, _ in self.branches])
 
 
-def _check_support(state: PureState, control: str, labels) -> None:
-    unsupported = [i for i, k in enumerate(labels) if k is None]
+def check_support(state: PureState, control: str, unsupported) -> None:
+    """Raise UnsupportedInput if the control register has weight on ``unsupported`` states."""
+    unsupported = list(unsupported)
     if not unsupported:
         return
     layout = state.layout
@@ -171,7 +156,60 @@ def _check_support(state: PureState, control: str, labels) -> None:
     mass = float(np.sum(np.abs(t[unsupported]) ** 2))
     if mass > SUPPORT_TOL:
         raise UnsupportedInput(
-            f"input has probability {mass:.3e} outside the supported control labels")
+            f"input has probability {mass:.3e} on unsupported control states {unsupported}")
+
+
+@dataclass(frozen=True, eq=False)
+class OneRoundBlocks:
+    """Block stacks of one instance of the one-round protocol with rank-N ancillas a, b.
+
+    ``shifts[i]`` acts on a when the control reads i, ``reps[j]`` on the target
+    when b reads j.  In branch (l, m), ``phases[l*N + m]`` acts on the control
+    and ``undo[l]`` on the target.
+    """
+
+    shifts: np.ndarray        # (d_a, N, N)
+    reps: np.ndarray          # (N, d_b, d_b)
+    fourier: np.ndarray       # (N, N), on b
+    phases: np.ndarray        # (N*N, d_a, d_a), diagonal
+    undo: np.ndarray          # (N, d_b, d_b)
+
+
+def one_round_circuit(state: PureState, blocks: OneRoundBlocks, control: str, target: str,
+                      ancillas: tuple[str, str] = ("a", "b")) -> PureState:
+    """Opening shared by every protocol: entangled pair, both controlled gates, Fourier on b.
+
+    The ancillas are appended after the input registers.  The corrections and
+    the measurement of (a, b) are left to the caller.
+    """
+    anc_a, anc_b = ancillas
+    full = product_state(state, maximally_entangled(blocks.fourier.shape[0], names=ancillas))
+    # Alice: shift the a ancilla conditioned on the control register
+    full = apply_controlled(full, blocks.shifts, control, anc_a)
+    # Bob: representation matrix on the target conditioned on the b ancilla
+    full = apply_controlled(full, blocks.reps, anc_b, target)
+    return apply_on(full, blocks.fourier, anc_b)
+
+
+def build_exact_gates(cgu: ControlledGroupUnitary,
+                      fourier: np.ndarray | None = None) -> OneRoundBlocks:
+    """Every local gate of the group protocol as block stacks, each checked unitary.
+
+    The correction of branch (l, m) undoes V_{l^-1}; ``fourier`` defaults to
+    the standard Fourier gate.
+    """
+    group, n, d_a = cgu.group, cgu.group.order, cgu.d_a
+    fourier = fourier_gate(n) if fourier is None else fourier
+    eye = np.eye(n, dtype=complex)
+    shifts = np.stack([eye if k is None else shift_gate_for(cgu, k) for k in cgu.labels])
+    outcomes = np.arange(n)
+    phases = correction_phases(cgu, outcomes[:, None], outcomes[None, :], fourier)
+    phases = phases.reshape(n * n, 1, d_a) * np.eye(d_a)
+    for name, stack in (("fourier", fourier), ("shift", shifts), ("correction", phases)):
+        if not is_unitary(stack):
+            raise DimensionMismatch(f"a {name} gate failed the unitarity check")
+    return OneRoundBlocks(shifts=shifts, reps=cgu.rep.matrices, fourier=fourier,
+                          phases=phases, undo=cgu.rep.matrices[group.inverse])
 
 
 def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
@@ -181,12 +219,13 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
     """Simulate every branch of the protocol on the given input state.
 
     The input may contain spectator registers; the protocol touches only
-    ``control``, ``target`` and two fresh rank-N ancillas.  Each branch's final
-    state is compared against the target unitary applied directly (exact
-    equality, no global-phase allowance).
+    ``control``, ``target`` and two fresh rank-N ancillas.  The corrections
+    are applied before the one measurement of (a, b), controlled on the
+    ancillas (deferred measurement).  Each branch's final state is compared
+    against the target unitary applied directly (exact equality, no
+    global-phase allowance).
     """
-    group, rep = cgu.group, cgu.rep
-    n = group.order
+    n = cgu.group.order
     layout = state.layout
     if layout.dim_of(control) != cgu.d_a:
         raise DimensionMismatch(
@@ -197,7 +236,7 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
     for name in ancilla_names:
         if name in layout.names:
             raise DimensionMismatch(f"ancilla name {name!r} collides with an input register")
-    _check_support(state, control, cgu.labels)
+    check_support(state, control, [i for i, k in enumerate(cgu.labels) if k is None])
 
     anc_a, anc_b = ancilla_names
     if fourier is None:
@@ -207,26 +246,19 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
         if not is_unitary(fourier) or np.max(np.abs(np.abs(fourier) - 1 / math.sqrt(n))) > FLAT_ENTRY_TOL:
             raise DimensionMismatch("replacement Fourier gate must be unitary with flat entries")
 
-    full = product_state(state, maximally_entangled(n, names=(anc_a, anc_b)))
-
-    # Alice: shift the a ancilla conditioned on the control register
-    shift_blocks = {i: shift_gate_for(cgu, k) for i, k in enumerate(cgu.labels) if k is not None}
-    full = apply_on(full, controlled_gate(cgu.d_a, shift_blocks, n), (control, anc_a))
-    # Bob: representation matrix on the target conditioned on the b ancilla (all j)
-    rep_blocks = {j: rep.matrices[j] for j in range(n)}
-    full = apply_on(full, controlled_gate(n, rep_blocks, cgu.d_b), (anc_b, target))
-    full = apply_on(full, fourier, anc_b)
+    blocks = build_exact_gates(cgu, fourier)
+    full = one_round_circuit(state, blocks, control, target, ancilla_names)
+    full = apply_controlled(full, blocks.phases, ancilla_names, control)
+    full = apply_controlled(full, blocks.undo, anc_a, target)
 
     target_state = apply_on(state, cgu.target_matrix(), (control, target))
 
     branches = []
     max_dev = 0.0
     uniformity = 0.0
-    for branch in measure_registers(full, (anc_a, anc_b)):
+    for branch in measure_registers(full, ancilla_names):
         l, m = branch.outcome[anc_a], branch.outcome[anc_b]
-        post = apply_on(branch.post_state, correction_gate_for(cgu, l, m, fourier),
-                        control)
-        post = apply_on(post, rep.matrices[group.inverse[l]], target)
+        post = branch.post_state
         max_dev = max(max_dev, post.distance(target_state))
         uniformity = max(uniformity, abs(branch.probability - 1.0 / (n * n)))
         branches.append((l, m, branch.probability, post))

@@ -46,10 +46,14 @@ def max_hermitian_eigenvalue(matrix: np.ndarray) -> float:
 
 
 def is_unitary(matrix: np.ndarray, tol: float = ZERO_TOL) -> bool:
+    """Whether a matrix, or every matrix of a (..., n, n) stack, is unitary within ``tol``."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return operator_norm(m.conj().T @ m - np.eye(m.shape[0])) <= tol
+    if m.size == 0:
+        return True
+    residual = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
+    return bool(np.all(operator_norms(residual) <= tol))
 
 
 def dagger(matrix: np.ndarray) -> np.ndarray:
@@ -112,9 +116,10 @@ class PureState:
         if amps.size != self.layout.dim:
             raise DimensionMismatch(
                 f"amplitude vector of length {amps.size} does not fit layout of dim {self.layout.dim}")
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > ZERO_TOL:
-            raise DimensionMismatch(
-                f"state norm {np.linalg.norm(amps):.3e} is not 1 within {ZERO_TOL}")
+        if self.normalized:
+            norm = math.sqrt(np.vdot(amps, amps).real)
+            if abs(norm - 1.0) > ZERO_TOL:
+                raise DimensionMismatch(f"state norm {norm:.3e} is not 1 within {ZERO_TOL}")
 
     @property
     def norm(self) -> float:
@@ -164,23 +169,37 @@ def maximally_entangled(n: int, names: tuple[str, str] = ("a", "b")) -> PureStat
     return PureState(layout, amps.reshape(-1))
 
 
-def apply_on(state: PureState, gate: np.ndarray, registers) -> PureState:
-    """Apply a gate on the named registers (in the given order), identity elsewhere."""
-    registers = [registers] if isinstance(registers, str) else list(registers)
+def apply_controlled(state: PureState, blocks: np.ndarray, controls, targets) -> PureState:
+    """Apply ``blocks[c]`` on ``targets`` wherever the joint ``controls`` register reads c.
+
+    ``blocks`` has shape ``(dc, dt, dt)`` with dc and dt the joint dimensions
+    of the control and target registers (each in the given order).  The gate
+    is the block diagonal ``controlled_gate`` would build, applied as one
+    batched matmul without forming that dense matrix.
+    """
+    controls = [controls] if isinstance(controls, str) else list(controls)
+    targets = [targets] if isinstance(targets, str) else list(targets)
+    if set(controls) & set(targets):
+        raise DimensionMismatch(f"registers {controls} are both control and target")
     layout = state.layout
-    axes = [layout.axis(r) for r in registers]
-    dims = [layout.dims[a] for a in axes]
-    dg = math.prod(dims)
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (dg, dg):
+    axes = [layout.axis(r) for r in controls + targets]
+    dc = math.prod(layout.dim_of(r) for r in controls)
+    dt = math.prod(layout.dim_of(r) for r in targets)
+    blocks = np.asarray(blocks, dtype=complex)
+    if blocks.shape != (dc, dt, dt):
         raise DimensionMismatch(
-            f"gate shape {gate.shape} does not act on registers {registers} of joint dim {dg}")
-    t = state.tensor()
-    t = np.moveaxis(t, axes, range(len(axes)))
+            f"block stack shape {blocks.shape} does not fit controls {controls} of joint dim "
+            f"{dc} and targets {targets} of joint dim {dt}")
+    t = np.moveaxis(state.tensor(), axes, range(len(axes)))
     moved_shape = t.shape
-    t = gate @ t.reshape(dg, -1)
+    t = blocks @ t.reshape(dc, dt, -1)
     t = np.moveaxis(t.reshape(moved_shape), range(len(axes)), axes)
     return PureState(layout, t.reshape(-1), normalized=state.normalized)
+
+
+def apply_on(state: PureState, gate: np.ndarray, registers) -> PureState:
+    """Apply a gate on the named registers (in the given order), identity elsewhere."""
+    return apply_controlled(state, np.asarray(gate, dtype=complex)[None], (), registers)
 
 
 def controlled_gate(control_dim: int, targets: dict[int, np.ndarray],
@@ -240,14 +259,11 @@ def measure_registers(state: PureState, registers) -> list[BranchOutcome]:
     if abs(total - 1.0) > ZERO_TOL:
         raise DimensionMismatch(f"measurement on non-normalized state, total prob {total:.3e}")
     reduced = layout.without(registers)
-    branches = []
-    for flat in np.flatnonzero(probs > BRANCH_PROB_FLOOR):
-        values = np.unravel_index(int(flat), dims)
-        outcome = {r: int(v) for r, v in zip(registers, values)}
-        post = t[flat] / math.sqrt(probs[flat])
-        branches.append(BranchOutcome(outcome, float(probs[flat]),
-                                      PureState(reduced, post)))
-    return branches
+    kept = np.flatnonzero(probs > BRANCH_PROB_FLOOR)
+    posts = t[kept] / np.sqrt(probs[kept])[:, None]
+    values = np.stack(np.unravel_index(kept, dims), axis=1).tolist()
+    return [BranchOutcome(dict(zip(registers, v)), p, PureState(reduced, post))
+            for v, p, post in zip(values, probs[kept].tolist(), posts)]
 
 
 def partial_trace(state: PureState, keep) -> np.ndarray:

@@ -9,6 +9,7 @@ from fastcu import algebra, net, qgbuilder, qsim
 from fastcu.algebra import certify_approx_rep, ordinary_rep
 from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
+    _hidden_trajectories,
     branch_family,
     correction_gate_for,
     dilation_error,
@@ -264,3 +265,89 @@ def test_correction_gate_phases():
             for i, k in enumerate(spec.term_map):
                 want = np.exp(-2j * np.pi * m * spec.quasigroup.table[l, k] / n)
                 assert gate[i, i] == pytest.approx(want)
+
+
+# --------------------------------------------------------------------------- #
+#   measure-then-correct references: the per-branch loops the deferred        #
+#   simulation replaced, kept here to pin its branch order and states         #
+# --------------------------------------------------------------------------- #
+
+
+def _opened(spec, state, *extra):
+    n = spec.order
+    full = qsim.product_state(state, qsim.maximally_entangled(n), *extra)
+    shifts = {i: left_div_permutation(spec.quasigroup, k) for i, k in enumerate(spec.term_map)}
+    full = qsim.apply_on(full, qsim.controlled_gate(spec.d_a, shifts, n), ("A", "a"))
+    reps = dict(enumerate(spec.rep.matrices))
+    full = qsim.apply_on(full, qsim.controlled_gate(n, reps, spec.d_b), ("b", "B"))
+    return qsim.apply_on(full, qsim.fourier_gate(n), "b")
+
+
+def measured_reference(spec, state):
+    """Measure (a, b), then correct each branch with its own phase gate and V_l^dag."""
+    out = []
+    for branch in qsim.measure_registers(_opened(spec, state), ("a", "b")):
+        l, m = branch.outcome["a"], branch.outcome["b"]
+        post = qsim.apply_on(branch.post_state, correction_gate_for(spec, l, m), "A")
+        post = qsim.apply_on(post, spec.rep.matrices[l].conj().T, "B")
+        out.append((l, m, branch.probability, post))
+    return out
+
+
+def hidden_reference(spec, state, seed_r):
+    """Measure b, then x, then relay and correct each branch with dense controlled gates."""
+    n = spec.order
+    seed = qsim.basis_state(qsim.RegisterLayout.of(("x", n), ("y", n)), {"x": seed_r, "y": seed_r})
+    full = _opened(spec, state, seed)
+    powers = {l: np.linalg.matrix_power(qsim.shift_gate(n), l) for l in range(n)}
+    full = qsim.apply_on(full, qsim.controlled_gate(n, powers, n), ("a", "x"))
+    out = []
+    for b_branch in qsim.measure_registers(full, "b"):
+        m = b_branch.outcome["b"]
+        for x_branch in qsim.measure_registers(b_branch.post_state, "x"):
+            s = x_branch.outcome["x"]
+            st = qsim.apply_on(x_branch.post_state, powers[s], "y")
+            corr = {l: correction_gate_for(spec, l, m) for l in range(n)}
+            st = qsim.apply_on(st, qsim.controlled_gate(n, corr, spec.d_a), ("a", "A"))
+            vdag = {l: spec.rep.matrices[l].conj().T for l in range(n)}
+            st = qsim.apply_on(st, qsim.controlled_gate(n, vdag, spec.d_b), ("y", "B"))
+            out.append((seed_r, m, s, b_branch.probability * x_branch.probability, st))
+    return out
+
+
+def _assert_same_branches(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:-2] == w[:-2]
+        assert g[-2] == pytest.approx(w[-2], abs=1e-12)
+        assert g[-1].layout == w[-1].layout
+        assert np.abs(g[-1].amps - w[-1].amps).max() <= 1e-12
+
+
+def _spare_control_spec():
+    base = net_spec()
+    return QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(3, 7), d_a=3)
+
+
+@pytest.mark.parametrize("make", [
+    net_spec,
+    lambda: net_spec(m=2, eta=0.8, terms=(5, 17, 40)),
+    _spare_control_spec,
+], ids=["N12", "N72-three-terms", "N12-spare-control-state"])
+def test_measured_variant_equals_measure_then_correct(make):
+    spec = make()
+    state = qsim.random_pure_state(_layout(spec), np.random.default_rng(48))
+    if spec.d_a > spec.n_terms:   # weight only on control states that carry a term
+        t = state.tensor().copy()
+        t[spec.n_terms:] = 0
+        state = qsim.PureState(state.layout, t / np.linalg.norm(t))
+    _assert_same_branches(run_measured_variant(spec, state).branches,
+                          measured_reference(spec, state))
+
+
+def test_hidden_trajectories_equal_measure_then_correct():
+    spec = net_spec()
+    state = qsim.random_pure_state(_layout(spec), np.random.default_rng(49))
+    got = list(_hidden_trajectories(spec, state, "A", "B"))
+    want = [row for r in range(spec.order) for row in hidden_reference(spec, state, r)]
+    _assert_same_branches(got, want)

@@ -160,3 +160,60 @@ def test_verify_rejects_tampered_zeta(compile_bundle, tmp_path, capsys, shift):
 def test_compile_bundle_carries_no_seed(compile_bundle):
     # compilation is deterministic in its inputs; no seed is read or recorded
     assert "seed" not in compile_bundle
+
+
+@pytest.mark.parametrize("field, value", [("N", 8), ("S", [0, 1, 2]), ("cost_ebits", 1.0),
+                                          ("max_branch_deviation", 0.5), ("trials", 0)])
+def test_verify_reruns_exact_demo(tmp_path, capsys, field, value):
+    out = tmp_path / "demo.json"
+    assert cli.main(["exact-demo", "pauli-subset", "--seed", "3", "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc[field] = value
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+def _low_default_cap(monkeypatch):
+    """Make cli.build_net's default cap 1, below every family; record the caps it gets."""
+    real, caps = cli.build_net, []
+
+    def build_net(d, m, cap=1):
+        caps.append(cap)
+        return real(d, m, cap=cap)
+
+    monkeypatch.setattr(cli, "build_net", build_net)
+    return caps
+
+
+def test_verify_builds_the_family_at_the_table_order(tmp_path, monkeypatch, compile_bundle):
+    out = tmp_path / "qg.json"
+    assert cli.main(["qg-build", "--m", "1", "--eta", "1.1", "--out", str(out)]) == 0
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps(compile_bundle))
+    caps = _low_default_cap(monkeypatch)
+    assert cli.main(["verify", str(out)]) == 0
+    assert cli.main(["verify", str(bundle)]) == 0
+    assert caps == [12, len(compile_bundle["plan"]["table"])]
+
+
+@pytest.mark.parametrize("where", ["column", "range", "net"])
+def test_verify_compile_bundle_rejects_bad_table(compile_bundle, tmp_path, capsys, where):
+    doc = json.loads(json.dumps(compile_bundle))
+    table = doc["plan"]["table"]
+    if where == "column":
+        table[0][3] = table[1][3]
+    elif where == "range":
+        table[2][5] = len(table)
+    else:
+        doc["plan"]["net"]["m"] += 1
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL net" if where == "net" else "FAIL axioms") in out
+    if where == "column":
+        assert "column 3" in out

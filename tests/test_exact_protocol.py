@@ -53,17 +53,21 @@ def test_trivial_group_gates():
     rep = algebra.projective_rep(group, np.eye(2)[None])
     cgu = ControlledGroupUnitary.from_subset(group, rep, (0,))
     gates = build_exact_gates(cgu)
-    assert np.allclose(gates.shift_gates[0], [[1.0]])
+    assert np.allclose(gates.shifts, [[[1.0]]])
     assert np.allclose(gates.fourier, [[1.0]])
-    assert np.allclose(gates.corrections[(0, 0)], np.eye(1))
+    assert np.allclose(gates.phases, [np.eye(1)])
 
 
 def test_gates_all_unitary(klein_pauli):
     group, rep = klein_pauli
     cgu = ControlledGroupUnitary.from_subset(group, rep, (0, 1, 3))
     gates = build_exact_gates(cgu)
-    for g in [gates.fourier, *gates.shift_gates.values(), *gates.corrections.values()]:
+    assert gates.shifts.shape == (3, 4, 4) and gates.phases.shape == (16, 3, 3)
+    for g in [gates.fourier, *gates.shifts, *gates.phases, *gates.undo]:
         assert qsim.is_unitary(g)
+    for l in range(4):
+        for m in range(4):
+            assert np.array_equal(gates.phases[4 * l + m], correction_gate_for(cgu, l, m))
 
 
 def test_missing_factor_system_error(c3_diag):
@@ -225,3 +229,37 @@ def test_cost_values(klein_pauli, c3_diag):
     trivial = algebra.group_from_cayley([[0]])
     rep1 = algebra.projective_rep(trivial, np.eye(2)[None])
     assert ControlledGroupUnitary.from_subset(trivial, rep1, (0,)).cost_ebits() == 0.0
+
+
+@pytest.mark.parametrize("labels", [(0, 1, 3), (2, None, 1, 3)])
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_exact_protocol_equals_measure_then_correct(klein_pauli, labels, conjugate):
+    # reference: measure (a, b) first, then correct each branch classically
+    group, rep = klein_pauli
+    cgu = ControlledGroupUnitary(group, rep, labels)
+    n = group.order
+    fourier = qsim.fourier_gate(n)
+    if conjugate:
+        fourier = np.conj(fourier)
+    t = qsim.random_pure_state(_layout(cgu), np.random.default_rng(16)).tensor().copy()
+    t[[i for i, k in enumerate(labels) if k is None]] = 0
+    state = qsim.PureState(_layout(cgu), t / np.linalg.norm(t))
+
+    full = qsim.product_state(state, qsim.maximally_entangled(n))
+    shifts = {i: shift_gate_for(cgu, k) for i, k in enumerate(labels) if k is not None}
+    full = qsim.apply_on(full, qsim.controlled_gate(cgu.d_a, shifts, n), ("A", "a"))
+    reps = dict(enumerate(rep.matrices))
+    full = qsim.apply_on(full, qsim.controlled_gate(n, reps, cgu.d_b), ("b", "B"))
+    full = qsim.apply_on(full, fourier, "b")
+    want = []
+    for branch in qsim.measure_registers(full, ("a", "b")):
+        l, m = branch.outcome["a"], branch.outcome["b"]
+        post = qsim.apply_on(branch.post_state, correction_gate_for(cgu, l, m, fourier), "A")
+        post = qsim.apply_on(post, rep.matrices[group.inverse[l]], "B")
+        want.append((l, m, branch.probability, post))
+
+    got = run_exact_protocol(cgu, state, fourier=fourier).branches
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    for (*_, p, post), (*_, q, ref) in zip(got, want):
+        assert p == pytest.approx(q, abs=1e-12)
+        assert np.abs(post.amps - ref.amps).max() <= 1e-12

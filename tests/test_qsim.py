@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastcu import qsim
 from fastcu.errors import DimensionMismatch
@@ -94,6 +98,49 @@ def test_controlled_gate_with_identity_blocks():
     gate = qsim.controlled_gate(4, {j: np.eye(2) for j in range(4)}, 2)
     out = qsim.apply_on(state, gate, ("b", "B"))
     assert np.allclose(out.amps, state.amps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_apply_controlled_equals_dense_controlled_gate(data):
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5), label="dims")
+    names = [f"r{i}" for i in range(len(dims))]
+    order = data.draw(st.permutations(range(len(dims))), label="register order")
+    n_controls = data.draw(st.integers(1, len(dims) - 1), label="controls")
+    n_targets = data.draw(st.integers(1, len(dims) - n_controls), label="targets")
+    controls = [names[i] for i in order[:n_controls]]
+    targets = [names[i] for i in order[n_controls:n_controls + n_targets]]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    layout = qsim.RegisterLayout(tuple(names), tuple(dims))
+    state = qsim.random_pure_state(layout, rng)
+    dc = math.prod(layout.dim_of(r) for r in controls)
+    dt = math.prod(layout.dim_of(r) for r in targets)
+    blocks = np.stack([qsim.haar_unitary(dt, rng) for _ in range(dc)])
+    got = qsim.apply_controlled(state, blocks, controls, targets)
+    dense = qsim.controlled_gate(dc, dict(enumerate(blocks)), dt)
+    want = qsim.apply_on(state, dense, controls + targets)
+    assert np.allclose(got.amps, want.amps, rtol=0, atol=1e-12)
+
+
+def test_apply_controlled_rejects_bad_registers_and_shapes():
+    layout = qsim.RegisterLayout.of(("a", 2), ("b", 3))
+    state = qsim.random_pure_state(layout, np.random.default_rng(6))
+    with pytest.raises(DimensionMismatch):
+        qsim.apply_controlled(state, np.stack([np.eye(2)] * 2), "a", "a")
+    with pytest.raises(DimensionMismatch):
+        qsim.apply_controlled(state, np.stack([np.eye(3)] * 3), "a", "b")
+    with pytest.raises(DimensionMismatch):
+        qsim.apply_controlled(state, np.stack([np.eye(2)] * 3), "a", "b")
+
+
+def test_is_unitary_on_stacks():
+    rng = np.random.default_rng(7)
+    stack = np.stack([qsim.haar_unitary(3, rng) for _ in range(5)])
+    assert qsim.is_unitary(stack)
+    stack[2] *= 1.01
+    assert not qsim.is_unitary(stack)
+    assert not qsim.is_unitary(np.ones(3))
+    assert not qsim.is_unitary(np.ones((2, 3)))
 
 
 def test_measure_enumerates_branches_exactly():
