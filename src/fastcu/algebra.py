@@ -26,17 +26,20 @@ from .qsim import operator_norm, operator_norms
 UNIT_MODULUS_TOL = 1e-10
 REP_RESIDUAL_TOL = 1e-9
 IDENTITY_TOL = 1e-12
+RECOUNT_CHUNK = 1 << 15     # residuals evaluated per quaternion recount chunk
+COMPARE_CHUNK = 1 << 20     # left-division entries compared per grouping chunk
 
 
-def _as_index_table(table, *, copy: bool = True) -> np.ndarray:
+def _as_index_table(table, *, copy: bool = True, square: bool = True) -> np.ndarray:
     t = np.asarray(table)
     if not np.issubdtype(t.dtype, np.integer):
         t = t.astype(np.int64)
         copy = False
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionMismatch(f"expected a square table, got shape {t.shape}")
-    n = t.shape[0]
-    if n == 0:
+    if t.ndim != 2 or (square and t.shape[0] != t.shape[1]):
+        raise DimensionMismatch(f"expected a {'square' if square else '2-d'} table, "
+                                f"got shape {t.shape}")
+    n = t.shape[1]
+    if n == 0 or t.shape[0] == 0:
         raise DimensionMismatch("empty table")
     if t.min() < 0 or t.max() >= n:
         raise DimensionMismatch(f"table entries must lie in 0..{n - 1}")
@@ -146,7 +149,8 @@ def right_quasigroup_from_table(table) -> RightQuasigroup:
     return quasigroup_from_transposed(np.ascontiguousarray(np.asarray(table).T))
 
 
-def quasigroup_from_transposed(table_t: np.ndarray) -> RightQuasigroup:
+def quasigroup_from_transposed(table_t: np.ndarray,
+                               row_classes: np.ndarray | None = None) -> RightQuasigroup:
     """Build from the transposed table (row a holds the products y*a).
 
     The left-division scatter plus a round-trip gather proves each column of
@@ -154,19 +158,31 @@ def quasigroup_from_transposed(table_t: np.ndarray) -> RightQuasigroup:
     left_div slot at the zero initialization and the gathered product cannot
     reproduce it.  Working row-wise on the transposed array keeps the scatter
     and gather cache friendly for large orders.
+
+    With ``row_classes`` given, ``table_t`` holds only the distinct rows and
+    row a of the transposed table is ``table_t[row_classes[a]]``: each
+    distinct row is validated and left-divided once, and both n x n tables
+    come from one gather.
     """
-    table_t = _as_index_table(table_t, copy=False)
-    n = table_t.shape[0]
-    row = np.arange(n, dtype=table_t.dtype)[None, :]
-    left_div_t = np.zeros_like(table_t)
-    np.put_along_axis(left_div_t, table_t, np.broadcast_to(row, (n, n)), axis=1)
-    ok = np.take_along_axis(table_t, left_div_t, axis=1) == row
+    rows = _as_index_table(table_t, copy=False, square=row_classes is None)
+    n = rows.shape[1]
+    if row_classes is not None:
+        row_classes = np.asarray(row_classes)
+        if row_classes.shape != (n,) or row_classes.min() < 0 or row_classes.max() >= len(rows):
+            raise DimensionMismatch(
+                f"need {n} row classes in 0..{len(rows) - 1}, got shape {row_classes.shape}")
+    arange = np.arange(n, dtype=rows.dtype)[None, :]
+    left_div_rows = np.zeros_like(rows)
+    np.put_along_axis(left_div_rows, rows, np.broadcast_to(arange, rows.shape), axis=1)
+    ok = (np.take_along_axis(rows, left_div_rows, axis=1) == arange).all(axis=1)
+    if row_classes is not None:
+        ok, rows, left_div_rows = ok[row_classes], rows[row_classes], left_div_rows[row_classes]
     if not ok.all():
-        bad = int(np.argwhere(~ok)[0][0])
+        bad = int(np.argmin(ok))
         raise NotRightQuasigroup(f"column {bad} is not a permutation of 0..{n - 1}")
-    table_t.setflags(write=False)
-    left_div_t.setflags(write=False)
-    return RightQuasigroup(order=n, table=table_t.T, left_div=left_div_t.T)
+    rows.setflags(write=False)
+    left_div_rows.setflags(write=False)
+    return RightQuasigroup(order=n, table=rows.T, left_div=left_div_rows.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,12 +308,74 @@ class ApproxRepCertificate:
     max_residual: float
 
 
+def _recount_representatives(keys: np.ndarray, ld_t: np.ndarray):
+    """Group the labels k whose recounts are provably identical.
+
+    A label's residual row depends only on its matrix bits (``keys[k]``) and
+    its left-division column.  Each label is paired with the first label of
+    equal key bits and shares its recount when their left-division columns
+    agree too; otherwise (a hand-made or tampered table) it is counted on its
+    own.  Returns (rep_for, key_id, first): ``rep_for[k]`` is the label whose
+    recount k shares, ``key_id[k]`` numbers the distinct keys and ``first[u]``
+    is the first label with key u.
+    """
+    n = len(keys)
+    flat = np.ascontiguousarray(keys).reshape(n, -1)
+    bits = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))).ravel()
+    _, first, key_id = np.unique(bits, return_index=True, return_inverse=True)
+    cand = first[key_id]
+    same = np.empty(n, dtype=bool)
+    step = max(1, COMPARE_CHUNK // n)
+    for k0 in range(0, n, step):
+        same[k0:k0 + step] = (ld_t[k0:k0 + step] == ld_t[cand[k0:k0 + step]]).all(axis=1)
+    return np.where(same, cand, np.arange(n)), key_id, first
+
+
+def _quaternion_recount(quats, ld_t, reps, key_id, first, eta: float):
+    """Violation counts and worst residual of each representative k, in quaternions.
+
+    The products q_u q_k are formed once per distinct quaternion u and
+    gathered per left label l(j, k); the residual is |q_l q_k - q_j|.
+    """
+    n, n_keys = len(quats), len(first)
+    # column-major: each component is contiguous, which speeds the products, not their bits
+    distinct = np.asfortranarray(quats[first])
+    eta_sq = eta * eta
+    max_sq = 0.0
+    rep_counts = np.empty(len(reps), dtype=np.int64)
+    chunk = max(1, RECOUNT_CHUNK // n)
+    from .qgbuilder import quaternion_product
+
+    for k0 in range(0, len(reps), chunk):
+        sel = reps[k0:k0 + chunk]
+        prods = quaternion_product(distinct, quats[sel, None, :]).reshape(-1, 4)
+        diff = np.take(prods, key_id[ld_t[sel]] + (n_keys * np.arange(len(sel)))[:, None], axis=0)
+        diff -= quats[None, :, :]
+        sq = np.einsum("kjc,kjc->kj", diff, diff)
+        rep_counts[k0:k0 + chunk] = np.count_nonzero(sq >= eta_sq, axis=1)
+        max_sq = max(max_sq, float(sq.max()))
+    return rep_counts, math.sqrt(max_sq)
+
+
+def _svd_recount(mats, ld_t, reps, eta: float):
+    """Violation counts and worst residual of each representative k, by singular values."""
+    rep_counts = np.empty(len(reps), dtype=np.int64)
+    max_residual = 0.0
+    for i, k in enumerate(reps):
+        residual = operator_norms(mats[ld_t[k]] @ mats[k] - mats)
+        rep_counts[i] = np.count_nonzero(residual >= eta)
+        max_residual = max(max_residual, float(residual.max()))
+    return rep_counts, max_residual
+
+
 def certify_approx_rep(matrices, quasigroup: RightQuasigroup, eta: float) -> ApproxRepCertificate:
     """Exhaustively recount the approximation condition over every (j, k) pair.
 
     Families of 2x2 special unitaries use their unit-quaternion coordinates,
     where the operator-norm residual is a Euclidean distance; everything else
-    goes through singular values.  Both routes evaluate all n^2 residuals.
+    goes through singular values.  Both routes evaluate all n residuals of
+    one representative per group of labels with identical recounts (equal
+    matrix bits and left-division columns) and broadcast its count.
     """
     mats = np.asarray(matrices, dtype=complex)
     n = quasigroup.order
@@ -306,40 +384,17 @@ def certify_approx_rep(matrices, quasigroup: RightQuasigroup, eta: float) -> App
             f"need {n} square matrices for a quasigroup of order {n}, got {mats.shape}")
     if eta <= 0:
         raise DimensionMismatch(f"eta must be positive, got {eta}")
-    counts = np.zeros(n, dtype=np.int64)
-    max_residual = 0.0
-    from .qgbuilder import quaternion_product, su2_quaternions
+    from .qgbuilder import su2_quaternions
 
+    ld_t = np.ascontiguousarray(quasigroup.left_div.T)
     quats = su2_quaternions(mats) if mats.shape[1] == 2 else None
+    rep_for, key_id, first = _recount_representatives(mats if quats is None else quats, ld_t)
+    reps, rep_index = np.unique(rep_for, return_inverse=True)
     if quats is not None:
-        # labels with bitwise-equal matrices and left-division columns have
-        # equal counts; recount one representative per exact duplicate group
-        ld_t = np.ascontiguousarray(quasigroup.left_div.T)
-        groups: dict[tuple[bytes, bytes], int] = {}
-        rep_for = np.empty(n, dtype=np.int64)
-        for k in range(n):
-            rep_for[k] = groups.setdefault((ld_t[k].tobytes(), mats[k].tobytes()), k)
-        reps = np.unique(rep_for)
-        eta_sq = eta * eta
-        max_sq = 0.0
-        rep_counts = np.zeros(len(reps), dtype=np.int64)
-        chunk = max(1, min(len(reps), (1 << 20) // max(n, 1)))
-        for k0 in range(0, len(reps), chunk):
-            sel = reps[k0:k0 + chunk]
-            diff = quaternion_product(quats[ld_t[sel]], quats[sel, None, :])
-            diff -= quats[None, :, :]
-            sq = np.einsum("kjc,kjc->kj", diff, diff)
-            rep_counts[k0:k0 + chunk] = np.count_nonzero(sq >= eta_sq, axis=1)
-            max_sq = max(max_sq, float(sq.max()))
-        max_residual = math.sqrt(max_sq)
-        lookup = {int(r): int(c) for r, c in zip(reps, rep_counts)}
-        counts[:] = [lookup[int(r)] for r in rep_for]
+        rep_counts, max_residual = _quaternion_recount(quats, ld_t, reps, key_id, first, eta)
     else:
-        for k in range(n):
-            lefts = mats[quasigroup.left_div[:, k]]
-            residual = operator_norms(lefts @ mats[k] - mats)
-            counts[k] = int(np.count_nonzero(residual >= eta))
-            max_residual = max(max_residual, float(residual.max()))
+        rep_counts, max_residual = _svd_recount(mats, ld_t, reps, eta)
+    counts = rep_counts[rep_index]
     counts.setflags(write=False)
     return ApproxRepCertificate(
         eta=float(eta),

@@ -22,7 +22,7 @@ from .demos import EXACT_DEMOS, exact_demo_instance
 from .errors import DimensionMismatch, FastcuError, NotRightQuasigroup, SchemaMismatch
 from .exact_protocol import run_exact_protocol
 from .net import DEFAULT_CAP, advisory_m, build_net, net_size
-from .qgbuilder import assemble_quasigroup
+from .qgbuilder import FamilyGeometry, _matching_pass, assemble_quasigroup
 from .qsim import RegisterLayout, random_pure_state
 
 DEMO_TRIALS = 50
@@ -220,10 +220,23 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
     if loaded is None:
         return 1
     quasigroup, net = loaded
+    n = quasigroup.order
+    if doc["N"] != n:
+        return _fail("order", f"stored N={doc['N']} but the table has order {n}")
     cert = certify_approx_rep(net.matrices, quasigroup, doc["eta"])
     if abs(cert.delta_cert - doc["delta_cert"]) > 1e-12:
         return _fail("recount", f"stored delta_cert={doc['delta_cert']} but recount={cert.delta_cert}")
     print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
+    geom = FamilyGeometry(net)
+    sizes = _matching_pass(geom, doc["eta"], want_columns=False, reject_above=None)[0]
+    matched = np.array([sizes[c] for c in range(geom.n_classes)])[geom.classes]
+    if not np.array_equal(np.asarray(doc["matched_counts"]), matched):
+        return _fail("matching", "stored matched_counts differ from the recomputed matching sizes")
+    delta_matching = (n - int(matched.min())) / n
+    if cert.delta_cert > delta_matching + 1e-12:
+        return _fail("matching", f"recounted delta_cert={cert.delta_cert} exceeds the matching "
+                                 f"deficiency {delta_matching}")
+    print(f"ok matching: matched counts recomputed, delta_cert <= deficiency {delta_matching:.6f}")
     spec = QuasigroupProtocolSpec(quasigroup, ordinary_rep(quasigroup, net.matrices),
                                   term_map=tuple(range(min(3, quasigroup.order))))
     rep = dilation_error(spec, doc["eta"], cert.delta_cert)

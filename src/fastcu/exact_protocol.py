@@ -141,9 +141,6 @@ class ExactRunRecord:
     uniformity_error: float
     cost_ebits: float
 
-    def branch_probabilities(self) -> np.ndarray:
-        return np.array([p for _, _, p, _ in self.branches])
-
 
 def check_support(state: PureState, control: str, unsupported) -> None:
     """Raise UnsupportedInput if the control register has weight on ``unsupported`` states."""

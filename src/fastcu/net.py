@@ -318,24 +318,6 @@ def nearest_in_net(u: np.ndarray, net: NetFamily, mode: str = "exhaustive") -> N
                          block_zetas=tuple(block_zetas))
 
 
-@lru_cache(maxsize=None)
-def _block_error_fit(samples: int = 200, max_m: int = 4, seed: int = 20240917) -> tuple[float, float]:
-    """Fit log(1/zeta_worst) ~ alpha + beta*m for exhaustive SU(2) word search."""
-    from .qsim import haar_special_unitary
-
-    rng = np.random.default_rng(seed)
-    targets = [haar_special_unitary(2, rng) for _ in range(samples)]
-    ms, logs = [], []
-    for m in range(1, max_m + 1):
-        _, word_mats = enumerate_words(m)
-        full = np.concatenate([word_mats, np.conj(np.transpose(word_mats, (0, 2, 1)))])
-        worst = max(float(_stack_distances(full, t).min()) for t in targets)
-        ms.append(m)
-        logs.append(math.log(1.0 / worst))
-    beta, alpha = np.polyfit(ms, logs, 1)
-    return float(alpha), float(beta)
-
-
 def calibrated_worst_errors(max_m: int = 4, samples: int = 200,
                             seed: int = 20240917) -> dict[int, float]:
     """Worst-case sample error of the d=2 family per degree, from the calibration sweep."""
@@ -349,6 +331,14 @@ def calibrated_worst_errors(max_m: int = 4, samples: int = 200,
         full = np.concatenate([word_mats, np.conj(np.transpose(word_mats, (0, 2, 1)))])
         out[m] = max(float(_stack_distances(full, t).min()) for t in targets)
     return out
+
+
+@lru_cache(maxsize=None)
+def _block_error_fit(samples: int = 200, max_m: int = 4, seed: int = 20240917) -> tuple[float, float]:
+    """Fit log(1/zeta_worst) ~ alpha + beta*m over the calibration sweep."""
+    worst = calibrated_worst_errors(max_m, samples, seed)
+    beta, alpha = np.polyfit(list(worst), [math.log(1.0 / w) for w in worst.values()], 1)
+    return float(alpha), float(beta)
 
 
 def advisory_m(d: int, zeta: float) -> int:

@@ -429,11 +429,10 @@ def _finish_build(geom: FamilyGeometry, eta: float, sizes, columns,
     for cls, col in columns.items():
         col_matrix[cls] = col
         size_by_class[cls] = sizes[cls]
-    # row k of the transposed table is column k of the table
-    table_t = col_matrix[geom.classes]
     matched_counts = size_by_class[geom.classes]
     try:
-        quasigroup = quasigroup_from_transposed(table_t)
+        # row k of the transposed table is column k of the table, the column of k's class
+        quasigroup = quasigroup_from_transposed(col_matrix, geom.classes)
     except Exception as exc:  # pragma: no cover - permutation columns by construction
         raise AxiomViolation(f"assembled table failed validation: {exc}") from exc
     certificate = certify_approx_rep(net.matrices, quasigroup, eta)

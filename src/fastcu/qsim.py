@@ -56,10 +56,6 @@ def is_unitary(matrix: np.ndarray, tol: float = ZERO_TOL) -> bool:
     return bool(np.all(operator_norms(residual) <= tol))
 
 
-def dagger(matrix: np.ndarray) -> np.ndarray:
-    return np.asarray(matrix, dtype=complex).conj().T
-
-
 @dataclass(frozen=True)
 class RegisterLayout:
     """Ordered named registers; total dimension is the product of the parts."""

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_right_quasigroup
-from fastcu import algebra, qsim
+from fastcu import algebra, net, qsim
 from fastcu.errors import (
     DimensionMismatch,
     NoIdentity,
@@ -117,6 +119,25 @@ def test_right_quasigroup_bad_column_named():
         algebra.right_quasigroup_from_table(table)
 
 
+def test_class_rows_validate_and_broadcast():
+    rng = np.random.default_rng(6)
+    n, classes = 7, np.array([0, 2, 1, 0, 2, 2, 1])
+    rows = np.stack([rng.permutation(n) for _ in range(3)])
+    q = algebra.quasigroup_from_transposed(rows, classes)
+    ref = algebra.right_quasigroup_from_table(rows[classes].T)
+    assert q.table.dtype == ref.table.dtype
+    assert np.array_equal(q.table, ref.table)
+    assert np.array_equal(q.left_div, ref.left_div)
+
+
+def test_class_rows_bad_row_names_first_label():
+    rows = np.array([[0, 1, 2, 3], [1, 1, 2, 3]])
+    with pytest.raises(NotRightQuasigroup, match="column 2 "):
+        algebra.quasigroup_from_transposed(rows, np.array([0, 0, 1, 1]))
+    with pytest.raises(DimensionMismatch):
+        algebra.quasigroup_from_transposed(rows, np.array([0, 0, 2, 1]))
+
+
 def test_left_division_inverts_columns():
     rng = np.random.default_rng(1)
     for n in (1, 2, 5, 9):
@@ -161,6 +182,48 @@ def test_certify_matches_exhaustive_double_loop():
                 counts[k] += 1
     assert np.array_equal(cert.per_k_violation_count, counts)
     assert cert.delta_cert == pytest.approx(counts.max() / n)
+    assert cert.max_residual == pytest.approx(worst, abs=1e-12)
+
+
+def _svd_double_loop(mats, q, eta):
+    """Per-(j, k) residuals by SVD: strict and lenient counts per k, and the worst residual."""
+    n = q.order
+    res = np.array([[np.linalg.svd(mats[q.left_div[j, k]] @ mats[k] - mats[j],
+                                   compute_uv=False)[0] for j in range(n)] for k in range(n)])
+    return (np.count_nonzero(res >= eta + 1e-9, axis=1),
+            np.count_nonzero(res >= eta - 1e-9, axis=1), res.max())
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 16), extra=st.integers(0, 6), copies=st.integers(0, 4),
+       shared=st.booleans(), special=st.booleans(), eta=st.floats(0.05, 2.1))
+@example(seed=1, extra=1, copies=1, shared=False, special=True, eta=0.7)
+def test_certify_grouped_recount_matches_svd_double_loop(seed, extra, copies, shared,
+                                                         special, eta):
+    """Repeated matrices, shared or distinct left-division columns, both recount routes."""
+    rng = np.random.default_rng(seed)
+    mats = [*net.build_net(2, 1).matrices,
+            *(qsim.haar_special_unitary(2, rng) for _ in range(extra))]
+    mats = np.stack(mats + [mats[i] for i in rng.integers(0, len(mats), copies)])
+    if not special:
+        mats = mats * np.exp(0.3j)      # not special unitary: the SVD route
+    if not shared:
+        mats = np.concatenate([mats, mats[:1]])
+    n = len(mats)
+    columns = np.stack([rng.permutation(n) for _ in range(n)])
+    if shared:
+        # labels with equal matrices share their column, as built tables do
+        _, group = np.unique(mats.reshape(n, -1), axis=0, return_inverse=True)
+        group = group.ravel()
+        columns = columns[np.argmax(group[None, :] == group[:, None], axis=1)]
+    else:
+        # the appended copy of label 0 gets a different left-division column
+        columns[-1] = np.roll(columns[0], 1)
+    q = algebra.right_quasigroup_from_table(columns.T)
+    cert = algebra.certify_approx_rep(mats, q, eta)
+    lo, hi, worst = _svd_double_loop(mats, q, eta)
+    assert np.all(lo <= cert.per_k_violation_count)
+    assert np.all(cert.per_k_violation_count <= hi)
     assert cert.max_residual == pytest.approx(worst, abs=1e-12)
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from fastcu import cli, qsim, serialize
+from fastcu import algebra, cli, net, qsim, serialize
 
 
 def test_exact_demo_all_names(tmp_path, capsys):
@@ -62,6 +62,44 @@ def test_qg_build_verify_rejects_lowered_delta(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 1
     assert "recount" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def qg_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("qg") / "qg.json"
+    assert cli.main(["qg-build", "--m", "1", "--eta", "0.8", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _verify_doc(doc: dict, path, capsys) -> tuple[int, str]:
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = cli.main(["verify", str(path)])
+    return rc, capsys.readouterr().out
+
+
+def _reversed_rows(doc: dict) -> None:
+    """Reverse every column of the table (still permutations) and store its recount."""
+    doc["table"] = doc["table"][::-1]
+    quasigroup = algebra.right_quasigroup_from_table(np.asarray(doc["table"]))
+    doc["delta_cert"] = algebra.certify_approx_rep(
+        net.build_net(2, 1).matrices, quasigroup, doc["eta"]).delta_cert
+
+
+@pytest.mark.parametrize("tamper, expected", [
+    (lambda doc: doc.update(N=999), "FAIL order"),
+    (lambda doc: doc.update(matched_counts=[0] * doc["N"]), "FAIL matching"),
+    (lambda doc: doc["matched_counts"].__setitem__(5, doc["matched_counts"][5] - 1),
+     "FAIL matching"),
+    (_reversed_rows, "FAIL matching: recounted delta_cert"),
+], ids=["order", "zero-counts", "one-count", "table-above-deficiency"])
+def test_verify_rederives_qg_order_and_matching(qg_bundle, tmp_path, capsys, tamper, expected):
+    doc = json.loads(json.dumps(qg_bundle))
+    assert _verify_doc(doc, tmp_path / "qg.json", capsys)[0] == 0
+    tamper(doc)
+    rc, out = _verify_doc(doc, tmp_path / "qg.json", capsys)
+    assert rc == 1
+    assert expected in out
 
 
 def test_compile_verify_report_flow(tmp_path):

@@ -177,6 +177,11 @@ def test_advisory_degree_monotone_and_calibrated():
         net.advisory_m(2, 1.5)
 
 
+def test_advisory_degree_fixed_by_the_seeded_sweep():
+    got = [net.advisory_m(d, zeta) for d in (2, 3) for zeta in (0.05, 0.1, 0.3, 0.6)]
+    assert got == [8, 7, 5, 3, 11, 9, 7, 6]
+
+
 def test_degenerate_family_from_unitaries(regular_rep_net):
     _, fam = regular_rep_net
     assert fam.size == 4

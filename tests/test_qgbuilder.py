@@ -110,6 +110,18 @@ def test_assemble_m2_axioms_and_recount(net_m2):
     assert cert.delta_cert <= built.delta_from_matching + 1e-12
 
 
+@pytest.mark.parametrize("eta", [0.45, 0.8, 1.3])
+def test_class_level_finish_equals_full_validation(net_m2, eta):
+    built = qgbuilder.assemble_quasigroup(net_m2, eta)
+    q = built.quasigroup
+    ref = algebra.right_quasigroup_from_table(q.table)
+    assert q.table.dtype == ref.table.dtype and q.left_div.dtype == ref.left_div.dtype
+    assert np.array_equal(q.table, ref.table)
+    assert np.array_equal(q.left_div, ref.left_div)
+    geom = qgbuilder.FamilyGeometry(net_m2)
+    assert np.array_equal(q.table.T, q.table.T[geom.class_reps][geom.classes])
+
+
 def test_assemble_vacuous_threshold_is_exact(net_m1):
     built = qgbuilder.assemble_quasigroup(net_m1, eta=2.1)
     assert built.certificate.delta_cert == 0.0
