@@ -8,9 +8,16 @@ exhaustively afterwards.
 
 Labels with equal matrices collapse into classes, and every column comes from
 an integer max-flow on the class graph, whose capacities are the class sizes.
+The flow network is handed to scipy as a ready CSR matrix with sorted indices.
 Isometries that permute the classes (inversion, entrywise conjugation and, for
 2x2 families, the axis-permuting rotations) carry one flow to a whole orbit of
-classes.
+classes.  Only the orbit's seed class expands its flow into labels; every
+other member gets the seed's matched label pairs through a label map (the
+i-th label of class c goes to the i-th label of its image class) and then
+completes its leftover labels in ascending order.  That gives each member the
+same matched and free label sets, and the same completion, as expanding its
+own transported flow; only the pairing of equal-matrix labels inside a class
+pair can differ.
 Only the source of candidate class edges depends on the family: 2x2 special
 unitaries embed isometrically into unit quaternions, where the operator-norm
 distance is the Euclidean distance, so a KD-tree supplies them; any other
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -101,23 +109,21 @@ class MatchingResult:
     inside_threshold_count: int
 
 
-def _complete_permutation(pair_left: np.ndarray, pair_right: np.ndarray) -> np.ndarray:
-    """Pair leftover vertices in ascending index order on both sides."""
-    completed = pair_left.copy()
-    free_left = np.flatnonzero(pair_left < 0)
-    free_right = np.flatnonzero(pair_right < 0)
-    completed[free_left] = free_right
-    return completed
+def _complete_permutation(column: np.ndarray) -> np.ndarray:
+    """Pair the unmatched (-1) entries with the unused targets, both ascending, in place."""
+    free = column < 0
+    used = np.zeros(len(column), dtype=bool)
+    used[column[~free]] = True
+    column[free] = np.flatnonzero(~used)
+    return column
 
 
 def max_matching(graph: CompatGraph) -> MatchingResult:
     """Maximum matching of one compatibility graph, completed to a permutation."""
     pair_left = maximum_bipartite_matching(csr_matrix(graph.adjacency),
                                            perm_type="column").astype(np.int64)
-    pair_right = np.full(graph.n, -1, dtype=np.int64)
     matched_left = np.flatnonzero(pair_left >= 0)
-    pair_right[pair_left[matched_left]] = matched_left
-    completed = _complete_permutation(pair_left, pair_right)
+    completed = _complete_permutation(pair_left.copy())
     pairs = {int(l): int(pair_left[l]) for l in matched_left}
     return MatchingResult(pairs=pairs, matched_count=len(matched_left),
                           completed=completed, inside_threshold_count=len(matched_left))
@@ -191,6 +197,14 @@ def _su2_from_quaternions(quats: np.ndarray) -> np.ndarray:
                      np.stack([-b.conj(), a.conj()], axis=1)], axis=1)
 
 
+class Transport(NamedTuple):
+    """A relabeling isometry carrying one class's graph to another class's graph."""
+
+    sigma: np.ndarray        # class permutation
+    labels: np.ndarray       # label permutation: i-th label of class c -> i-th label of sigma[c]
+    transposed: bool         # the image graph is the transpose (inverse classes)
+
+
 class FamilyGeometry:
     """Label classes, their symmetry maps and a candidate-edge source for one family.
 
@@ -218,6 +232,8 @@ class FamilyGeometry:
         self.class_offsets = np.concatenate([[0], np.cumsum(counts)])
         self.class_labels = order            # labels grouped by class, ascending in each
         self.class_counts = counts
+        self.label_rank = np.empty(self.n, dtype=np.int64)   # index of a label in its class
+        self.label_rank[order] = np.arange(self.n) - np.repeat(self.class_offsets[:-1], counts)
         self.class_reps = order[self.class_offsets[:-1]]
         self.rep_matrices = net.matrices[self.class_reps]
         self.quats = su2_quaternions(self.rep_matrices)
@@ -234,6 +250,8 @@ class FamilyGeometry:
         # class permutations of the family's relabeling isometries, distinct
         unique = {c.tobytes(): c for c in candidates if c is not None}
         self.relabels = list(unique.values())
+        self.label_maps = [order[self.class_offsets[sigma[self.classes]] + self.label_rank]
+                           for sigma in self.relabels]
 
     def _class_map(self, images: np.ndarray, key_to_class: dict[bytes, int]) -> np.ndarray | None:
         """Class permutation sending each representative to its image, or None if not closed."""
@@ -250,26 +268,27 @@ class FamilyGeometry:
     def labels_of(self, cls: int) -> np.ndarray:
         return self.class_labels[self.class_offsets[cls]:self.class_offsets[cls + 1]]
 
-    def orbit_of(self, cls: int) -> dict[int, tuple[np.ndarray, bool]]:
+    def orbit_of(self, cls: int) -> dict[int, Transport]:
         """Classes whose graphs derive from this one, each with its transport.
 
-        A transport (sigma, transposed) sends the edge (l, r) of this class's
-        graph to (sigma[l], sigma[r]), or to (sigma[r], sigma[l]) when
-        transposed; it reaches sigma[cls], or sigma[inverse[cls]].
+        A transport sends the edge (l, r) of this class's graph to
+        (sigma[l], sigma[r]), or to (sigma[r], sigma[l]) when transposed; it
+        reaches sigma[cls], or sigma[inverse[cls]].  The first transport is
+        the identity, so the seed class maps to itself.
         """
-        orbit: dict[int, tuple[np.ndarray, bool]] = {}
+        orbit: dict[int, Transport] = {}
         inv = self.inverse_class
-        for sigma in self.relabels:
-            orbit.setdefault(int(sigma[cls]), (sigma, False))
+        for sigma, labels in zip(self.relabels, self.label_maps):
+            orbit.setdefault(int(sigma[cls]), Transport(sigma, labels, False))
             if inv is not None:
-                orbit.setdefault(int(sigma[inv[cls]]), (sigma, True))
+                orbit.setdefault(int(sigma[inv[cls]]), Transport(sigma, labels, True))
         return orbit
 
     @staticmethod
-    def transport_edges(lefts: np.ndarray, rights: np.ndarray,
-                        transport: tuple[np.ndarray, bool]):
-        sigma, transposed = transport
-        if transposed:
+    def transport_edges(lefts: np.ndarray, rights: np.ndarray, transport: Transport):
+        """Class-level edges of the image graph."""
+        sigma = transport.sigma
+        if transport.transposed:
             return sigma[rights], sigma[lefts]
         return sigma[lefts], sigma[rights]
 
@@ -297,34 +316,24 @@ def _solve_class_flow(geom: FamilyGeometry, lefts: np.ndarray,
     """
     ncl = geom.n_classes
     counts = geom.class_counts.astype(np.int32)
-    n_nodes = 2 * ncl + 2
-    src, sink = 0, n_nodes - 1
-    cap_rows = np.concatenate([np.zeros(ncl, np.int64), 1 + ncl + np.arange(ncl), 1 + lefts])
-    cap_cols = np.concatenate([1 + np.arange(ncl), np.full(ncl, sink, np.int64), 1 + ncl + rights])
-    cap_vals = np.concatenate([counts, counts,
-                               np.minimum(counts[lefts], counts[rights])]).astype(np.int32)
-    graph = csr_matrix((cap_vals, (cap_rows, cap_cols)), shape=(n_nodes, n_nodes))
-    res = maximum_flow(graph, src, sink)
+    sink = 2 * ncl + 1
+    # nodes: source 0, left classes 1..ncl, right classes ncl+1..2ncl, sink;
+    # rows in node order with ascending columns, as scipy's canonical CSR
+    order = np.argsort(lefts * ncl + rights)
+    lefts, rights = lefts[order], rights[order]
+    row_sizes = np.concatenate([[ncl], np.bincount(lefts, minlength=ncl),
+                                np.ones(ncl, np.int64), [0]])
+    indptr = np.concatenate([[0], np.cumsum(row_sizes)]).astype(np.int32)
+    indices = np.concatenate([1 + np.arange(ncl), 1 + ncl + rights,
+                              np.full(ncl, sink)]).astype(np.int32)
+    data = np.concatenate([counts, np.minimum(counts[lefts], counts[rights]), counts])
+    graph = csr_matrix((data, indices, indptr), shape=(sink + 1, sink + 1))
+    graph.has_sorted_indices = True
+    res = maximum_flow(graph, 0, sink)
     flow = res.flow.tocoo()
     keep = (flow.data > 0) & (flow.row >= 1) & (flow.row <= ncl) & (flow.col > ncl) & (flow.col < sink)
     fl, fr, fv = flow.row[keep] - 1, flow.col[keep] - 1 - ncl, flow.data[keep].astype(np.int64)
     return int(res.flow_value), (fl.astype(np.int64), fr.astype(np.int64), fv)
-
-
-def _grouped_offsets(groups: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Running start offset of each entry within its group, in entry order."""
-    m = len(groups)
-    order = np.argsort(groups, kind="stable")
-    sorted_sizes = sizes[order]
-    running = np.cumsum(sorted_sizes) - sorted_sizes
-    grp = groups[order]
-    is_first = np.empty(m, dtype=bool)
-    is_first[0] = True
-    is_first[1:] = grp[1:] != grp[:-1]
-    first_pos = np.maximum.accumulate(np.where(is_first, np.arange(m), 0))
-    out = np.empty(m, dtype=np.int64)
-    out[order] = running - running[first_pos]
-    return out
 
 
 def _expand_column(geom: FamilyGeometry, fl: np.ndarray, fr: np.ndarray,
@@ -332,27 +341,35 @@ def _expand_column(geom: FamilyGeometry, fl: np.ndarray, fr: np.ndarray,
     """Turn class-level flows into a completed label permutation.
 
     Flow f on a class pair pairs the next f unused labels of each class in
-    ascending order; leftover labels complete ascending on both sides.
+    ascending order, taking the pairs by (left, right) class on the left side
+    and by (right, left) class on the right side; leftover labels complete
+    ascending on both sides.
     """
-    n = geom.n
-    order = np.lexsort((fr, fl))
-    fl, fr, fv = fl[order], fr[order], fv[order]
-    column = np.full(n, -1, dtype=np.int64)
-    if len(fl):
-        left_off = _grouped_offsets(fl, fv)
-        right_off = _grouped_offsets(fr, fv)
-        total = int(fv.sum())
+    ncl = geom.n_classes
+    column = np.full(geom.n, -1, dtype=np.int64)
+    if len(fv):
         entry_of = np.repeat(np.arange(len(fv)), fv)
-        within = np.arange(total) - np.repeat(np.cumsum(fv) - fv, fv)
-        l_pos = geom.class_offsets[fl[entry_of]] + left_off[entry_of] + within
-        r_pos = geom.class_offsets[fr[entry_of]] + right_off[entry_of] + within
-        column[geom.class_labels[l_pos]] = geom.class_labels[r_pos]
-    right_used = np.zeros(n, dtype=bool)
-    right_used[column[column >= 0]] = True
-    free_left = np.flatnonzero(column < 0)
-    free_right = np.flatnonzero(~right_used)
-    column[free_left] = free_right
-    return column
+        within = np.arange(len(entry_of)) - np.repeat(np.cumsum(fv) - fv, fv)
+        pos = []
+        for groups, keys in ((fl, fl * ncl + fr), (fr, fr * ncl + fl)):
+            order = np.argsort(keys)
+            ahead = np.empty(len(fv), dtype=np.int64)
+            ahead[order] = np.cumsum(fv[order]) - fv[order]     # flow of earlier pairs
+            per_class = np.bincount(groups, weights=fv, minlength=ncl).astype(np.int64)
+            start = ahead - (np.cumsum(per_class) - per_class)[groups] + geom.class_offsets[groups]
+            pos.append(start[entry_of] + within)
+        column[geom.class_labels[pos[0]]] = geom.class_labels[pos[1]]
+    return _complete_permutation(column)
+
+
+def _transport_column(lefts: np.ndarray, rights: np.ndarray, transport: Transport,
+                      n: int) -> np.ndarray:
+    """Completed column of an orbit member from the seed's matched label pairs."""
+    if transport.transposed:
+        lefts, rights = rights, lefts
+    column = np.full(n, -1, dtype=np.int64)
+    column[transport.labels[lefts]] = transport.labels[rights]
+    return _complete_permutation(column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,13 +397,16 @@ def _process_seed_class(geom: FamilyGeometry, eta: float, cls: int, want_columns
     # label pairs within EDGE_GUARD of eta, dropped as non-edges
     boundary = int(np.sum(counts[lefts[on_edge]] * counts[rights[on_edge]]))
     size, flows = _solve_class_flow(geom, lefts[keep], rights[keep])
-    per_member = {}
-    for member, transport in geom.orbit_of(cls).items():
-        column = None
-        if want_columns:
-            tl, tr = geom.transport_edges(flows[0], flows[1], transport)
-            column = _expand_column(geom, tl, tr, flows[2])
-        per_member[member] = column
+    orbit = geom.orbit_of(cls)
+    if not want_columns:
+        return size, boundary, dict.fromkeys(orbit)
+    seed = _expand_column(geom, *flows)
+    # the expansion matches the first (outgoing flow) labels of each left class
+    outflow = np.bincount(flows[0], weights=flows[2], minlength=geom.n_classes)
+    matched = np.flatnonzero(geom.label_rank < outflow[geom.classes])
+    per_member = {member: seed if member == cls else
+                  _transport_column(matched, seed[matched], transport, geom.n)
+                  for member, transport in orbit.items()}
     return size, boundary, per_member
 
 

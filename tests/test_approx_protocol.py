@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastcu import algebra, net, qgbuilder, qsim
 from fastcu.algebra import certify_approx_rep, ordinary_rep
@@ -351,3 +356,36 @@ def test_hidden_trajectories_equal_measure_then_correct():
     got = list(_hidden_trajectories(spec, state, "A", "B"))
     want = [row for r in range(spec.order) for row in hidden_reference(spec, state, r)]
     _assert_same_branches(got, want)
+
+
+def test_max_branch_distance_equals_dense_branch_loop():
+    base = net_spec(m=2, eta=0.8, terms=(5, 17, 40))
+    spec = QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(5, 17, 40), d_a=5)
+    assert spec.order == 72 and spec.d_a > spec.n_terms
+    target = spec.target_matrix()
+    dense = max(qsim.operator_norm(target - spec.branch_matrix(l)) for l in range(spec.order))
+    assert dilation_error(spec, 0.8, 0.0).max_branch_distance == pytest.approx(dense, abs=1e-12)
+    state = qsim.random_pure_state(_layout(spec), np.random.default_rng(50))
+    t = state.tensor().copy()
+    t[spec.n_terms:] = 0
+    state = qsim.PureState(state.layout, t / np.linalg.norm(t))
+    record = run_measured_variant(spec, state)
+    assert record.max_branch_distance == pytest.approx(dense, abs=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _word_family(m: int):
+    return net.build_net(2, m)
+
+
+@settings(deadline=None, max_examples=10)
+@given(m=st.sampled_from([1, 2, 3]), eta=st.floats(0.3, 1.5),
+       picks=st.lists(st.integers(0, 2 ** 20), min_size=1, max_size=4))
+def test_measured_gap_at_most_certified_bound(m, eta, picks):
+    fam = _word_family(m)
+    built = qgbuilder.assemble_quasigroup(fam, eta)
+    spec = QuasigroupProtocolSpec(built.quasigroup, ordinary_rep(built.quasigroup, fam.matrices),
+                                  term_map=tuple(p % fam.size for p in picks))
+    delta = built.certificate.delta_cert
+    report = dilation_error(spec, eta, delta)
+    assert report.measured <= math.sqrt(eta * eta + 4.0 * delta) + 1e-12

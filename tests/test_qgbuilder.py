@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from conftest import random_right_quasigroup
 from fastcu import algebra, net, qgbuilder, qsim
@@ -325,3 +326,94 @@ def test_symmetry_orbits_transport_candidate_edges(net_m2):
             tl, tr = geom.transport_edges(*map(np.array, zip(*base)), transport)
             assert set(zip(tl.tolist(), tr.tolist())) == edges(member)
             assert geom.class_counts[member] == geom.class_counts[cls]
+
+
+def _record_partials(monkeypatch) -> dict[int, np.ndarray]:
+    """Patch the completion step to keep each column's matched part, keyed by id(column)."""
+    partials: dict[int, np.ndarray] = {}
+    complete = qgbuilder._complete_permutation
+
+    def recording(column):
+        partial = column.copy()
+        out = complete(column)
+        partials[id(out)] = partial
+        return out
+
+    monkeypatch.setattr(qgbuilder, "_complete_permutation", recording)
+    return partials
+
+
+@pytest.mark.parametrize("m, etas, every", [(2, (0.39, 0.6, 0.8, 1.2), 1), (3, (0.39, 0.8), 5)],
+                         ids=["m2-all-classes", "m3-sampled"])
+def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, every):
+    geom = qgbuilder.FamilyGeometry(net.build_net(2, m))
+    # label maps: class c's i-th label goes to sigma[c]'s i-th label
+    assert len(geom.label_maps) == len(geom.relabels)
+    for sigma, labels in zip(geom.relabels, geom.label_maps):
+        for c in range(geom.n_classes):
+            assert np.array_equal(labels[geom.labels_of(c)], geom.labels_of(int(sigma[c])))
+    partials = _record_partials(monkeypatch)
+    ncl = geom.n_classes
+    checked = transposed = 0
+    for eta in etas:
+        sizes, columns, _, worst, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
+                                                               reject_above=None)
+        assert len(columns) == ncl
+        if eta < 0.4:
+            assert worst > 0          # an imperfect matching leaves completion pairs
+        seen: set[int] = set()
+        for seed in range(ncl):
+            if seed in seen:
+                continue
+            orbit = geom.orbit_of(seed)
+            seen.update(orbit)
+            lefts, rights, dists = geom.candidate_edges(int(geom.class_reps[seed]),
+                                                        radius=eta + 1e-11)
+            keep = dists < eta - 1e-12
+            _, (fl, fr, fv) = qgbuilder._solve_class_flow(geom, lefts[keep], rights[keep])
+            for member, transport in list(orbit.items())[::every]:
+                # reference: expand the member's own transported flow
+                want = qgbuilder._expand_column(geom, *geom.transport_edges(fl, fr, transport), fv)
+                got = columns[member]
+                matched = np.flatnonzero(partials[id(got)] >= 0)
+                assert np.array_equal(matched, np.flatnonzero(partials[id(want)] >= 0))
+                assert len(matched) == sizes[member]
+                free = np.setdiff1d(np.arange(geom.n), matched)
+                assert np.array_equal(got[free], want[free])          # completion pairs
+                assert np.array_equal(np.sort(geom.classes * ncl + geom.classes[got]),
+                                      np.sort(geom.classes * ncl + geom.classes[want]))
+                checked += 1
+                transposed += transport.transposed
+    assert transposed > 0
+    if every == 1:
+        assert checked == len(etas) * ncl
+
+
+def test_class_flow_graph_is_scipys_canonical_csr(monkeypatch, net_m2):
+    geom = qgbuilder.FamilyGeometry(net_m2)
+    ncl = geom.n_classes
+    counts = geom.class_counts.astype(np.int32)
+    graphs = []
+    solve = qgbuilder.maximum_flow
+    monkeypatch.setattr(qgbuilder, "maximum_flow",
+                        lambda graph, s, t: graphs.append(graph) or solve(graph, s, t))
+    rng = np.random.default_rng(36)
+    for eta in (0.39, 0.8, 1.3):
+        for cls in (0, 7, 20):
+            lefts, rights, dists = geom.candidate_edges(int(geom.class_reps[cls]), radius=eta)
+            keep = np.flatnonzero(dists < eta - 1e-12)
+            keep = keep[rng.permutation(len(keep))]      # edge order must not matter
+            qgbuilder._solve_class_flow(geom, lefts[keep], rights[keep])
+            got = graphs[-1]
+            # reference: the same capacities as COO triples, converted and sorted by scipy
+            l, r = lefts[keep], rights[keep]
+            sink = 2 * ncl + 1
+            rows = np.concatenate([np.zeros(ncl, np.int64), 1 + ncl + np.arange(ncl), 1 + l])
+            cols = np.concatenate([1 + np.arange(ncl), np.full(ncl, sink), 1 + ncl + r])
+            vals = np.concatenate([counts, counts, np.minimum(counts[l], counts[r])])
+            want = csr_matrix((vals, (rows, cols)), shape=(sink + 1, sink + 1))
+            want.sort_indices()
+            assert got.has_sorted_indices and got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.data.dtype == np.int32
