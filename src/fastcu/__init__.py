@@ -58,6 +58,7 @@ from .qgbuilder import (
     scan_quasigroup_deltas,
 )
 from .qsim import (
+    Branches,
     PureState,
     RegisterLayout,
     UnitaryEnsembleChannel,

@@ -18,15 +18,19 @@ from .algebra import ProjectiveRep, RightQuasigroup
 from .errors import DimensionMismatch, UnsupportedInput
 from .exact_protocol import OneRoundBlocks, check_support, one_round_circuit
 from .qsim import (
+    BranchRows,
+    Branches,
     PureState,
     RegisterLayout,
     UnitaryEnsembleChannel,
     apply_controlled,
     apply_on,
+    apply_on_rows,
     basis_state,
     choi_matrix,
     controlled_gate,
     fourier_gate,
+    is_unitary,
     max_hermitian_eigenvalue,
     measure_registers,
     operator_norm,
@@ -87,13 +91,25 @@ class QuasigroupProtocolSpec:
         blocks = {i: self.rep.matrices[k] for i, k in enumerate(self.term_map)}
         return controlled_gate(self.d_a, blocks, self.d_b)
 
+    def branch_matrices(self, outcomes=None) -> np.ndarray:
+        """Branch unitaries of the given ancilla outcomes (all N by default) as a stack.
+
+        Block i of branch l is V_l^dag V_{l*k} for the i-th term label k,
+        and the identity past the last term.
+        """
+        mats = self.rep.matrices
+        ls = np.arange(self.order) if outcomes is None else np.asarray(outcomes)
+        d_a, d_b = self.d_a, self.d_b
+        vdag = mats[ls].conj().transpose(0, 2, 1)
+        out = np.zeros((len(ls), d_a, d_b, d_a, d_b), dtype=complex)
+        for i in range(d_a):
+            out[:, i, :, i, :] = (vdag @ mats[self.quasigroup.table[ls, self.term_map[i]]]
+                                  if i < self.n_terms else np.eye(d_b))
+        return out.reshape(len(ls), d_a * d_b, d_a * d_b)
+
     def branch_matrix(self, outcome_l: int) -> np.ndarray:
         """Unitary actually implemented when the ancilla outcome is l."""
-        mats = self.rep.matrices
-        vl_dag = mats[outcome_l].conj().T
-        blocks = {i: vl_dag @ mats[self.quasigroup.table[outcome_l, k]]
-                  for i, k in enumerate(self.term_map)}
-        return controlled_gate(self.d_a, blocks, self.d_b)
+        return self.branch_matrices([outcome_l])[0]
 
     def cost_ebits(self) -> float:
         return math.log2(self.order)
@@ -111,12 +127,10 @@ class BranchFamily:
 
 
 def branch_family(spec: QuasigroupProtocolSpec) -> BranchFamily:
-    n = spec.order
-    unitaries = np.stack([spec.branch_matrix(l) for l in range(n)])
-    residual = max(operator_norm(u.conj().T @ u - np.eye(u.shape[0])) for u in unitaries)
-    if residual > 1e-10:
-        raise DimensionMismatch(f"branch unitary residual {residual:.2e}")
-    return BranchFamily(unitaries=unitaries, weight=1.0 / n)
+    unitaries = spec.branch_matrices()
+    if not is_unitary(unitaries):
+        raise DimensionMismatch("a branch unitary failed the unitarity check")
+    return BranchFamily(unitaries=unitaries, weight=1.0 / spec.order)
 
 
 def left_div_permutation(quasigroup: RightQuasigroup, k: int) -> np.ndarray:
@@ -164,12 +178,17 @@ def build_quasigroup_gates(spec: QuasigroupProtocolSpec) -> OneRoundBlocks:
 class MeasuredRunRecord:
     """Per-branch results of the measured variant against the branch unitaries."""
 
-    branches: list                     # (outcome_l, outcome_m, probability, PureState)
+    measurement: Branches              # outcomes (l, m) of the ancillas (a, b)
     branch_states: dict                # l -> expected PureState
     max_deviation: float
     l_marginals: np.ndarray
     max_branch_distance: float         # diagnostic: worst || target - branch ||_inf
     cost_ebits: float
+
+    @property
+    def branches(self) -> BranchRows:
+        """(outcome_l, outcome_m, probability, PureState) per branch, built on access."""
+        return BranchRows([((), self.measurement)])
 
 
 def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
@@ -189,25 +208,21 @@ def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
             raise DimensionMismatch(f"ancilla name {name!r} collides with an input register")
     check_support(state, control, range(spec.n_terms, spec.d_a))
 
-    anc_a, anc_b = ancilla_names
     blocks = build_quasigroup_gates(spec)
     full = one_round_circuit(state, blocks, control, target, ancilla_names)
     full = apply_controlled(full, blocks.phases, ancilla_names, control)
-    full = apply_controlled(full, blocks.undo, anc_a, target)
+    full = apply_controlled(full, blocks.undo, ancilla_names[0], target)
 
-    expected = {l: apply_on(state, spec.branch_matrix(l), (control, target)) for l in range(n)}
-
-    branches = []
-    max_dev = 0.0
-    l_marginals = np.zeros(n)
-    for branch in measure_registers(full, ancilla_names):
-        l, m = branch.outcome[anc_a], branch.outcome[anc_b]
-        post = branch.post_state
-        max_dev = max(max_dev, post.distance(expected[l]))
-        l_marginals[l] += branch.probability
-        branches.append((l, m, branch.probability, post))
-    return MeasuredRunRecord(branches=branches, branch_states=expected,
-                             max_deviation=max_dev, l_marginals=l_marginals,
+    # row l: the l-th branch unitary applied to the input
+    expected = apply_on_rows(state.amps[None], layout, spec.branch_matrices(), (control, target))
+    branches = measure_registers(full, ancilla_names)
+    ls = branches.outcomes[:, 0]
+    deviations = np.linalg.norm(branches.posts - expected[ls], axis=1)
+    marginals = np.bincount(ls, weights=branches.probabilities, minlength=n)
+    states = {l: PureState(layout, row) for l, row in enumerate(expected)}
+    return MeasuredRunRecord(measurement=branches, branch_states=states,
+                             max_deviation=float(deviations.max(initial=0.0)),
+                             l_marginals=marginals,
                              max_branch_distance=float(residual_table(spec).norms.max()),
                              cost_ebits=spec.cost_ebits())
 
@@ -300,12 +315,8 @@ def dilation_pair(spec: QuasigroupProtocolSpec) -> tuple[np.ndarray, np.ndarray]
     """
     n = spec.order
     d = spec.d_a * spec.d_b
-    ideal = np.zeros((d * n, d), dtype=complex)
-    actual = np.zeros((d * n, d), dtype=complex)
-    target = spec.target_matrix()
-    for l in range(n):
-        ideal[l * d:(l + 1) * d] = target / math.sqrt(n)
-        actual[l * d:(l + 1) * d] = spec.branch_matrix(l) / math.sqrt(n)
+    ideal = np.broadcast_to(spec.target_matrix() / math.sqrt(n), (n, d, d)).reshape(n * d, d)
+    actual = spec.branch_matrices().reshape(n * d, d) / math.sqrt(n)
     return ideal, actual
 
 
@@ -344,11 +355,17 @@ def shift_register_check(n: int) -> float:
 class HiddenRunRecord:
     """Trajectory ensemble of the hidden-outcome circuit on one input state."""
 
-    trajectories: list                # (seed_r, outcome_m, outcome_s, weight, PureState)
-    output_density: np.ndarray        # induced state on (control, target)
-    expected_density: np.ndarray      # uniform branch mixture applied to the input
+    seed_branches: tuple               # per seed r, the Branches of measuring (b, x)
+    output_density: np.ndarray         # induced state on (control, target)
+    expected_density: np.ndarray       # uniform branch mixture applied to the input
     deviation: float
     ensemble: UnitaryEnsembleChannel
+
+    @property
+    def trajectories(self) -> BranchRows:
+        """(seed_r, outcome_m, outcome_s, weight, PureState) per trajectory, built on access."""
+        return BranchRows([((r,), b) for r, b in enumerate(self.seed_branches)],
+                          divisor=len(self.seed_branches))
 
 
 def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
@@ -358,7 +375,9 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     The two ancillas of the basic protocol are joined by a classically
     correlated pair (x, y); the branch pointer never gets measured, and the
     corrections are quantum-controlled off the unmeasured registers, which are
-    discarded at the end.
+    discarded at the end.  The output state is the seed average of one partial
+    trace per seed: tracing out b and x sums over their outcomes, so it equals
+    the probability-weighted mixture of that seed's (b, x) branches.
     """
     n = spec.order
     layout = state.layout
@@ -371,30 +390,27 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     d = spec.d_a * spec.d_b
     channel = branch_family(spec).channel()
     rho_out = np.zeros((d, d), dtype=complex)
-    trajectories = []
-    for r, m, s, prob, st in _hidden_trajectories(spec, state, control, target):
-        weight = prob / n
-        rho_out += weight * partial_trace(st, (control, target))
-        trajectories.append((r, m, s, weight, st))
+    seed_branches = []
+    for full in _hidden_seed_states(spec, state, control, target):
+        rho_out += partial_trace(full, (control, target))
+        seed_branches.append(measure_registers(full, ("b", "x")))
+    rho_out /= n
     psi = state.amps
     expected = channel.apply(np.outer(psi, psi.conj()))
     deviation = operator_norm(rho_out - expected)
-    return HiddenRunRecord(trajectories=trajectories, output_density=rho_out,
+    return HiddenRunRecord(seed_branches=tuple(seed_branches), output_density=rho_out,
                            expected_density=expected, deviation=deviation,
                            ensemble=channel)
 
 
-def _hidden_trajectories(spec: QuasigroupProtocolSpec, state: PureState,
-                         control: str, target: str):
-    """Pure-state branches (seed r, m, s, probability, state) of the hidden circuit.
+def _hidden_seed_states(spec: QuasigroupProtocolSpec, state: PureState,
+                        control: str, target: str):
+    """The hidden circuit's state for each shared seed r = 0..N-1, before (b, x) is measured.
 
     Seed by seed, the one-round opening (shared by every seed) is joined by
     the correlated pair (x, y) = (r, r).  The branch pointer a shifts x down
-    by l, x shifts y down by its own value, the phases are controlled on
-    (a, b) and V_l^dag on y, and then (b, x) is measured once.  That equals
-    measuring b and x first and correcting each branch classically, because
-    a gate controlled on a register commutes with measuring it.  Post states
-    live on (control, target, a, y).
+    by l, x shifts y down by its own value, and the phases are controlled on
+    (a, b) and V_l^dag on y.  The states live on (control, target, a, b, x, y).
     """
     n = spec.order
     blocks = build_quasigroup_gates(spec)
@@ -408,10 +424,20 @@ def _hidden_trajectories(spec: QuasigroupProtocolSpec, state: PureState,
         # relay: the receiver's register goes down by the sender's, leaving l in y
         full = apply_controlled(full, shift_powers, "x", "y")
         full = apply_controlled(full, blocks.phases, ("a", "b"), control)
-        full = apply_controlled(full, blocks.undo, "y", target)
-        for branch in measure_registers(full, ("b", "x")):
-            yield (r, branch.outcome["b"], branch.outcome["x"], branch.probability,
-                   branch.post_state)
+        yield apply_controlled(full, blocks.undo, "y", target)
+
+
+def _hidden_trajectories(spec: QuasigroupProtocolSpec, state: PureState,
+                         control: str, target: str):
+    """Pure-state branches (seed r, m, s, probability, state) of the hidden circuit.
+
+    Each seed's state is measured on (b, x) once.  That equals measuring b
+    and x first and correcting each branch classically, because a gate
+    controlled on a register commutes with measuring it.  Post states live on
+    (control, target, a, y).
+    """
+    for r, full in enumerate(_hidden_seed_states(spec, state, control, target)):
+        yield from BranchRows([((r,), measure_registers(full, ("b", "x")))])
 
 
 @dataclass(frozen=True)
@@ -426,7 +452,8 @@ def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
 
     Feeds half of a maximally entangled pair through the circuit; the input
     control dimension must equal the number of terms so the channel and the
-    mixture share one domain.
+    mixture share one domain.  Nothing is measured: each seed's state gives
+    one partial trace, as in ``run_hidden_variant``.
     """
     if spec.d_a != spec.n_terms:
         raise UnsupportedInput("channel comparison needs every control state to carry a term")
@@ -441,9 +468,9 @@ def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
     entangled = PureState(layout, amps.reshape(-1))
 
     choi_circ = np.zeros((d * d, d * d), dtype=complex)
-    for *_, prob, st in _hidden_trajectories(spec, entangled, "A", "B"):
-        choi_circ += (prob / n) * partial_trace(st, ("A", "B", "Ar", "Br"))
-    choi_circ *= d   # rescale to the unnormalized pair-state convention
+    for full in _hidden_seed_states(spec, entangled, "A", "B"):
+        choi_circ += partial_trace(full, ("A", "B", "Ar", "Br"))
+    choi_circ *= d / n   # seed average, rescaled to the unnormalized pair-state convention
 
     choi_ens = choi_matrix(branch_family(spec).channel())
     distance = operator_norm(choi_circ - choi_ens)

@@ -9,7 +9,7 @@ the target unitary exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,9 +21,12 @@ from .errors import (
     UnsupportedInput,
 )
 from .qsim import (
+    BranchRows,
+    Branches,
     PureState,
     apply_controlled,
     apply_on,
+    apply_on_rows,
     controlled_gate,
     fourier_gate,
     is_unitary,
@@ -135,11 +138,16 @@ def correction_gate_for(cgu: ControlledGroupUnitary, outcome_l: int, outcome_m: 
 class ExactRunRecord:
     """All measurement branches of one protocol run against the target state."""
 
-    branches: list            # (outcome_l, outcome_m, probability, PureState)
+    measurement: Branches     # outcomes (l, m) of the ancillas (a, b)
     target_state: PureState
     max_deviation: float
     uniformity_error: float
     cost_ebits: float
+
+    @property
+    def branches(self) -> BranchRows:
+        """(outcome_l, outcome_m, probability, PureState) per branch, built on access."""
+        return BranchRows([((), self.measurement)])
 
 
 def check_support(state: PureState, control: str, unsupported) -> None:
@@ -235,7 +243,6 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
             raise DimensionMismatch(f"ancilla name {name!r} collides with an input register")
     check_support(state, control, [i for i, k in enumerate(cgu.labels) if k is None])
 
-    anc_a, anc_b = ancilla_names
     if fourier is None:
         fourier = fourier_gate(n)
     else:
@@ -246,21 +253,15 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
     blocks = build_exact_gates(cgu, fourier)
     full = one_round_circuit(state, blocks, control, target, ancilla_names)
     full = apply_controlled(full, blocks.phases, ancilla_names, control)
-    full = apply_controlled(full, blocks.undo, anc_a, target)
+    full = apply_controlled(full, blocks.undo, ancilla_names[0], target)
 
     target_state = apply_on(state, cgu.target_matrix(), (control, target))
-
-    branches = []
-    max_dev = 0.0
-    uniformity = 0.0
-    for branch in measure_registers(full, ancilla_names):
-        l, m = branch.outcome[anc_a], branch.outcome[anc_b]
-        post = branch.post_state
-        max_dev = max(max_dev, post.distance(target_state))
-        uniformity = max(uniformity, abs(branch.probability - 1.0 / (n * n)))
-        branches.append((l, m, branch.probability, post))
-    return ExactRunRecord(branches=branches, target_state=target_state,
-                          max_deviation=max_dev, uniformity_error=uniformity,
+    branches = measure_registers(full, ancilla_names)
+    deviations = np.linalg.norm(branches.posts - target_state.amps, axis=1)
+    uniformity = np.abs(branches.probabilities - 1.0 / (n * n))
+    return ExactRunRecord(measurement=branches, target_state=target_state,
+                          max_deviation=float(deviations.max(initial=0.0)),
+                          uniformity_error=float(uniformity.max(initial=0.0)),
                           cost_ebits=cgu.cost_ebits())
 
 
@@ -341,10 +342,12 @@ def lift_highrank(h: HighRankControlledUnitary) -> LiftedProtocol:
 
 @dataclass(frozen=True, eq=False)
 class LiftedRunRecord:
-    branches: list
+    measurement: Branches     # rank-1 run's branches with post applied to each
     target_state: PureState
     max_deviation: float
     cost_ebits: float
+
+    branches = ExactRunRecord.branches   # the same view, over ``measurement``
 
 
 def run_lifted_protocol(lifted: LiftedProtocol, state: PureState,
@@ -365,11 +368,9 @@ def run_lifted_protocol(lifted: LiftedProtocol, state: PureState,
 
     target_state = apply_on(state, h.target_matrix(), (control, target))
     expected = PureState(full_layout, np.kron(target_state.amps, zero_e))
-    branches = []
-    max_dev = 0.0
-    for l, m, prob, post in record.branches:
-        final = apply_on(post, lifted.post, (control, ancilla))
-        max_dev = max(max_dev, final.distance(expected))
-        branches.append((l, m, prob, final))
-    return LiftedRunRecord(branches=branches, target_state=expected,
-                           max_deviation=max_dev, cost_ebits=lifted.cgu.cost_ebits())
+    exact = record.measurement
+    finals = apply_on_rows(exact.posts, exact.layout, lifted.post, (control, ancilla))
+    deviations = np.linalg.norm(finals - expected.amps, axis=1)
+    return LiftedRunRecord(measurement=replace(exact, posts=finals), target_state=expected,
+                           max_deviation=float(deviations.max(initial=0.0)),
+                           cost_ebits=lifted.cgu.cost_ebits())

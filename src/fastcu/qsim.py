@@ -11,6 +11,7 @@ outcome branch exactly instead of sampling.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,24 @@ def apply_on(state: PureState, gate: np.ndarray, registers) -> PureState:
     return apply_controlled(state, np.asarray(gate, dtype=complex)[None], (), registers)
 
 
+def apply_on_rows(rows: np.ndarray, layout: RegisterLayout, gates: np.ndarray,
+                  registers) -> np.ndarray:
+    """Apply gates on the named registers of every row of a (B, layout.dim) amplitude stack.
+
+    ``gates`` is one gate for all rows or a (B, d, d) stack with one gate per
+    row, d the joint dimension of ``registers`` in the given order.  A single
+    row against a gate stack gives one row per gate.  Returns the new rows.
+    """
+    registers = [registers] if isinstance(registers, str) else list(registers)
+    axes = [1 + layout.axis(r) for r in registers]
+    front = range(1, 1 + len(axes))
+    d = math.prod(layout.dim_of(r) for r in registers)
+    t = np.moveaxis(np.asarray(rows, dtype=complex).reshape(-1, *layout.dims), axes, front)
+    out = np.asarray(gates, dtype=complex) @ t.reshape(len(t), d, -1)
+    out = np.moveaxis(out.reshape(len(out), *t.shape[1:]), front, axes)
+    return out.reshape(len(out), -1)
+
+
 def controlled_gate(control_dim: int, targets: dict[int, np.ndarray],
                     target_dim: int) -> np.ndarray:
     """Block-diagonal gate applying ``targets[c]`` when the control register is ``|c>``.
@@ -238,7 +257,86 @@ class BranchOutcome:
     post_state: PureState
 
 
-def measure_registers(state: PureState, registers) -> list[BranchOutcome]:
+@dataclass(frozen=True, eq=False)
+class Branches(Sequence):
+    """Every kept branch of one measurement, as arrays.
+
+    Row i holds the outcome of each measured register (``outcomes[i]``, in
+    ``registers`` order), its probability and its normalised post state on
+    ``layout``, the measured registers removed.  All rows pass one batched
+    norm check here.  ``len``, indexing and iteration give
+    :class:`BranchOutcome` records, built when accessed.
+    """
+
+    registers: tuple[str, ...]
+    outcomes: np.ndarray          # (B, len(registers)) int
+    probabilities: np.ndarray     # (B,)
+    posts: np.ndarray             # (B, layout.dim), unit rows
+    layout: RegisterLayout
+
+    def __post_init__(self):
+        if self.posts.shape != (len(self.probabilities), self.layout.dim):
+            raise DimensionMismatch(
+                f"post states of shape {self.posts.shape} do not fit {len(self.probabilities)} "
+                f"branches on a layout of dim {self.layout.dim}")
+        worst = float(np.abs(np.linalg.norm(self.posts, axis=1) - 1.0).max(initial=0.0))
+        if worst > ZERO_TOL:
+            raise DimensionMismatch(f"a post state norm is off 1 by {worst:.3e}, above {ZERO_TOL}")
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]      # negative indices, slices and IndexError as for a list
+        if isinstance(rows, range):
+            return [self[j] for j in rows]
+        return BranchOutcome(dict(zip(self.registers, self.outcomes[rows].tolist())),
+                             float(self.probabilities[rows]), self.state(rows))
+
+    def state(self, i: int) -> PureState:
+        """Post state of branch i; its norm was checked with the whole batch."""
+        state = object.__new__(PureState)
+        object.__setattr__(state, "layout", self.layout)
+        object.__setattr__(state, "amps", self.posts[i])
+        object.__setattr__(state, "normalized", True)
+        return state
+
+
+class BranchRows(Sequence):
+    """Read-only ``(*lead, *outcomes, probability / divisor, post state)`` rows.
+
+    ``parts`` pairs a tuple of leading values with a :class:`Branches`
+    record; rows run over the parts in order, and each is built when
+    accessed.
+    """
+
+    def __init__(self, parts, divisor: float = 1):
+        self.parts = tuple(parts)
+        self.divisor = divisor
+        self._ends = np.cumsum([len(b) for _, b in self.parts], dtype=np.int64)
+
+    def __len__(self) -> int:
+        return int(self._ends[-1]) if len(self._ends) else 0
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return [self[j] for j in rows]
+        part = int(np.searchsorted(self._ends, rows, side="right"))
+        start = int(self._ends[part - 1]) if part else 0
+        return self._row(*self.parts[part], rows - start)
+
+    def __iter__(self):
+        for lead, branches in self.parts:
+            for j in range(len(branches)):
+                yield self._row(lead, branches, j)
+
+    def _row(self, lead, branches: Branches, j: int) -> tuple:
+        return (*lead, *branches.outcomes[j].tolist(),
+                float(branches.probabilities[j]) / self.divisor, branches.state(j))
+
+
+def measure_registers(state: PureState, registers) -> Branches:
     """Measure the named registers in the computational basis, enumerating all branches.
 
     Branches with probability below ``BRANCH_PROB_FLOOR`` are dropped.  Post states
@@ -254,12 +352,10 @@ def measure_registers(state: PureState, registers) -> list[BranchOutcome]:
     total = float(probs.sum())
     if abs(total - 1.0) > ZERO_TOL:
         raise DimensionMismatch(f"measurement on non-normalized state, total prob {total:.3e}")
-    reduced = layout.without(registers)
     kept = np.flatnonzero(probs > BRANCH_PROB_FLOOR)
     posts = t[kept] / np.sqrt(probs[kept])[:, None]
-    values = np.stack(np.unravel_index(kept, dims), axis=1).tolist()
-    return [BranchOutcome(dict(zip(registers, v)), p, PureState(reduced, post))
-            for v, p, post in zip(values, probs[kept].tolist(), posts)]
+    return Branches(tuple(registers), np.stack(np.unravel_index(kept, dims), axis=1),
+                    probs[kept], posts, layout.without(registers))
 
 
 def partial_trace(state: PureState, keep) -> np.ndarray:

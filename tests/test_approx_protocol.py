@@ -358,6 +358,62 @@ def test_hidden_trajectories_equal_measure_then_correct():
     _assert_same_branches(got, want)
 
 
+def hidden_density_reference(spec, state):
+    """The per-branch loop: sum of (p / N) times each trajectory's partial trace."""
+    d = spec.d_a * spec.d_b
+    rho = np.zeros((d, d), dtype=complex)
+    for *_, prob, st in _hidden_trajectories(spec, state, "A", "B"):
+        rho += (prob / spec.order) * qsim.partial_trace(st, ("A", "B"))
+    return rho
+
+
+def choi_reference(spec):
+    """The per-branch loop over the hidden circuit fed half of a maximally entangled pair."""
+    d = spec.d_a * spec.d_b
+    layout = qsim.RegisterLayout.of(("A", spec.d_a), ("B", spec.d_b),
+                                    ("Ar", spec.d_a), ("Br", spec.d_b))
+    entangled = qsim.PureState(layout, np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for *_, prob, st in _hidden_trajectories(spec, entangled, "A", "B"):
+        choi += (prob / spec.order) * qsim.partial_trace(st, ("A", "B", "Ar", "Br"))
+    return choi * d
+
+
+@pytest.mark.parametrize("make", [
+    net_spec,
+    lambda: perturbed_spec(np.random.default_rng(51), eps=0.15),
+], ids=["N12", "perturbed"])
+def test_hidden_partial_trace_per_seed_equals_branch_loop(make):
+    spec = make()
+    state = qsim.random_pure_state(_layout(spec), np.random.default_rng(52))
+    record = run_hidden_variant(spec, state)
+    assert np.abs(record.output_density - hidden_density_reference(spec, state)).max() <= 1e-12
+    assert np.abs(hidden_variant_choi(spec).choi_circuit - choi_reference(spec)).max() <= 1e-12
+
+    n = spec.order
+    want = [(r, m, s, prob / n, st)
+            for r, m, s, prob, st in _hidden_trajectories(spec, state, "A", "B")]
+    got = record.trajectories
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:-1] == w[:-1]
+        assert g[-1].layout == w[-1].layout
+        assert np.array_equal(g[-1].amps, w[-1].amps)
+    assert sum(row[3] for row in got) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_branch_matrices_equal_per_label_controlled_gates():
+    for spec in (net_spec(m=2, eta=0.8, terms=(5, 17, 40)), _spare_control_spec()):
+        mats = spec.rep.matrices
+        stack = spec.branch_matrices()
+        for l in range(spec.order):
+            blocks = {i: mats[l].conj().T @ mats[spec.quasigroup.table[l, k]]
+                      for i, k in enumerate(spec.term_map)}
+            dense = qsim.controlled_gate(spec.d_a, blocks, spec.d_b)
+            assert np.abs(stack[l] - dense).max() <= 1e-15
+            assert np.array_equal(spec.branch_matrix(l), stack[l])
+
+
 def test_max_branch_distance_equals_dense_branch_loop():
     base = net_spec(m=2, eta=0.8, terms=(5, 17, 40))
     spec = QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(5, 17, 40), d_a=5)

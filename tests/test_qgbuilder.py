@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -201,6 +202,26 @@ def test_scan_monotone_deltas(net_m2):
     deltas = [p.delta_matching for p in points]
     assert all(a >= b - 1e-12 for a, b in zip(deltas, deltas[1:]))
     assert all(p.complete for p in points)
+
+
+@functools.lru_cache(maxsize=None)
+def _word_family(m: int):
+    return net.build_net(2, m)
+
+
+@settings(deadline=None, max_examples=8)
+@given(m=st.sampled_from([1, 2, 3]),
+       etas=st.lists(st.floats(0.3, 1.6), min_size=2, max_size=4, unique=True))
+def test_matching_delta_non_increasing_in_eta(m, etas):
+    # a larger eta only adds edges to every label's graph, so no matching shrinks
+    fam = _word_family(m)
+    etas = sorted(etas)
+    deltas = [p.delta_matching for p in qgbuilder.scan_quasigroup_deltas(fam, etas)]
+    assert all(a >= b for a, b in zip(deltas, deltas[1:]))
+    for eta, delta in zip(etas, deltas):
+        built = qgbuilder.assemble_quasigroup(fam, eta)
+        assert built.delta_from_matching == delta
+        assert built.certificate.delta_cert <= built.delta_from_matching
 
 
 def test_hall_witness_consistency_random_graphs():

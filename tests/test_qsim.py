@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -157,6 +158,118 @@ def test_measure_enumerates_branches_exactly():
         assert b.probability == pytest.approx(want, abs=1e-12)
         post = state.tensor()[b.outcome["a"], b.outcome["b"], :]
         assert np.allclose(b.post_state.amps, post / np.linalg.norm(post))
+
+
+def _listed_branches(state, registers):
+    """The list measure_registers built branch by branch before it returned arrays."""
+    layout = state.layout
+    axes = [layout.axis(r) for r in registers]
+    dims = [layout.dims[a] for a in axes]
+    t = np.moveaxis(state.tensor(), axes, range(len(axes))).reshape(math.prod(dims), -1)
+    probs = np.sum(np.abs(t) ** 2, axis=1)
+    reduced = layout.without(registers)
+    kept = np.flatnonzero(probs > qsim.BRANCH_PROB_FLOOR)
+    posts = t[kept] / np.sqrt(probs[kept])[:, None]
+    values = np.stack(np.unravel_index(kept, dims), axis=1).tolist()
+    return [qsim.BranchOutcome(dict(zip(registers, v)), p, qsim.PureState(reduced, post))
+            for v, p, post in zip(values, probs[kept].tolist(), posts)]
+
+
+def _same_outcome(got, want):
+    assert got.outcome == want.outcome
+    assert got.probability == want.probability
+    assert got.post_state.layout == want.post_state.layout
+    assert np.array_equal(got.post_state.amps, want.post_state.amps)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_measure_arrays_equal_brute_force_slices(data):
+    dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4), label="dims")
+    names = [f"r{i}" for i in range(len(dims))]
+    order = data.draw(st.permutations(names), label="order")
+    measured = order[:data.draw(st.integers(1, len(names)), label="how many")]
+    if math.prod(dims[names.index(r)] for r in measured) == 1:
+        dims[names.index(measured[0])] = 2     # room for an outcome of zero weight
+    layout = qsim.RegisterLayout(tuple(names), tuple(dims))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    outcomes = list(itertools.product(*(range(layout.dim_of(r)) for r in measured)))
+    dropped = outcomes[data.draw(st.integers(0, len(outcomes) - 1), label="dropped")]
+
+    def slot(values):
+        index = [slice(None)] * len(names)
+        for r, v in zip(measured, values):
+            index[layout.axis(r)] = v
+        return tuple(index)
+
+    t = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+    t[slot(dropped)] = 0.0
+    state = qsim.PureState(layout, t / np.linalg.norm(t))
+
+    branches = qsim.measure_registers(state, measured)
+    kept = [v for v in outcomes if np.sum(np.abs(state.tensor()[slot(v)]) ** 2)
+            > qsim.BRANCH_PROB_FLOOR]
+    assert dropped not in kept
+    assert len(branches) == len(kept) == len(outcomes) - 1
+    assert branches.layout == layout.without(measured)
+    assert branches.outcomes.tolist() == [list(v) for v in kept]
+    for i, v in enumerate(kept):
+        piece = state.tensor()[slot(v)].reshape(-1)
+        prob = np.sum(np.abs(piece) ** 2)
+        assert branches.probabilities[i] == pytest.approx(prob, rel=1e-14, abs=1e-16)
+        assert np.abs(branches.posts[i] - piece / math.sqrt(prob)).max() <= 1e-14
+
+    listed = _listed_branches(state, measured)
+    assert len(listed) == len(branches)
+    for got, want in zip(branches, listed):
+        _same_outcome(got, want)
+    for i in range(-len(listed), len(listed)):
+        _same_outcome(branches[i], listed[i])
+    for got, want in zip(branches[::-2], listed[::-2]):
+        _same_outcome(got, want)
+    with pytest.raises(IndexError):
+        branches[len(listed)]
+
+
+def test_branches_reject_rows_off_unit_norm():
+    layout = qsim.RegisterLayout.of(("a", 2))
+    posts = np.array([[1.0, 0.0], [0.6, 0.8 + 1e-6]], dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        qsim.Branches(("m",), np.array([[0], [1]]), np.array([0.5, 0.5]), posts, layout)
+    with pytest.raises(DimensionMismatch):
+        qsim.Branches(("m",), np.array([[0]]), np.array([1.0]), posts[:1, :1], layout)
+
+
+def test_branch_rows_span_parts_in_order():
+    rng = np.random.default_rng(9)
+    layout = qsim.RegisterLayout.of(("a", 3), ("b", 2))
+    parts = [((r,), qsim.measure_registers(qsim.random_pure_state(layout, rng), "a"))
+             for r in range(3)]
+    rows = qsim.BranchRows(parts, divisor=3)
+    flat = [(r, *b.outcome.values(), b.probability / 3, b.post_state)
+            for (r,), branches in parts for b in branches]
+    assert len(rows) == len(flat) == 9
+    for got in (list(rows), [rows[i] for i in range(len(rows))], rows[:]):
+        for g, w in zip(got, flat):
+            assert g[:-1] == w[:-1]
+            assert np.array_equal(g[-1].amps, w[-1].amps)
+    assert rows[-1][:-1] == flat[-1][:-1]
+
+
+def test_apply_on_rows_equals_apply_on_per_row():
+    rng = np.random.default_rng(10)
+    layout = qsim.RegisterLayout.of(("a", 2), ("b", 3), ("c", 2))
+    states = [qsim.random_pure_state(layout, rng) for _ in range(4)]
+    rows = np.stack([s.amps for s in states])
+    gate = qsim.haar_unitary(4, rng)
+    got = qsim.apply_on_rows(rows, layout, gate, ("c", "a"))
+    for g, s in zip(got, states):
+        assert np.abs(g - qsim.apply_on(s, gate, ("c", "a")).amps).max() <= 1e-14
+    gates = np.stack([qsim.haar_unitary(3, rng) for _ in range(5)])
+    got = qsim.apply_on_rows(states[0].amps[None], layout, gates, "b")
+    assert got.shape == (5, layout.dim)
+    for g, u in zip(got, gates):
+        assert np.abs(g - qsim.apply_on(states[0], u, "b").amps).max() <= 1e-14
 
 
 def test_measure_deterministic_register_single_branch():
