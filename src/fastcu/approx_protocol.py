@@ -330,22 +330,23 @@ def shift_register_check(n: int) -> float:
 
     For every hypothetical outcome l and every seed r the relay must leave the
     receiving register in exactly ``|l>``: shift the sender's register down by
-    l, measure it (outcome s), shift the receiver's register down by s.
+    l, measure it (outcome s), shift the receiver's register down by s.  The
+    sender's register thus ends at r - l and the receiver's at l for every r:
+    this identity is what makes the hidden variant's seeds shift-covariant.
     """
     worst = 0.0
     layout = RegisterLayout.of(("x", n), ("y", n))
     for l in range(n):
         for r in range(n):
             state = basis_state(layout, {"x": r, "y": r})
-            state = apply_on(state, np.linalg.matrix_power(shift_gate(n), l), "x")
+            state = apply_on(state, shift_gate(n, l), "x")
             branches = measure_registers(state, "x")
             if len(branches) != 1:
                 return 2.0
             s = branches[0].outcome["x"]
             if s != (r - l) % n:
                 return 2.0
-            post = apply_on(branches[0].post_state,
-                            np.linalg.matrix_power(shift_gate(n), s), "y")
+            post = apply_on(branches[0].post_state, shift_gate(n, s), "y")
             ideal = basis_state(RegisterLayout.of(("y", n)), {"y": l})
             worst = max(worst, post.distance(ideal))
     return worst
@@ -353,19 +354,33 @@ def shift_register_check(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HiddenRunRecord:
-    """Trajectory ensemble of the hidden-outcome circuit on one input state."""
+    """Trajectory ensemble of the hidden-outcome circuit on one input state.
 
-    seed_branches: tuple               # per seed r, the Branches of measuring (b, x)
+    Only shared seed 0 is simulated.  Seed r's (b, x) branches are seed 0's
+    with outcome s read as s + r mod N (see ``_hidden_circuit``): the same
+    probabilities and post states, held and norm-checked once in ``branches``.
+    """
+
+    branches: Branches                 # seed 0's branches of measuring (b, x)
     output_density: np.ndarray         # induced state on (control, target)
     expected_density: np.ndarray       # uniform branch mixture applied to the input
     deviation: float
-    ensemble: UnitaryEnsembleChannel
+    ensemble: UnitaryEnsembleChannel   # one term per branch, so per shared seed
 
     @property
     def trajectories(self) -> BranchRows:
-        """(seed_r, outcome_m, outcome_s, weight, PureState) per trajectory, built on access."""
-        return BranchRows([((r,), b) for r, b in enumerate(self.seed_branches)],
-                          divisor=len(self.seed_branches))
+        """(seed_r, outcome_m, outcome_s, weight, PureState) per trajectory, built on access.
+
+        Every seed r = 0..N-1 is listed, each with its rows sorted by (m, s).
+        """
+        n = len(self.ensemble.terms)
+        m, s = self.branches.outcomes.T
+        parts = []
+        for r in range(n):
+            s_r = (s + r) % n
+            order = np.lexsort((s_r, m))
+            parts.append(((r,), self.branches, np.stack([m, s_r], axis=1)[order], order))
+        return BranchRows(parts, divisor=n)
 
 
 def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
@@ -375,11 +390,11 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     The two ancillas of the basic protocol are joined by a classically
     correlated pair (x, y); the branch pointer never gets measured, and the
     corrections are quantum-controlled off the unmeasured registers, which are
-    discarded at the end.  The output state is the seed average of one partial
-    trace per seed: tracing out b and x sums over their outcomes, so it equals
-    the probability-weighted mixture of that seed's (b, x) branches.
+    discarded at the end.  The circuit runs once, at seed 0: seed r's state is
+    seed 0's with x rolled by r, and x is traced out, so every seed gives the
+    same output state.  That state is one partial trace, the
+    probability-weighted mixture of seed 0's (b, x) branches.
     """
-    n = spec.order
     layout = state.layout
     if set(layout.names) != {control, target}:
         raise DimensionMismatch("hidden variant expects a bare (control, target) input")
@@ -387,57 +402,39 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
         raise DimensionMismatch("input registers do not match the protocol spec")
     check_support(state, control, range(spec.n_terms, spec.d_a))
 
-    d = spec.d_a * spec.d_b
     channel = branch_family(spec).channel()
-    rho_out = np.zeros((d, d), dtype=complex)
-    seed_branches = []
-    for full in _hidden_seed_states(spec, state, control, target):
-        rho_out += partial_trace(full, (control, target))
-        seed_branches.append(measure_registers(full, ("b", "x")))
-    rho_out /= n
+    full = _hidden_circuit(spec, state, control, target)
+    rho_out = partial_trace(full, (control, target))
     psi = state.amps
     expected = channel.apply(np.outer(psi, psi.conj()))
     deviation = operator_norm(rho_out - expected)
-    return HiddenRunRecord(seed_branches=tuple(seed_branches), output_density=rho_out,
+    return HiddenRunRecord(branches=measure_registers(full, ("b", "x")), output_density=rho_out,
                            expected_density=expected, deviation=deviation,
                            ensemble=channel)
 
 
-def _hidden_seed_states(spec: QuasigroupProtocolSpec, state: PureState,
-                        control: str, target: str):
-    """The hidden circuit's state for each shared seed r = 0..N-1, before (b, x) is measured.
+def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,
+                    control: str, target: str) -> PureState:
+    """The hidden circuit's state at shared seed 0, before (b, x) is measured.
 
-    Seed by seed, the one-round opening (shared by every seed) is joined by
-    the correlated pair (x, y) = (r, r).  The branch pointer a shifts x down
-    by l, x shifts y down by its own value, and the phases are controlled on
-    (a, b) and V_l^dag on y.  The states live on (control, target, a, b, x, y).
+    The one-round opening is joined by the correlated pair (x, y) = (0, 0).
+    The branch pointer a shifts x down by l, x shifts y down by its own
+    value, and the phases are controlled on (a, b) and V_l^dag on y.  The
+    state lives on (control, target, a, b, x, y).
+
+    Seed r would start from X_x^r X_y^r |0, 0>.  The pointer shift commutes
+    with both, the relay C (y -= x) gives C X_x^r X_y^r = X_x^r C, and the
+    phases and V_l^dag never touch x, so seed r's state is X_x^r times this one.
     """
     n = spec.order
     blocks = build_quasigroup_gates(spec)
     shift_powers = np.stack([shift_gate(n, l) for l in range(n)])
-    x_layout = RegisterLayout.of(("x", n), ("y", n))
-    opened = one_round_circuit(state, blocks, control, target, ("a", "b"))
-    for r in range(n):
-        full = product_state(opened, basis_state(x_layout, {"x": r, "y": r}))
-        # the branch pointer drives the sender's shared register down by l
-        full = apply_controlled(full, shift_powers, "a", "x")
-        # relay: the receiver's register goes down by the sender's, leaving l in y
-        full = apply_controlled(full, shift_powers, "x", "y")
-        full = apply_controlled(full, blocks.phases, ("a", "b"), control)
-        yield apply_controlled(full, blocks.undo, "y", target)
-
-
-def _hidden_trajectories(spec: QuasigroupProtocolSpec, state: PureState,
-                         control: str, target: str):
-    """Pure-state branches (seed r, m, s, probability, state) of the hidden circuit.
-
-    Each seed's state is measured on (b, x) once.  That equals measuring b
-    and x first and correcting each branch classically, because a gate
-    controlled on a register commutes with measuring it.  Post states live on
-    (control, target, a, y).
-    """
-    for r, full in enumerate(_hidden_seed_states(spec, state, control, target)):
-        yield from BranchRows([((r,), measure_registers(full, ("b", "x")))])
+    seed = basis_state(RegisterLayout.of(("x", n), ("y", n)), {"x": 0, "y": 0})
+    full = product_state(one_round_circuit(state, blocks, control, target, ("a", "b")), seed)
+    full = apply_controlled(full, shift_powers, "a", "x")
+    full = apply_controlled(full, shift_powers, "x", "y")
+    full = apply_controlled(full, blocks.phases, ("a", "b"), control)
+    return apply_controlled(full, blocks.undo, "y", target)
 
 
 @dataclass(frozen=True)
@@ -452,12 +449,12 @@ def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
 
     Feeds half of a maximally entangled pair through the circuit; the input
     control dimension must equal the number of terms so the channel and the
-    mixture share one domain.  Nothing is measured: each seed's state gives
-    one partial trace, as in ``run_hidden_variant``.
+    mixture share one domain.  Nothing is measured, and the circuit runs
+    once: every seed leaves the same state on the kept registers, as in
+    ``run_hidden_variant``, so the Choi matrix is d times one partial trace.
     """
     if spec.d_a != spec.n_terms:
         raise UnsupportedInput("channel comparison needs every control state to carry a term")
-    n = spec.order
     d = spec.d_a * spec.d_b
     layout = RegisterLayout.of(("A", spec.d_a), ("B", spec.d_b),
                                ("Ar", spec.d_a), ("Br", spec.d_b))
@@ -467,10 +464,8 @@ def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
             amps[i, t, i, t] = 1.0 / math.sqrt(d)
     entangled = PureState(layout, amps.reshape(-1))
 
-    choi_circ = np.zeros((d * d, d * d), dtype=complex)
-    for full in _hidden_seed_states(spec, entangled, "A", "B"):
-        choi_circ += partial_trace(full, ("A", "B", "Ar", "Br"))
-    choi_circ *= d / n   # seed average, rescaled to the unnormalized pair-state convention
+    full = _hidden_circuit(spec, entangled, "A", "B")
+    choi_circ = d * partial_trace(full, ("A", "B", "Ar", "Br"))   # unnormalized pair state
 
     choi_ens = choi_matrix(branch_family(spec).channel())
     distance = operator_norm(choi_circ - choi_ens)

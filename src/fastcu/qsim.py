@@ -307,13 +307,16 @@ class BranchRows(Sequence):
 
     ``parts`` pairs a tuple of leading values with a :class:`Branches`
     record; rows run over the parts in order, and each is built when
-    accessed.
+    accessed.  A part may add ``(outcomes, rows)``: its j-th row then reads
+    ``outcomes[j]`` with the probability and post state of branch
+    ``rows[j]``, a relabelled view that copies and re-checks nothing.
     """
 
     def __init__(self, parts, divisor: float = 1):
-        self.parts = tuple(parts)
+        self.parts = tuple(p if len(p) == 4 else (*p, p[1].outcomes, np.arange(len(p[1])))
+                           for p in parts)
         self.divisor = divisor
-        self._ends = np.cumsum([len(b) for _, b in self.parts], dtype=np.int64)
+        self._ends = np.cumsum([len(rows) for *_, rows in self.parts], dtype=np.int64)
 
     def __len__(self) -> int:
         return int(self._ends[-1]) if len(self._ends) else 0
@@ -327,13 +330,14 @@ class BranchRows(Sequence):
         return self._row(*self.parts[part], rows - start)
 
     def __iter__(self):
-        for lead, branches in self.parts:
-            for j in range(len(branches)):
-                yield self._row(lead, branches, j)
+        for part in self.parts:
+            for j in range(len(part[-1])):
+                yield self._row(*part, j)
 
-    def _row(self, lead, branches: Branches, j: int) -> tuple:
-        return (*lead, *branches.outcomes[j].tolist(),
-                float(branches.probabilities[j]) / self.divisor, branches.state(j))
+    def _row(self, lead, branches: Branches, outcomes, rows, j: int) -> tuple:
+        i = int(rows[j])
+        return (*lead, *outcomes[j].tolist(),
+                float(branches.probabilities[i]) / self.divisor, branches.state(i))
 
 
 def measure_registers(state: PureState, registers) -> Branches:

@@ -138,6 +138,29 @@ def test_class_rows_bad_row_names_first_label():
         algebra.quasigroup_from_transposed(rows, np.array([0, 0, 2, 1]))
 
 
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_random_permutation_columns_make_a_right_quasigroup(n, seed, data):
+    rng = np.random.default_rng(seed)
+    table = np.stack([rng.permutation(n) for _ in range(n)], axis=1)
+    q = algebra.right_quasigroup_from_table(table)
+    assert np.array_equal(q.table, table)
+    labels = np.arange(n)
+    for k in range(n):
+        assert np.array_equal(q.left_div[table[:, k], k], labels)
+    by_class = algebra.quasigroup_from_transposed(np.ascontiguousarray(table.T), labels)
+    assert np.array_equal(by_class.table, q.table)
+    assert np.array_equal(by_class.left_div, q.left_div)
+
+    if n > 1:   # repeat a value its column already holds: that column is no permutation
+        k = data.draw(st.integers(0, n - 1))
+        y, other = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        broken = table.copy()
+        broken[y, k] = table[other, k]
+        with pytest.raises(NotRightQuasigroup, match=f"column {k} "):
+            algebra.right_quasigroup_from_table(broken)
+
+
 def test_left_division_inverts_columns():
     rng = np.random.default_rng(1)
     for n in (1, 2, 5, 9):

@@ -14,8 +14,9 @@ from fastcu import algebra, net, qgbuilder, qsim
 from fastcu.algebra import certify_approx_rep, ordinary_rep
 from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
-    _hidden_trajectories,
+    _hidden_circuit,
     branch_family,
+    build_quasigroup_gates,
     correction_gate_for,
     dilation_error,
     dilation_pair,
@@ -27,7 +28,7 @@ from fastcu.approx_protocol import (
     shift_register_check,
 )
 from fastcu.errors import UnsupportedInput
-from fastcu.exact_protocol import ControlledGroupUnitary, shift_gate_for
+from fastcu.exact_protocol import ControlledGroupUnitary, one_round_circuit, shift_gate_for
 
 
 def exact_spec(n: int = 4, terms=(0, 2)) -> QuasigroupProtocolSpec:
@@ -61,6 +62,16 @@ def net_spec(m: int = 1, eta: float = 1.2, terms=(3, 7)) -> QuasigroupProtocolSp
 
 def _layout(spec):
     return qsim.RegisterLayout.of(("A", spec.d_a), ("B", spec.d_b))
+
+
+def _supported_state(spec, rng):
+    """Random input with weight only on control states that carry a term."""
+    state = qsim.random_pure_state(_layout(spec), rng)
+    if spec.d_a == spec.n_terms:
+        return state
+    t = state.tensor().copy()
+    t[spec.n_terms:] = 0
+    return qsim.PureState(state.layout, t / np.linalg.norm(t))
 
 
 def test_hat_gates_match_group_shift_gates():
@@ -306,18 +317,60 @@ def hidden_reference(spec, state, seed_r):
     full = _opened(spec, state, seed)
     powers = {l: np.linalg.matrix_power(qsim.shift_gate(n), l) for l in range(n)}
     full = qsim.apply_on(full, qsim.controlled_gate(n, powers, n), ("a", "x"))
+    vdag = qsim.controlled_gate(n, {l: spec.rep.matrices[l].conj().T for l in range(n)}, spec.d_b)
     out = []
     for b_branch in qsim.measure_registers(full, "b"):
         m = b_branch.outcome["b"]
+        corr = qsim.controlled_gate(n, {l: correction_gate_for(spec, l, m) for l in range(n)},
+                                    spec.d_a)
         for x_branch in qsim.measure_registers(b_branch.post_state, "x"):
             s = x_branch.outcome["x"]
             st = qsim.apply_on(x_branch.post_state, powers[s], "y")
-            corr = {l: correction_gate_for(spec, l, m) for l in range(n)}
-            st = qsim.apply_on(st, qsim.controlled_gate(n, corr, spec.d_a), ("a", "A"))
-            vdag = {l: spec.rep.matrices[l].conj().T for l in range(n)}
-            st = qsim.apply_on(st, qsim.controlled_gate(n, vdag, spec.d_b), ("y", "B"))
+            st = qsim.apply_on(st, corr, ("a", "A"))
+            st = qsim.apply_on(st, vdag, ("y", "B"))
             out.append((seed_r, m, s, b_branch.probability * x_branch.probability, st))
     return out
+
+
+def dense_trajectories(spec, state):
+    """Rows (seed r, m, s, probability, state) of ``hidden_reference`` over every seed."""
+    return [row for r in range(spec.order) for row in hidden_reference(spec, state, r)]
+
+
+def hidden_state_reference(spec, state, seed_r):
+    """The hidden circuit at seed r before (b, x) is measured, every controlled gate dense."""
+    n = spec.order
+    seed = qsim.basis_state(qsim.RegisterLayout.of(("x", n), ("y", n)), {"x": seed_r, "y": seed_r})
+    full = _opened(spec, state, seed)
+    powers = {l: np.linalg.matrix_power(qsim.shift_gate(n), l) for l in range(n)}
+    full = qsim.apply_on(full, qsim.controlled_gate(n, powers, n), ("a", "x"))
+    full = qsim.apply_on(full, qsim.controlled_gate(n, powers, n), ("x", "y"))
+    corr = {l * n + m: correction_gate_for(spec, l, m) for l in range(n) for m in range(n)}
+    full = qsim.apply_on(full, qsim.controlled_gate(n * n, corr, spec.d_a), ("a", "b", "A"))
+    vdag = {l: spec.rep.matrices[l].conj().T for l in range(n)}
+    return qsim.apply_on(full, qsim.controlled_gate(n, vdag, spec.d_b), ("y", "B"))
+
+
+def per_seed_trajectories(spec, state):
+    """The loop the x roll replaced: the simulator's hidden circuit, run and measured per seed.
+
+    Rows are (seed r, m, s, probability, state), the gates applied exactly
+    as the simulator applies them at seed 0.
+    """
+    n = spec.order
+    blocks = build_quasigroup_gates(spec)
+    powers = np.stack([qsim.shift_gate(n, l) for l in range(n)])
+    opened = one_round_circuit(state, blocks, "A", "B", ("a", "b"))
+    parts = []
+    for r in range(n):
+        seed = qsim.basis_state(qsim.RegisterLayout.of(("x", n), ("y", n)), {"x": r, "y": r})
+        full = qsim.product_state(opened, seed)
+        full = qsim.apply_controlled(full, powers, "a", "x")
+        full = qsim.apply_controlled(full, powers, "x", "y")
+        full = qsim.apply_controlled(full, blocks.phases, ("a", "b"), "A")
+        full = qsim.apply_controlled(full, blocks.undo, "y", "B")
+        parts.append(((r,), qsim.measure_registers(full, ("b", "x"))))
+    return qsim.BranchRows(parts)
 
 
 def _assert_same_branches(got, want):
@@ -341,11 +394,7 @@ def _spare_control_spec():
 ], ids=["N12", "N72-three-terms", "N12-spare-control-state"])
 def test_measured_variant_equals_measure_then_correct(make):
     spec = make()
-    state = qsim.random_pure_state(_layout(spec), np.random.default_rng(48))
-    if spec.d_a > spec.n_terms:   # weight only on control states that carry a term
-        t = state.tensor().copy()
-        t[spec.n_terms:] = 0
-        state = qsim.PureState(state.layout, t / np.linalg.norm(t))
+    state = _supported_state(spec, np.random.default_rng(48))
     _assert_same_branches(run_measured_variant(spec, state).branches,
                           measured_reference(spec, state))
 
@@ -353,28 +402,28 @@ def test_measured_variant_equals_measure_then_correct(make):
 def test_hidden_trajectories_equal_measure_then_correct():
     spec = net_spec()
     state = qsim.random_pure_state(_layout(spec), np.random.default_rng(49))
-    got = list(_hidden_trajectories(spec, state, "A", "B"))
-    want = [row for r in range(spec.order) for row in hidden_reference(spec, state, r)]
+    got = run_hidden_variant(spec, state).trajectories
+    want = [(r, m, s, prob / spec.order, st) for r, m, s, prob, st in dense_trajectories(spec, state)]
     _assert_same_branches(got, want)
 
 
-def hidden_density_reference(spec, state):
+def hidden_density_reference(spec, state, trajectories=per_seed_trajectories):
     """The per-branch loop: sum of (p / N) times each trajectory's partial trace."""
     d = spec.d_a * spec.d_b
     rho = np.zeros((d, d), dtype=complex)
-    for *_, prob, st in _hidden_trajectories(spec, state, "A", "B"):
+    for *_, prob, st in trajectories(spec, state):
         rho += (prob / spec.order) * qsim.partial_trace(st, ("A", "B"))
     return rho
 
 
-def choi_reference(spec):
+def choi_reference(spec, trajectories=per_seed_trajectories):
     """The per-branch loop over the hidden circuit fed half of a maximally entangled pair."""
     d = spec.d_a * spec.d_b
     layout = qsim.RegisterLayout.of(("A", spec.d_a), ("B", spec.d_b),
                                     ("Ar", spec.d_a), ("Br", spec.d_b))
     entangled = qsim.PureState(layout, np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
     choi = np.zeros((d * d, d * d), dtype=complex)
-    for *_, prob, st in _hidden_trajectories(spec, entangled, "A", "B"):
+    for *_, prob, st in trajectories(spec, entangled):
         choi += (prob / spec.order) * qsim.partial_trace(st, ("A", "B", "Ar", "Br"))
     return choi * d
 
@@ -391,8 +440,7 @@ def test_hidden_partial_trace_per_seed_equals_branch_loop(make):
     assert np.abs(hidden_variant_choi(spec).choi_circuit - choi_reference(spec)).max() <= 1e-12
 
     n = spec.order
-    want = [(r, m, s, prob / n, st)
-            for r, m, s, prob, st in _hidden_trajectories(spec, state, "A", "B")]
+    want = [(r, m, s, prob / n, st) for r, m, s, prob, st in per_seed_trajectories(spec, state)]
     got = record.trajectories
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -400,6 +448,41 @@ def test_hidden_partial_trace_per_seed_equals_branch_loop(make):
         assert g[-1].layout == w[-1].layout
         assert np.array_equal(g[-1].amps, w[-1].amps)
     assert sum(row[3] for row in got) == pytest.approx(1.0, abs=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _hidden_case(name: str) -> QuasigroupProtocolSpec:
+    return {"N12": net_spec, "spare-control-state": _spare_control_spec,
+            "perturbed": lambda: perturbed_spec(np.random.default_rng(53), eps=0.15)}[name]()
+
+
+_cyclic_exact_specs = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(0, n - 1), min_size=1, max_size=3).map(
+        lambda terms: exact_spec(n, tuple(terms))))
+
+
+@settings(deadline=None, max_examples=16)
+@given(spec=st.one_of(_cyclic_exact_specs,
+                      st.sampled_from(["N12", "perturbed", "spare-control-state"]).map(_hidden_case)),
+       seed=st.integers(0, 2 ** 16))
+def test_hidden_record_equals_every_seed_of_the_dense_reference(spec, seed):
+    state = _supported_state(spec, np.random.default_rng(seed))
+    n = spec.order
+    record = run_hidden_variant(spec, state)
+    _assert_same_branches(record.trajectories, [(r, m, s, prob / n, st)
+                                                for r, m, s, prob, st in dense_trajectories(spec, state)])
+    want = hidden_density_reference(spec, state, dense_trajectories)
+    assert np.abs(record.output_density - want).max() <= 1e-12
+    if spec.d_a == spec.n_terms:
+        choi = hidden_variant_choi(spec).choi_circuit
+        assert np.abs(choi - choi_reference(spec, dense_trajectories)).max() <= 1e-12
+
+    seed_zero = _hidden_circuit(spec, state, "A", "B")
+    x = seed_zero.layout.axis("x")
+    for r in range(n):
+        want = hidden_state_reference(spec, state, r)
+        assert want.layout == seed_zero.layout
+        assert np.abs(np.roll(seed_zero.tensor(), r, axis=x) - want.tensor()).max() <= 1e-12
 
 
 def test_branch_matrices_equal_per_label_controlled_gates():
@@ -421,10 +504,7 @@ def test_max_branch_distance_equals_dense_branch_loop():
     target = spec.target_matrix()
     dense = max(qsim.operator_norm(target - spec.branch_matrix(l)) for l in range(spec.order))
     assert dilation_error(spec, 0.8, 0.0).max_branch_distance == pytest.approx(dense, abs=1e-12)
-    state = qsim.random_pure_state(_layout(spec), np.random.default_rng(50))
-    t = state.tensor().copy()
-    t[spec.n_terms:] = 0
-    state = qsim.PureState(state.layout, t / np.linalg.norm(t))
+    state = _supported_state(spec, np.random.default_rng(50))
     record = run_measured_variant(spec, state)
     assert record.max_branch_distance == pytest.approx(dense, abs=1e-12)
 

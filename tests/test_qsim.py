@@ -245,10 +245,14 @@ def test_branch_rows_span_parts_in_order():
     layout = qsim.RegisterLayout.of(("a", 3), ("b", 2))
     parts = [((r,), qsim.measure_registers(qsim.random_pure_state(layout, rng), "a"))
              for r in range(3)]
-    rows = qsim.BranchRows(parts, divisor=3)
+    first, order = parts[0][1], np.array([2, 0, 1])   # a relabelled, reordered view of part 0
+    relabelled = ((3,), first, (first.outcomes[order] + 1) % 3, order)
+    rows = qsim.BranchRows(parts + [relabelled], divisor=3)
     flat = [(r, *b.outcome.values(), b.probability / 3, b.post_state)
             for (r,), branches in parts for b in branches]
-    assert len(rows) == len(flat) == 9
+    flat += [(3, (first[i].outcome["a"] + 1) % 3, first[i].probability / 3, first[i].post_state)
+             for i in order]
+    assert len(rows) == len(flat) == 12
     for got in (list(rows), [rows[i] for i in range(len(rows))], rows[:]):
         for g, w in zip(got, flat):
             assert g[:-1] == w[:-1]
