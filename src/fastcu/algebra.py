@@ -27,27 +27,43 @@ UNIT_MODULUS_TOL = 1e-10
 REP_RESIDUAL_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 RECOUNT_CHUNK = 1 << 15     # residuals evaluated per quaternion recount chunk
-COMPARE_CHUNK = 1 << 20     # left-division entries compared per grouping chunk
+
+
+def index_dtype(n: int):
+    """Entry type of an order-n table: int16 covers every order this package builds."""
+    return np.int16 if n < 2 ** 15 else np.int32
 
 
 def _as_index_table(table, *, copy: bool = True, square: bool = True) -> np.ndarray:
     t = np.asarray(table)
-    if not np.issubdtype(t.dtype, np.integer):
-        t = t.astype(np.int64)
-        copy = False
+    if t.dtype == bool or not (np.issubdtype(t.dtype, np.integer)
+                               or np.issubdtype(t.dtype, np.floating)):
+        raise DimensionMismatch(f"table entries must be integers, got dtype {t.dtype}")
     if t.ndim != 2 or (square and t.shape[0] != t.shape[1]):
         raise DimensionMismatch(f"expected a {'square' if square else '2-d'} table, "
                                 f"got shape {t.shape}")
     n = t.shape[1]
     if n == 0 or t.shape[0] == 0:
         raise DimensionMismatch("empty table")
+    if not np.issubdtype(t.dtype, np.integer):
+        # NaN never equals its floor; an infinity fails the range check below
+        if (t != np.floor(t)).any():
+            raise DimensionMismatch("table entries must be integers")
+        copy = False
     if t.min() < 0 or t.max() >= n:
         raise DimensionMismatch(f"table entries must lie in 0..{n - 1}")
-    # large tables stay compact; int16 covers every order this package builds
-    dtype = np.int16 if n < 2 ** 15 else np.int32
+    dtype = index_dtype(n)
     if t.dtype != dtype:
         return t.astype(dtype)
     return t.copy() if copy else t
+
+
+def _distinct_rows(rows: np.ndarray):
+    """(first, inverse): the first row index of each distinct row, and each row's group."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    bits = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))).ravel()
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    return first, inverse.ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,64 +141,104 @@ def direct_product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return left * n2 + right
 
 
-@dataclass(frozen=True, eq=False)
+class _Gathered:
+    """Data-descriptor field of an n x n table gathered from class rows on each read.
+
+    Reading ``q.table`` returns ``q.class_table[q.classes].T``, fresh and
+    read-only; nothing is cached.  An array passed to the constructor is
+    returned as is instead.
+    """
+
+    def __set_name__(self, owner, name):
+        self.slot, self.source = "_given_" + name, "class_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None         # the dataclass default: gather on read
+        given = obj.__dict__[self.slot]
+        if given is not None:
+            return given
+        out = getattr(obj, self.source)[obj.classes].T
+        out.setflags(write=False)
+        return out
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class RightQuasigroup:
     """Structure where y -> y*a is a bijection for every fixed a.
 
-    ``table[y, a]`` is the product y*a and ``left_div[j, k]`` is the unique l
-    with l*k = j.
+    Labels whose columns are equal share a class.  Row c of ``class_table``
+    holds y*a for every label a of class c, row c of ``class_left_div`` the
+    unique l with l*a = j, and ``classes[a]`` is the class of label a.  The
+    n x n tables ``table[y, a] = y*a`` and ``left_div[j, k]`` are gathered
+    on request; ``column`` and ``ldiv_column`` read one class row.
+
+    ``table`` and ``left_div`` stay constructor parameters so that
+    ``dataclasses.replace(q, table=t)`` can plant a tampered table for
+    checks to catch; a given array replaces only what that attribute reads.
     """
 
     order: int
-    table: np.ndarray
-    left_div: np.ndarray
+    class_table: np.ndarray
+    class_left_div: np.ndarray
+    classes: np.ndarray
+    table: np.ndarray = _Gathered()
+    left_div: np.ndarray = _Gathered()
+
+    def __repr__(self) -> str:
+        return f"RightQuasigroup(order={self.order}, classes={len(self.class_table)})"
+
+    def column(self, k: int) -> np.ndarray:
+        """y*k for every y (column k of the table), read-only."""
+        return self.class_table[self.classes[k]]
+
+    def ldiv_column(self, k: int) -> np.ndarray:
+        """l(j, k) for every j (column k of the left division), read-only."""
+        return self.class_left_div[self.classes[k]]
 
     def mul(self, y: int, a: int) -> int:
-        return int(self.table[y, a])
+        return int(self.column(a)[y])
 
     def ldiv(self, j: int, k: int) -> int:
-        return int(self.left_div[j, k])
+        return int(self.ldiv_column(k)[j])
 
 
 def right_quasigroup_from_table(table) -> RightQuasigroup:
-    """Validate per-column bijectivity and compute the left-division table."""
-    return quasigroup_from_transposed(np.ascontiguousarray(np.asarray(table).T))
+    """Validate each column as a permutation and left-divide it; equal columns share a class."""
+    rows = _as_index_table(np.asarray(table).T, copy=False)
+    first, classes = _distinct_rows(rows)
+    return quasigroup_from_transposed(rows[first], classes)
 
 
-def quasigroup_from_transposed(table_t: np.ndarray,
-                               row_classes: np.ndarray | None = None) -> RightQuasigroup:
-    """Build from the transposed table (row a holds the products y*a).
+def quasigroup_from_transposed(table_t: np.ndarray, row_classes: np.ndarray) -> RightQuasigroup:
+    """Build from class rows: row a of the transposed table is ``table_t[row_classes[a]]``.
 
-    The left-division scatter plus a round-trip gather proves each column of
-    the table is a permutation: a value missing from column a leaves its
-    left_div slot at the zero initialization and the gathered product cannot
-    reproduce it.  Working row-wise on the transposed array keeps the scatter
-    and gather cache friendly for large orders.
-
-    With ``row_classes`` given, ``table_t`` holds only the distinct rows and
-    row a of the transposed table is ``table_t[row_classes[a]]``: each
-    distinct row is validated and left-divided once, and both n x n tables
-    come from one gather.
+    The left-division scatter plus a round-trip gather proves each row is a
+    permutation: a value missing from a row leaves its left-division slot at
+    the zero initialization and the gathered product cannot reproduce it.
+    Each class row is validated and left-divided once; no n x n table is
+    formed.
     """
-    rows = _as_index_table(table_t, copy=False, square=row_classes is None)
+    rows = _as_index_table(table_t, copy=False, square=False)
     n = rows.shape[1]
-    if row_classes is not None:
-        row_classes = np.asarray(row_classes)
-        if row_classes.shape != (n,) or row_classes.min() < 0 or row_classes.max() >= len(rows):
-            raise DimensionMismatch(
-                f"need {n} row classes in 0..{len(rows) - 1}, got shape {row_classes.shape}")
+    row_classes = np.array(row_classes)
+    if row_classes.shape != (n,) or row_classes.min() < 0 or row_classes.max() >= len(rows):
+        raise DimensionMismatch(
+            f"need {n} row classes in 0..{len(rows) - 1}, got shape {row_classes.shape}")
     arange = np.arange(n, dtype=rows.dtype)[None, :]
     left_div_rows = np.zeros_like(rows)
     np.put_along_axis(left_div_rows, rows, np.broadcast_to(arange, rows.shape), axis=1)
-    ok = (np.take_along_axis(rows, left_div_rows, axis=1) == arange).all(axis=1)
-    if row_classes is not None:
-        ok, rows, left_div_rows = ok[row_classes], rows[row_classes], left_div_rows[row_classes]
+    ok = (np.take_along_axis(rows, left_div_rows, axis=1) == arange).all(axis=1)[row_classes]
     if not ok.all():
         bad = int(np.argmin(ok))
         raise NotRightQuasigroup(f"column {bad} is not a permutation of 0..{n - 1}")
-    rows.setflags(write=False)
-    left_div_rows.setflags(write=False)
-    return RightQuasigroup(order=n, table=rows.T, left_div=left_div_rows.T)
+    for a in (rows, left_div_rows, row_classes):
+        a.setflags(write=False)
+    return RightQuasigroup(order=n, class_table=rows, class_left_div=left_div_rows,
+                           classes=row_classes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,30 +364,25 @@ class ApproxRepCertificate:
     max_residual: float
 
 
-def _recount_representatives(keys: np.ndarray, ld_t: np.ndarray):
+def _recount_representatives(keys: np.ndarray, classes: np.ndarray):
     """Group the labels k whose recounts are provably identical.
 
     A label's residual row depends only on its matrix bits (``keys[k]``) and
-    its left-division column.  Each label is paired with the first label of
-    equal key bits and shares its recount when their left-division columns
-    agree too; otherwise (a hand-made or tampered table) it is counted on its
-    own.  Returns (rep_for, key_id, first): ``rep_for[k]`` is the label whose
-    recount k shares, ``key_id[k]`` numbers the distinct keys and ``first[u]``
-    is the first label with key u.
+    its left-division column, which labels of one class share by
+    construction.  Labels are grouped by (key bits, class); labels of equal
+    bits but different classes are counted apart.  Returns (reps,
+    rep_index, key_id, first): ``reps`` holds the first label of each group
+    in ascending order, ``rep_index[k]`` the group of label k, ``key_id[k]``
+    numbers the distinct keys and ``first[u]`` is the first label with key u.
     """
-    n = len(keys)
-    flat = np.ascontiguousarray(keys).reshape(n, -1)
-    bits = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))).ravel()
-    _, first, key_id = np.unique(bits, return_index=True, return_inverse=True)
-    cand = first[key_id]
-    same = np.empty(n, dtype=bool)
-    step = max(1, COMPARE_CHUNK // n)
-    for k0 in range(0, n, step):
-        same[k0:k0 + step] = (ld_t[k0:k0 + step] == ld_t[cand[k0:k0 + step]]).all(axis=1)
-    return np.where(same, cand, np.arange(n)), key_id, first
+    first, key_id = _distinct_rows(keys)
+    groups = key_id.astype(np.int64) * (int(classes.max()) + 1) + classes
+    _, group_first, group = np.unique(groups, return_index=True, return_inverse=True)
+    reps, rep_index = np.unique(group_first[group.ravel()], return_inverse=True)
+    return reps, rep_index.ravel(), key_id, first
 
 
-def _quaternion_recount(quats, ld_t, reps, key_id, first, eta: float):
+def _quaternion_recount(quats, q: RightQuasigroup, reps, key_id, first, eta: float):
     """Violation counts and worst residual of each representative k, in quaternions.
 
     The products q_u q_k are formed once per distinct quaternion u and
@@ -349,7 +400,8 @@ def _quaternion_recount(quats, ld_t, reps, key_id, first, eta: float):
     for k0 in range(0, len(reps), chunk):
         sel = reps[k0:k0 + chunk]
         prods = quaternion_product(distinct, quats[sel, None, :]).reshape(-1, 4)
-        diff = np.take(prods, key_id[ld_t[sel]] + (n_keys * np.arange(len(sel)))[:, None], axis=0)
+        ld = q.class_left_div[q.classes[sel]]
+        diff = np.take(prods, key_id[ld] + (n_keys * np.arange(len(sel)))[:, None], axis=0)
         diff -= quats[None, :, :]
         sq = np.einsum("kjc,kjc->kj", diff, diff)
         rep_counts[k0:k0 + chunk] = np.count_nonzero(sq >= eta_sq, axis=1)
@@ -357,12 +409,12 @@ def _quaternion_recount(quats, ld_t, reps, key_id, first, eta: float):
     return rep_counts, math.sqrt(max_sq)
 
 
-def _svd_recount(mats, ld_t, reps, eta: float):
+def _svd_recount(mats, q: RightQuasigroup, reps, eta: float):
     """Violation counts and worst residual of each representative k, by singular values."""
     rep_counts = np.empty(len(reps), dtype=np.int64)
     max_residual = 0.0
     for i, k in enumerate(reps):
-        residual = operator_norms(mats[ld_t[k]] @ mats[k] - mats)
+        residual = operator_norms(mats[q.ldiv_column(k)] @ mats[k] - mats)
         rep_counts[i] = np.count_nonzero(residual >= eta)
         max_residual = max(max_residual, float(residual.max()))
     return rep_counts, max_residual
@@ -375,7 +427,7 @@ def certify_approx_rep(matrices, quasigroup: RightQuasigroup, eta: float) -> App
     where the operator-norm residual is a Euclidean distance; everything else
     goes through singular values.  Both routes evaluate all n residuals of
     one representative per group of labels with identical recounts (equal
-    matrix bits and left-division columns) and broadcast its count.
+    matrix bits and class) and broadcast its count.
     """
     mats = np.asarray(matrices, dtype=complex)
     n = quasigroup.order
@@ -386,14 +438,13 @@ def certify_approx_rep(matrices, quasigroup: RightQuasigroup, eta: float) -> App
         raise DimensionMismatch(f"eta must be positive, got {eta}")
     from .qgbuilder import su2_quaternions
 
-    ld_t = np.ascontiguousarray(quasigroup.left_div.T)
     quats = su2_quaternions(mats) if mats.shape[1] == 2 else None
-    rep_for, key_id, first = _recount_representatives(mats if quats is None else quats, ld_t)
-    reps, rep_index = np.unique(rep_for, return_inverse=True)
+    reps, rep_index, key_id, first = _recount_representatives(
+        mats if quats is None else quats, quasigroup.classes)
     if quats is not None:
-        rep_counts, max_residual = _quaternion_recount(quats, ld_t, reps, key_id, first, eta)
+        rep_counts, max_residual = _quaternion_recount(quats, quasigroup, reps, key_id, first, eta)
     else:
-        rep_counts, max_residual = _svd_recount(mats, ld_t, reps, eta)
+        rep_counts, max_residual = _svd_recount(mats, quasigroup, reps, eta)
     counts = rep_counts[rep_index]
     counts.setflags(write=False)
     return ApproxRepCertificate(

@@ -103,7 +103,7 @@ class QuasigroupProtocolSpec:
         vdag = mats[ls].conj().transpose(0, 2, 1)
         out = np.zeros((len(ls), d_a, d_b, d_a, d_b), dtype=complex)
         for i in range(d_a):
-            out[:, i, :, i, :] = (vdag @ mats[self.quasigroup.table[ls, self.term_map[i]]]
+            out[:, i, :, i, :] = (vdag @ mats[self.quasigroup.column(self.term_map[i])[ls]]
                                   if i < self.n_terms else np.eye(d_b))
         return out.reshape(len(ls), d_a * d_b, d_a * d_b)
 
@@ -137,7 +137,7 @@ def left_div_permutation(quasigroup: RightQuasigroup, k: int) -> np.ndarray:
     """Permutation gate |j> -> |l(j,k)| on the ancilla; columns are left-division rows."""
     n = quasigroup.order
     out = np.zeros((n, n), dtype=complex)
-    out[quasigroup.left_div[:, k], np.arange(n)] = 1.0
+    out[quasigroup.ldiv_column(k), np.arange(n)] = 1.0
     return out
 
 
@@ -148,10 +148,10 @@ def correction_phases(spec: QuasigroupProtocolSpec, outcome_l, outcome_m) -> np.
     ``broadcast(l, m).shape + (d_a,)``.  Control states without a term get phase 1.
     """
     n = spec.order
-    ls, ms = np.asarray(outcome_l)[..., None], np.asarray(outcome_m)[..., None]
-    prods = spec.quasigroup.table[ls, list(spec.term_map)]
-    out = np.ones(np.broadcast_shapes(ls.shape, ms.shape)[:-1] + (spec.d_a,), dtype=complex)
-    out[..., :spec.n_terms] = np.exp(-2j * np.pi * ((ms * prods) % n) / n)
+    ls, ms = np.asarray(outcome_l), np.asarray(outcome_m)
+    prods = np.stack([spec.quasigroup.column(k) for k in spec.term_map], axis=1)[ls]
+    out = np.ones(np.broadcast_shapes(ls.shape, ms.shape) + (spec.d_a,), dtype=complex)
+    out[..., :spec.n_terms] = np.exp(-2j * np.pi * ((ms[..., None] * prods) % n) / n)
     return out
 
 
@@ -248,7 +248,7 @@ def residual_table(spec: QuasigroupProtocolSpec) -> ResidualTable:
     norms = np.empty((len(ks), n))
     for t, k in enumerate(ks):
         prods = np.einsum("lab,lbc->lac", mats.conj().transpose(0, 2, 1),
-                          mats[spec.quasigroup.table[:, k]])
+                          mats[spec.quasigroup.column(k)])
         out[t] = prods - mats[k]
         norms[t] = operator_norms(out[t])
     if norms.max() > RESIDUAL_CAP:

@@ -202,7 +202,7 @@ def _verify_table_and_net(table, net_doc: dict):
     with ``--cap`` above the default verifies without a flag.
     """
     try:
-        quasigroup = right_quasigroup_from_table(np.asarray(table, dtype=np.int64))
+        quasigroup = right_quasigroup_from_table(table)
     except (NotRightQuasigroup, DimensionMismatch) as exc:
         _fail("axioms", str(exc))
         return None
@@ -229,7 +229,7 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
     print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
     geom = FamilyGeometry(net)
     sizes = _matching_pass(geom, doc["eta"], want_columns=False, reject_above=None)[0]
-    matched = np.array([sizes[c] for c in range(geom.n_classes)])[geom.classes]
+    matched = sizes[geom.classes]
     if not np.array_equal(np.asarray(doc["matched_counts"]), matched):
         return _fail("matching", "stored matched_counts differ from the recomputed matching sizes")
     delta_matching = (n - int(matched.min())) / n

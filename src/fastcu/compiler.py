@@ -346,7 +346,7 @@ def target_gap(blocks: np.ndarray, spec: QuasigroupProtocolSpec) -> float:
     mats_dag = mats.conj().transpose(0, 2, 1)
     gap = 0.0
     for w, k in zip(blocks, spec.term_map):
-        branch_blocks = np.einsum("lab,lbc->lac", mats_dag, mats[spec.quasigroup.table[:, k]])
+        branch_blocks = np.einsum("lab,lbc->lac", mats_dag, mats[spec.quasigroup.column(k)])
         gap = max(gap, averaged_residual_gap(w[None] - branch_blocks))
     return gap
 

@@ -40,6 +40,7 @@ from .algebra import (
     ApproxRepCertificate,
     RightQuasigroup,
     certify_approx_rep,
+    index_dtype,
     quasigroup_from_transposed,
 )
 from .errors import AxiomViolation, DimensionMismatch, TooLarge
@@ -388,7 +389,13 @@ class BuiltQuasigroup:
         return float((self.quasigroup.order - self.matched_counts.min()) / self.quasigroup.order)
 
 
-def _process_seed_class(geom: FamilyGeometry, eta: float, cls: int, want_columns: bool):
+def _process_seed_class(geom: FamilyGeometry, eta: float, cls: int, sizes: np.ndarray,
+                        columns: np.ndarray | None):
+    """Solve the flow of seed class ``cls`` and fill in its orbit's unsized members.
+
+    Returns (size, boundary, members); with ``columns`` given, row ``member``
+    receives the completed column of every member.
+    """
     rep = int(geom.class_reps[cls])
     lefts, rights, dists = geom.candidate_edges(rep, radius=eta + 10 * EDGE_GUARD)
     keep = dists < (eta - EDGE_GUARD)
@@ -397,17 +404,17 @@ def _process_seed_class(geom: FamilyGeometry, eta: float, cls: int, want_columns
     # label pairs within EDGE_GUARD of eta, dropped as non-edges
     boundary = int(np.sum(counts[lefts[on_edge]] * counts[rights[on_edge]]))
     size, flows = _solve_class_flow(geom, lefts[keep], rights[keep])
-    orbit = geom.orbit_of(cls)
-    if not want_columns:
-        return size, boundary, dict.fromkeys(orbit)
-    seed = _expand_column(geom, *flows)
-    # the expansion matches the first (outgoing flow) labels of each left class
-    outflow = np.bincount(flows[0], weights=flows[2], minlength=geom.n_classes)
-    matched = np.flatnonzero(geom.label_rank < outflow[geom.classes])
-    per_member = {member: seed if member == cls else
-                  _transport_column(matched, seed[matched], transport, geom.n)
-                  for member, transport in orbit.items()}
-    return size, boundary, per_member
+    orbit = {member: transport for member, transport in geom.orbit_of(cls).items()
+             if sizes[member] < 0}
+    if columns is not None:
+        seed = _expand_column(geom, *flows)
+        # the expansion matches the first (outgoing flow) labels of each left class
+        outflow = np.bincount(flows[0], weights=flows[2], minlength=geom.n_classes)
+        matched = np.flatnonzero(geom.label_rank < outflow[geom.classes])
+        for member, transport in orbit.items():
+            columns[member] = seed if member == cls else \
+                _transport_column(matched, seed[matched], transport, geom.n)
+    return size, boundary, orbit
 
 
 def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
@@ -416,24 +423,23 @@ def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
 
     One flow solve covers a whole symmetry orbit of classes, seeded by its
     lowest class.  Returns (sizes, columns, boundary_total, worst_frac,
-    complete); an early bail on ``reject_above`` leaves the pass incomplete.
+    complete): ``sizes[c]`` is class c's matching size, and ``columns`` (None
+    unless wanted) is the class_table of the build, row c the completed
+    column of class c in the table's index type.  An early bail on
+    ``reject_above`` leaves the pass incomplete, with unsized classes at -1.
     """
     n = geom.n
-    sizes: dict[int, int] = {}
-    columns: dict[int, np.ndarray] = {}
+    sizes = np.full(geom.n_classes, -1, dtype=np.int64)
+    columns = np.empty((geom.n_classes, n), dtype=index_dtype(n)) if want_columns else None
     boundary_total = 0
     worst = 0.0
     for cls in range(geom.n_classes):
-        if cls in sizes:
+        if sizes[cls] >= 0:
             continue
-        size, boundary, per_member = _process_seed_class(geom, eta, cls, want_columns)
-        for member, column in per_member.items():
-            if member in sizes:
-                continue
+        size, boundary, orbit = _process_seed_class(geom, eta, cls, sizes, columns)
+        for member in orbit:
             sizes[member] = size
             boundary_total += boundary * int(geom.class_counts[member])
-            if column is not None:
-                columns[member] = column
         worst = max(worst, (n - size) / n)
         if reject_above is not None and worst > reject_above:
             return sizes, columns, boundary_total, worst, False
@@ -443,16 +449,10 @@ def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
 def _finish_build(geom: FamilyGeometry, eta: float, sizes, columns,
                   boundary_total: int) -> BuiltQuasigroup:
     net, n = geom.net, geom.n
-    dtype = np.int16 if n < 2 ** 15 else np.int32
-    col_matrix = np.empty((geom.n_classes, n), dtype=dtype)
-    size_by_class = np.empty(geom.n_classes, dtype=np.int64)
-    for cls, col in columns.items():
-        col_matrix[cls] = col
-        size_by_class[cls] = sizes[cls]
-    matched_counts = size_by_class[geom.classes]
+    matched_counts = sizes[geom.classes]
     try:
-        # row k of the transposed table is column k of the table, the column of k's class
-        quasigroup = quasigroup_from_transposed(col_matrix, geom.classes)
+        # the class columns become the class rows of the quasigroup as they are
+        quasigroup = quasigroup_from_transposed(columns, geom.classes)
     except Exception as exc:  # pragma: no cover - permutation columns by construction
         raise AxiomViolation(f"assembled table failed validation: {exc}") from exc
     certificate = certify_approx_rep(net.matrices, quasigroup, eta)

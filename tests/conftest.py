@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,18 @@ def random_right_quasigroup(n: int, rng: np.random.Generator) -> algebra.RightQu
     """Independent column permutations make a valid table by definition."""
     table = np.stack([rng.permutation(n) for _ in range(n)], axis=1)
     return algebra.right_quasigroup_from_table(table)
+
+
+def traced_memory(call):
+    """(result, peak bytes, kept bytes) of ``call()``, as tracemalloc sees them.
+
+    numpy reports its array buffers to tracemalloc, so the peak and the bytes
+    still held when the call returns (with its result alive) cover the tables.
+    """
+    tracemalloc.start()
+    try:
+        out = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, kept

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -136,6 +138,56 @@ def test_class_rows_bad_row_names_first_label():
         algebra.quasigroup_from_transposed(rows, np.array([0, 0, 1, 1]))
     with pytest.raises(DimensionMismatch):
         algebra.quasigroup_from_transposed(rows, np.array([0, 0, 2, 1]))
+
+
+def test_table_entries_must_be_integers():
+    with pytest.raises(DimensionMismatch, match="integers"):
+        algebra.right_quasigroup_from_table([[0.7, 1.2], [1.0, 0.0]])
+    with pytest.raises(DimensionMismatch, match="integers"):
+        algebra.right_quasigroup_from_table([[0.0, np.nan], [1.0, 0.0]])
+    with pytest.raises(DimensionMismatch, match="integers"):
+        algebra.right_quasigroup_from_table(np.array([[False, True], [True, False]]))
+    with pytest.raises(DimensionMismatch, match="0..1"):
+        algebra.right_quasigroup_from_table([[0.0, np.inf], [1.0, 0.0]])
+    # integral floats are still indices
+    q = algebra.right_quasigroup_from_table([[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(q.table, [[0, 1], [1, 0]])
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 24), n_rows=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_class_form_matches_the_gathered_table(n, n_rows, seed, data):
+    rng = np.random.default_rng(seed)
+    rows = np.stack([rng.permutation(n) for _ in range(n_rows)])
+    classes = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n)))
+    q = algebra.quasigroup_from_transposed(rows, classes)
+    table = rows[classes].T
+    ref = algebra.right_quasigroup_from_table(table)
+    for name in ("table", "left_div"):
+        got = getattr(q, name)
+        assert got.dtype == getattr(ref, name).dtype
+        assert np.array_equal(got, getattr(ref, name))
+        assert not got.flags.writeable
+    assert np.array_equal(q.table, table)
+    for k in range(n):
+        for got, want in ((q.column(k), ref.table[:, k]), (q.ldiv_column(k), ref.left_div[:, k])):
+            assert np.array_equal(got, want) and got.ndim == 1 and not got.flags.writeable
+        for y in range(n):
+            assert q.mul(y, k) == ref.mul(y, k) == table[y, k]
+            assert q.ldiv(y, k) == ref.ldiv(y, k)
+    # the reference keeps one class per distinct column
+    assert len(ref.class_table) == len(np.unique(table.T, axis=0))
+    tampered = table.copy()
+    assert dataclasses.replace(q, table=tampered).table is tampered
+
+    bad = data.draw(st.integers(0, n_rows - 1))
+    if n > 1 and bad in classes:
+        broken = rows.copy()
+        broken[bad, 0] = broken[bad, 1]
+        first = int(np.flatnonzero(classes == bad)[0])
+        with pytest.raises(NotRightQuasigroup, match=f"column {first} "):
+            algebra.quasigroup_from_transposed(broken, classes)
 
 
 @settings(deadline=None, max_examples=40)

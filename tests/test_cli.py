@@ -52,6 +52,17 @@ def test_qg_build_verify_roundtrip_and_corruption(tmp_path, capsys):
     doc["table"][0][3], doc["table"][1][3] = doc["table"][1][3], doc["table"][0][3]
 
 
+def test_verify_rejects_non_integer_table_entries(tmp_path, capsys):
+    out = tmp_path / "qg.json"
+    assert cli.main(["qg-build", "--m", "1", "--eta", "1.1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["table"][0][0] += 0.75      # truncates back to the original entry
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 1
+    assert "FAIL axioms: table entries must be integers" in capsys.readouterr().out
+
+
 def test_qg_build_verify_rejects_lowered_delta(tmp_path, capsys):
     out = tmp_path / "qg.json"
     assert cli.main(["qg-build", "--m", "1", "--eta", "0.8", "--out", str(out)]) == 0

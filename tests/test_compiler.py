@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import traced_memory
 from fastcu import algebra, demos, net, qsim
 from fastcu.approx_protocol import dilation_pair
 from fastcu.compiler import (
@@ -101,6 +102,22 @@ def test_compile_seeded_targets_loose():
     assert report.gap_target_plan == pytest.approx(tu, abs=1e-10)
     assert report.gap_plan_actual == pytest.approx(uv, abs=1e-10)
     assert tv <= tu + uv + 1e-10
+
+
+def test_compile_m4_memory_stays_below_the_dense_tables():
+    """The seed-0 compile at targets (0.6, 0.3, 0.4) lands at m = 4, n = 2592.
+
+    Bounds: peak below two int16 n x n tables, kept below one.  With both
+    dense tables stored, the compile peaked at 50.5 MiB and kept 26.4 MiB.
+    """
+    rng = np.random.default_rng(0)
+    target = normalize_su(np.stack([qsim.haar_unitary(2, rng) for _ in range(3)]))
+    result, peak, kept = traced_memory(
+        lambda: compile_target(target, CompileTargets(0.6, 0.3, 0.4)))
+    n = result.plan.built.quasigroup.order
+    assert result.plan.m == 4 and n == 2592
+    assert peak < 2 * n * n * 2
+    assert kept < n * n * 2
 
 
 def test_compile_epsilon_mode():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from conftest import random_right_quasigroup
+from conftest import random_right_quasigroup, traced_memory
 from fastcu import algebra, net, qgbuilder, qsim
 from fastcu.errors import TooLarge
 
@@ -122,6 +122,20 @@ def test_class_level_finish_equals_full_validation(net_m2, eta):
     assert np.array_equal(q.left_div, ref.left_div)
     geom = qgbuilder.FamilyGeometry(net_m2)
     assert np.array_equal(q.table.T, q.table.T[geom.class_reps][geom.classes])
+
+
+def test_assemble_m4_keeps_class_rows_not_tables():
+    """An m = 4 build (n = 2592, 781 classes) never holds an n x n table.
+
+    Bounds: peak below two int16 n x n tables, kept below one.  With both
+    dense tables stored, the build peaked at 49.9 MiB and kept 25.7 MiB.
+    """
+    fam = net.build_net(2, 4)
+    n = fam.size
+    built, peak, kept = traced_memory(lambda: qgbuilder.assemble_quasigroup(fam, 0.8))
+    assert built.quasigroup.class_table.shape == (781, n)
+    assert peak < 2 * n * n * 2
+    assert kept < n * n * 2
 
 
 def test_assemble_vacuous_threshold_is_exact(net_m1):
@@ -349,19 +363,27 @@ def test_symmetry_orbits_transport_candidate_edges(net_m2):
             assert geom.class_counts[member] == geom.class_counts[cls]
 
 
-def _record_partials(monkeypatch) -> dict[int, np.ndarray]:
-    """Patch the completion step to keep each column's matched part, keyed by id(column)."""
-    partials: dict[int, np.ndarray] = {}
+def _record_partials(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Patch the completion step to keep every (completed column, matched part) pair."""
+    records: list[tuple[np.ndarray, np.ndarray]] = []
     complete = qgbuilder._complete_permutation
 
     def recording(column):
         partial = column.copy()
         out = complete(column)
-        partials[id(out)] = partial
+        records.append((out.copy(), partial))
         return out
 
     monkeypatch.setattr(qgbuilder, "_complete_permutation", recording)
-    return partials
+    return records
+
+
+def _matched_labels(records, column) -> np.ndarray:
+    """Matched labels of the recorded completions that produced ``column``; they must agree."""
+    found = {tuple(np.flatnonzero(partial >= 0)) for out, partial in records
+             if np.array_equal(out, column)}
+    assert len(found) == 1
+    return np.array(found.pop(), dtype=np.int64)
 
 
 @pytest.mark.parametrize("m, etas, every", [(2, (0.39, 0.6, 0.8, 1.2), 1), (3, (0.39, 0.8), 5)],
@@ -373,12 +395,14 @@ def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, ever
     for sigma, labels in zip(geom.relabels, geom.label_maps):
         for c in range(geom.n_classes):
             assert np.array_equal(labels[geom.labels_of(c)], geom.labels_of(int(sigma[c])))
-    partials = _record_partials(monkeypatch)
+    records = _record_partials(monkeypatch)
     ncl = geom.n_classes
     checked = transposed = 0
     for eta in etas:
+        records.clear()
         sizes, columns, _, worst, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
                                                                reject_above=None)
+        pass_records = list(records)
         assert len(columns) == ncl
         if eta < 0.4:
             assert worst > 0          # an imperfect matching leaves completion pairs
@@ -396,8 +420,8 @@ def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, ever
                 # reference: expand the member's own transported flow
                 want = qgbuilder._expand_column(geom, *geom.transport_edges(fl, fr, transport), fv)
                 got = columns[member]
-                matched = np.flatnonzero(partials[id(got)] >= 0)
-                assert np.array_equal(matched, np.flatnonzero(partials[id(want)] >= 0))
+                matched = _matched_labels(pass_records, got)
+                assert np.array_equal(matched, np.flatnonzero(records[-1][1] >= 0))
                 assert len(matched) == sizes[member]
                 free = np.setdiff1d(np.arange(geom.n), matched)
                 assert np.array_equal(got[free], want[free])          # completion pairs
