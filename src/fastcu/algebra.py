@@ -35,6 +35,10 @@ def index_dtype(n: int):
 
 
 def _as_index_table(table, *, copy: bool = True, square: bool = True) -> np.ndarray:
+    # numpy reads a list mixing bools and ints as ints, so a JSON true would pass as 1
+    if isinstance(table, (list, tuple)) and any(
+            isinstance(row, (list, tuple)) and bool in map(type, row) for row in table):
+        raise DimensionMismatch("table entries must be integers, got a boolean")
     t = np.asarray(table)
     if t.dtype == bool or not (np.issubdtype(t.dtype, np.integer)
                                or np.issubdtype(t.dtype, np.floating)):
@@ -208,7 +212,7 @@ class RightQuasigroup:
 
 def right_quasigroup_from_table(table) -> RightQuasigroup:
     """Validate each column as a permutation and left-divide it; equal columns share a class."""
-    rows = _as_index_table(np.asarray(table).T, copy=False)
+    rows = _as_index_table(table, copy=False).T
     first, classes = _distinct_rows(rows)
     return quasigroup_from_transposed(rows[first], classes)
 

@@ -16,9 +16,15 @@ import numpy as np
 
 from .algebra import ProjectiveRep, RightQuasigroup
 from .errors import DimensionMismatch, UnsupportedInput
-from .exact_protocol import OneRoundBlocks, check_support, one_round_circuit
+from .exact_protocol import (
+    OneRoundBlocks,
+    check_support,
+    correction_phases,
+    correction_steps,
+    one_round_circuit,
+    run_one_round,
+)
 from .qsim import (
-    BranchRows,
     Branches,
     PureState,
     RegisterLayout,
@@ -141,36 +147,19 @@ def left_div_permutation(quasigroup: RightQuasigroup, k: int) -> np.ndarray:
     return out
 
 
-def correction_phases(spec: QuasigroupProtocolSpec, outcome_l, outcome_m) -> np.ndarray:
-    """Diagonal of the control-register phase gate for branch (l, m), with term relabeling.
-
-    Outcomes may be integer arrays; they broadcast and the result has shape
-    ``broadcast(l, m).shape + (d_a,)``.  Control states without a term get phase 1.
-    """
-    n = spec.order
-    ls, ms = np.asarray(outcome_l), np.asarray(outcome_m)
-    prods = np.stack([spec.quasigroup.column(k) for k in spec.term_map], axis=1)[ls]
-    out = np.ones(np.broadcast_shapes(ls.shape, ms.shape) + (spec.d_a,), dtype=complex)
-    out[..., :spec.n_terms] = np.exp(-2j * np.pi * ((ms[..., None] * prods) % n) / n)
-    return out
-
-
-def correction_gate_for(spec: QuasigroupProtocolSpec, outcome_l: int, outcome_m: int) -> np.ndarray:
-    """Correction of one branch (l, m) as a diagonal control-register gate."""
-    return np.diag(correction_phases(spec, outcome_l, outcome_m))
-
-
 def build_quasigroup_gates(spec: QuasigroupProtocolSpec) -> OneRoundBlocks:
-    """Block stacks of the quasigroup protocol; the correction undoes V_l."""
-    n = spec.order
-    eye = np.eye(n, dtype=complex)
+    """Block stacks of the quasigroup protocol; the correction undoes V_l.
+
+    Control states past the last term get the identity shift and phase 1.
+    """
+    n, spare = spec.order, spec.d_a - spec.n_terms
+    fourier = fourier_gate(n)
     shifts = [left_div_permutation(spec.quasigroup, k) for k in spec.term_map]
-    shifts += [eye] * (spec.d_a - spec.n_terms)
-    outcomes = np.arange(n)
-    phases = correction_phases(spec, outcomes[:, None], outcomes[None, :])
+    shifts += [np.eye(n, dtype=complex)] * spare
+    products = [spec.quasigroup.column(k) for k in spec.term_map] + [np.full(n, -1)] * spare
     mats = spec.rep.matrices
-    return OneRoundBlocks(shifts=np.stack(shifts), reps=mats, fourier=fourier_gate(n),
-                          phases=phases.reshape(n * n, 1, spec.d_a) * np.eye(spec.d_a),
+    return OneRoundBlocks(shifts=np.stack(shifts), reps=mats, fourier=fourier,
+                          phases=correction_phases(fourier, np.stack(products, axis=1)),
                           undo=mats.conj().transpose(0, 2, 1))
 
 
@@ -178,49 +167,30 @@ def build_quasigroup_gates(spec: QuasigroupProtocolSpec) -> OneRoundBlocks:
 class MeasuredRunRecord:
     """Per-branch results of the measured variant against the branch unitaries."""
 
-    measurement: Branches              # outcomes (l, m) of the ancillas (a, b)
+    branches: Branches                 # outcomes (l, m) of the ancillas (a, b)
     branch_states: dict                # l -> expected PureState
     max_deviation: float
     l_marginals: np.ndarray
     max_branch_distance: float         # diagnostic: worst || target - branch ||_inf
     cost_ebits: float
 
-    @property
-    def branches(self) -> BranchRows:
-        """(outcome_l, outcome_m, probability, PureState) per branch, built on access."""
-        return BranchRows([((), self.measurement)])
-
 
 def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
-                         control: str = "A", target: str = "B",
-                         ancilla_names: tuple[str, str] = ("a", "b")) -> MeasuredRunRecord:
-    """Simulate every branch; branch (l, m) must equal the l-th branch unitary's action.
+                         control: str = "A", target: str = "B") -> MeasuredRunRecord:
+    """Simulate every branch (see ``run_one_round``) against the branch unitaries.
 
-    The outcome-dependent corrections are applied before the one measurement
-    of (a, b), controlled on the ancillas (deferred measurement).
+    Branch (l, m) must equal the l-th branch unitary applied to the input.
     """
-    n = spec.order
     layout = state.layout
-    if layout.dim_of(control) != spec.d_a or layout.dim_of(target) != spec.d_b:
-        raise DimensionMismatch("input registers do not match the protocol spec")
-    for name in ancilla_names:
-        if name in layout.names:
-            raise DimensionMismatch(f"ancilla name {name!r} collides with an input register")
-    check_support(state, control, range(spec.n_terms, spec.d_a))
-
-    blocks = build_quasigroup_gates(spec)
-    full = one_round_circuit(state, blocks, control, target, ancilla_names)
-    full = apply_controlled(full, blocks.phases, ancilla_names, control)
-    full = apply_controlled(full, blocks.undo, ancilla_names[0], target)
-
+    branches = run_one_round(state, build_quasigroup_gates(spec), control, target,
+                             range(spec.n_terms, spec.d_a))
     # row l: the l-th branch unitary applied to the input
     expected = apply_on_rows(state.amps[None], layout, spec.branch_matrices(), (control, target))
-    branches = measure_registers(full, ancilla_names)
     ls = branches.outcomes[:, 0]
     deviations = np.linalg.norm(branches.posts - expected[ls], axis=1)
-    marginals = np.bincount(ls, weights=branches.probabilities, minlength=n)
+    marginals = np.bincount(ls, weights=branches.probabilities, minlength=spec.order)
     states = {l: PureState(layout, row) for l, row in enumerate(expected)}
-    return MeasuredRunRecord(measurement=branches, branch_states=states,
+    return MeasuredRunRecord(branches=branches, branch_states=states,
                              max_deviation=float(deviations.max(initial=0.0)),
                              l_marginals=marginals,
                              max_branch_distance=float(residual_table(spec).norms.max()),
@@ -343,10 +313,10 @@ def shift_register_check(n: int) -> float:
             branches = measure_registers(state, "x")
             if len(branches) != 1:
                 return 2.0
-            s = branches[0].outcome["x"]
+            s, _, post = branches[0]
             if s != (r - l) % n:
                 return 2.0
-            post = apply_on(branches[0].post_state, shift_gate(n, s), "y")
+            post = apply_on(post, shift_gate(n, s), "y")
             ideal = basis_state(RegisterLayout.of(("y", n)), {"y": l})
             worst = max(worst, post.distance(ideal))
     return worst
@@ -368,19 +338,16 @@ class HiddenRunRecord:
     ensemble: UnitaryEnsembleChannel   # one term per branch, so per shared seed
 
     @property
-    def trajectories(self) -> BranchRows:
+    def trajectories(self) -> list[tuple]:
         """(seed_r, outcome_m, outcome_s, weight, PureState) per trajectory, built on access.
 
         Every seed r = 0..N-1 is listed, each with its rows sorted by (m, s).
         """
         n = len(self.ensemble.terms)
-        m, s = self.branches.outcomes.T
-        parts = []
-        for r in range(n):
-            s_r = (s + r) % n
-            order = np.lexsort((s_r, m))
-            parts.append(((r,), self.branches, np.stack([m, s_r], axis=1)[order], order))
-        return BranchRows(parts, divisor=n)
+        rows = list(self.branches)
+        return [row for r in range(n)
+                for row in sorted(((r, m, (s + r) % n, p / n, st) for m, s, p, st in rows),
+                                  key=lambda row: row[1:3])]
 
 
 def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
@@ -430,11 +397,11 @@ def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,
     blocks = build_quasigroup_gates(spec)
     shift_powers = np.stack([shift_gate(n, l) for l in range(n)])
     seed = basis_state(RegisterLayout.of(("x", n), ("y", n)), {"x": 0, "y": 0})
-    full = product_state(one_round_circuit(state, blocks, control, target, ("a", "b")), seed)
-    full = apply_controlled(full, shift_powers, "a", "x")
-    full = apply_controlled(full, shift_powers, "x", "y")
-    full = apply_controlled(full, blocks.phases, ("a", "b"), control)
-    return apply_controlled(full, blocks.undo, "y", target)
+    full = product_state(one_round_circuit(state, blocks, control, target), seed)
+    relay = ((shift_powers, "a", "x"), (shift_powers, "x", "y"))
+    for step in relay + correction_steps(blocks, control, target, "y"):
+        full = apply_controlled(full, *step)
+    return full
 
 
 @dataclass(frozen=True)

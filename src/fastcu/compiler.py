@@ -10,8 +10,7 @@ cost.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,10 +108,6 @@ class CompilationPlan:
     eta: float
     delta_cert: float
 
-    @property
-    def distinct_terms(self) -> int:
-        return len(set(self.assignment))
-
 
 @dataclass(frozen=True, eq=False)
 class ScanTracePoint:
@@ -146,7 +141,6 @@ class CompilationReport:
     delta_cert: float
     m: int | None
     asymptotic_note: str
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +165,7 @@ def _eta_grid(zeta: float, eta_budget: float) -> list[float]:
 
 
 def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
-                   cap: int = DEFAULT_CAP, net_override: NetFamily | None = None,
-                   d_a: int = 0) -> CompileResult:
+                   cap: int = DEFAULT_CAP, net_override: NetFamily | None = None) -> CompileResult:
     """Search degrees m = 1, 2, ... for a plan meeting the targets.
 
     For each degree the block approximations fix zeta; the threshold grid is
@@ -180,11 +173,9 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
     monotone, so the largest threshold is accepted or the degree is hopeless).
     Raises BudgetExhausted with the best attempt when the cap is hit.
     """
-    t_start = time.perf_counter()
     d = target.d_b
     trace: list[ScanTracePoint] = []
     best: dict | None = None
-    timings: dict[str, float] = {}
 
     degrees: list[tuple[int | None, NetFamily | None]]
     if net_override is not None:
@@ -197,15 +188,11 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
             if net_size(d, m) > cap:
                 note = f"degree {m} needs {net_size(d, m)} elements, over the cap {cap}"
                 raise BudgetExhausted(note, best=best)
-            t0 = time.perf_counter()
             fam = build_net(d, m, cap=cap)
-            timings[f"net_m{m}"] = time.perf_counter() - t0
         else:
             fam = ready_net
 
-        t0 = time.perf_counter()
         nearest = [nearest_in_net(w, fam) for w in target.blocks]
-        timings[f"nearest_m{m}"] = time.perf_counter() - t0
         zetas = tuple(r.zeta for r in nearest)
         zeta = max(zetas)
         cost = math.log2(fam.size)
@@ -240,9 +227,7 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
                     continue
             else:
                 reject_above = targets.delta
-            t0 = time.perf_counter()
             candidate, worst = assemble_or_reject(fam, eta, reject_above)
-            timings[f"assemble_m{m}_eta{eta:.4f}"] = time.perf_counter() - t0
             ok = candidate is not None
             trace.append(ScanTracePoint(m=m or 0, eta=float(eta), delta=worst,
                                         zeta=zeta, cost_ebits=cost, accepted=ok,
@@ -268,11 +253,8 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
             quasigroup=built.quasigroup,
             rep=ordinary_rep(built.quasigroup, fam.matrices),
             term_map=assignment,
-            d_a=max(d_a, len(assignment)),
         )
         report = error_budget(target, plan, spec)
-        report.timings.update(timings)
-        report.timings["total"] = time.perf_counter() - t_start
         return CompileResult(target=target, plan=plan, spec=spec, report=report,
                              scan_trace=tuple(trace))
 

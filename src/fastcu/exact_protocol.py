@@ -21,7 +21,6 @@ from .errors import (
     UnsupportedInput,
 )
 from .qsim import (
-    BranchRows,
     Branches,
     PureState,
     apply_controlled,
@@ -39,6 +38,7 @@ from .qsim import (
 
 SUPPORT_TOL = 1e-12
 FLAT_ENTRY_TOL = 1e-10
+ANCILLAS = ("a", "b")      # the entangled pair's halves: Alice's a, Bob's b
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,46 +108,30 @@ def shift_gate_for(cgu: ControlledGroupUnitary, k: int) -> np.ndarray:
     return out
 
 
-def correction_phases(cgu: ControlledGroupUnitary, outcome_l, outcome_m,
-                      fourier: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal of the control-register gate cancelling the Fourier phase of branch (l, m).
+def correction_phases(fourier: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Diagonal control-register gates of every branch (l, m), as an (N*N, d_a, d_a) stack.
 
-    For any flat unitary in place of the Fourier gate (all entries of modulus
-    1/sqrt(N)), the cancelling phase is the conjugated, rescaled entry at
-    (m, l*k); with the standard Fourier gate this is exp(-2*pi*i*m*(l*k)/N).
-    Outcomes may be integer arrays; they broadcast and the result has shape
-    ``broadcast(l, m).shape + (d_a,)``.  Unsupported labels get phase 1.
+    ``products[l, i]`` is l*k for the term label k of control state i, or -1
+    where state i carries no term.  Branch (l, m) puts conj(sqrt(N) F[m, l*k])
+    on state i, which cancels the phase any flat unitary F (all entries of
+    modulus 1/sqrt(N)) left there; with the standard Fourier gate it is
+    exp(-2*pi*i*m*(l*k)/N).  States without a term get phase 1.
     """
-    group = cgu.group
-    n = group.order
-    f = fourier_gate(n) if fourier is None else fourier
-    ls, ms = np.asarray(outcome_l)[..., None], np.asarray(outcome_m)[..., None]
-    active = [i for i, k in enumerate(cgu.labels) if k is not None]
-    out = np.ones(np.broadcast_shapes(ls.shape, ms.shape)[:-1] + (cgu.d_a,), dtype=complex)
-    out[..., active] = np.conj(math.sqrt(n) * f[ms, group.cayley[ls, list(cgu.subset)]])
-    return out
-
-
-def correction_gate_for(cgu: ControlledGroupUnitary, outcome_l: int, outcome_m: int,
-                        fourier: np.ndarray | None = None) -> np.ndarray:
-    """Correction of one branch (l, m) as a diagonal control-register gate."""
-    return np.diag(correction_phases(cgu, outcome_l, outcome_m, fourier))
+    n, d_a = products.shape
+    phases = np.conj(math.sqrt(n) * fourier[np.arange(n)[:, None], products[:, None, :]])
+    phases[:, :, products[0] < 0] = 1.0
+    return phases.reshape(n * n, 1, d_a) * np.eye(d_a)
 
 
 @dataclass(frozen=True, eq=False)
 class ExactRunRecord:
     """All measurement branches of one protocol run against the target state."""
 
-    measurement: Branches     # outcomes (l, m) of the ancillas (a, b)
+    branches: Branches        # outcomes (l, m) of the ancillas (a, b)
     target_state: PureState
     max_deviation: float
     uniformity_error: float
     cost_ebits: float
-
-    @property
-    def branches(self) -> BranchRows:
-        """(outcome_l, outcome_m, probability, PureState) per branch, built on access."""
-        return BranchRows([((), self.measurement)])
 
 
 def check_support(state: PureState, control: str, unsupported) -> None:
@@ -180,20 +164,53 @@ class OneRoundBlocks:
     undo: np.ndarray          # (N, d_b, d_b)
 
 
-def one_round_circuit(state: PureState, blocks: OneRoundBlocks, control: str, target: str,
-                      ancillas: tuple[str, str] = ("a", "b")) -> PureState:
+def one_round_circuit(state: PureState, blocks: OneRoundBlocks, control: str,
+                      target: str) -> PureState:
     """Opening shared by every protocol: entangled pair, both controlled gates, Fourier on b.
 
-    The ancillas are appended after the input registers.  The corrections and
-    the measurement of (a, b) are left to the caller.
+    The ancillas a and b are appended after the input registers.  The
+    corrections and the measurement are left to the caller.
     """
-    anc_a, anc_b = ancillas
-    full = product_state(state, maximally_entangled(blocks.fourier.shape[0], names=ancillas))
+    full = product_state(state, maximally_entangled(blocks.fourier.shape[0], names=ANCILLAS))
     # Alice: shift the a ancilla conditioned on the control register
-    full = apply_controlled(full, blocks.shifts, control, anc_a)
+    full = apply_controlled(full, blocks.shifts, control, "a")
     # Bob: representation matrix on the target conditioned on the b ancilla
-    full = apply_controlled(full, blocks.reps, anc_b, target)
-    return apply_on(full, blocks.fourier, anc_b)
+    full = apply_controlled(full, blocks.reps, "b", target)
+    return apply_on(full, blocks.fourier, "b")
+
+
+def correction_steps(blocks: OneRoundBlocks, control: str, target: str, undo_on: str) -> tuple:
+    """Every branch's corrections as ``apply_controlled`` arguments, run before (a, b) is measured.
+
+    Deferred measurement: the phases are controlled on (a, b), and the undo
+    on ``undo_on``, the ancilla a or any register that holds a copy of its
+    outcome l.  The caller applies them and rebinds its state after each
+    gate, so no earlier state is held while the next one is built.
+    """
+    return (blocks.phases, ANCILLAS, control), (blocks.undo, undo_on, target)
+
+
+def run_one_round(state: PureState, blocks: OneRoundBlocks, control: str, target: str,
+                  unsupported) -> Branches:
+    """Every branch of one protocol round on ``state``, from one measurement of (a, b).
+
+    The input may contain spectator registers, but none named a or b; the
+    protocol touches only ``control``, ``target`` and the two fresh rank-N
+    ancillas.  ``unsupported`` lists the control states that must carry no
+    weight.  Each branch's post state is final: the corrections run before
+    the measurement, controlled on the ancillas.
+    """
+    layout = state.layout
+    for name, dim in ((control, len(blocks.shifts)), (target, blocks.reps.shape[1])):
+        if layout.dim_of(name) != dim:
+            raise DimensionMismatch(f"register {name} has dim {layout.dim_of(name)}, expected {dim}")
+    if set(ANCILLAS) & set(layout.names):
+        raise DimensionMismatch(f"input registers {layout.names} reuse an ancilla name {ANCILLAS}")
+    check_support(state, control, unsupported)
+    full = one_round_circuit(state, blocks, control, target)
+    for step in correction_steps(blocks, control, target, "a"):
+        full = apply_controlled(full, *step)
+    return measure_registers(full, ANCILLAS)
 
 
 def build_exact_gates(cgu: ControlledGroupUnitary,
@@ -203,13 +220,13 @@ def build_exact_gates(cgu: ControlledGroupUnitary,
     The correction of branch (l, m) undoes V_{l^-1}; ``fourier`` defaults to
     the standard Fourier gate.
     """
-    group, n, d_a = cgu.group, cgu.group.order, cgu.d_a
+    group, n = cgu.group, cgu.group.order
     fourier = fourier_gate(n) if fourier is None else fourier
     eye = np.eye(n, dtype=complex)
     shifts = np.stack([eye if k is None else shift_gate_for(cgu, k) for k in cgu.labels])
-    outcomes = np.arange(n)
-    phases = correction_phases(cgu, outcomes[:, None], outcomes[None, :], fourier)
-    phases = phases.reshape(n * n, 1, d_a) * np.eye(d_a)
+    products = np.stack([np.full(n, -1) if k is None else group.cayley[:, k] for k in cgu.labels],
+                        axis=1)
+    phases = correction_phases(fourier, products)
     for name, stack in (("fourier", fourier), ("shift", shifts), ("correction", phases)):
         if not is_unitary(stack):
             raise DimensionMismatch(f"a {name} gate failed the unitarity check")
@@ -219,47 +236,23 @@ def build_exact_gates(cgu: ControlledGroupUnitary,
 
 def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
                        control: str = "A", target: str = "B",
-                       fourier: np.ndarray | None = None,
-                       ancilla_names: tuple[str, str] = ("a", "b")) -> ExactRunRecord:
-    """Simulate every branch of the protocol on the given input state.
+                       fourier: np.ndarray | None = None) -> ExactRunRecord:
+    """Simulate every branch of the protocol on the given input state (see ``run_one_round``).
 
-    The input may contain spectator registers; the protocol touches only
-    ``control``, ``target`` and two fresh rank-N ancillas.  The corrections
-    are applied before the one measurement of (a, b), controlled on the
-    ancillas (deferred measurement).  Each branch's final state is compared
-    against the target unitary applied directly (exact equality, no
-    global-phase allowance).
+    Each branch's final state is compared against the target unitary applied
+    directly (exact equality, no global-phase allowance).
     """
     n = cgu.group.order
-    layout = state.layout
-    if layout.dim_of(control) != cgu.d_a:
-        raise DimensionMismatch(
-            f"register {control} has dim {layout.dim_of(control)}, expected {cgu.d_a}")
-    if layout.dim_of(target) != cgu.d_b:
-        raise DimensionMismatch(
-            f"register {target} has dim {layout.dim_of(target)}, expected {cgu.d_b}")
-    for name in ancilla_names:
-        if name in layout.names:
-            raise DimensionMismatch(f"ancilla name {name!r} collides with an input register")
-    check_support(state, control, [i for i, k in enumerate(cgu.labels) if k is None])
-
-    if fourier is None:
-        fourier = fourier_gate(n)
-    else:
+    if fourier is not None:
         fourier = np.asarray(fourier, dtype=complex)
         if not is_unitary(fourier) or np.max(np.abs(np.abs(fourier) - 1 / math.sqrt(n))) > FLAT_ENTRY_TOL:
             raise DimensionMismatch("replacement Fourier gate must be unitary with flat entries")
-
-    blocks = build_exact_gates(cgu, fourier)
-    full = one_round_circuit(state, blocks, control, target, ancilla_names)
-    full = apply_controlled(full, blocks.phases, ancilla_names, control)
-    full = apply_controlled(full, blocks.undo, ancilla_names[0], target)
-
+    branches = run_one_round(state, build_exact_gates(cgu, fourier), control, target,
+                             [i for i, k in enumerate(cgu.labels) if k is None])
     target_state = apply_on(state, cgu.target_matrix(), (control, target))
-    branches = measure_registers(full, ancilla_names)
     deviations = np.linalg.norm(branches.posts - target_state.amps, axis=1)
     uniformity = np.abs(branches.probabilities - 1.0 / (n * n))
-    return ExactRunRecord(measurement=branches, target_state=target_state,
+    return ExactRunRecord(branches=branches, target_state=target_state,
                           max_deviation=float(deviations.max(initial=0.0)),
                           uniformity_error=float(uniformity.max(initial=0.0)),
                           cost_ebits=cgu.cost_ebits())
@@ -342,12 +335,10 @@ def lift_highrank(h: HighRankControlledUnitary) -> LiftedProtocol:
 
 @dataclass(frozen=True, eq=False)
 class LiftedRunRecord:
-    measurement: Branches     # rank-1 run's branches with post applied to each
+    branches: Branches        # rank-1 run's branches with post applied to each
     target_state: PureState
     max_deviation: float
     cost_ebits: float
-
-    branches = ExactRunRecord.branches   # the same view, over ``measurement``
 
 
 def run_lifted_protocol(lifted: LiftedProtocol, state: PureState,
@@ -368,9 +359,9 @@ def run_lifted_protocol(lifted: LiftedProtocol, state: PureState,
 
     target_state = apply_on(state, h.target_matrix(), (control, target))
     expected = PureState(full_layout, np.kron(target_state.amps, zero_e))
-    exact = record.measurement
+    exact = record.branches
     finals = apply_on_rows(exact.posts, exact.layout, lifted.post, (control, ancilla))
     deviations = np.linalg.norm(finals - expected.amps, axis=1)
-    return LiftedRunRecord(measurement=replace(exact, posts=finals), target_state=expected,
+    return LiftedRunRecord(branches=replace(exact, posts=finals), target_state=expected,
                            max_deviation=float(deviations.max(initial=0.0)),
                            cost_ebits=lifted.cgu.cost_ebits())

@@ -248,15 +248,6 @@ def shift_gate(n: int, step: int = 1) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BranchOutcome:
-    """One measurement branch: outcome per register, its probability, post state."""
-
-    outcome: dict[str, int]
-    probability: float
-    post_state: PureState
-
-
 @dataclass(frozen=True, eq=False)
 class Branches(Sequence):
     """Every kept branch of one measurement, as arrays.
@@ -264,8 +255,8 @@ class Branches(Sequence):
     Row i holds the outcome of each measured register (``outcomes[i]``, in
     ``registers`` order), its probability and its normalised post state on
     ``layout``, the measured registers removed.  All rows pass one batched
-    norm check here.  ``len``, indexing and iteration give
-    :class:`BranchOutcome` records, built when accessed.
+    norm check here.  Indexing and iteration give ``(*outcomes, probability,
+    PureState)`` tuples, built when accessed.
     """
 
     registers: tuple[str, ...]
@@ -290,8 +281,7 @@ class Branches(Sequence):
         rows = range(len(self))[i]      # negative indices, slices and IndexError as for a list
         if isinstance(rows, range):
             return [self[j] for j in rows]
-        return BranchOutcome(dict(zip(self.registers, self.outcomes[rows].tolist())),
-                             float(self.probabilities[rows]), self.state(rows))
+        return (*self.outcomes[rows].tolist(), float(self.probabilities[rows]), self.state(rows))
 
     def state(self, i: int) -> PureState:
         """Post state of branch i; its norm was checked with the whole batch."""
@@ -300,44 +290,6 @@ class Branches(Sequence):
         object.__setattr__(state, "amps", self.posts[i])
         object.__setattr__(state, "normalized", True)
         return state
-
-
-class BranchRows(Sequence):
-    """Read-only ``(*lead, *outcomes, probability / divisor, post state)`` rows.
-
-    ``parts`` pairs a tuple of leading values with a :class:`Branches`
-    record; rows run over the parts in order, and each is built when
-    accessed.  A part may add ``(outcomes, rows)``: its j-th row then reads
-    ``outcomes[j]`` with the probability and post state of branch
-    ``rows[j]``, a relabelled view that copies and re-checks nothing.
-    """
-
-    def __init__(self, parts, divisor: float = 1):
-        self.parts = tuple(p if len(p) == 4 else (*p, p[1].outcomes, np.arange(len(p[1])))
-                           for p in parts)
-        self.divisor = divisor
-        self._ends = np.cumsum([len(rows) for *_, rows in self.parts], dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self._ends[-1]) if len(self._ends) else 0
-
-    def __getitem__(self, i):
-        rows = range(len(self))[i]
-        if isinstance(rows, range):
-            return [self[j] for j in rows]
-        part = int(np.searchsorted(self._ends, rows, side="right"))
-        start = int(self._ends[part - 1]) if part else 0
-        return self._row(*self.parts[part], rows - start)
-
-    def __iter__(self):
-        for part in self.parts:
-            for j in range(len(part[-1])):
-                yield self._row(*part, j)
-
-    def _row(self, lead, branches: Branches, outcomes, rows, j: int) -> tuple:
-        i = int(rows[j])
-        return (*lead, *outcomes[j].tolist(),
-                float(branches.probabilities[i]) / self.divisor, branches.state(i))
 
 
 def measure_registers(state: PureState, registers) -> Branches:

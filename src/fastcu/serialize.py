@@ -18,7 +18,7 @@ from .algebra import (
     right_quasigroup_from_table,
 )
 from .errors import SchemaMismatch
-from .net import NetElementSpec, NetFamily, embed_block, enumerate_words, mixing_bound, net_size, slot_pattern
+from .net import NetFamily, build_net, net_size
 from .qsim import PureState, RegisterLayout
 
 SCHEMA_VERSION = "1"
@@ -128,33 +128,10 @@ def net_from_json(doc: dict) -> NetFamily:
     if len(elements) != net_size(d, m):
         raise SchemaMismatch(
             f"net: {len(elements)} elements but degree {m} in dim {d} needs {net_size(d, m)}")
-    pattern = slot_pattern(d)
-    words, word_mats = enumerate_words(m)
-    word_index = {w.factors: i for i, w in enumerate(words)}
-    mats = np.empty((len(elements), d, d), dtype=complex)
-    specs = []
-    for idx, el in enumerate(elements):
-        slot_ids = []
-        out = np.eye(d, dtype=complex)
-        if len(el["slots"]) != len(pattern):
-            raise SchemaMismatch(f"net: element {idx} has {len(el['slots'])} slots, need {len(pattern)}")
-        for pos, factors in zip(pattern, el["slots"]):
-            key = tuple((int(g), bool(i)) for g, i in factors)
-            if key not in word_index:
-                raise SchemaMismatch(f"net: element {idx} carries an unknown word {key}")
-            w = word_index[key]
-            slot_ids.append(w)
-            if d == 2:
-                out = word_mats[w]
-            else:
-                out = out @ embed_block(word_mats[w], pos, d)
-        if el["inverted"]:
-            out = out.conj().T
-        mats[idx] = out
-        specs.append(NetElementSpec(tuple(slot_ids), bool(el["inverted"])))
-    rebuilt = NetFamily.from_unitaries(mats, d=d)
-    return NetFamily(d=d, matrices=rebuilt.matrices, m=m, words=words,
-                     element_specs=tuple(specs), mixing_bound=mixing_bound(d, m))
+    net = build_net(d, m, cap=net_size(d, m))
+    if elements != net_to_json(net)["elements"]:
+        raise SchemaMismatch(f"net: the elements are not the degree-{m} word family in dim {d}")
+    return net
 
 
 def save_json(doc: dict, path) -> None:

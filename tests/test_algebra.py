@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -152,6 +153,15 @@ def test_table_entries_must_be_integers():
     # integral floats are still indices
     q = algebra.right_quasigroup_from_table([[0.0, 1.0], [1.0, 0.0]])
     assert np.array_equal(q.table, [[0, 1], [1, 0]])
+
+
+def test_boolean_table_entries_are_refused():
+    # numpy would read these mixed lists as ints, a true as 1
+    for table in (json.loads("[[true, 0], [0, 1]]"), [[0, 1], (1, False)]):
+        with pytest.raises(DimensionMismatch, match="boolean"):
+            algebra.right_quasigroup_from_table(table)
+    with pytest.raises(DimensionMismatch, match="boolean"):
+        algebra.group_from_cayley(json.loads("[[0, 1], [1, false]]"))
 
 
 @settings(deadline=None, max_examples=40)

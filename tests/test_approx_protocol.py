@@ -17,7 +17,6 @@ from fastcu.approx_protocol import (
     _hidden_circuit,
     branch_family,
     build_quasigroup_gates,
-    correction_gate_for,
     dilation_error,
     dilation_pair,
     hidden_variant_choi,
@@ -27,7 +26,7 @@ from fastcu.approx_protocol import (
     run_measured_variant,
     shift_register_check,
 )
-from fastcu.errors import UnsupportedInput
+from fastcu.errors import DimensionMismatch, UnsupportedInput
 from fastcu.exact_protocol import ControlledGroupUnitary, one_round_circuit, shift_gate_for
 
 
@@ -272,15 +271,35 @@ def test_hidden_variant_choi_requires_full_support():
         hidden_variant_choi(spec)
 
 
-def test_correction_gate_phases():
-    spec = exact_spec()
+def correction_gate(spec, l, m):
+    """Diagonal control gate of branch (l, m): exp(-2 pi i m (l*k) / N) per term, then 1."""
     n = spec.order
-    for l in range(n):
-        for m in range(n):
-            gate = correction_gate_for(spec, l, m)
-            for i, k in enumerate(spec.term_map):
-                want = np.exp(-2j * np.pi * m * spec.quasigroup.table[l, k] / n)
-                assert gate[i, i] == pytest.approx(want)
+    phases = np.ones(spec.d_a, dtype=complex)
+    for i, k in enumerate(spec.term_map):
+        phases[i] = np.exp(-2j * np.pi * (m * int(spec.quasigroup.column(k)[l]) % n) / n)
+    return np.diag(phases)
+
+
+def test_correction_gate_phases():
+    for spec in (exact_spec(), _spare_control_spec()):
+        n = spec.order
+        phases = build_quasigroup_gates(spec).phases
+        assert phases.shape == (n * n, spec.d_a, spec.d_a)
+        for l in range(n):
+            for m in range(n):
+                assert np.abs(phases[l * n + m] - correction_gate(spec, l, m)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_measured_variant_refuses_input_register_named_like_an_ancilla(name):
+    spec = exact_spec()
+    layout = qsim.RegisterLayout.of(("A", spec.d_a), (name, 3), ("B", spec.d_b))
+    state = qsim.random_pure_state(layout, np.random.default_rng(54))
+    with pytest.raises(DimensionMismatch):
+        run_measured_variant(spec, state)
+    spectator = qsim.PureState(qsim.RegisterLayout.of(("A", spec.d_a), ("S", 3), ("B", spec.d_b)),
+                               state.amps)
+    assert run_measured_variant(spec, spectator).max_deviation <= 1e-9
 
 
 # --------------------------------------------------------------------------- #
@@ -302,11 +321,10 @@ def _opened(spec, state, *extra):
 def measured_reference(spec, state):
     """Measure (a, b), then correct each branch with its own phase gate and V_l^dag."""
     out = []
-    for branch in qsim.measure_registers(_opened(spec, state), ("a", "b")):
-        l, m = branch.outcome["a"], branch.outcome["b"]
-        post = qsim.apply_on(branch.post_state, correction_gate_for(spec, l, m), "A")
+    for l, m, prob, post in qsim.measure_registers(_opened(spec, state), ("a", "b")):
+        post = qsim.apply_on(post, correction_gate(spec, l, m), "A")
         post = qsim.apply_on(post, spec.rep.matrices[l].conj().T, "B")
-        out.append((l, m, branch.probability, post))
+        out.append((l, m, prob, post))
     return out
 
 
@@ -319,16 +337,14 @@ def hidden_reference(spec, state, seed_r):
     full = qsim.apply_on(full, qsim.controlled_gate(n, powers, n), ("a", "x"))
     vdag = qsim.controlled_gate(n, {l: spec.rep.matrices[l].conj().T for l in range(n)}, spec.d_b)
     out = []
-    for b_branch in qsim.measure_registers(full, "b"):
-        m = b_branch.outcome["b"]
-        corr = qsim.controlled_gate(n, {l: correction_gate_for(spec, l, m) for l in range(n)},
+    for m, p_m, b_post in qsim.measure_registers(full, "b"):
+        corr = qsim.controlled_gate(n, {l: correction_gate(spec, l, m) for l in range(n)},
                                     spec.d_a)
-        for x_branch in qsim.measure_registers(b_branch.post_state, "x"):
-            s = x_branch.outcome["x"]
-            st = qsim.apply_on(x_branch.post_state, powers[s], "y")
+        for s, p_s, x_post in qsim.measure_registers(b_post, "x"):
+            st = qsim.apply_on(x_post, powers[s], "y")
             st = qsim.apply_on(st, corr, ("a", "A"))
             st = qsim.apply_on(st, vdag, ("y", "B"))
-            out.append((seed_r, m, s, b_branch.probability * x_branch.probability, st))
+            out.append((seed_r, m, s, p_m * p_s, st))
     return out
 
 
@@ -345,7 +361,7 @@ def hidden_state_reference(spec, state, seed_r):
     powers = {l: np.linalg.matrix_power(qsim.shift_gate(n), l) for l in range(n)}
     full = qsim.apply_on(full, qsim.controlled_gate(n, powers, n), ("a", "x"))
     full = qsim.apply_on(full, qsim.controlled_gate(n, powers, n), ("x", "y"))
-    corr = {l * n + m: correction_gate_for(spec, l, m) for l in range(n) for m in range(n)}
+    corr = {l * n + m: correction_gate(spec, l, m) for l in range(n) for m in range(n)}
     full = qsim.apply_on(full, qsim.controlled_gate(n * n, corr, spec.d_a), ("a", "b", "A"))
     vdag = {l: spec.rep.matrices[l].conj().T for l in range(n)}
     return qsim.apply_on(full, qsim.controlled_gate(n, vdag, spec.d_b), ("y", "B"))
@@ -360,8 +376,8 @@ def per_seed_trajectories(spec, state):
     n = spec.order
     blocks = build_quasigroup_gates(spec)
     powers = np.stack([qsim.shift_gate(n, l) for l in range(n)])
-    opened = one_round_circuit(state, blocks, "A", "B", ("a", "b"))
-    parts = []
+    opened = one_round_circuit(state, blocks, "A", "B")
+    rows = []
     for r in range(n):
         seed = qsim.basis_state(qsim.RegisterLayout.of(("x", n), ("y", n)), {"x": r, "y": r})
         full = qsim.product_state(opened, seed)
@@ -369,8 +385,8 @@ def per_seed_trajectories(spec, state):
         full = qsim.apply_controlled(full, powers, "x", "y")
         full = qsim.apply_controlled(full, blocks.phases, ("a", "b"), "A")
         full = qsim.apply_controlled(full, blocks.undo, "y", "B")
-        parts.append(((r,), qsim.measure_registers(full, ("b", "x"))))
-    return qsim.BranchRows(parts)
+        rows += [(r, *row) for row in qsim.measure_registers(full, ("b", "x"))]
+    return rows
 
 
 def _assert_same_branches(got, want):

@@ -63,6 +63,18 @@ def test_verify_rejects_non_integer_table_entries(tmp_path, capsys):
     assert "FAIL axioms: table entries must be integers" in capsys.readouterr().out
 
 
+def test_verify_rejects_boolean_table_entries(tmp_path, capsys):
+    out = tmp_path / "qg.json"
+    assert cli.main(["qg-build", "--m", "1", "--eta", "1.1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["table"][1][0] == 1
+    doc["table"][1][0] = True       # numpy would read it back as 1
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 1
+    assert "FAIL axioms: table entries must be integers, got a boolean" in capsys.readouterr().out
+
+
 def test_qg_build_verify_rejects_lowered_delta(tmp_path, capsys):
     out = tmp_path / "qg.json"
     assert cli.main(["qg-build", "--m", "1", "--eta", "0.8", "--out", str(out)]) == 0

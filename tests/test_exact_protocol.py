@@ -11,7 +11,6 @@ from fastcu.exact_protocol import (
     ControlledGroupUnitary,
     HighRankControlledUnitary,
     build_exact_gates,
-    correction_gate_for,
     lift_highrank,
     run_exact_protocol,
     run_lifted_protocol,
@@ -65,9 +64,6 @@ def test_gates_all_unitary(klein_pauli):
     assert gates.shifts.shape == (3, 4, 4) and gates.phases.shape == (16, 3, 3)
     for g in [gates.fourier, *gates.shifts, *gates.phases, *gates.undo]:
         assert qsim.is_unitary(g)
-    for l in range(4):
-        for m in range(4):
-            assert np.array_equal(gates.phases[4 * l + m], correction_gate_for(cgu, l, m))
 
 
 def test_missing_factor_system_error(c3_diag):
@@ -148,13 +144,28 @@ def test_alternative_flat_gate_preserves_exactness(klein_pauli):
 
 def test_correction_gate_consistent_with_fourier_entries(klein_pauli):
     group, rep = klein_pauli
+    for labels in [(0, 1, 2, 3), (2, None, 1, 3)]:
+        phases = build_exact_gates(ControlledGroupUnitary(group, rep, labels)).phases
+        for l in range(4):
+            for m in range(4):
+                gate = phases[4 * l + m]
+                assert np.array_equal(gate, np.diag(np.diag(gate)))
+                for i, k in enumerate(labels):
+                    want = 1.0 if k is None else np.exp(-2j * np.pi * m * group.cayley[l, k] / 4)
+                    assert gate[i, i] == pytest.approx(want)
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_input_register_named_like_an_ancilla_is_refused(klein_pauli, name):
+    group, rep = klein_pauli
     cgu = ControlledGroupUnitary.from_subset(group, rep, (0, 1, 2, 3))
-    for l in range(4):
-        for m in range(4):
-            gate = correction_gate_for(cgu, l, m)
-            for i, k in enumerate(cgu.labels):
-                want = np.exp(-2j * np.pi * m * group.cayley[l, k] / 4)
-                assert gate[i, i] == pytest.approx(want)
+    layout = qsim.RegisterLayout.of(("A", 4), ("B", 2), (name, 2))
+    state = qsim.random_pure_state(layout, np.random.default_rng(19))
+    with pytest.raises(DimensionMismatch):
+        run_exact_protocol(cgu, state)
+    # the same register under another name is a spectator
+    spectator = qsim.PureState(qsim.RegisterLayout.of(("A", 4), ("B", 2), ("S", 2)), state.amps)
+    assert run_exact_protocol(cgu, spectator).max_deviation <= 1e-9
 
 
 def test_lift_rank1_reduces_to_plain(klein_pauli):
@@ -252,11 +263,12 @@ def test_exact_protocol_equals_measure_then_correct(klein_pauli, labels, conjuga
     full = qsim.apply_on(full, qsim.controlled_gate(n, reps, cgu.d_b), ("b", "B"))
     full = qsim.apply_on(full, fourier, "b")
     want = []
-    for branch in qsim.measure_registers(full, ("a", "b")):
-        l, m = branch.outcome["a"], branch.outcome["b"]
-        post = qsim.apply_on(branch.post_state, correction_gate_for(cgu, l, m, fourier), "A")
+    for l, m, prob, post in qsim.measure_registers(full, ("a", "b")):
+        # cancel the phase the Fourier gate left on l*k
+        phases = [1.0 if k is None else np.conj(2.0 * fourier[m, group.cayley[l, k]]) for k in labels]
+        post = qsim.apply_on(post, np.diag(phases), "A")
         post = qsim.apply_on(post, rep.matrices[group.inverse[l]], "B")
-        want.append((l, m, branch.probability, post))
+        want.append((l, m, prob, post))
 
     got = run_exact_protocol(cgu, state, fourier=fourier).branches
     assert [g[:2] for g in got] == [w[:2] for w in want]

@@ -149,15 +149,14 @@ def test_measure_enumerates_branches_exactly():
     layout = qsim.RegisterLayout.of(("a", 3), ("b", 2), ("c", 2))
     state = qsim.random_pure_state(layout, rng)
     branches = qsim.measure_registers(state, ("a", "b"))
-    total = sum(b.probability for b in branches)
+    total = sum(p for _, _, p, _ in branches)
     assert total == pytest.approx(1.0, abs=1e-10)
     # brute-force partition of |amp|^2 over the measured indices
     t = np.abs(state.tensor()) ** 2
-    for b in branches:
-        want = t[b.outcome["a"], b.outcome["b"], :].sum()
-        assert b.probability == pytest.approx(want, abs=1e-12)
-        post = state.tensor()[b.outcome["a"], b.outcome["b"], :]
-        assert np.allclose(b.post_state.amps, post / np.linalg.norm(post))
+    for a, b, p, post_state in branches:
+        assert p == pytest.approx(t[a, b, :].sum(), abs=1e-12)
+        post = state.tensor()[a, b, :]
+        assert np.allclose(post_state.amps, post / np.linalg.norm(post))
 
 
 def _listed_branches(state, registers):
@@ -171,15 +170,14 @@ def _listed_branches(state, registers):
     kept = np.flatnonzero(probs > qsim.BRANCH_PROB_FLOOR)
     posts = t[kept] / np.sqrt(probs[kept])[:, None]
     values = np.stack(np.unravel_index(kept, dims), axis=1).tolist()
-    return [qsim.BranchOutcome(dict(zip(registers, v)), p, qsim.PureState(reduced, post))
+    return [(*v, p, qsim.PureState(reduced, post))
             for v, p, post in zip(values, probs[kept].tolist(), posts)]
 
 
 def _same_outcome(got, want):
-    assert got.outcome == want.outcome
-    assert got.probability == want.probability
-    assert got.post_state.layout == want.post_state.layout
-    assert np.array_equal(got.post_state.amps, want.post_state.amps)
+    assert got[:-1] == want[:-1]
+    assert got[-1].layout == want[-1].layout
+    assert np.array_equal(got[-1].amps, want[-1].amps)
 
 
 @settings(deadline=None, max_examples=40)
@@ -240,24 +238,28 @@ def test_branches_reject_rows_off_unit_norm():
         qsim.Branches(("m",), np.array([[0]]), np.array([1.0]), posts[:1, :1], layout)
 
 
-def test_branch_rows_span_parts_in_order():
+def test_branch_rows_are_outcome_probability_state_tuples():
     rng = np.random.default_rng(9)
-    layout = qsim.RegisterLayout.of(("a", 3), ("b", 2))
-    parts = [((r,), qsim.measure_registers(qsim.random_pure_state(layout, rng), "a"))
-             for r in range(3)]
-    first, order = parts[0][1], np.array([2, 0, 1])   # a relabelled, reordered view of part 0
-    relabelled = ((3,), first, (first.outcomes[order] + 1) % 3, order)
-    rows = qsim.BranchRows(parts + [relabelled], divisor=3)
-    flat = [(r, *b.outcome.values(), b.probability / 3, b.post_state)
-            for (r,), branches in parts for b in branches]
-    flat += [(3, (first[i].outcome["a"] + 1) % 3, first[i].probability / 3, first[i].post_state)
-             for i in order]
-    assert len(rows) == len(flat) == 12
-    for got in (list(rows), [rows[i] for i in range(len(rows))], rows[:]):
-        for g, w in zip(got, flat):
-            assert g[:-1] == w[:-1]
-            assert np.array_equal(g[-1].amps, w[-1].amps)
-    assert rows[-1][:-1] == flat[-1][:-1]
+    layout = qsim.RegisterLayout.of(("a", 3), ("b", 2), ("c", 2))
+    branches = qsim.measure_registers(qsim.random_pure_state(layout, rng), ("c", "a"))
+    n = len(branches)
+    assert n == 6
+
+    def row(i):
+        return (*branches.outcomes[i].tolist(), branches.probabilities[i], branches.state(i))
+
+    for got, want in zip([branches[i] for i in range(-n, n)], [row(i % n) for i in range(-n, n)]):
+        assert got[:-1] == want[:-1] and type(got[2]) is float
+        assert got[-1].layout == layout.without(("c", "a"))
+        assert np.array_equal(got[-1].amps, want[-1].amps)
+    for got, want in ((list(branches), range(n)), (branches[:], range(n)),
+                      (branches[-2::-2], range(n)[-2::-2]), (branches[7:], [])):
+        assert len(got) == len(want)
+        for g, i in zip(got, want):
+            assert g[:-1] == row(i)[:-1]
+            assert np.array_equal(g[-1].amps, branches.posts[i])
+    with pytest.raises(IndexError):
+        branches[-n - 1]
 
 
 def test_apply_on_rows_equals_apply_on_per_row():
@@ -283,8 +285,8 @@ def test_measure_deterministic_register_single_branch():
     state = qsim.PureState(layout, amps)
     branches = qsim.measure_registers(state, "a")
     assert len(branches) == 1
-    assert branches[0].outcome == {"a": 0}
-    assert branches[0].probability == pytest.approx(1.0)
+    assert branches[0][0] == 0
+    assert branches[0][1] == pytest.approx(1.0)
 
 
 def test_choi_identity_channel():

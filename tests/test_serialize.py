@@ -79,6 +79,18 @@ def test_net_json_rejects_corruption():
         serialize.net_from_json(doc)
 
 
+def test_net_json_rejects_elements_off_the_word_family():
+    fam = net.build_net(2, 1)
+    doc = serialize.net_to_json(fam)
+    repeated = dict(doc, elements=[doc["elements"][0]] * len(doc["elements"]))
+    swapped = dict(doc, elements=list(doc["elements"]))
+    swapped["elements"][1], swapped["elements"][2] = swapped["elements"][2], swapped["elements"][1]
+    for bad in (repeated, swapped):
+        with pytest.raises(SchemaMismatch):
+            serialize.net_from_json(bad)
+    assert np.array_equal(serialize.net_from_json(doc).matrices, fam.matrices)
+
+
 def test_schema_version_checked():
     with pytest.raises(SchemaMismatch):
         serialize.group_from_json({"schema_version": "999", "order": 1, "cayley": [[0]]})
