@@ -34,10 +34,8 @@ from .qsim import (
     apply_on_rows,
     basis_state,
     choi_matrix,
-    controlled_gate,
     fourier_gate,
     is_unitary,
-    max_hermitian_eigenvalue,
     measure_registers,
     operator_norm,
     operator_norms,
@@ -94,28 +92,42 @@ class QuasigroupProtocolSpec:
 
     def target_matrix(self) -> np.ndarray:
         """Dense control (x) target matrix, identity blocks past the last term."""
-        blocks = {i: self.rep.matrices[k] for i, k in enumerate(self.term_map)}
-        return controlled_gate(self.d_a, blocks, self.d_b)
+        return self.embed_terms(self.term_matrices()[None])[0]
 
-    def branch_matrices(self, outcomes=None) -> np.ndarray:
-        """Branch unitaries of the given ancilla outcomes (all N by default) as a stack.
+    def term_blocks(self, outcomes=None) -> np.ndarray:
+        """Blocks V_l^dag V_{l*k} of the given outcomes l (all N by default) for every term.
 
-        Block i of branch l is V_l^dag V_{l*k} for the i-th term label k,
-        and the identity past the last term.
+        Returns a (len(outcomes), n_terms, d_b, d_b) stack; entry (l, i) is the
+        block that branch l applies in place of V_k, k the i-th term label.
+        The only place the branch blocks are formed.
         """
         mats = self.rep.matrices
         ls = np.arange(self.order) if outcomes is None else np.asarray(outcomes)
+        products = np.stack([self.quasigroup.column(k)[ls] for k in self.term_map], axis=1)
+        return np.einsum("lab,libc->liac", mats[ls].conj().transpose(0, 2, 1), mats[products])
+
+    def branch_matrices(self, outcomes=None) -> np.ndarray:
+        """Branch unitaries of the given ancilla outcomes (all N by default) as a stack."""
+        return self.embed_terms(self.term_blocks(outcomes))
+
+    def embed_terms(self, blocks: np.ndarray) -> np.ndarray:
+        """Block-diagonal control (x) target matrices of a (B, n_terms, d_b, d_b) stack.
+
+        Control state i carries the i-th term block, the identity past the last term.
+        """
         d_a, d_b = self.d_a, self.d_b
-        vdag = mats[ls].conj().transpose(0, 2, 1)
-        out = np.zeros((len(ls), d_a, d_b, d_a, d_b), dtype=complex)
+        out = np.zeros((len(blocks), d_a, d_b, d_a, d_b), dtype=complex)
         for i in range(d_a):
-            out[:, i, :, i, :] = (vdag @ mats[self.quasigroup.column(self.term_map[i])[ls]]
-                                  if i < self.n_terms else np.eye(d_b))
-        return out.reshape(len(ls), d_a * d_b, d_a * d_b)
+            out[:, i, :, i, :] = blocks[:, i] if i < self.n_terms else np.eye(d_b)
+        return out.reshape(len(blocks), d_a * d_b, d_a * d_b)
 
     def branch_matrix(self, outcome_l: int) -> np.ndarray:
         """Unitary actually implemented when the ancilla outcome is l."""
         return self.branch_matrices([outcome_l])[0]
+
+    def term_matrices(self) -> np.ndarray:
+        """The family's block V_k of each term label k, an (n_terms, d_b, d_b) stack."""
+        return self.rep.matrices[list(self.term_map)]
 
     def cost_ebits(self) -> float:
         return math.log2(self.order)
@@ -168,7 +180,6 @@ class MeasuredRunRecord:
     """Per-branch results of the measured variant against the branch unitaries."""
 
     branches: Branches                 # outcomes (l, m) of the ancillas (a, b)
-    branch_states: dict                # l -> expected PureState
     max_deviation: float
     l_marginals: np.ndarray
     max_branch_distance: float         # diagnostic: worst || target - branch ||_inf
@@ -181,60 +192,48 @@ def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
 
     Branch (l, m) must equal the l-th branch unitary applied to the input.
     """
-    layout = state.layout
     branches = run_one_round(state, build_quasigroup_gates(spec), control, target,
                              range(spec.n_terms, spec.d_a))
+    blocks = spec.term_blocks()
     # row l: the l-th branch unitary applied to the input
-    expected = apply_on_rows(state.amps[None], layout, spec.branch_matrices(), (control, target))
+    expected = apply_on_rows(state.amps[None], state.layout, spec.embed_terms(blocks),
+                             (control, target))
     ls = branches.outcomes[:, 0]
     deviations = np.linalg.norm(branches.posts - expected[ls], axis=1)
     marginals = np.bincount(ls, weights=branches.probabilities, minlength=spec.order)
-    states = {l: PureState(layout, row) for l, row in enumerate(expected)}
-    return MeasuredRunRecord(branches=branches, branch_states=states,
+    return MeasuredRunRecord(branches=branches,
                              max_deviation=float(deviations.max(initial=0.0)),
                              l_marginals=marginals,
-                             max_branch_distance=float(residual_table(spec).norms.max()),
+                             max_branch_distance=branch_distance(spec.term_matrices(), blocks),
                              cost_ebits=spec.cost_ebits())
 
 
-@dataclass(frozen=True, eq=False)
-class ResidualTable:
-    """Residuals between shifted-conjugated blocks and the bare blocks.
+def term_gaps(requested: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Dilation gap of each control term between requested blocks and the branch blocks.
 
-    ``matrices[t, l]`` is ``V_l^dag V_{l*k} - V_k`` for the t-th represented
-    label k; every operator norm is at most 2.
+    ``requested[i]`` is the block wanted on term i and ``blocks`` a
+    ``term_blocks`` stack.  With residuals E_li = requested[i] - blocks[l, i],
+    the gap of term i is sqrt(lambda_max((1/N) sum_l E_li^dag E_li)), the exact
+    operator norm of the difference between two dilations that differ by
+    E_li / sqrt(N) in outcome block l; the worst term's gap is the gap of the
+    whole controlled unitary.
     """
-
-    ks: tuple[int, ...]
-    matrices: np.ndarray      # (len(ks), N, d_b, d_b)
-    norms: np.ndarray         # (len(ks), N)
-
-
-def residual_table(spec: QuasigroupProtocolSpec) -> ResidualTable:
-    mats = spec.rep.matrices
-    n = spec.order
-    ks = spec.represented
-    out = np.empty((len(ks), n, spec.d_b, spec.d_b), dtype=complex)
-    norms = np.empty((len(ks), n))
-    for t, k in enumerate(ks):
-        prods = np.einsum("lab,lbc->lac", mats.conj().transpose(0, 2, 1),
-                          mats[spec.quasigroup.column(k)])
-        out[t] = prods - mats[k]
-        norms[t] = operator_norms(out[t])
-    if norms.max() > RESIDUAL_CAP:
-        raise DimensionMismatch(f"residual norm {norms.max():.3f} exceeds the cap of 2")
-    return ResidualTable(ks=ks, matrices=out, norms=norms)
+    residuals = requested[None] - blocks
+    gram = np.einsum("liab,liac->ibc", residuals.conj(), residuals, optimize=True) / len(blocks)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
-def averaged_residual_gap(residuals: np.ndarray) -> float:
-    """Dilation gap of one control term from its per-outcome residuals E_l.
+def branch_distance(requested: np.ndarray, blocks: np.ndarray) -> float:
+    """Largest ||requested[i] - blocks[l, i]||_inf over outcomes l and terms i, at most 2."""
+    worst = float(operator_norms(requested[None] - blocks).max())
+    if worst > RESIDUAL_CAP:
+        raise DimensionMismatch(f"residual norm {worst:.3f} exceeds the cap of 2")
+    return worst
 
-    The gap is sqrt(lambda_max((1/N) sum_l E_l^dag E_l)), the exact operator
-    norm of the difference between two dilations that differ by E_l / sqrt(N)
-    in outcome block l.
-    """
-    h = np.einsum("lab,lac->bc", residuals.conj(), residuals) / residuals.shape[0]
-    return math.sqrt(max(0.0, max_hermitian_eigenvalue(h)))
+
+def dilation_gap_bound(eta: float, delta: float) -> float:
+    """Certified bound sqrt(eta^2 + 4 delta) on the dilation gap of an (eta, delta) family."""
+    return math.sqrt(eta * eta + 4.0 * delta)
 
 
 @dataclass(frozen=True)
@@ -259,11 +258,11 @@ class DilationErrorReport:
 
 
 def dilation_error(spec: QuasigroupProtocolSpec, eta: float, delta_cert: float) -> DilationErrorReport:
-    """Exact ||U' - V'||_inf from the residual table, with the (eta, delta) bound."""
-    table = residual_table(spec)
-    per_k = {k: averaged_residual_gap(table.matrices[t]) for t, k in enumerate(table.ks)}
+    """Exact ||U' - V'||_inf from the term gaps of the bare blocks, with the (eta, delta) bound."""
+    bare, blocks = spec.term_matrices(), spec.term_blocks()
+    per_k = {k: float(gap) for k, gap in sorted(zip(spec.term_map, term_gaps(bare, blocks)))}
     measured = max(per_k.values())
-    bound = math.sqrt(eta * eta + 4.0 * delta_cert)
+    bound = dilation_gap_bound(eta, delta_cert)
     return DilationErrorReport(
         measured=measured,
         certified_gap_bound=bound,
@@ -271,7 +270,7 @@ def dilation_error(spec: QuasigroupProtocolSpec, eta: float, delta_cert: float) 
         diamond_bound_certified=2.0 * bound,
         eta=float(eta),
         delta_cert=float(delta_cert),
-        max_branch_distance=float(table.norms.max()),
+        max_branch_distance=branch_distance(bare, blocks),
         per_k_measured=per_k,
     )
 

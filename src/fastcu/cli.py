@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 
@@ -17,13 +18,13 @@ import numpy as np
 from . import serialize
 from .algebra import certify_approx_rep, ordinary_rep, right_quasigroup_from_table
 from .approx_protocol import QuasigroupProtocolSpec, dilation_error
-from .compiler import CompileTargets, compile_target, normalize_su, target_gap
+from .compiler import CompileTargets, certified_bound, compile_target, error_budget, normalize_su
 from .demos import EXACT_DEMOS, exact_demo_instance
 from .errors import DimensionMismatch, FastcuError, NotRightQuasigroup, SchemaMismatch
 from .exact_protocol import run_exact_protocol
 from .net import DEFAULT_CAP, advisory_m, build_net, net_size
 from .qgbuilder import FamilyGeometry, _matching_pass, assemble_quasigroup
-from .qsim import RegisterLayout, random_pure_state
+from .qsim import RegisterLayout, operator_norms, random_pure_state
 
 DEMO_TRIALS = 50
 
@@ -174,14 +175,7 @@ def cmd_compile(args) -> int:
             "table": plan.built.quasigroup.table.tolist(),
             "net": {"d": plan.net.d, "m": plan.net.m},
         },
-        "report": {
-            "gap_target_plan": report.gap_target_plan,
-            "gap_plan_actual": report.gap_plan_actual,
-            "gap_target_actual": report.gap_target_actual,
-            "diamond_bound_measured": report.diamond_bound_measured,
-            "certified_error_bound": report.certified_error_bound,
-            "cost_ebits": report.cost_ebits,
-        },
+        "report": dataclasses.asdict(report),
         "scan": [{"m": p.m, "eta": p.eta, "zeta": p.zeta, "delta": p.delta,
                   "cost_ebits": p.cost_ebits, "accepted": p.accepted}
                  for p in result.scan_trace],
@@ -252,44 +246,37 @@ def _verify_compile_bundle(doc: dict) -> int:
     if loaded is None:
         return 1
     quasigroup, net = loaded
+    if plan["m"] != net.m:
+        return _fail("degree", f"stored m={plan['m']} but the family has degree {net.m}")
     cert = certify_approx_rep(net.matrices, quasigroup, plan["eta"])
     if abs(cert.delta_cert - plan["delta_cert"]) > 1e-12:
         return _fail("recount", f"stored delta_cert={plan['delta_cert']} but recount={cert.delta_cert}")
     print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
 
     blocks = serialize.pairs_to_complex(doc["target"]["matrices"])
-    assignment = list(plan["assignment"])
-    zeta = max(float(np.linalg.svd(w - net.matrices[k], compute_uv=False)[0])
-               for w, k in zip(blocks, assignment))
-    if abs(zeta - plan["zeta"]) > 1e-12:
-        return _fail("zeta", f"stored zeta={plan['zeta']} but recomputed {zeta}")
-    print(f"ok zeta: {zeta:.6f}")
-
+    if len(plan["assignment"]) != len(blocks):
+        return _fail("assignment", f"{len(plan['assignment'])} labels for {len(blocks)} blocks")
     spec = QuasigroupProtocolSpec(quasigroup, ordinary_rep(quasigroup, net.matrices),
-                                  term_map=tuple(assignment))
-    gap_target_actual = target_gap(blocks, spec)
-    measured = 2.0 * gap_target_actual
-    bound = 2.0 * (zeta + math.sqrt(plan["eta"] ** 2 + 4.0 * cert.delta_cert))
-    recomputed = {
-        "gap_target_plan": zeta,
-        "gap_plan_actual": dilation_error(spec, plan["eta"], cert.delta_cert).measured,
-        "gap_target_actual": gap_target_actual,
-        "diamond_bound_measured": measured,
-        "certified_error_bound": bound,
-    }
+                                  term_map=tuple(plan["assignment"]))
+    zetas = operator_norms(blocks - spec.term_matrices())
+    stored = np.asarray(plan["zetas"] + [plan["zeta"]], dtype=float)
+    if stored.shape != (len(zetas) + 1,) or np.abs(stored - [*zetas, zetas.max()]).max() > 1e-12:
+        return _fail("zeta", f"stored zetas={plan['zetas']}, zeta={plan['zeta']} but "
+                             f"recomputed {zetas.tolist()}")
+    print(f"ok zeta: every block within {zetas.max():.6f} of its element")
+
+    try:
+        report = error_budget(blocks, spec, plan["eta"], cert.delta_cert, net.m)
+    except DimensionMismatch as exc:
+        return _fail("budget", str(exc))
+    recomputed = dataclasses.asdict(report)
+    if set(doc["report"]) != set(recomputed):
+        return _fail("report", f"stored fields {sorted(doc['report'])}, expected {sorted(recomputed)}")
     for name, value in recomputed.items():
-        stored = doc["report"][name]
-        if abs(stored - value) > 1e-9:
-            return _fail("report", f"stored {name}={stored} but recomputed {value}")
-    print("ok report: every stored gap matches its recomputation")
-    if measured > bound + 1e-9:
-        return _fail("bound", f"measured {measured} exceeds certified {bound}")
-    print(f"ok bound: measured {measured:.6f} <= certified {bound:.6f}")
-    r = plan["net"]["d"] * (plan["net"]["d"] - 1) // 2
-    expected_cost = 1.0 + plan["net"]["m"] * r * math.log2(6.0)
-    if abs(doc["report"]["cost_ebits"] - expected_cost) > 1e-9:
-        return _fail("cost", f"cost {doc['report']['cost_ebits']} != identity {expected_cost}")
-    print(f"ok cost: {expected_cost:.6f} ebits")
+        if abs(doc["report"][name] - value) > 1e-9:
+            return _fail("report", f"stored {name}={doc['report'][name]} but recomputed {value}")
+    print(f"ok report: every stored field matches; measured {report.diamond_bound_measured:.6f} "
+          f"<= certified {report.certified_error_bound:.6f}, cost {report.cost_ebits:.6f} ebits")
     return 0
 
 
@@ -329,19 +316,20 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     doc = serialize.load_json(args.bundle)
+    nan = float("nan")
     rows = []
     if doc.get("kind") == "compile":
         for p in doc["scan"]:
-            eps = (2.0 * (p["zeta"] + math.sqrt(p["eta"] ** 2 + 4.0 * p["delta"]))
-                   if p["eta"] == p["eta"] and p["delta"] == p["delta"] else float("nan"))
-            rows.append({"m": p["m"], "eta": p["eta"], "zeta": p["zeta"],
-                         "delta": p["delta"], "cost_ebits": p["cost_ebits"],
-                         "error_bound": eps, "accepted": int(p["accepted"])})
+            eta, delta = (nan if p[k] is None else p[k] for k in ("eta", "delta"))
+            rows.append({"m": p["m"], "eta": eta, "zeta": p["zeta"], "delta": delta,
+                         "cost_ebits": p["cost_ebits"],
+                         "error_bound": certified_bound(p["zeta"], eta, delta),
+                         "accepted": int(p["accepted"])})
     elif doc.get("kind") == "quasigroup":
-        eps = 2.0 * math.sqrt(doc["eta"] ** 2 + 4.0 * doc["delta_cert"])
-        rows.append({"m": doc["net"]["m"], "eta": doc["eta"], "zeta": float("nan"),
-                     "delta": doc["delta_cert"],
-                     "cost_ebits": math.log2(doc["N"]), "error_bound": eps, "accepted": 1})
+        rows.append({"m": doc["net"]["m"], "eta": doc["eta"], "zeta": nan,
+                     "delta": doc["delta_cert"], "cost_ebits": math.log2(doc["N"]),
+                     "error_bound": certified_bound(0.0, doc["eta"], doc["delta_cert"]),
+                     "accepted": 1})
     else:
         raise SchemaMismatch(f"cannot report on bundle of kind {doc.get('kind')!r}")
     fields = ["m", "eta", "zeta", "delta", "cost_ebits", "error_bound", "accepted"]

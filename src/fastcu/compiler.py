@@ -22,11 +22,11 @@ from .algebra import (
     right_quasigroup_from_table,
     direct_product_table,
 )
-from .approx_protocol import QuasigroupProtocolSpec, averaged_residual_gap, dilation_error
+from .approx_protocol import QuasigroupProtocolSpec, dilation_error, dilation_gap_bound, term_gaps
 from .errors import BlockOverlap, BudgetExhausted, DimensionMismatch, NotUnitary
 from .net import DEFAULT_CAP, NetFamily, build_net, net_size, nearest_in_net
 from .qgbuilder import BuiltQuasigroup, assemble_or_reject
-from .qsim import is_unitary, operator_norm
+from .qsim import is_unitary, operator_norm, operator_norms
 
 ETA_GRID_SIZE = 16
 ETA_FLOOR = 1e-6
@@ -111,9 +111,11 @@ class CompilationPlan:
 
 @dataclass(frozen=True, eq=False)
 class ScanTracePoint:
+    """One (m, eta) point of the scan; eta and delta are None for a degree rejected on zeta."""
+
     m: int
-    eta: float
-    delta: float
+    eta: float | None
+    delta: float | None
     zeta: float
     cost_ebits: float
     accepted: bool
@@ -136,11 +138,6 @@ class CompilationReport:
     diamond_bound_measured: float   # 2 * gap_target_actual
     certified_error_bound: float    # 2 * (zeta + sqrt(eta^2 + 4 delta))
     cost_ebits: float
-    zeta: float
-    eta: float
-    delta_cert: float
-    m: int | None
-    asymptotic_note: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +196,15 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
 
         if targets.epsilon is not None:
             eta_budget = targets.epsilon / 2.0 - zeta
-            if eta_budget <= 0:
-                trace.append(ScanTracePoint(m=m or 0, eta=float("nan"), delta=float("nan"),
-                                            zeta=zeta, cost_ebits=cost, accepted=False,
-                                            complete=True))
-                best = _better(best, m, zeta, None, None, cost)
-                continue
+            rejected = eta_budget <= 0
         else:
-            if zeta > targets.zeta:
-                trace.append(ScanTracePoint(m=m or 0, eta=float("nan"), delta=float("nan"),
-                                            zeta=zeta, cost_ebits=cost, accepted=False,
-                                            complete=True))
-                best = _better(best, m, zeta, None, None, cost)
-                continue
             eta_budget = targets.eta
+            rejected = zeta > targets.zeta
+        if rejected:
+            trace.append(ScanTracePoint(m=m or 0, eta=None, delta=None, zeta=zeta,
+                                        cost_ebits=cost, accepted=False, complete=True))
+            best = _better(best, m, zeta, None, None, cost)
+            continue
 
         grid = _eta_grid(zeta, min(eta_budget, 2.0))
         built = None
@@ -254,7 +246,7 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
             rep=ordinary_rep(built.quasigroup, fam.matrices),
             term_map=assignment,
         )
-        report = error_budget(target, plan, spec)
+        report = error_budget(target.blocks, spec, plan.eta, plan.delta_cert, plan.m)
         return CompileResult(target=target, plan=plan, spec=spec, report=report,
                              scan_trace=tuple(trace))
 
@@ -270,67 +262,39 @@ def _better(best, m, zeta, eta, delta, cost):
     return best
 
 
-def error_budget(target: TargetControlledUnitary, plan: CompilationPlan,
-                 spec: QuasigroupProtocolSpec) -> CompilationReport:
+def certified_bound(zeta: float, eta: float, delta: float) -> float:
+    """Certified diamond-norm bound 2 * (zeta + sqrt(eta^2 + 4 delta)) of a compiled instance."""
+    return 2.0 * (zeta + dilation_gap_bound(eta, delta))
+
+
+def word_family_cost(d: int, m: int) -> float:
+    """Cost identity log2(2 * 6^(m r)) = 1 + m r log2 6 of the degree-m word family, r = d(d-1)/2."""
+    return 1.0 + m * (d * (d - 1) // 2) * math.log2(6.0)
+
+
+def error_budget(blocks: np.ndarray, spec: QuasigroupProtocolSpec, eta: float,
+                 delta_cert: float, m: int | None) -> CompilationReport:
     """Exact dilation gaps of a compiled instance plus the certified bound.
 
-    All three gaps come from the block-diagonal structure of the dilations:
-    the worst eigenvalue of an averaged residual Gram matrix per control term.
+    ``blocks`` are the requested (normalized) blocks, one per term of
+    ``spec``; ``m`` is the word degree of the family, None for a custom one.
+    zeta is recomputed from the blocks, and every gap is a term gap (see
+    ``term_gaps``) of the branch blocks against the requested or the bare blocks.
     """
-    mats = spec.rep.matrices
-
-    gap_tu = 0.0
-    for w, k in zip(target.blocks, plan.assignment):
-        gap_tu = max(gap_tu, operator_norm(w - mats[k]))
-
-    dil = dilation_error(spec, plan.eta, plan.delta_cert)
-    gap_uv = dil.measured
-    gap_tv = target_gap(target.blocks, spec)
-
-    bound = 2.0 * (plan.zeta + math.sqrt(plan.eta ** 2 + 4.0 * plan.delta_cert))
-    cost = math.log2(plan.net.size)
-    if plan.m is not None:
-        r = plan.net.d * (plan.net.d - 1) // 2
-        expected = 1.0 + plan.m * r * math.log2(6.0)
-        if abs(cost - expected) > 1e-9:
-            raise DimensionMismatch("cost identity violated for a word-built family")
-
-    if gap_tv > gap_tu + gap_uv + 1e-9:
+    zeta = float(operator_norms(blocks - spec.term_matrices()).max())
+    gap_uv = dilation_error(spec, eta, delta_cert).measured
+    gap_tv = float(term_gaps(blocks, spec.term_blocks()).max())
+    bound = certified_bound(zeta, eta, delta_cert)
+    cost = spec.cost_ebits()
+    if m is not None and abs(cost - word_family_cost(spec.d_b, m)) > 1e-9:
+        raise DimensionMismatch("cost identity violated for a word-built family")
+    if gap_tv > zeta + gap_uv + 1e-9:
         raise DimensionMismatch("triangle inequality violated in the error budget")
     if 2.0 * gap_tv > bound + 1e-9:
         raise DimensionMismatch("measured error exceeded its certified bound")
-
-    note = ("entanglement cost grows linearly in the degree at fixed dimension; "
-            "the per-instance certificate above is the checkable statement")
-    return CompilationReport(
-        gap_target_plan=gap_tu,
-        gap_plan_actual=gap_uv,
-        gap_target_actual=gap_tv,
-        diamond_bound_measured=2.0 * gap_tv,
-        certified_error_bound=bound,
-        cost_ebits=cost,
-        zeta=plan.zeta,
-        eta=plan.eta,
-        delta_cert=plan.delta_cert,
-        m=plan.m,
-        asymptotic_note=note,
-    )
-
-
-def target_gap(blocks: np.ndarray, spec: QuasigroupProtocolSpec) -> float:
-    """Exact || T' - V' ||: dilation gap between the requested blocks and the branches.
-
-    ``blocks[i]`` is the requested block of control term i; its residuals
-    against the implemented branch blocks V_l^dag V_{l*k} give one averaged
-    residual gap per term, and the worst one is the gap.
-    """
-    mats = spec.rep.matrices
-    mats_dag = mats.conj().transpose(0, 2, 1)
-    gap = 0.0
-    for w, k in zip(blocks, spec.term_map):
-        branch_blocks = np.einsum("lab,lbc->lac", mats_dag, mats[spec.quasigroup.column(k)])
-        gap = max(gap, averaged_residual_gap(w[None] - branch_blocks))
-    return gap
+    return CompilationReport(gap_target_plan=zeta, gap_plan_actual=gap_uv,
+                             gap_target_actual=gap_tv, diamond_bound_measured=2.0 * gap_tv,
+                             certified_error_bound=bound, cost_ebits=cost)
 
 
 # --------------------------------------------------------------------------- #

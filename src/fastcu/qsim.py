@@ -41,11 +41,6 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def max_hermitian_eigenvalue(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian matrix."""
-    return float(np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))[-1])
-
-
 def is_unitary(matrix: np.ndarray, tol: float = ZERO_TOL) -> bool:
     """Whether a matrix, or every matrix of a (..., n, n) stack, is unitary within ``tol``."""
     m = np.asarray(matrix, dtype=complex)

@@ -135,7 +135,8 @@ def net_from_json(doc: dict) -> NetFamily:
 
 
 def save_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    """Write strict JSON: a NaN or infinity raises ValueError instead of leaving bare NaN."""
+    Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
 
 
 def load_json(path) -> dict:

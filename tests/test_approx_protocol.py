@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fastcu import algebra, net, qgbuilder, qsim
@@ -15,16 +15,17 @@ from fastcu.algebra import certify_approx_rep, ordinary_rep
 from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
     _hidden_circuit,
+    branch_distance,
     branch_family,
     build_quasigroup_gates,
     dilation_error,
     dilation_pair,
     hidden_variant_choi,
     left_div_permutation,
-    residual_table,
     run_hidden_variant,
     run_measured_variant,
     shift_register_check,
+    term_gaps,
 )
 from fastcu.errors import DimensionMismatch, UnsupportedInput
 from fastcu.exact_protocol import ControlledGroupUnitary, one_round_circuit, shift_gate_for
@@ -175,9 +176,10 @@ def test_redundant_terms_leave_dilation_unchanged():
 
 def test_residual_norms_capped_by_two():
     for spec in (exact_spec(), net_spec()):
-        table = residual_table(spec)
-        assert table.norms.max() <= 2.0 + 1e-9
-        assert set(table.ks) == set(spec.represented)
+        blocks = spec.term_blocks()
+        assert blocks.shape == (spec.order, spec.n_terms, spec.d_b, spec.d_b)
+        assert branch_distance(spec.term_matrices(), blocks) <= 2.0 + 1e-9
+        assert set(dilation_error(spec, 0.5, 0.0).per_k_measured) == set(spec.represented)
 
 
 def test_branch_family_unitary_and_exact_case():
@@ -218,8 +220,9 @@ def test_dilation_measured_matches_dense_dilations_and_power_iteration():
     # power-iteration oracle for the worst represented label
     n = spec.order
     worst = 0.0
-    for t, k in enumerate(residual_table(spec).ks):
-        e = residual_table(spec).matrices[t]
+    residuals = spec.term_matrices()[None] - spec.term_blocks()
+    for t, k in enumerate(spec.term_map):
+        e = residuals[:, t]
         h = np.einsum("lab,lac->bc", e.conj(), e) / n
         v = np.ones(h.shape[0], dtype=complex)
         for _ in range(200):
@@ -541,3 +544,26 @@ def test_measured_gap_at_most_certified_bound(m, eta, picks):
     delta = built.certificate.delta_cert
     report = dilation_error(spec, eta, delta)
     assert report.measured <= math.sqrt(eta * eta + 4.0 * delta) + 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       picks=st.lists(st.integers(0, 5), min_size=1, max_size=4), spare=st.integers(0, 1))
+@example(seed=0, n=3, picks=[1, 1, 2], spare=1)
+def test_term_gap_equals_dense_dilation_gap(seed, n, picks, spare):
+    """The term gap against arbitrary unitary blocks is the dense ||T' - V'||; triangle holds."""
+    rng = np.random.default_rng(seed)
+    q = algebra.right_quasigroup_from_table(np.stack([rng.permutation(n) for _ in range(n)], axis=1))
+    mats = np.stack([qsim.haar_unitary(2, rng) for _ in range(n)])
+    terms = tuple(p % n for p in picks)        # repeated labels included
+    spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=terms,
+                                  d_a=len(terms) + spare)
+    requested = np.stack([qsim.haar_unitary(2, rng) for _ in terms])
+    gap = term_gaps(requested, spec.term_blocks()).max()
+
+    ideal, actual = dilation_pair(spec)
+    t = qsim.controlled_gate(spec.d_a, dict(enumerate(requested)), spec.d_b)
+    wanted = np.broadcast_to(t / math.sqrt(n), (n, *t.shape)).reshape(ideal.shape)
+    assert gap == pytest.approx(qsim.operator_norm(wanted - actual), abs=1e-12)
+    gap_tu = qsim.operator_norm(wanted - ideal)
+    assert gap <= gap_tu + dilation_error(spec, 0.5, 0.0).measured + 1e-12

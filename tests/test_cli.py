@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -178,21 +179,43 @@ def test_report_on_qg_bundle(tmp_path):
     assert len(lines) == 2
 
 
-@pytest.fixture(scope="module")
-def compile_bundle(tmp_path_factory):
+def _compile_seeded_bundle(root):
+    """Compile two seeded blocks at (0.9, 1.4, 0.5): degree 1 is rejected on zeta, 2 accepted."""
     rng = np.random.default_rng(72)
     blocks = np.stack([qsim.haar_special_unitary(2, rng) for _ in range(2)])
-    root = tmp_path_factory.mktemp("compile")
     target = root / "target.json"
     serialize.save_json(serialize.rep_to_json(blocks), target)
     bundle = root / "bundle.json"
     assert cli.main(["compile", str(target), "--zeta-target", "0.9", "--eta", "1.4",
                      "--delta-target", "0.5", "--out", str(bundle)]) == 0
-    return json.loads(bundle.read_text())
+    return bundle
+
+
+@pytest.fixture(scope="module")
+def compile_bundle(tmp_path_factory):
+    return json.loads(_compile_seeded_bundle(tmp_path_factory.mktemp("compile")).read_text())
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_bundle_with_rejected_degree_is_strict_json_and_reports(tmp_path):
+    bundle = _compile_seeded_bundle(tmp_path)
+    doc = json.loads(bundle.read_text(), parse_constant=_reject_constant)
+    rejected = [p["m"] for p in doc["scan"] if p["eta"] is None]
+    assert rejected == [1] and doc["scan"][0]["delta"] is None
+    assert cli.main(["verify", str(bundle)]) == 0
+    csv_path = tmp_path / "scan.csv"
+    assert cli.main(["report", str(bundle), "--out", str(csv_path)]) == 0
+    rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+    assert [(r["eta"], r["delta"], r["error_bound"]) for r in rows[:1]] == [("nan",) * 3]
+    assert float(rows[1]["error_bound"]) == pytest.approx(doc["report"]["certified_error_bound"])
 
 
 @pytest.mark.parametrize("field", ["gap_target_plan", "gap_plan_actual", "gap_target_actual",
-                                   "diamond_bound_measured", "certified_error_bound"])
+                                   "diamond_bound_measured", "certified_error_bound",
+                                   "cost_ebits"])
 @pytest.mark.parametrize("scale", [0.0, 1.5])
 def test_verify_rejects_tampered_report(compile_bundle, tmp_path, capsys, field, scale):
     doc = json.loads(json.dumps(compile_bundle))
@@ -205,17 +228,31 @@ def test_verify_rejects_tampered_report(compile_bundle, tmp_path, capsys, field,
     assert f"FAIL report: stored {field}=" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("shift", [-0.05, 0.5])
-def test_verify_rejects_tampered_zeta(compile_bundle, tmp_path, capsys, shift):
+def _raise_smallest_zeta(plan):
+    zetas = plan["zetas"]
+    i = zetas.index(min(zetas))
+    assert zetas[i] + 0.01 < max(zetas)       # the stored maximum stays right
+    zetas[i] += 0.01
+
+
+@pytest.mark.parametrize("tamper, expected", [
+    pytest.param(lambda plan: plan.update(zeta=plan["zeta"] - 0.05), "FAIL zeta", id="-0.05"),
+    pytest.param(lambda plan: plan.update(zeta=plan["zeta"] + 0.5), "FAIL zeta", id="0.5"),
+    pytest.param(_raise_smallest_zeta, "FAIL zeta", id="smallest-of-zetas"),
+    pytest.param(lambda plan: plan.update(m=plan["m"] - 1), "FAIL degree", id="plan-m"),
+    pytest.param(lambda plan: plan.update(assignment=plan["assignment"][:1]), "FAIL assignment",
+                 id="short-assignment"),
+])
+def test_verify_rejects_tampered_zeta(compile_bundle, tmp_path, capsys, tamper, expected):
     doc = json.loads(json.dumps(compile_bundle))
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", str(path)]) == 0
-    doc["plan"]["zeta"] += shift
+    tamper(doc["plan"])
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["verify", str(path)]) == 1
-    assert "FAIL zeta" in capsys.readouterr().out
+    assert expected in capsys.readouterr().out
 
 
 def test_compile_bundle_carries_no_seed(compile_bundle):
