@@ -61,10 +61,8 @@ from .qsim import (
     Branches,
     PureState,
     RegisterLayout,
-    UnitaryEnsembleChannel,
     apply_controlled,
     apply_on,
-    choi_matrix,
     maximally_entangled,
     measure_registers,
     operator_norm,

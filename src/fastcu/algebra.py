@@ -21,7 +21,7 @@ from .errors import (
     NotProjectiveRep,
     NotRightQuasigroup,
 )
-from .qsim import operator_norm, operator_norms
+from .qsim import operator_norm, operator_norms, quaternion_product, su2_quaternions
 
 UNIT_MODULUS_TOL = 1e-10
 REP_RESIDUAL_TOL = 1e-9
@@ -399,8 +399,6 @@ def _quaternion_recount(quats, q: RightQuasigroup, reps, key_id, first, eta: flo
     max_sq = 0.0
     rep_counts = np.empty(len(reps), dtype=np.int64)
     chunk = max(1, RECOUNT_CHUNK // n)
-    from .qgbuilder import quaternion_product
-
     for k0 in range(0, len(reps), chunk):
         sel = reps[k0:k0 + chunk]
         prods = quaternion_product(distinct, quats[sel, None, :]).reshape(-1, 4)
@@ -440,8 +438,6 @@ def certify_approx_rep(matrices, quasigroup: RightQuasigroup, eta: float) -> App
             f"need {n} square matrices for a quasigroup of order {n}, got {mats.shape}")
     if eta <= 0:
         raise DimensionMismatch(f"eta must be positive, got {eta}")
-    from .qgbuilder import su2_quaternions
-
     quats = su2_quaternions(mats) if mats.shape[1] == 2 else None
     reps, rep_index, key_id, first = _recount_representatives(
         mats if quats is None else quats, quasigroup.classes)

@@ -28,12 +28,10 @@ from .qsim import (
     Branches,
     PureState,
     RegisterLayout,
-    UnitaryEnsembleChannel,
     apply_controlled,
     apply_on,
     apply_on_rows,
     basis_state,
-    choi_matrix,
     fourier_gate,
     is_unitary,
     measure_registers,
@@ -131,24 +129,6 @@ class QuasigroupProtocolSpec:
 
     def cost_ebits(self) -> float:
         return math.log2(self.order)
-
-
-@dataclass(frozen=True, eq=False)
-class BranchFamily:
-    """All branch unitaries with their uniform weight."""
-
-    unitaries: np.ndarray     # (N, d_a*d_b, d_a*d_b)
-    weight: float
-
-    def channel(self) -> UnitaryEnsembleChannel:
-        return UnitaryEnsembleChannel(tuple((self.weight, u) for u in self.unitaries))
-
-
-def branch_family(spec: QuasigroupProtocolSpec) -> BranchFamily:
-    unitaries = spec.branch_matrices()
-    if not is_unitary(unitaries):
-        raise DimensionMismatch("a branch unitary failed the unitarity check")
-    return BranchFamily(unitaries=unitaries, weight=1.0 / spec.order)
 
 
 def left_div_permutation(quasigroup: RightQuasigroup, k: int) -> np.ndarray:
@@ -251,8 +231,6 @@ class DilationErrorReport:
     certified_gap_bound: float
     diamond_bound_measured: float
     diamond_bound_certified: float
-    eta: float
-    delta_cert: float
     max_branch_distance: float     # worst || target - branch ||_inf, the largest residual norm
     per_k_measured: dict[int, float]
 
@@ -268,8 +246,6 @@ def dilation_error(spec: QuasigroupProtocolSpec, eta: float, delta_cert: float) 
         certified_gap_bound=bound,
         diamond_bound_measured=2.0 * measured,
         diamond_bound_certified=2.0 * bound,
-        eta=float(eta),
-        delta_cert=float(delta_cert),
         max_branch_distance=branch_distance(bare, blocks),
         per_k_measured=per_k,
     )
@@ -331,10 +307,10 @@ class HiddenRunRecord:
     """
 
     branches: Branches                 # seed 0's branches of measuring (b, x)
-    output_density: np.ndarray         # induced state on (control, target)
+    output_density: np.ndarray         # induced state on the input's registers, in its order
     expected_density: np.ndarray       # uniform branch mixture applied to the input
     deviation: float
-    ensemble: UnitaryEnsembleChannel   # one term per branch, so per shared seed
+    ensemble: np.ndarray               # (N, d, d) branch unitaries, one per shared seed
 
     @property
     def trajectories(self) -> list[tuple]:
@@ -342,11 +318,37 @@ class HiddenRunRecord:
 
         Every seed r = 0..N-1 is listed, each with its rows sorted by (m, s).
         """
-        n = len(self.ensemble.terms)
+        n = len(self.ensemble)
         rows = list(self.branches)
         return [row for r in range(n)
                 for row in sorted(((r, m, (s + r) % n, p / n, st) for m, s, p, st in rows),
                                   key=lambda row: row[1:3])]
+
+
+def _hidden_run(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str):
+    """The hidden circuit on ``state`` next to the uniform branch mixture it should implement.
+
+    The input may contain spectator registers, but none named a, b, x or y
+    (the layout refuses duplicate names).  The circuit runs once, at seed 0:
+    seed r's state is seed 0's with x rolled by r, and x is traced out, so
+    every seed leaves the same state on the input's registers.  Returns the
+    circuit's state before (b, x) is measured, that reduced state (input
+    order), the mixture (1/N) sum_l U_l rho U_l^dag of the input and the
+    branch stack U_l.
+    """
+    layout = state.layout
+    for name, dim in ((control, spec.d_a), (target, spec.d_b)):
+        if layout.dim_of(name) != dim:
+            raise DimensionMismatch(f"register {name} has dim {layout.dim_of(name)}, expected {dim}")
+    check_support(state, control, range(spec.n_terms, spec.d_a))
+    unitaries = spec.branch_matrices()
+    if not is_unitary(unitaries):
+        raise DimensionMismatch("a branch unitary failed the unitarity check")
+    full = _hidden_circuit(spec, state, control, target)
+    # row l: the l-th branch unitary applied to the input, as in run_measured_variant
+    rows = apply_on_rows(state.amps[None], layout, unitaries, (control, target))
+    expected = rows.T @ rows.conj() / spec.order
+    return full, partial_trace(full, layout.names), expected, unitaries
 
 
 def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
@@ -356,27 +358,13 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     The two ancillas of the basic protocol are joined by a classically
     correlated pair (x, y); the branch pointer never gets measured, and the
     corrections are quantum-controlled off the unmeasured registers, which are
-    discarded at the end.  The circuit runs once, at seed 0: seed r's state is
-    seed 0's with x rolled by r, and x is traced out, so every seed gives the
-    same output state.  That state is one partial trace, the
-    probability-weighted mixture of seed 0's (b, x) branches.
+    discarded at the end.  The output state is one partial trace, the
+    probability-weighted mixture of seed 0's (b, x) branches (see ``_hidden_run``).
     """
-    layout = state.layout
-    if set(layout.names) != {control, target}:
-        raise DimensionMismatch("hidden variant expects a bare (control, target) input")
-    if layout.dim_of(control) != spec.d_a or layout.dim_of(target) != spec.d_b:
-        raise DimensionMismatch("input registers do not match the protocol spec")
-    check_support(state, control, range(spec.n_terms, spec.d_a))
-
-    channel = branch_family(spec).channel()
-    full = _hidden_circuit(spec, state, control, target)
-    rho_out = partial_trace(full, (control, target))
-    psi = state.amps
-    expected = channel.apply(np.outer(psi, psi.conj()))
-    deviation = operator_norm(rho_out - expected)
+    full, rho_out, expected, unitaries = _hidden_run(spec, state, control, target)
     return HiddenRunRecord(branches=measure_registers(full, ("b", "x")), output_density=rho_out,
-                           expected_density=expected, deviation=deviation,
-                           ensemble=channel)
+                           expected_density=expected, deviation=operator_norm(rho_out - expected),
+                           ensemble=unitaries)
 
 
 def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,
@@ -413,27 +401,20 @@ class ChannelComparison:
 def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
     """Choi matrix of the hidden circuit versus the uniform branch mixture.
 
-    Feeds half of a maximally entangled pair through the circuit; the input
-    control dimension must equal the number of terms so the channel and the
-    mixture share one domain.  Nothing is measured, and the circuit runs
-    once: every seed leaves the same state on the kept registers, as in
-    ``run_hidden_variant``, so the Choi matrix is d times one partial trace.
+    The hidden run (``_hidden_run``) on half of a maximally entangled pair,
+    the reference halves Ar and Br as spectators, scaled by d to the
+    unnormalized pair state; nothing is measured.  The input control
+    dimension must equal the number of terms so the channel and the mixture
+    share one domain.  Row-major vec: the ensemble side is
+    sum_l vec(U_l) vec(U_l)^dag / N, of trace d.
     """
     if spec.d_a != spec.n_terms:
         raise UnsupportedInput("channel comparison needs every control state to carry a term")
     d = spec.d_a * spec.d_b
     layout = RegisterLayout.of(("A", spec.d_a), ("B", spec.d_b),
                                ("Ar", spec.d_a), ("Br", spec.d_b))
-    amps = np.zeros((spec.d_a, spec.d_b, spec.d_a, spec.d_b), dtype=complex)
-    for i in range(spec.d_a):
-        for t in range(spec.d_b):
-            amps[i, t, i, t] = 1.0 / math.sqrt(d)
-    entangled = PureState(layout, amps.reshape(-1))
-
-    full = _hidden_circuit(spec, entangled, "A", "B")
-    choi_circ = d * partial_trace(full, ("A", "B", "Ar", "Br"))   # unnormalized pair state
-
-    choi_ens = choi_matrix(branch_family(spec).channel())
-    distance = operator_norm(choi_circ - choi_ens)
+    entangled = PureState(layout, np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
+    _, out, expected, _ = _hidden_run(spec, entangled, "A", "B")
+    choi_circ, choi_ens = d * out, d * expected
     return ChannelComparison(choi_circuit=choi_circ, choi_ensemble=choi_ens,
-                             distance=distance)
+                             distance=operator_norm(choi_circ - choi_ens))

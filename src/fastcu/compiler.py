@@ -119,7 +119,6 @@ class ScanTracePoint:
     zeta: float
     cost_ebits: float
     accepted: bool
-    complete: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +201,7 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
             rejected = zeta > targets.zeta
         if rejected:
             trace.append(ScanTracePoint(m=m or 0, eta=None, delta=None, zeta=zeta,
-                                        cost_ebits=cost, accepted=False, complete=True))
+                                        cost_ebits=cost, accepted=False))
             best = _better(best, m, zeta, None, None, cost)
             continue
 
@@ -222,8 +221,7 @@ def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
             candidate, worst = assemble_or_reject(fam, eta, reject_above)
             ok = candidate is not None
             trace.append(ScanTracePoint(m=m or 0, eta=float(eta), delta=worst,
-                                        zeta=zeta, cost_ebits=cost, accepted=ok,
-                                        complete=ok))
+                                        zeta=zeta, cost_ebits=cost, accepted=ok))
             best = _better(best, m, zeta, eta, worst, cost)
             if ok:
                 built = candidate

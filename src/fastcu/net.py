@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, NetTooLarge, NotSpecial, NotUnitary
-from .qsim import operator_norm, operator_norms
+from .qsim import operator_norm, operator_norms, su2_quaternions
 
 MIXING_RATE = math.sqrt(5.0) / 3.0
 DEFAULT_CAP = 50_000
@@ -265,8 +265,6 @@ def _stack_distances(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
     Special-unitary 2x2 stacks use exact quaternion coordinates, where the
     operator norm of a difference is the Euclidean distance.
     """
-    from .qgbuilder import su2_quaternions
-
     if u.shape == (2, 2):
         qs = su2_quaternions(stack)
         qu = su2_quaternions(u[None])

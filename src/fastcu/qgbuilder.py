@@ -45,29 +45,10 @@ from .algebra import (
 )
 from .errors import AxiomViolation, DimensionMismatch, TooLarge
 from .net import NetFamily
-from .qsim import operator_norms
+from .qsim import operator_norms, quaternion_product, su2_quaternions
 
 EDGE_GUARD = 1e-12
 WITNESS_MAX_N = 20
-
-
-def su2_quaternions(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
-    """Unit-quaternion coordinates of a stack of SU(2) matrices, or None.
-
-    Marginally non-special or non-2x2 stacks return None and callers fall back
-    to dense norms.  For valid stacks, |q(A) - q(B)| equals ||A - B||_inf.
-    """
-    stack = np.asarray(stack, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1:] != (2, 2):
-        return None
-    det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
-    if np.max(np.abs(det - 1.0)) > tol:
-        return None
-    herm = np.abs(stack[:, 1, 0] + stack[:, 0, 1].conj())
-    if herm.max() > tol or np.max(np.abs(stack[:, 1, 1] - stack[:, 0, 0].conj())) > tol:
-        return None
-    return np.stack([stack[:, 0, 0].real, stack[:, 0, 1].imag,
-                     stack[:, 0, 1].real, stack[:, 0, 0].imag], axis=1)
 
 
 def residual_norm_matrix(matrices: np.ndarray, k: int) -> np.ndarray:
@@ -155,18 +136,6 @@ def hall_deficiency_witness(graph: CompatGraph, t: int) -> np.ndarray | None:
 # --------------------------------------------------------------------------- #
 #                          class-level family geometry                        #
 # --------------------------------------------------------------------------- #
-
-
-def quaternion_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Quaternion coordinates of the matrix product, batched over leading axes."""
-    w1, x1, y1, z1 = (q1[..., i] for i in range(4))
-    w2, x2, y2, z2 = (q2[..., i] for i in range(4))
-    out = np.empty(np.broadcast_shapes(q1.shape, q2.shape), dtype=np.float64)
-    out[..., 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    out[..., 1] = w1 * x2 + x1 * w2 + z1 * y2 - y1 * z2
-    out[..., 2] = w1 * y2 + y1 * w2 + x1 * z2 - z1 * x2
-    out[..., 3] = w1 * z2 + z1 * w2 - x1 * y2 + y1 * x2
-    return out
 
 
 def _matrix_keys(mats: np.ndarray, decimals: int = 9) -> list[bytes]:

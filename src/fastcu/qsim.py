@@ -1,4 +1,4 @@
-"""Dense statevector simulation over named registers, plus channel helpers.
+"""Dense statevector simulation over named registers, plus norm and SU(2) quaternion helpers.
 
 States live on a :class:`RegisterLayout`, an ordered list of named registers of
 arbitrary dimension.  Amplitudes are stored flat in row-major register order,
@@ -50,6 +50,37 @@ def is_unitary(matrix: np.ndarray, tol: float = ZERO_TOL) -> bool:
         return True
     residual = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
     return bool(np.all(operator_norms(residual) <= tol))
+
+
+def su2_quaternions(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
+    """Unit-quaternion coordinates of a stack of SU(2) matrices, or None.
+
+    Marginally non-special or non-2x2 stacks return None and callers fall back
+    to dense norms.  For valid stacks, |q(A) - q(B)| equals ||A - B||_inf.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (2, 2):
+        return None
+    det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
+    if np.max(np.abs(det - 1.0)) > tol:
+        return None
+    herm = np.abs(stack[:, 1, 0] + stack[:, 0, 1].conj())
+    if herm.max() > tol or np.max(np.abs(stack[:, 1, 1] - stack[:, 0, 0].conj())) > tol:
+        return None
+    return np.stack([stack[:, 0, 0].real, stack[:, 0, 1].imag,
+                     stack[:, 0, 1].real, stack[:, 0, 0].imag], axis=1)
+
+
+def quaternion_product(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """Quaternion coordinates of the matrix product, batched over leading axes."""
+    w1, x1, y1, z1 = (q1[..., i] for i in range(4))
+    w2, x2, y2, z2 = (q2[..., i] for i in range(4))
+    out = np.empty(np.broadcast_shapes(q1.shape, q2.shape), dtype=np.float64)
+    out[..., 0] = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
+    out[..., 1] = w1 * x2 + x1 * w2 + z1 * y2 - y1 * z2
+    out[..., 2] = w1 * y2 + y1 * w2 + x1 * z2 - z1 * x2
+    out[..., 3] = w1 * z2 + z1 * w2 - x1 * y2 + y1 * x2
+    return out
 
 
 @dataclass(frozen=True)
@@ -317,51 +348,6 @@ def partial_trace(state: PureState, keep) -> np.ndarray:
     dk = math.prod(layout.dims[a] for a in axes)
     t = np.moveaxis(state.tensor(), axes, range(len(axes))).reshape(dk, -1)
     return t @ t.conj().T
-
-
-@dataclass(frozen=True)
-class UnitaryEnsembleChannel:
-    """Mixed-unitary channel given as (probability, unitary) pairs on one space."""
-
-    terms: tuple[tuple[float, np.ndarray], ...]
-
-    def __post_init__(self):
-        terms = tuple((float(p), np.asarray(u, dtype=complex)) for p, u in self.terms)
-        object.__setattr__(self, "terms", terms)
-        if not terms:
-            raise DimensionMismatch("channel needs at least one term")
-        d = terms[0][1].shape[0]
-        for p, u in terms:
-            if p < -ZERO_TOL:
-                raise DimensionMismatch(f"negative probability {p}")
-            if u.shape != (d, d):
-                raise DimensionMismatch("ensemble unitaries have mismatched shapes")
-            if not is_unitary(u, tol=1e-9):
-                raise DimensionMismatch("ensemble contains a non-unitary operator")
-        if abs(sum(p for p, _ in terms) - 1.0) > ZERO_TOL:
-            raise DimensionMismatch("ensemble probabilities do not sum to 1")
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0][1].shape[0]
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        return sum(p * (u @ rho @ u.conj().T) for p, u in self.terms)
-
-
-def choi_matrix(channel: UnitaryEnsembleChannel) -> np.ndarray:
-    """Choi matrix sum_l p_l vec(U_l) vec(U_l)^dag with the unnormalized pair state.
-
-    Row-major vec: the (s, t) entry of U sits at index s*d + t, so the Choi matrix
-    acts on system (x) reference ordered indices.  Its trace equals the system dim.
-    """
-    d = channel.dim
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for p, u in channel.terms:
-        v = u.reshape(-1)
-        out += p * np.outer(v, v.conj())
-    return out
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

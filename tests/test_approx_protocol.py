@@ -16,7 +16,6 @@ from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
     _hidden_circuit,
     branch_distance,
-    branch_family,
     build_quasigroup_gates,
     dilation_error,
     dilation_pair,
@@ -122,9 +121,9 @@ def test_measured_variant_perturbed_matches_branch_unitaries():
     state = qsim.random_pure_state(_layout(spec), rng)
     record = run_measured_variant(spec, state)
     assert record.max_deviation <= 1e-9
-    fam = branch_family(spec)
+    unitaries = spec.branch_matrices()
     for l, m, prob, post in record.branches:
-        want = qsim.apply_on(state, fam.unitaries[l], ("A", "B"))
+        want = qsim.apply_on(state, unitaries[l], ("A", "B"))
         assert post.distance(want) <= 1e-9
     assert record.max_branch_distance >= 0.0
 
@@ -184,9 +183,8 @@ def test_residual_norms_capped_by_two():
 
 def test_branch_family_unitary_and_exact_case():
     spec = exact_spec()
-    fam = branch_family(spec)
     target = spec.target_matrix()
-    for u in fam.unitaries:
+    for u in spec.branch_matrices():
         assert qsim.is_unitary(u)
         assert qsim.operator_norm(u - target) <= 1e-12
 
@@ -262,6 +260,48 @@ def test_hidden_variant_choi_small_exact():
     cmp = hidden_variant_choi(spec)
     assert cmp.distance <= 1e-10
     assert np.trace(cmp.choi_ensemble).real == pytest.approx(spec.d_a * spec.d_b)
+
+
+@pytest.mark.parametrize("make", [exact_spec, lambda: net_spec(eta=1.1, terms=(2, 9))],
+                         ids=["exact", "N12"])
+def test_hidden_variant_choi_ensemble_equals_vec_loop(make):
+    spec = make()
+    d = spec.d_a * spec.d_b
+    want = np.zeros((d * d, d * d), dtype=complex)
+    for u in spec.branch_matrices():
+        v = u.reshape(-1)
+        want += np.outer(v, v.conj()) / spec.order
+    choi = hidden_variant_choi(spec).choi_ensemble
+    assert np.abs(choi - want).max() <= 1e-13
+    assert np.trace(choi).real == pytest.approx(d, abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [("A", "B"), ("B", "A"), ("A", "S", "B")],
+                         ids=["AB", "BA", "spectator"])
+def test_hidden_variant_any_register_order_and_spectators(order):
+    spec = net_spec(eta=1.1, terms=(2, 9))
+    rng = np.random.default_rng(55)
+    base = qsim.random_pure_state(_layout(spec), rng)
+    spectator = qsim.random_pure_state(qsim.RegisterLayout.of(("S", 3)), rng)
+    source = qsim.product_state(base, spectator) if "S" in order else base
+    axes = [source.layout.axis(r) for r in order]
+    layout = qsim.RegisterLayout.of(*((r, source.layout.dim_of(r)) for r in order))
+    record = run_hidden_variant(spec, qsim.PureState(layout, source.tensor().transpose(axes)))
+    assert record.deviation <= 1e-12
+
+    want = run_hidden_variant(spec, base).output_density
+    if "S" in order:
+        want = np.kron(want, np.outer(spectator.amps, spectator.amps.conj()))
+    want = want.reshape(source.layout.dims * 2).transpose(axes + [len(axes) + a for a in axes])
+    assert np.abs(record.output_density - want.reshape(layout.dim, layout.dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["a", "b", "x", "y"])
+def test_hidden_variant_refuses_input_register_named_like_an_ancilla(name):
+    spec = exact_spec()
+    layout = qsim.RegisterLayout.of(("A", spec.d_a), (name, 3), ("B", spec.d_b))
+    with pytest.raises(DimensionMismatch):
+        run_hidden_variant(spec, qsim.random_pure_state(layout, np.random.default_rng(56)))
 
 
 def test_hidden_variant_choi_requires_full_support():

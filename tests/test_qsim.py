@@ -289,52 +289,6 @@ def test_measure_deterministic_register_single_branch():
     assert branches[0][1] == pytest.approx(1.0)
 
 
-def test_choi_identity_channel():
-    chan = qsim.UnitaryEnsembleChannel(((1.0, np.eye(2)),))
-    choi = qsim.choi_matrix(chan)
-    omega = np.zeros(4, dtype=complex)
-    omega[0] = omega[3] = 1.0
-    assert np.allclose(choi, np.outer(omega, omega))
-    assert np.trace(choi) == pytest.approx(2.0)
-    assert np.linalg.matrix_rank(choi) == 1
-
-
-def test_choi_dephasing_direct_construction():
-    z = np.diag([1.0, -1.0]).astype(complex)
-    chan = qsim.UnitaryEnsembleChannel(((0.5, np.eye(2)), (0.5, z)))
-    choi = qsim.choi_matrix(chan)
-    want = np.zeros((4, 4), dtype=complex)
-    want[0, 0] = want[3, 3] = 1.0
-    assert np.allclose(choi, want, atol=1e-12)
-
-
-def test_choi_same_unitary_two_descriptions():
-    rng = np.random.default_rng(6)
-    u = qsim.haar_unitary(3, rng)
-    a = qsim.choi_matrix(qsim.UnitaryEnsembleChannel(((1.0, u),)))
-    b = qsim.choi_matrix(qsim.UnitaryEnsembleChannel(((0.5, u), (0.5, u))))
-    assert qsim.operator_norm(a - b) < 1e-12
-
-
-def test_choi_distance_zero_iff_same_action():
-    rng = np.random.default_rng(7)
-    u = qsim.haar_unitary(2, rng)
-    v = qsim.haar_unitary(2, rng)
-    same = qsim.UnitaryEnsembleChannel(((1.0, u),))
-    phase = qsim.UnitaryEnsembleChannel(((1.0, np.exp(0.3j) * u),))
-    other = qsim.UnitaryEnsembleChannel(((1.0, v),))
-    assert qsim.operator_norm(qsim.choi_matrix(same) - qsim.choi_matrix(phase)) < 1e-12
-    dist = qsim.operator_norm(qsim.choi_matrix(same) - qsim.choi_matrix(other))
-    assert dist > 1e-3
-    # cross-check channel equality on random product states
-    for _ in range(20):
-        rho = np.outer(*(2 * [qsim.random_pure_state(qsim.RegisterLayout.of(("x", 2)), rng).amps]))
-        rho = rho.conj().T @ rho
-        rho /= np.trace(rho)
-        assert np.allclose(same.apply(rho), phase.apply(rho), atol=1e-12)
-        assert not np.allclose(same.apply(rho), other.apply(rho), atol=1e-6)
-
-
 def test_norm_preservation_under_unitary_gates():
     rng = np.random.default_rng(8)
     layout = qsim.RegisterLayout.of(("a", 4), ("b", 3))
