@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
+from scipy import sparse
 
 from .algebra import ProjectiveRep, RightQuasigroup
 from .errors import DimensionMismatch, UnsupportedInput
 from .exact_protocol import (
+    CompiledRound,
     OneRoundBlocks,
     check_support,
+    circuit_map,
+    compile_round,
     correction_phases,
     correction_steps,
     one_round_circuit,
@@ -29,6 +34,7 @@ from .qsim import (
     PureState,
     RegisterLayout,
     apply_controlled,
+    apply_map,
     apply_on,
     apply_on_rows,
     basis_state,
@@ -130,6 +136,35 @@ class QuasigroupProtocolSpec:
     def cost_ebits(self) -> float:
         return math.log2(self.order)
 
+    @cached_property
+    def compiled(self) -> CompiledRound:
+        """The measured protocol, compiled on first use (see ``exact_protocol.compile_round``)."""
+        return compile_round(build_quasigroup_gates(self), self.target_matrix())
+
+    @cached_property
+    def branch_stack(self) -> np.ndarray:
+        """``branch_matrices()`` of every outcome, checked unitary once and read-only."""
+        stack = self.branch_matrices()
+        if not is_unitary(stack):
+            raise DimensionMismatch("a branch unitary failed the unitarity check")
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def max_branch_distance(self) -> float:
+        """Worst ||V_k - V_l^dag V_{l*k}||_inf over outcomes l and terms k (``branch_distance``)."""
+        return branch_distance(self.term_matrices(), self.term_blocks())
+
+    @cached_property
+    def hidden_map(self) -> sparse.csr_matrix:
+        """Map of the hidden circuit at seed 0 (``_hidden_circuit``), built on first use.
+
+        It takes a basis input of (control, target) to the state on
+        (control, target, a, b, x, y) before (b, x) is measured; see
+        ``exact_protocol.circuit_map``.
+        """
+        return circuit_map(partial(_hidden_circuit, self), self.d_a, self.d_b)
+
 
 def left_div_permutation(quasigroup: RightQuasigroup, k: int) -> np.ndarray:
     """Permutation gate |j> -> |l(j,k)| on the ancilla; columns are left-division rows."""
@@ -172,19 +207,16 @@ def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
 
     Branch (l, m) must equal the l-th branch unitary applied to the input.
     """
-    branches = run_one_round(state, build_quasigroup_gates(spec), control, target,
-                             range(spec.n_terms, spec.d_a))
-    blocks = spec.term_blocks()
+    branches = run_one_round(state, spec.compiled, control, target, range(spec.n_terms, spec.d_a))
     # row l: the l-th branch unitary applied to the input
-    expected = apply_on_rows(state.amps[None], state.layout, spec.embed_terms(blocks),
-                             (control, target))
+    expected = apply_on_rows(state.amps[None], state.layout, spec.branch_stack, (control, target))
     ls = branches.outcomes[:, 0]
     deviations = np.linalg.norm(branches.posts - expected[ls], axis=1)
     marginals = np.bincount(ls, weights=branches.probabilities, minlength=spec.order)
     return MeasuredRunRecord(branches=branches,
                              max_deviation=float(deviations.max(initial=0.0)),
                              l_marginals=marginals,
-                             max_branch_distance=branch_distance(spec.term_matrices(), blocks),
+                             max_branch_distance=spec.max_branch_distance,
                              cost_ebits=spec.cost_ebits())
 
 
@@ -325,32 +357,6 @@ class HiddenRunRecord:
                                   key=lambda row: row[1:3])]
 
 
-def _hidden_run(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str):
-    """The hidden circuit on ``state`` next to the uniform branch mixture it should implement.
-
-    The input may contain spectator registers, but none named a, b, x or y
-    (the layout refuses duplicate names).  The circuit runs once, at seed 0:
-    seed r's state is seed 0's with x rolled by r, and x is traced out, so
-    every seed leaves the same state on the input's registers.  Returns the
-    circuit's state before (b, x) is measured, that reduced state (input
-    order), the mixture (1/N) sum_l U_l rho U_l^dag of the input and the
-    branch stack U_l.
-    """
-    layout = state.layout
-    for name, dim in ((control, spec.d_a), (target, spec.d_b)):
-        if layout.dim_of(name) != dim:
-            raise DimensionMismatch(f"register {name} has dim {layout.dim_of(name)}, expected {dim}")
-    check_support(state, control, range(spec.n_terms, spec.d_a))
-    unitaries = spec.branch_matrices()
-    if not is_unitary(unitaries):
-        raise DimensionMismatch("a branch unitary failed the unitarity check")
-    full = _hidden_circuit(spec, state, control, target)
-    # row l: the l-th branch unitary applied to the input, as in run_measured_variant
-    rows = apply_on_rows(state.amps[None], layout, unitaries, (control, target))
-    expected = rows.T @ rows.conj() / spec.order
-    return full, partial_trace(full, layout.names), expected, unitaries
-
-
 def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
                        control: str = "A", target: str = "B") -> HiddenRunRecord:
     """Simulate the hidden-outcome circuit as pure trajectories over the shared seed.
@@ -358,10 +364,28 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     The two ancillas of the basic protocol are joined by a classically
     correlated pair (x, y); the branch pointer never gets measured, and the
     corrections are quantum-controlled off the unmeasured registers, which are
-    discarded at the end.  The output state is one partial trace, the
-    probability-weighted mixture of seed 0's (b, x) branches (see ``_hidden_run``).
+    discarded at the end.  The input may contain spectator registers, but
+    none named a, b, x or y (the layout refuses duplicate names).  The
+    instance's hidden map runs the circuit at seed 0: seed r's state is seed
+    0's with x rolled by r, and x is traced out, so every seed leaves the
+    same state on the input's registers.  The output state is one partial
+    trace onto them (input order), the probability-weighted mixture of seed
+    0's (b, x) branches; it is compared with the mixture
+    (1/N) sum_l U_l rho U_l^dag of the input over the branch stack U_l.
     """
-    full, rho_out, expected, unitaries = _hidden_run(spec, state, control, target)
+    layout = state.layout
+    for name, dim in ((control, spec.d_a), (target, spec.d_b)):
+        if layout.dim_of(name) != dim:
+            raise DimensionMismatch(f"register {name} has dim {layout.dim_of(name)}, expected {dim}")
+    check_support(state, control, range(spec.n_terms, spec.d_a))
+    unitaries = spec.branch_stack
+    n = spec.order
+    full = apply_map(state, spec.hidden_map, (control, target),
+                     RegisterLayout.of(*((name, n) for name in ("a", "b", "x", "y"))))
+    rho_out = partial_trace(full, layout.names)
+    # row l: the l-th branch unitary applied to the input, as in run_measured_variant
+    rows = apply_on_rows(state.amps[None], layout, unitaries, (control, target))
+    expected = rows.T @ rows.conj() / n
     return HiddenRunRecord(branches=measure_registers(full, ("b", "x")), output_density=rho_out,
                            expected_density=expected, deviation=operator_norm(rho_out - expected),
                            ensemble=unitaries)
@@ -381,7 +405,7 @@ def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,
     phases and V_l^dag never touch x, so seed r's state is X_x^r times this one.
     """
     n = spec.order
-    blocks = build_quasigroup_gates(spec)
+    blocks = spec.compiled.blocks
     shift_powers = np.stack([shift_gate(n, l) for l in range(n)])
     seed = basis_state(RegisterLayout.of(("x", n), ("y", n)), {"x": 0, "y": 0})
     full = product_state(one_round_circuit(state, blocks, control, target), seed)
@@ -401,20 +425,24 @@ class ChannelComparison:
 def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
     """Choi matrix of the hidden circuit versus the uniform branch mixture.
 
-    The hidden run (``_hidden_run``) on half of a maximally entangled pair,
-    the reference halves Ar and Br as spectators, scaled by d to the
-    unnormalized pair state; nothing is measured.  The input control
-    dimension must equal the number of terms so the channel and the mixture
-    share one domain.  Row-major vec: the ensemble side is
-    sum_l vec(U_l) vec(U_l)^dag / N, of trace d.
+    Row-major vec on (A, B, Ar, Br), Ar and Br the reference halves.  The
+    circuit side is read from the hidden map: column j of the map is the
+    circuit on basis input j, and tracing out the ancillas pairs its columns,
+    sum over ancilla values of <o, anc|circuit|j> <o', anc|circuit|j'>^*.
+    The ensemble side is sum_l vec(U_l) vec(U_l)^dag / N.  Both have trace
+    d.  The input control dimension must equal the number of terms so the
+    channel and the mixture share one domain.
     """
     if spec.d_a != spec.n_terms:
         raise UnsupportedInput("channel comparison needs every control state to carry a term")
     d = spec.d_a * spec.d_b
-    layout = RegisterLayout.of(("A", spec.d_a), ("B", spec.d_b),
-                               ("Ar", spec.d_a), ("Br", spec.d_b))
-    entangled = PureState(layout, np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
-    _, out, expected, _ = _hidden_run(spec, entangled, "A", "B")
-    choi_circ, choi_ens = d * out, d * expected
+    hidden = spec.hidden_map.tocoo()
+    n_anc = hidden.shape[0] // d
+    # entry (o, anc; j) of the map moves to row anc, column (o, j)
+    rows, cols = hidden.row % n_anc, hidden.row // n_anc * d + hidden.col
+    by_ancilla = sparse.csr_matrix((hidden.data, (rows, cols)), shape=(n_anc, d * d))
+    choi_circ = (by_ancilla.T @ by_ancilla.conj()).toarray()
+    vecs = spec.branch_stack.reshape(spec.order, d * d)
+    choi_ens = vecs.T @ vecs.conj() / spec.order
     return ChannelComparison(choi_circuit=choi_circ, choi_ensemble=choi_ens,
                              distance=operator_norm(choi_circ - choi_ens))

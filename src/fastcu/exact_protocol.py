@@ -9,9 +9,11 @@ the target unitary exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .algebra import FiniteGroup, ProjectiveRep
 from .errors import (
@@ -23,7 +25,9 @@ from .errors import (
 from .qsim import (
     Branches,
     PureState,
+    RegisterLayout,
     apply_controlled,
+    apply_map,
     apply_on,
     apply_on_rows,
     controlled_gate,
@@ -93,6 +97,11 @@ class ControlledGroupUnitary:
     def cost_ebits(self) -> float:
         """Entanglement consumed: log2 of the group order, independent of the subset."""
         return math.log2(self.group.order)
+
+    @cached_property
+    def compiled(self) -> "CompiledRound":
+        """The protocol with the standard Fourier gate, compiled on first use."""
+        return compile_round(build_exact_gates(self), self.target_matrix())
 
 
 def shift_gate_for(cgu: ControlledGroupUnitary, k: int) -> np.ndarray:
@@ -190,26 +199,80 @@ def correction_steps(blocks: OneRoundBlocks, control: str, target: str, undo_on:
     return (blocks.phases, ANCILLAS, control), (blocks.undo, undo_on, target)
 
 
-def run_one_round(state: PureState, blocks: OneRoundBlocks, control: str, target: str,
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A copy of ``array`` that refuses in-place writes."""
+    out = np.array(array)
+    out.setflags(write=False)
+    return out
+
+
+def circuit_map(circuit, d_control: int, d_target: int) -> sparse.csr_matrix:
+    """Linear map of a circuit on (control, target), from one gate-by-gate run per basis input.
+
+    ``circuit(state, control, target)`` appends its ancillas after the input
+    registers; its output on basis input j becomes column j of the map.  One
+    run at a time holds no more than a run on any input state would.
+    Returns the read-only CSR matrix that ``qsim.apply_map`` takes, rows over
+    (control, target, ancillas), exact zeros dropped.
+    """
+    layout = RegisterLayout.of(("control", d_control), ("target", d_target))
+    columns = [sparse.csc_matrix(circuit(PureState(layout, basis), "control", "target").amps[:, None])
+               for basis in np.eye(layout.dim, dtype=complex)]
+    matrix = sparse.hstack(columns, format="csr")
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.setflags(write=False)
+    return matrix
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledRound:
+    """One protocol instance, compiled once: its gates, its target and its circuit's map.
+
+    ``circuit`` takes a basis input of (control, target) to the state on
+    (control, target, a, b) after the opening and every correction, before
+    (a, b) is measured.  Every array is read-only, so the cached instance
+    cannot drift from what was checked.
+    """
+
+    blocks: OneRoundBlocks
+    target: np.ndarray                  # (d_a * d_b, d_a * d_b) control (x) target matrix
+    circuit: sparse.csr_matrix          # (d_a * d_b * N * N, d_a * d_b)
+
+
+def compile_round(blocks: OneRoundBlocks, unitary: np.ndarray) -> CompiledRound:
+    """Freeze the gate stacks and the target unitary, and build the round's map from its circuit."""
+    blocks = OneRoundBlocks(**{f.name: _read_only(getattr(blocks, f.name)) for f in fields(blocks)})
+
+    def circuit(state: PureState, control: str, target: str) -> PureState:
+        full = one_round_circuit(state, blocks, control, target)
+        for step in correction_steps(blocks, control, target, "a"):
+            full = apply_controlled(full, *step)
+        return full
+
+    return CompiledRound(blocks, _read_only(unitary),
+                         circuit_map(circuit, len(blocks.shifts), blocks.reps.shape[1]))
+
+
+def run_one_round(state: PureState, compiled: CompiledRound, control: str, target: str,
                   unsupported) -> Branches:
     """Every branch of one protocol round on ``state``, from one measurement of (a, b).
 
     The input may contain spectator registers, but none named a or b; the
     protocol touches only ``control``, ``target`` and the two fresh rank-N
     ancillas.  ``unsupported`` lists the control states that must carry no
-    weight.  Each branch's post state is final: the corrections run before
-    the measurement, controlled on the ancillas.
+    weight.  The compiled map runs the whole round on (control, target), so
+    each branch's post state is final.
     """
-    layout = state.layout
+    layout, blocks = state.layout, compiled.blocks
     for name, dim in ((control, len(blocks.shifts)), (target, blocks.reps.shape[1])):
         if layout.dim_of(name) != dim:
             raise DimensionMismatch(f"register {name} has dim {layout.dim_of(name)}, expected {dim}")
     if set(ANCILLAS) & set(layout.names):
         raise DimensionMismatch(f"input registers {layout.names} reuse an ancilla name {ANCILLAS}")
     check_support(state, control, unsupported)
-    full = one_round_circuit(state, blocks, control, target)
-    for step in correction_steps(blocks, control, target, "a"):
-        full = apply_controlled(full, *step)
+    n = len(blocks.fourier)
+    full = apply_map(state, compiled.circuit, (control, target),
+                     RegisterLayout.of(*((name, n) for name in ANCILLAS)))
     return measure_registers(full, ANCILLAS)
 
 
@@ -240,16 +303,21 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
     """Simulate every branch of the protocol on the given input state (see ``run_one_round``).
 
     Each branch's final state is compared against the target unitary applied
-    directly (exact equality, no global-phase allowance).
+    directly (exact equality, no global-phase allowance).  The standard
+    Fourier gate uses the instance's cached compilation; a replacement gate
+    is compiled for this call.
     """
     n = cgu.group.order
-    if fourier is not None:
+    if fourier is None:
+        compiled = cgu.compiled
+    else:
         fourier = np.asarray(fourier, dtype=complex)
         if not is_unitary(fourier) or np.max(np.abs(np.abs(fourier) - 1 / math.sqrt(n))) > FLAT_ENTRY_TOL:
             raise DimensionMismatch("replacement Fourier gate must be unitary with flat entries")
-    branches = run_one_round(state, build_exact_gates(cgu, fourier), control, target,
+        compiled = compile_round(build_exact_gates(cgu, fourier), cgu.target_matrix())
+    branches = run_one_round(state, compiled, control, target,
                              [i for i, k in enumerate(cgu.labels) if k is None])
-    target_state = apply_on(state, cgu.target_matrix(), (control, target))
+    target_state = apply_on(state, compiled.target, (control, target))
     deviations = np.linalg.norm(branches.posts - target_state.amps, axis=1)
     uniformity = np.abs(branches.probabilities - 1.0 / (n * n))
     return ExactRunRecord(branches=branches, target_state=target_state,

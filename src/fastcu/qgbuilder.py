@@ -266,10 +266,9 @@ class FamilyGeometry:
         """Class-level edges (cl, cr, dist) of label k's graph with dist at most radius."""
         if self.tree is not None:
             prodq = quaternion_product(self.quats, self.quats[self.classes[k]])
-            coo = self.tree.sparse_distance_matrix(cKDTree(prodq), radius,
-                                                   output_type="coo_matrix")
-            # rows index the static class points (right side), columns the products
-            return coo.col.astype(np.int64), coo.row.astype(np.int64), coo.data
+            pairs = self.tree.sparse_distance_matrix(cKDTree(prodq), radius, output_type="ndarray")
+            # i indexes the static class points (right side), j the products
+            return pairs["j"], pairs["i"], pairs["v"]
         reps = self.rep_matrices
         norms = operator_norms((reps @ self.net.matrices[k])[:, None] - reps[None])
         lefts, rights = np.nonzero(norms <= radius)
@@ -289,8 +288,7 @@ def _solve_class_flow(geom: FamilyGeometry, lefts: np.ndarray,
     sink = 2 * ncl + 1
     # nodes: source 0, left classes 1..ncl, right classes ncl+1..2ncl, sink;
     # rows in node order with ascending columns, as scipy's canonical CSR
-    order = np.argsort(lefts * ncl + rights)
-    lefts, rights = lefts[order], rights[order]
+    lefts, rights = np.divmod(np.sort(lefts * ncl + rights), ncl)
     row_sizes = np.concatenate([[ncl], np.bincount(lefts, minlength=ncl),
                                 np.ones(ncl, np.int64), [0]])
     indptr = np.concatenate([[0], np.cumsum(row_sizes)]).astype(np.int32)
@@ -300,10 +298,14 @@ def _solve_class_flow(geom: FamilyGeometry, lefts: np.ndarray,
     graph = csr_matrix((data, indices, indptr), shape=(sink + 1, sink + 1))
     graph.has_sorted_indices = True
     res = maximum_flow(graph, 0, sink)
-    flow = res.flow.tocoo()
-    keep = (flow.data > 0) & (flow.row >= 1) & (flow.row <= ncl) & (flow.col > ncl) & (flow.col < sink)
-    fl, fr, fv = flow.row[keep] - 1, flow.col[keep] - 1 - ncl, flow.data[keep].astype(np.int64)
-    return int(res.flow_value), (fl.astype(np.int64), fr.astype(np.int64), fv)
+    # forward flows leave the left classes: CSR rows 1..ncl
+    flow = res.flow
+    lo, hi = flow.indptr[1], flow.indptr[ncl + 1]
+    rows = np.repeat(np.arange(ncl), np.diff(flow.indptr[1:ncl + 2]))
+    cols, vals = flow.indices[lo:hi], flow.data[lo:hi]
+    keep = (vals > 0) & (cols > ncl) & (cols < sink)
+    return int(res.flow_value), (rows[keep], cols[keep].astype(np.int64) - 1 - ncl,
+                                 vals[keep].astype(np.int64))
 
 
 def _expand_column(geom: FamilyGeometry, fl: np.ndarray, fr: np.ndarray,

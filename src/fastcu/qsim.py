@@ -243,6 +243,31 @@ def apply_on_rows(rows: np.ndarray, layout: RegisterLayout, gates: np.ndarray,
     return out.reshape(len(out), -1)
 
 
+def apply_map(state: PureState, matrix, registers, ancillas: RegisterLayout) -> PureState:
+    """Apply a linear map from the named registers into (registers, ancillas), identity elsewhere.
+
+    ``matrix`` (dense or scipy sparse) has shape (d * ancillas.dim, d), d the
+    joint dimension of ``registers`` in the given order; its rows run over
+    (registers, ancillas) in row-major order.  The result lives on the
+    state's layout extended by ``ancillas``: every other register passes
+    through in its own place.
+    """
+    registers = [registers] if isinstance(registers, str) else list(registers)
+    layout = state.layout
+    axes = [layout.axis(r) for r in registers]
+    front = range(len(axes))
+    t = np.moveaxis(state.tensor(), axes, front)
+    d = math.prod(t.shape[:len(axes)])
+    if matrix.shape != (d * ancillas.dim, d):
+        raise DimensionMismatch(
+            f"map of shape {matrix.shape} does not take registers {registers} of joint dim {d} "
+            f"to them and ancillas of dim {ancillas.dim}")
+    out = (matrix @ t.reshape(d, -1)).reshape(d, ancillas.dim, -1).swapaxes(1, 2)
+    out = np.moveaxis(out.reshape(*t.shape, ancillas.dim), front, axes)
+    return PureState(layout.extended(*zip(ancillas.names, ancillas.dims)), out.reshape(-1),
+                     normalized=state.normalized)
+
+
 def controlled_gate(control_dim: int, targets: dict[int, np.ndarray],
                     target_dim: int) -> np.ndarray:
     """Block-diagonal gate applying ``targets[c]`` when the control register is ``|c>``.

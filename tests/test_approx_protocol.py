@@ -501,11 +501,7 @@ def test_hidden_partial_trace_per_seed_equals_branch_loop(make):
     n = spec.order
     want = [(r, m, s, prob / n, st) for r, m, s, prob, st in per_seed_trajectories(spec, state)]
     got = record.trajectories
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g[:-1] == w[:-1]
-        assert g[-1].layout == w[-1].layout
-        assert np.array_equal(g[-1].amps, w[-1].amps)
+    _assert_same_branches(got, want)
     assert sum(row[3] for row in got) == pytest.approx(1.0, abs=1e-12)
 
 

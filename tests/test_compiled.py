@@ -1,0 +1,229 @@
+"""Compiled protocol instances: the cached circuit map against gate-by-gate runs.
+
+Each instance runs its one-round circuit once, on the basis inputs, to build
+the linear map that every later input goes through.  These tests run the same
+circuit gate by gate on each input and compare branches, probabilities,
+densities and the Choi matrix, and check that the cached data cannot be
+written.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fastcu import algebra, approx_protocol, demos, exact_protocol, net, qgbuilder, qsim
+from fastcu.algebra import ordinary_rep
+from fastcu.approx_protocol import (
+    QuasigroupProtocolSpec,
+    _hidden_circuit,
+    build_quasigroup_gates,
+    hidden_variant_choi,
+    run_hidden_variant,
+    run_measured_variant,
+)
+from fastcu.exact_protocol import (
+    ControlledGroupUnitary,
+    build_exact_gates,
+    correction_steps,
+    lift_highrank,
+    one_round_circuit,
+    run_exact_protocol,
+    run_lifted_protocol,
+)
+
+TOL = 1e-12
+ORDERS = (("A", "B"), ("B", "A"), ("B", "S", "A"))   # register orders; S is a spectator
+
+
+def gate_by_gate_round(state, blocks, control, target):
+    """The one-round circuit applied gate by gate on this input, then (a, b) measured."""
+    full = one_round_circuit(state, blocks, control, target)
+    for step in correction_steps(blocks, control, target, "a"):
+        full = qsim.apply_controlled(full, *step)
+    return qsim.measure_registers(full, ("a", "b"))
+
+
+def assert_same_branches(got, want):
+    assert got.registers == want.registers and got.layout == want.layout
+    assert np.array_equal(got.outcomes, want.outcomes)
+    assert np.abs(got.probabilities - want.probabilities).max() <= TOL
+    assert np.abs(got.posts - want.posts).max() <= TOL
+
+
+def input_state(d_a, d_b, order, rng, unsupported=()):
+    """Random input on (A, B) and a dim-3 spectator S, in ``order``, zero on ``unsupported``."""
+    dims = {"A": d_a, "B": d_b, "S": 3}
+    layout = qsim.RegisterLayout.of(*((r, dims[r]) for r in order))
+    t = qsim.random_pure_state(layout, rng).tensor().copy()
+    index = [slice(None)] * len(order)
+    index[order.index("A")] = list(unsupported)
+    t[tuple(index)] = 0
+    return qsim.PureState(layout, t / np.linalg.norm(t))
+
+
+@functools.lru_cache(maxsize=None)
+def exact_case(name: str) -> ControlledGroupUnitary:
+    group, rep = demos.pauli_rep()
+    return {"pauli-subset": demos.controlled_pauli_subset,
+            "c3-subset": demos.controlled_c3_subset,
+            "pauli-gap": lambda: ControlledGroupUnitary(group, rep, (2, None, 1, 3))}[name]()
+
+
+@functools.lru_cache(maxsize=None)
+def spec_case(name: str) -> QuasigroupProtocolSpec:
+    if name == "perturbed":
+        group = algebra.cyclic_group(4)
+        mats = np.stack([np.diag([1.0, 1j ** k]).astype(complex) for k in range(4)])
+        rng = np.random.default_rng(53)
+        for k in range(1, 4):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            vals, vecs = np.linalg.eigh(h + h.conj().T)
+            mats[k] = mats[k] @ (vecs * np.exp(0.1j * vals)) @ vecs.conj().T
+        q = group.to_right_quasigroup()
+        return QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(0, 2))
+    fam = net.build_net(2, 1)
+    built = qgbuilder.assemble_quasigroup(fam, 1.1)
+    rep = ordinary_rep(built.quasigroup, fam.matrices)
+    d_a = 3 if name == "N12-spare-control-state" else 0
+    return QuasigroupProtocolSpec(built.quasigroup, rep, term_map=(2, 9), d_a=d_a)
+
+
+def flat_unitary(n: int, rng) -> np.ndarray:
+    """The Fourier gate between two random diagonal phase gates: unitary with flat entries."""
+    left, right = (np.exp(2j * np.pi * rng.random(n)) for _ in range(2))
+    return left[:, None] * qsim.fourier_gate(n) * right
+
+
+@settings(deadline=None, max_examples=12)
+@given(name=st.sampled_from(["pauli-subset", "c3-subset", "pauli-gap"]),
+       replace_fourier=st.booleans(), order=st.sampled_from(ORDERS), seed=st.integers(0, 2 ** 16))
+@example(name="pauli-gap", replace_fourier=True, order=("B", "S", "A"), seed=0)
+def test_exact_map_equals_gate_by_gate_run(name, replace_fourier, order, seed):
+    cgu = exact_case(name)
+    rng = np.random.default_rng(seed)
+    fourier = flat_unitary(cgu.group.order, rng) if replace_fourier else None
+    unsupported = [i for i, k in enumerate(cgu.labels) if k is None]
+    state = input_state(cgu.d_a, cgu.d_b, order, rng, unsupported)
+    record = run_exact_protocol(cgu, state, fourier=fourier)
+    assert_same_branches(record.branches,
+                         gate_by_gate_round(state, build_exact_gates(cgu, fourier), "A", "B"))
+    assert record.max_deviation <= 1e-9
+
+
+@settings(deadline=None, max_examples=6)
+@given(order=st.sampled_from(ORDERS), seed=st.integers(0, 2 ** 16))
+@example(order=("B", "S", "A"), seed=0)
+def test_lifted_map_equals_gate_by_gate_run(order, seed):
+    """The lifted run: control E, with A (and S) passing through as spectators."""
+    lifted = lift_highrank(demos.highrank_pauli(rank=2))
+    state = input_state(lifted.source.d_a, lifted.source.d_b, order, np.random.default_rng(seed))
+    record = run_lifted_protocol(lifted, state)
+
+    e0 = np.zeros(lifted.ancilla_dim, dtype=complex)
+    e0[0] = 1.0
+    full = qsim.PureState(state.layout.extended(("E", lifted.ancilla_dim)), np.kron(state.amps, e0))
+    full = qsim.apply_on(full, lifted.pre, ("A", "E"))
+    want = gate_by_gate_round(full, build_exact_gates(lifted.cgu), "E", "B")
+    posts = qsim.apply_on_rows(want.posts, want.layout, lifted.post, ("A", "E"))
+    assert record.branches.layout == want.layout
+    assert np.array_equal(record.branches.outcomes, want.outcomes)
+    assert np.abs(record.branches.probabilities - want.probabilities).max() <= TOL
+    assert np.abs(record.branches.posts - posts).max() <= TOL
+    assert record.max_deviation <= 1e-9
+
+
+SPEC_NAMES = ["N12", "perturbed", "N12-spare-control-state"]
+
+
+@settings(deadline=None, max_examples=10)
+@given(name=st.sampled_from(SPEC_NAMES), order=st.sampled_from(ORDERS), seed=st.integers(0, 2 ** 16))
+@example(name="N12-spare-control-state", order=("B", "S", "A"), seed=0)
+def test_measured_map_equals_gate_by_gate_run(name, order, seed):
+    spec = spec_case(name)
+    state = input_state(spec.d_a, spec.d_b, order, np.random.default_rng(seed),
+                        range(spec.n_terms, spec.d_a))
+    record = run_measured_variant(spec, state)
+    assert_same_branches(record.branches,
+                         gate_by_gate_round(state, build_quasigroup_gates(spec), "A", "B"))
+    assert record.max_deviation <= 1e-9
+
+
+@settings(deadline=None, max_examples=10)
+@given(name=st.sampled_from(SPEC_NAMES), order=st.sampled_from(ORDERS), seed=st.integers(0, 2 ** 16))
+@example(name="N12", order=("B", "S", "A"), seed=0)
+def test_hidden_map_equals_gate_by_gate_run(name, order, seed):
+    spec = spec_case(name)
+    state = input_state(spec.d_a, spec.d_b, order, np.random.default_rng(seed),
+                        range(spec.n_terms, spec.d_a))
+    record = run_hidden_variant(spec, state)
+    full = _hidden_circuit(spec, state, "A", "B")
+    assert_same_branches(record.branches, qsim.measure_registers(full, ("b", "x")))
+    density = qsim.partial_trace(full, state.layout.names)
+    assert np.abs(record.output_density - density).max() <= TOL
+    assert record.deviation <= TOL
+
+
+@pytest.mark.parametrize("name", ["N12", "perturbed"])
+def test_choi_from_map_equals_gate_by_gate_run(name):
+    spec = spec_case(name)
+    d = spec.d_a * spec.d_b
+    layout = qsim.RegisterLayout.of(("A", spec.d_a), ("B", spec.d_b),
+                                    ("Ar", spec.d_a), ("Br", spec.d_b))
+    entangled = qsim.PureState(layout, np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d))
+    full = _hidden_circuit(spec, entangled, "A", "B")
+    want = d * qsim.partial_trace(full, layout.names)
+    assert np.abs(hidden_variant_choi(spec).choi_circuit - want).max() <= TOL
+
+
+def test_runs_after_compilation_call_no_circuit(monkeypatch):
+    """Once an instance is compiled, every run goes through its cached map."""
+    cgu, spec = exact_case("pauli-subset"), spec_case("N12")
+    cgu.compiled, spec.compiled, spec.hidden_map
+    assert cgu.compiled is cgu.compiled and spec.hidden_map is spec.hidden_map
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compiled run called the circuit")
+
+    for module in (exact_protocol, approx_protocol):
+        monkeypatch.setattr(module, "one_round_circuit", refuse)
+    monkeypatch.setattr(approx_protocol, "_hidden_circuit", refuse)
+    rng = np.random.default_rng(7)
+    assert run_exact_protocol(cgu, input_state(cgu.d_a, cgu.d_b, ("A", "B"), rng)).max_deviation <= 1e-9
+    state = input_state(spec.d_a, spec.d_b, ("A", "B"), rng)
+    assert run_measured_variant(spec, state).max_deviation <= 1e-9
+    run_hidden_variant(spec, state)
+    hidden_variant_choi(spec)
+
+
+def test_cached_arrays_refuse_writes():
+    cgu, spec = exact_case("pauli-subset"), spec_case("N12")
+    arrays = []
+    for compiled in (cgu.compiled, spec.compiled):
+        blocks = compiled.blocks
+        arrays += [blocks.shifts, blocks.reps, blocks.fourier, blocks.phases, blocks.undo,
+                   compiled.target, compiled.circuit.data, compiled.circuit.indices,
+                   compiled.circuit.indptr]
+    arrays += [spec.branch_stack, spec.hidden_map.data, spec.hidden_map.indices,
+               spec.hidden_map.indptr]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+    # the frozen stacks are copies: the representations stay writable
+    assert cgu.rep.matrices.flags.writeable and spec.rep.matrices.flags.writeable
+
+
+def test_map_shapes_and_sparsity():
+    """The measured map has N^2 rows per input dim, the hidden map N^4; both are sparse."""
+    cgu, spec = exact_case("pauli-subset"), spec_case("N12")
+    d = cgu.d_a * cgu.d_b
+    assert cgu.compiled.circuit.shape == (d * cgu.group.order ** 2, d)
+    d, n = spec.d_a * spec.d_b, spec.order
+    assert spec.compiled.circuit.shape == (d * n ** 2, d)
+    assert spec.hidden_map.shape == (d * n ** 4, d)
+    assert spec.hidden_map.nnz <= spec.hidden_map.shape[0] * d // 100
