@@ -2,7 +2,8 @@
 
 Every run is deterministic given its flags and seed.  Outputs are JSON bundles
 (schema above each writer) or tidy CSV for plotting; summaries go to stdout.
-Exit codes: 0 all checks pass, 1 a bound or invariant failed, 2 usage or IO.
+Exit codes: 0 all checks pass, 1 a bound or invariant failed, 2 usage, IO or a
+malformed bundle.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import json
 import math
 import sys
 
@@ -189,6 +191,31 @@ def _fail(name: str, detail: str) -> int:
     return 1
 
 
+_NUMBER = (int, float)
+_JSON_NAMES = {int: "integer", _NUMBER: "number", str: "string", list: "list", dict: "object"}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _field(doc: dict, path: str, kind, items=None):
+    """The bundle field at dotted ``path`` (its last part a key of ``doc``), type-checked.
+
+    A missing field, a null or a value of another JSON type (a boolean is no
+    number) raises SchemaMismatch naming the field; ``items`` types the
+    entries of a list.
+    """
+    key = path.rpartition(".")[2]
+    value = doc.get(key)
+    entries = value if items is not None and isinstance(value, list) else []
+    if not _is(value, kind) or not all(_is(v, items) for v in entries):
+        what = _JSON_NAMES[kind] + ("" if items is None else f" of {_JSON_NAMES[items]}s")
+        got = json.dumps(value)[:40] if key in doc else "nothing"
+        raise SchemaMismatch(f"bundle field {path!r} must be a JSON {what}, got {got}")
+    return value
+
+
 def _verify_table_and_net(table, net_doc: dict):
     """The bundle's quasigroup and family, or None after printing the failed check.
 
@@ -202,7 +229,7 @@ def _verify_table_and_net(table, net_doc: dict):
         return None
     n = quasigroup.order
     print(f"ok axioms: all {n} columns are permutations")
-    d, m = net_doc["d"], net_doc["m"]
+    d, m = _field(net_doc, "net.d", int), _field(net_doc, "net.m", int)
     if net_size(d, m) != n:
         _fail("net", f"net size {net_size(d, m)} does not match table order {n}")
         return None
@@ -210,7 +237,10 @@ def _verify_table_and_net(table, net_doc: dict):
 
 
 def _verify_quasigroup_bundle(doc: dict) -> int:
-    loaded = _verify_table_and_net(doc["table"], doc["net"])
+    for name, kind in (("N", int), ("eta", _NUMBER), ("delta_cert", _NUMBER)):
+        _field(doc, name, kind)
+    _field(doc, "matched_counts", list, int)
+    loaded = _verify_table_and_net(_field(doc, "table", list), _field(doc, "net", dict))
     if loaded is None:
         return 1
     quasigroup, net = loaded
@@ -241,8 +271,14 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
 
 
 def _verify_compile_bundle(doc: dict) -> int:
-    plan = doc["plan"]
-    loaded = _verify_table_and_net(plan["table"], plan["net"])
+    plan = _field(doc, "plan", dict)
+    for name, kind in (("m", int), ("eta", _NUMBER), ("delta_cert", _NUMBER), ("zeta", _NUMBER)):
+        _field(plan, f"plan.{name}", kind)
+    _field(plan, "plan.zetas", list, _NUMBER)
+    _field(plan, "plan.assignment", list, int)
+    stored_report = _field(doc, "report", dict)
+    matrices = _field(_field(doc, "target", dict), "target.matrices", list)
+    loaded = _verify_table_and_net(_field(plan, "plan.table", list), _field(plan, "plan.net", dict))
     if loaded is None:
         return 1
     quasigroup, net = loaded
@@ -253,7 +289,7 @@ def _verify_compile_bundle(doc: dict) -> int:
         return _fail("recount", f"stored delta_cert={plan['delta_cert']} but recount={cert.delta_cert}")
     print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
 
-    blocks = serialize.pairs_to_complex(doc["target"]["matrices"])
+    blocks = serialize.pairs_to_complex(matrices)
     if len(plan["assignment"]) != len(blocks):
         return _fail("assignment", f"{len(plan['assignment'])} labels for {len(blocks)} blocks")
     spec = QuasigroupProtocolSpec(quasigroup, ordinary_rep(quasigroup, net.matrices),
@@ -270,11 +306,12 @@ def _verify_compile_bundle(doc: dict) -> int:
     except DimensionMismatch as exc:
         return _fail("budget", str(exc))
     recomputed = dataclasses.asdict(report)
-    if set(doc["report"]) != set(recomputed):
-        return _fail("report", f"stored fields {sorted(doc['report'])}, expected {sorted(recomputed)}")
     for name, value in recomputed.items():
-        if abs(doc["report"][name] - value) > 1e-9:
-            return _fail("report", f"stored {name}={doc['report'][name]} but recomputed {value}")
+        stored = _field(stored_report, f"report.{name}", _NUMBER)
+        if abs(stored - value) > 1e-9:
+            return _fail("report", f"stored {name}={stored} but recomputed {value}")
+    if set(stored_report) != set(recomputed):
+        return _fail("report", f"stored fields {sorted(stored_report)}, expected {sorted(recomputed)}")
     print(f"ok report: every stored field matches; measured {report.diamond_bound_measured:.6f} "
           f"<= certified {report.certified_error_bound:.6f}, cost {report.cost_ebits:.6f} ebits")
     return 0
@@ -282,10 +319,14 @@ def _verify_compile_bundle(doc: dict) -> int:
 
 def _verify_exact_demo_bundle(doc: dict) -> int:
     """Re-run the demo from its example, seed and trials; no stored number is evidence."""
-    trials = doc["trials"]
-    if not isinstance(trials, int) or trials < 1:
+    for name, kind in (("N", int), ("cost_ebits", _NUMBER), ("max_branch_deviation", _NUMBER),
+                       ("uniformity_error", _NUMBER)):
+        _field(doc, name, kind)
+    _field(doc, "S", list, int)
+    trials = _field(doc, "trials", int)
+    if trials < 1:
         return _fail("record", f"trials={trials!r} is not a positive integer")
-    redo = _exact_demo_bundle(doc["example"], int(doc["seed"]), trials)
+    redo = _exact_demo_bundle(_field(doc, "example", str), _field(doc, "seed", int), trials)
     for name in ("N", "S"):
         if doc[name] != redo[name]:
             return _fail("instance", f"stored {name}={doc[name]} but the demo has {redo[name]}")
@@ -304,6 +345,8 @@ def _verify_exact_demo_bundle(doc: dict) -> int:
 
 def cmd_verify(args) -> int:
     doc = serialize.load_json(args.bundle)
+    if not isinstance(doc, dict):
+        raise SchemaMismatch("a bundle must be a JSON object")
     kind = doc.get("kind")
     if kind == "quasigroup":
         return _verify_quasigroup_bundle(doc)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -104,9 +104,17 @@ class NetElementSpec:
     inverted: bool
 
 
+def _matrix_keys(mats: np.ndarray) -> list[bytes]:
+    """One key per matrix: its entries rounded to 9 decimals, with -0.0 made 0.0."""
+    rounded = np.round(mats, 9) + 0.0
+    return [row.tobytes() for row in rounded.reshape(len(mats), -1)]
+
+
 @dataclass(frozen=True, eq=False)
 class NetFamily:
-    """Labeled family of special unitaries; duplicates are kept as distinct labels."""
+    """Labeled family of special unitaries; labels equal to 9 decimals are one element.
+
+    They share a class, numbered by first appearance, and carry its first matrix bitwise."""
 
     d: int
     matrices: np.ndarray
@@ -114,6 +122,28 @@ class NetFamily:
     words: list[GateWord] | None = None
     element_specs: tuple[NetElementSpec, ...] | None = None
     mixing_bound: float | None = None
+    classes: np.ndarray = field(init=False, repr=False)
+    n_classes: int = field(init=False, repr=False)
+    _class_of_key: dict[bytes, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        index: dict[bytes, int] = {}
+        classes = np.array([index.setdefault(key, len(index))
+                            for key in _matrix_keys(self.matrices)], dtype=np.int64)
+        first = np.unique(classes, return_index=True)[1]
+        object.__setattr__(self, "matrices", self.matrices[first[classes]])
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "n_classes", len(index))
+        object.__setattr__(self, "_class_of_key", index)
+
+    def class_map(self, images: np.ndarray) -> np.ndarray | None:
+        """Class of each class's image, if the images permute the classes with their sizes."""
+        out = np.array([self._class_of_key.get(key, -1) for key in _matrix_keys(images)],
+                       dtype=np.int64)
+        counts = np.bincount(self.classes)
+        if (out < 0).any() or not np.array_equal(counts[out], counts):
+            return None
+        return out
 
     @property
     def size(self) -> int:
@@ -128,6 +158,8 @@ class NetFamily:
 
     @classmethod
     def from_unitaries(cls, matrices, d: int | None = None) -> "NetFamily":
+        """One label per unitary; matrices equal to 9 decimals become one element,
+        and each of its labels carries the first one's matrix."""
         mats = np.asarray(matrices, dtype=complex)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise DimensionMismatch(f"expected a stack of square matrices, got {mats.shape}")
@@ -153,8 +185,8 @@ def build_net(d: int, m: int, cap: int = DEFAULT_CAP) -> NetFamily:
     """Enumerate the full word-built family of degree m in dimension d.
 
     Every slot assignment is listed, followed by the inverse of every element;
-    identical matrices under different labels stay distinct, so the size is
-    exactly ``net_size(d, m)``.
+    identical matrices under different labels stay distinct labels of one
+    class, so the size is exactly ``net_size(d, m)``.
     """
     if d < 2 or m < 1:
         raise DimensionMismatch(f"need d >= 2 and m >= 1, got d={d}, m={m}")
@@ -276,7 +308,7 @@ def _stack_distances(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
 def nearest_in_net(u: np.ndarray, net: NetFamily, mode: str = "exhaustive") -> NearestResult:
     """Closest family element to ``u`` in operator norm.
 
-    ``exhaustive`` scans every label (ties broken by smallest label).
+    ``exhaustive`` scans every label (ties go to the smallest label: a class's first).
     ``blockwise`` decomposes ``u`` into two-level factors, approximates each
     block independently over the word list, and composes; the result is the
     label of that composition and its true distance, which is at most the sum

@@ -6,7 +6,7 @@ permutation, becomes column k of the product table.  The assembled table is a
 right quasigroup by construction and its (eta, delta) certificate is recounted
 exhaustively afterwards.
 
-Labels with equal matrices collapse into classes, and every column comes from
+The family's classes of equal labels index the build; every column comes from
 an integer max-flow on the class graph, whose capacities are the class sizes.
 The flow network is handed to scipy as a ready CSR matrix with sorted indices.
 Isometries that permute the classes (inversion, entrywise conjugation and, for
@@ -138,12 +138,6 @@ def hall_deficiency_witness(graph: CompatGraph, t: int) -> np.ndarray | None:
 # --------------------------------------------------------------------------- #
 
 
-def _matrix_keys(mats: np.ndarray, decimals: int = 9) -> list[bytes]:
-    # adding 0.0 canonicalizes -0.0 so negated entries hash consistently
-    rounded = np.round(mats, decimals) + 0.0
-    return [row.tobytes() for row in rounded.reshape(len(mats), -1)]
-
-
 def _axis_rotations():
     """The 24 rotations of R^3 that permute the coordinate axes up to sign.
 
@@ -178,25 +172,22 @@ class Transport(NamedTuple):
 class FamilyGeometry:
     """Label classes, their symmetry maps and a candidate-edge source for one family.
 
-    Labels with equal matrices share a class; the per-k graph, matching and
-    table column depend on k only through its class.  Isometries of the
-    family cut the matchings further.  The graph of the inverse class is the
-    transpose of the graph of the class.  A map that preserves products and
-    distances and permutes the family's classes (with their multiplicities)
-    sends the graph of a class to the class-relabeled graph of its image:
-    entrywise conjugation, and for 2x2 families conjugation by the rotations
-    that permute the Pauli axes up to sign.  One maximum matching therefore
-    serves a whole orbit of classes.
+    Labels of one class of the family carry one matrix; the per-k graph,
+    matching and table column depend on k only through its class.  Isometries
+    of the family cut the matchings further.  The graph of the inverse class
+    is the transpose of the graph of the class.  A map that preserves
+    products and distances and permutes the family's classes (with their
+    multiplicities) sends the graph of a class to the class-relabeled graph
+    of its image: entrywise conjugation, and for 2x2 families conjugation by
+    the rotations that permute the Pauli axes up to sign.  One maximum
+    matching therefore serves a whole orbit of classes.
     """
 
     def __init__(self, net: NetFamily):
         self.net = net
         self.n = net.size
-        keys = _matrix_keys(net.matrices)
-        key_to_class: dict[bytes, int] = {}
-        self.classes = np.array([key_to_class.setdefault(key, len(key_to_class))
-                                 for key in keys], dtype=np.int64)
-        self.n_classes = len(key_to_class)
+        self.classes = net.classes
+        self.n_classes = net.n_classes
         order = np.argsort(self.classes, kind="stable")
         counts = np.bincount(self.classes, minlength=self.n_classes)
         self.class_offsets = np.concatenate([[0], np.cumsum(counts)])
@@ -208,32 +199,19 @@ class FamilyGeometry:
         self.rep_matrices = net.matrices[self.class_reps]
         self.quats = su2_quaternions(self.rep_matrices)
         self.tree = cKDTree(self.quats) if self.quats is not None else None
-        self.inverse_class = self._class_map(self.rep_matrices.conj().transpose(0, 2, 1),
-                                             key_to_class)
-        self.conjugate_class = self._class_map(self.rep_matrices.conj(), key_to_class)
+        self.inverse_class = net.class_map(self.rep_matrices.conj().transpose(0, 2, 1))
+        self.conjugate_class = net.class_map(self.rep_matrices.conj())
         candidates = [np.arange(self.n_classes), self.conjugate_class]
         if self.quats is not None:
             for perm, signs in _axis_rotations():
                 rotated = self.quats.copy()
                 rotated[:, 1:] = self.quats[:, 1 + perm] * signs
-                candidates.append(self._class_map(_su2_from_quaternions(rotated), key_to_class))
+                candidates.append(net.class_map(_su2_from_quaternions(rotated)))
         # class permutations of the family's relabeling isometries, distinct
         unique = {c.tobytes(): c for c in candidates if c is not None}
         self.relabels = list(unique.values())
         self.label_maps = [order[self.class_offsets[sigma[self.classes]] + self.label_rank]
                            for sigma in self.relabels]
-
-    def _class_map(self, images: np.ndarray, key_to_class: dict[bytes, int]) -> np.ndarray | None:
-        """Class permutation sending each representative to its image, or None if not closed."""
-        out = np.empty(self.n_classes, dtype=np.int64)
-        for c, key in enumerate(_matrix_keys(images)):
-            if key not in key_to_class:
-                return None
-            out[c] = key_to_class[key]
-        counts = self.class_counts
-        if not np.array_equal(counts[out], counts):
-            return None
-        return out
 
     def labels_of(self, cls: int) -> np.ndarray:
         return self.class_labels[self.class_offsets[cls]:self.class_offsets[cls + 1]]

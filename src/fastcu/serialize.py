@@ -31,9 +31,12 @@ def complex_to_pairs(array: np.ndarray) -> list:
 
 
 def pairs_to_complex(data) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
-    if a.shape[-1] != 2:
-        raise SchemaMismatch("complex entries must be [re, im] pairs")
+    try:
+        a = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaMismatch("complex entries must be [re, im] pairs of numbers") from None
+    if a.ndim == 0 or a.shape[-1] != 2 or not np.isfinite(a).all():
+        raise SchemaMismatch("complex entries must be [re, im] pairs of finite numbers")
     return a[..., 0] + 1j * a[..., 1]
 
 

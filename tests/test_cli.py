@@ -315,3 +315,47 @@ def test_verify_compile_bundle_rejects_bad_table(compile_bundle, tmp_path, capsy
     assert ("FAIL net" if where == "net" else "FAIL axioms") in out
     if where == "column":
         assert "column 3" in out
+
+
+@pytest.fixture(scope="module")
+def demo_bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo") / "demo.json"
+    assert cli.main(["exact-demo", "pauli-subset", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("bundle, path", [
+    ("qg_bundle", "matched_counts"), ("qg_bundle", "eta"), ("qg_bundle", "net.d"),
+    ("compile_bundle", "plan.eta"), ("compile_bundle", "plan.assignment"),
+    ("compile_bundle", "target.matrices"), ("compile_bundle", "report.cost_ebits"),
+    ("demo_bundle", "trials"), ("demo_bundle", "example"), ("demo_bundle", "cost_ebits"),
+])
+@pytest.mark.parametrize("how", ["missing", "wrong-type", "null"])
+def test_verify_malformed_bundle_is_a_schema_error(request, tmp_path, capsys, bundle, path, how):
+    doc = json.loads(json.dumps(request.getfixturevalue(bundle)))
+    *parents, key = path.split(".")
+    owner = doc
+    for part in parents:
+        owner = owner[part]
+    if how == "missing":
+        del owner[key]
+    else:
+        owner[key] = None if how == "null" else 2 if key == "example" else "2"
+    out = tmp_path / "bundle.json"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    assert f"error: bundle field '{path}' must be" in capsys.readouterr().err
+
+
+def test_verify_accepts_any_label_of_an_assigned_class(compile_bundle, tmp_path):
+    """Bundles may name any label of a term's class: they are one element, one matrix."""
+    doc = json.loads(json.dumps(compile_bundle))
+    fam = net.build_net(2, doc["plan"]["m"])
+    first = doc["plan"]["assignment"][0]
+    same = np.flatnonzero(fam.classes == fam.classes[first])
+    assert first == same[0] and len(same) > 1     # a compile names the class's first label
+    doc["plan"]["assignment"][0] = int(same[-1])
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fastcu import net, qgbuilder, qsim
+from fastcu import algebra, net, qgbuilder, qsim
 from fastcu.errors import DimensionMismatch, NetTooLarge, NotSpecial, NotUnitary
 
 
@@ -74,6 +74,45 @@ def test_duplicates_kept_with_report():
         labels = geom.labels_of(cls)
         assert np.array_equal(geom.classes[labels], np.full(len(labels), cls))
         assert np.allclose(fam.matrices[labels], fam.matrices[labels[0]], atol=1e-12)
+
+
+def _distinct_elements(m: int) -> int:
+    """Reduced words over the six letters of length k <= m, k = m (mod 2); 1 for the empty word."""
+    return sum(6 * 5 ** (k - 1) for k in range(1, m + 1) if k % 2 == m % 2) + (m % 2 == 0)
+
+
+def _assert_one_matrix_per_class(fam: net.NetFamily) -> None:
+    first = np.unique(fam.classes, return_index=True)[1]
+    assert np.all(np.diff(first) > 0)                   # numbered in order of first appearance
+    assert fam.matrices.tobytes() == fam.matrices[first[fam.classes]].tobytes()
+    assert len({mat.tobytes() for mat in fam.matrices[first]}) == fam.n_classes
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_word_classes_are_the_distinct_elements_and_the_recount_groups(m):
+    fam = net.build_net(2, m)
+    assert fam.n_classes == _distinct_elements(m)
+    _assert_one_matrix_per_class(fam)
+    # grouping by matrix bits alone, with no classes given, finds exactly them
+    reps, groups, _, _ = algebra._recount_representatives(
+        qsim.su2_quaternions(fam.matrices), np.zeros(fam.size, dtype=np.int64))
+    assert len(reps) == fam.n_classes
+    assert np.array_equal(groups, fam.classes)
+
+
+def test_d3_word_classes_carry_one_matrix():
+    _assert_one_matrix_per_class(net.build_net(3, 1))
+
+
+def test_from_unitaries_merges_matrices_equal_to_nine_decimals():
+    rng = np.random.default_rng(36)
+    mats = np.stack([qsim.haar_special_unitary(2, rng) for _ in range(3)])
+    given = np.concatenate([mats, mats[1:2] * np.exp(1e-12j)])
+    fam = net.NetFamily.from_unitaries(given)
+    assert fam.classes.tolist() == [0, 1, 2, 1] and fam.n_classes == 3
+    assert fam.matrices[3].tobytes() == mats[1].tobytes()
+    assert not np.array_equal(given[3], mats[1])        # the caller's array is left alone
+    _assert_one_matrix_per_class(fam)
 
 
 def test_two_level_identity():

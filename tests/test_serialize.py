@@ -55,6 +55,13 @@ def test_state_roundtrip():
     assert np.array_equal(back.amps, state.amps)
 
 
+@pytest.mark.parametrize("data", [[[None, 0.0]], [["x", 0.0]], [[1.0, 0.0], [1.0]], 1.0,
+                                  [[float("nan"), 0.0]]])
+def test_pairs_to_complex_rejects_malformed_entries(data):
+    with pytest.raises(SchemaMismatch):
+        serialize.pairs_to_complex(data)
+
+
 @pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (3, 1)])
 def test_net_roundtrip_exact(d, m):
     fam = net.build_net(d, m)
@@ -69,6 +76,16 @@ def test_net_custom_roundtrip(regular_rep_net):
     back = serialize.net_from_json(serialize.net_to_json(fam))
     assert np.array_equal(back.matrices, fam.matrices)
     assert not back.is_word_built
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["words", "custom"])
+def test_net_roundtrip_keeps_matrices_and_classes_bitwise(custom):
+    fam = net.build_net(2, 3)
+    if custom:
+        fam = net.NetFamily.from_unitaries(fam.matrices)
+    back = serialize.net_from_json(serialize.net_to_json(fam))
+    assert back.matrices.tobytes() == fam.matrices.tobytes()
+    assert np.array_equal(back.classes, fam.classes) and back.n_classes == fam.n_classes == 156
 
 
 def test_net_json_rejects_corruption():
