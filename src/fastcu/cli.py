@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import math
 import sys
 
@@ -22,11 +21,12 @@ from .algebra import certify_approx_rep, ordinary_rep, right_quasigroup_from_tab
 from .approx_protocol import QuasigroupProtocolSpec, dilation_error
 from .compiler import CompileTargets, certified_bound, compile_target, error_budget, normalize_su
 from .demos import EXACT_DEMOS, exact_demo_instance
-from .errors import DimensionMismatch, FastcuError, NotRightQuasigroup, SchemaMismatch
+from .errors import DimensionMismatch, FastcuError, NetTooLarge, NotRightQuasigroup, SchemaMismatch
 from .exact_protocol import run_exact_protocol
-from .net import DEFAULT_CAP, advisory_m, build_net, net_size
+from .net import DEFAULT_CAP, advisory_m, build_net
 from .qgbuilder import FamilyGeometry, _matching_pass, assemble_quasigroup
 from .qsim import RegisterLayout, operator_norms, random_pure_state
+from .serialize import _NUMBER, _field
 
 DEMO_TRIALS = 50
 
@@ -119,13 +119,11 @@ def cmd_net_build(args) -> int:
     net = build_net(args.d, args.m, cap=args.cap)
     print(f"net d={args.d} m={args.m}: size={net.size} mixing_bound={net.mixing_bound:.6f} "
           f"cost={math.log2(net.size):.4f} ebits")
-    if args.out:
-        serialize.save_json(serialize.net_to_json(net), args.out)
-        print(f"wrote {args.out}")
+    _emit(serialize.net_to_json(net), args.out)
     return 0
 
 
-def _qg_bundle(built, d: int, m: int) -> dict:
+def _qg_bundle(built) -> dict:
     return {
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "quasigroup",
@@ -133,7 +131,7 @@ def _qg_bundle(built, d: int, m: int) -> dict:
         "eta": built.eta,
         "delta_cert": built.certificate.delta_cert,
         "table": built.quasigroup.table.tolist(),
-        "net": {"d": d, "m": m},
+        "net": serialize.net_to_json(built.net),
         "matched_counts": built.matched_counts.tolist(),
     }
 
@@ -143,7 +141,7 @@ def cmd_qg_build(args) -> int:
     built = assemble_quasigroup(net, args.eta)
     print(f"quasigroup N={net.size} eta={args.eta}: delta_cert={built.certificate.delta_cert:.6f} "
           f"(matching bound {built.delta_from_matching:.6f})")
-    _emit(_qg_bundle(built, args.d, args.m), args.out)
+    _emit(_qg_bundle(built), args.out)
     return 0
 
 
@@ -175,7 +173,7 @@ def cmd_compile(args) -> int:
             "zetas": list(plan.zetas),
             "assignment": list(plan.assignment),
             "table": plan.built.quasigroup.table.tolist(),
-            "net": {"d": plan.net.d, "m": plan.net.m},
+            "net": serialize.net_to_json(plan.net),
         },
         "report": dataclasses.asdict(report),
         "scan": [{"m": p.m, "eta": p.eta, "zeta": p.zeta, "delta": p.delta,
@@ -191,36 +189,12 @@ def _fail(name: str, detail: str) -> int:
     return 1
 
 
-_NUMBER = (int, float)
-_JSON_NAMES = {int: "integer", _NUMBER: "number", str: "string", list: "list", dict: "object"}
-
-
-def _is(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _field(doc: dict, path: str, kind, items=None):
-    """The bundle field at dotted ``path`` (its last part a key of ``doc``), type-checked.
-
-    A missing field, a null or a value of another JSON type (a boolean is no
-    number) raises SchemaMismatch naming the field; ``items`` types the
-    entries of a list.
-    """
-    key = path.rpartition(".")[2]
-    value = doc.get(key)
-    entries = value if items is not None and isinstance(value, list) else []
-    if not _is(value, kind) or not all(_is(v, items) for v in entries):
-        what = _JSON_NAMES[kind] + ("" if items is None else f" of {_JSON_NAMES[items]}s")
-        got = json.dumps(value)[:40] if key in doc else "nothing"
-        raise SchemaMismatch(f"bundle field {path!r} must be a JSON {what}, got {got}")
-    return value
-
-
 def _verify_table_and_net(table, net_doc: dict):
     """The bundle's quasigroup and family, or None after printing the failed check.
 
-    The family is rebuilt with the table order as its cap, so a bundle built
-    with ``--cap`` above the default verifies without a flag.
+    The family is loaded with the table order as its cap: a bundle built with
+    ``--cap`` above the default verifies without a flag, and a family larger
+    than the table fails before it is built.
     """
     try:
         quasigroup = right_quasigroup_from_table(table)
@@ -229,11 +203,14 @@ def _verify_table_and_net(table, net_doc: dict):
         return None
     n = quasigroup.order
     print(f"ok axioms: all {n} columns are permutations")
-    d, m = _field(net_doc, "net.d", int), _field(net_doc, "net.m", int)
-    if net_size(d, m) != n:
-        _fail("net", f"net size {net_size(d, m)} does not match table order {n}")
+    try:
+        net = serialize.net_from_json(net_doc, cap=n)
+        if net.size != n:
+            raise DimensionMismatch(f"net size {net.size} does not match table order {n}")
+    except (NetTooLarge, DimensionMismatch) as exc:
+        _fail("net", str(exc))
         return None
-    return quasigroup, build_net(d, m, cap=n)
+    return quasigroup, net
 
 
 def _verify_quasigroup_bundle(doc: dict) -> int:
@@ -343,38 +320,48 @@ def _verify_exact_demo_bundle(doc: dict) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    doc = serialize.load_json(args.bundle)
-    if not isinstance(doc, dict):
-        raise SchemaMismatch("a bundle must be a JSON object")
+def _read_bundle(path: str, readers: dict, action: str):
+    """Hand the bundle at ``path`` to the reader of its kind, after checking that it
+    is a JSON object, then its ``schema_version``, then its ``kind``."""
+    doc = serialize.load_json(path)
+    serialize._check_version(doc, "bundle")
     kind = doc.get("kind")
-    if kind == "quasigroup":
-        return _verify_quasigroup_bundle(doc)
-    if kind == "compile":
-        return _verify_compile_bundle(doc)
-    if kind == "exact-demo":
-        return _verify_exact_demo_bundle(doc)
-    raise SchemaMismatch(f"cannot verify bundle of kind {kind!r}")
+    if not isinstance(kind, str) or kind not in readers:
+        raise SchemaMismatch(f"cannot {action} bundle of kind {kind!r}")
+    return readers[kind](doc)
+
+
+def cmd_verify(args) -> int:
+    return _read_bundle(args.bundle, {"quasigroup": _verify_quasigroup_bundle,
+                                      "compile": _verify_compile_bundle,
+                                      "exact-demo": _verify_exact_demo_bundle}, "verify")
+
+
+def _scan_row(p: dict) -> dict:
+    """A compile scan point; a degree rejected before matching has null eta and delta."""
+    eta, delta = (math.nan if p.get(k, 0) is None else _field(p, f"scan.{k}", _NUMBER)
+                  for k in ("eta", "delta"))
+    zeta = _field(p, "scan.zeta", _NUMBER)
+    return {"m": _field(p, "scan.m", int), "eta": eta, "zeta": zeta, "delta": delta,
+            "cost_ebits": _field(p, "scan.cost_ebits", _NUMBER),
+            "error_bound": certified_bound(zeta, eta, delta),
+            "accepted": int(_field(p, "scan.accepted", bool))}
+
+
+def _quasigroup_row(doc: dict) -> dict:
+    n = _field(doc, "N", int)
+    if n < 1:
+        raise SchemaMismatch(f"bundle field 'N' must be a positive order, got {n}")
+    eta, delta = _field(doc, "eta", _NUMBER), _field(doc, "delta_cert", _NUMBER)
+    return {"m": _field(_field(doc, "net", dict), "net.m", int), "eta": eta,
+            "zeta": math.nan, "delta": delta, "cost_ebits": math.log2(n),
+            "error_bound": certified_bound(0.0, eta, delta), "accepted": 1}
 
 
 def cmd_report(args) -> int:
-    doc = serialize.load_json(args.bundle)
-    nan = float("nan")
-    rows = []
-    if doc.get("kind") == "compile":
-        for p in doc["scan"]:
-            eta, delta = (nan if p[k] is None else p[k] for k in ("eta", "delta"))
-            rows.append({"m": p["m"], "eta": eta, "zeta": p["zeta"], "delta": delta,
-                         "cost_ebits": p["cost_ebits"],
-                         "error_bound": certified_bound(p["zeta"], eta, delta),
-                         "accepted": int(p["accepted"])})
-    elif doc.get("kind") == "quasigroup":
-        rows.append({"m": doc["net"]["m"], "eta": doc["eta"], "zeta": nan,
-                     "delta": doc["delta_cert"], "cost_ebits": math.log2(doc["N"]),
-                     "error_bound": certified_bound(0.0, doc["eta"], doc["delta_cert"]),
-                     "accepted": 1})
-    else:
-        raise SchemaMismatch(f"cannot report on bundle of kind {doc.get('kind')!r}")
+    rows = _read_bundle(args.bundle, {
+        "compile": lambda doc: [_scan_row(p) for p in _field(doc, "scan", list, dict)],
+        "quasigroup": lambda doc: [_quasigroup_row(doc)]}, "report on")
     fields = ["m", "eta", "zeta", "delta", "cost_ebits", "error_bound", "accepted"]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)

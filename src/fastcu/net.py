@@ -66,42 +66,16 @@ def slot_pattern(d: int) -> tuple[int, ...]:
     return tuple(pos for c in range(d - 1) for pos in range(d - 2, c - 1, -1))
 
 
-@dataclass(frozen=True)
-class GateWord:
-    """Sequence of alphabet factors (generator index, inverse flag) with its product."""
-
-    factors: tuple[tuple[int, bool], ...]
-
-    def matrix(self) -> np.ndarray:
-        out = np.eye(2, dtype=complex)
-        for gen, inv in self.factors:
-            f = _ALPHABET[gen + 3] if inv else _ALPHABET[gen]
-            out = out @ f
-        return out
-
-
-def enumerate_words(m: int) -> tuple[list[GateWord], np.ndarray]:
-    """All (2*3)^m length-m words over the alphabet, with their product matrices."""
+def enumerate_words(m: int) -> np.ndarray:
+    """Products of all (2*3)^m length-m words over V1 V2 V3 then their inverses;
+    the word index grows with the last factor varying fastest."""
     if m < 1:
         raise DimensionMismatch(f"word length must be >= 1, got {m}")
-    # alphabet order: V1 V2 V3 then their inverses; word index grows with the
-    # last factor varying fastest
-    factors = [(0, False), (1, False), (2, False), (0, True), (1, True), (2, True)]
     stack = np.stack(_ALPHABET)
     mats = np.eye(2, dtype=complex)[None]
-    seqs: list[tuple[tuple[int, bool], ...]] = [()]
     for _ in range(m):
         mats = np.einsum("wab,fbc->wfac", mats, stack).reshape(-1, 2, 2)
-        seqs = [w + (f,) for w in seqs for f in factors]
-    return [GateWord(w) for w in seqs], mats
-
-
-@dataclass(frozen=True, eq=False)
-class NetElementSpec:
-    """Word assignment for each slot, optionally inverted as a whole."""
-
-    slot_words: tuple[int, ...]
-    inverted: bool
+    return mats
 
 
 def _matrix_keys(mats: np.ndarray) -> list[bytes]:
@@ -114,14 +88,12 @@ def _matrix_keys(mats: np.ndarray) -> list[bytes]:
 class NetFamily:
     """Labeled family of special unitaries; labels equal to 9 decimals are one element.
 
-    They share a class, numbered by first appearance, and carry its first matrix bitwise."""
+    They share a class, numbered by first appearance, and carry its first matrix bitwise.
+    A word-built family has its degree ``m``; (d, m) alone determines it."""
 
     d: int
     matrices: np.ndarray
     m: int | None = None
-    words: list[GateWord] | None = None
-    element_specs: tuple[NetElementSpec, ...] | None = None
-    mixing_bound: float | None = None
     classes: np.ndarray = field(init=False, repr=False)
     n_classes: int = field(init=False, repr=False)
     _class_of_key: dict[bytes, int] = field(init=False, repr=False)
@@ -154,7 +126,11 @@ class NetFamily:
 
     @property
     def is_word_built(self) -> bool:
-        return self.element_specs is not None
+        return self.m is not None
+
+    @property
+    def mixing_bound(self) -> float | None:
+        return None if self.m is None else mixing_bound(self.d, self.m)
 
     @classmethod
     def from_unitaries(cls, matrices, d: int | None = None) -> "NetFamily":
@@ -190,37 +166,30 @@ def build_net(d: int, m: int, cap: int = DEFAULT_CAP) -> NetFamily:
     """
     if d < 2 or m < 1:
         raise DimensionMismatch(f"need d >= 2 and m >= 1, got d={d}, m={m}")
+    # 2 * 6^k > 2^k, so a k past the cap's bit length is over it without forming 6^k
+    k = m * d * (d - 1) // 2
+    if k > cap.bit_length() or net_size(d, m) > cap:
+        raise NetTooLarge(f"family of size 2 * 6^{k} exceeds the cap {cap}")
     total = net_size(d, m)
-    if total > cap:
-        raise NetTooLarge(f"family of size {total} exceeds the cap {cap}")
-    words, word_mats = enumerate_words(m)
+    word_mats = enumerate_words(m)
     pattern = slot_pattern(d)
-    r = len(pattern)
-    n_words = len(words)
-
     half = total // 2
     mats = np.empty((total, d, d), dtype=complex)
-    specs: list[NetElementSpec] = []
     if d == 2:
         mats[:half] = word_mats
-        for w in range(n_words):
-            specs.append(NetElementSpec((w,), False))
     else:
-        for label, assignment in enumerate(itertools.product(range(n_words), repeat=r)):
+        for label, assignment in enumerate(itertools.product(range(len(word_mats)),
+                                                             repeat=len(pattern))):
             out = np.eye(d, dtype=complex)
             for slot, w in zip(pattern, assignment):
                 out = out @ embed_block(word_mats[w], slot, d)
             mats[label] = out
-            specs.append(NetElementSpec(tuple(assignment), False))
     mats[half:] = np.conj(np.transpose(mats[:half], (0, 2, 1)))
-    for label in range(half):
-        specs.append(NetElementSpec(specs[label].slot_words, True))
 
     res = operator_norms(np.einsum("kab,kac->kbc", mats.conj(), mats) - np.eye(d))
     if res.max() > UNITARY_TOL:
         raise NotUnitary(f"built element {int(res.argmax())} failed the unitarity check")
-    return NetFamily(d=d, matrices=mats, m=m, words=words,
-                     element_specs=tuple(specs), mixing_bound=mixing_bound(d, m))
+    return NetFamily(d=d, matrices=mats, m=m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +296,7 @@ def nearest_in_net(u: np.ndarray, net: NetFamily, mode: str = "exhaustive") -> N
         raise DimensionMismatch("blockwise search needs a word-built net")
 
     deco = two_level_decompose(u)
-    _, word_mats = enumerate_words(net.m)
+    word_mats = enumerate_words(net.m)
     n_words = word_mats.shape[0]
     assignment = []
     block_zetas = []
@@ -357,8 +326,7 @@ def calibrated_worst_errors(max_m: int = 4, samples: int = 200,
     targets = [haar_special_unitary(2, rng) for _ in range(samples)]
     out = {}
     for m in range(1, max_m + 1):
-        _, word_mats = enumerate_words(m)
-        full = np.concatenate([word_mats, np.conj(np.transpose(word_mats, (0, 2, 1)))])
+        full = build_net(2, m).matrices
         out[m] = max(float(_stack_distances(full, t).min()) for t in targets)
     return out
 

@@ -18,7 +18,7 @@ from .algebra import (
     right_quasigroup_from_table,
 )
 from .errors import SchemaMismatch
-from .net import NetFamily, build_net, net_size
+from .net import DEFAULT_CAP, NetFamily, build_net
 from .qsim import PureState, RegisterLayout
 
 SCHEMA_VERSION = "1"
@@ -40,6 +40,32 @@ def pairs_to_complex(data) -> np.ndarray:
     return a[..., 0] + 1j * a[..., 1]
 
 
+_NUMBER = (int, float)
+_JSON_NAMES = {int: "integer", _NUMBER: "number", str: "string", list: "list", dict: "object",
+               bool: "boolean"}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _field(doc: dict, path: str, kind, items=None):
+    """The field at dotted ``path`` (its last part a key of ``doc``), type-checked.
+
+    A missing field, a null or a value of another JSON type (a boolean is no
+    number) raises SchemaMismatch naming the field; ``items`` types the
+    entries of a list.
+    """
+    key = path.rpartition(".")[2]
+    value = doc.get(key)
+    entries = value if items is not None and isinstance(value, list) else []
+    if not _is(value, kind) or not all(_is(v, items) for v in entries):
+        what = _JSON_NAMES[kind] + ("" if items is None else f" of {_JSON_NAMES[items]}s")
+        got = json.dumps(value)[:40] if key in doc else "nothing"
+        raise SchemaMismatch(f"bundle field {path!r} must be a JSON {what}, got {got}")
+    return value
+
+
 def _check_version(doc: dict, kind: str) -> None:
     if not isinstance(doc, dict):
         raise SchemaMismatch(f"{kind}: expected a JSON object")
@@ -57,10 +83,7 @@ def group_to_json(group: FiniteGroup, labels=None) -> dict:
 
 def group_from_json(doc: dict) -> FiniteGroup:
     _check_version(doc, "group")
-    try:
-        return group_from_cayley(doc["cayley"])
-    except KeyError as exc:
-        raise SchemaMismatch(f"group: missing field {exc}") from None
+    return group_from_cayley(_field(doc, "group.cayley", list))
 
 
 def quasigroup_to_json(q: RightQuasigroup) -> dict:
@@ -69,10 +92,7 @@ def quasigroup_to_json(q: RightQuasigroup) -> dict:
 
 def quasigroup_from_json(doc: dict) -> RightQuasigroup:
     _check_version(doc, "quasigroup")
-    try:
-        return right_quasigroup_from_table(doc["table"])
-    except KeyError as exc:
-        raise SchemaMismatch(f"quasigroup: missing field {exc}") from None
+    return right_quasigroup_from_table(_field(doc, "quasigroup.table", list))
 
 
 def rep_to_json(matrices: np.ndarray) -> dict:
@@ -83,10 +103,7 @@ def rep_to_json(matrices: np.ndarray) -> dict:
 
 def rep_from_json(doc: dict) -> np.ndarray:
     _check_version(doc, "representation")
-    try:
-        mats = pairs_to_complex(doc["matrices"])
-    except KeyError as exc:
-        raise SchemaMismatch(f"representation: missing field {exc}") from None
+    mats = pairs_to_complex(_field(doc, "representation.matrices", list))
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise SchemaMismatch(f"representation: expected square matrices, got {mats.shape}")
     if mats.shape[1] != doc.get("dim", mats.shape[1]):
@@ -102,39 +119,35 @@ def state_to_json(state: PureState) -> dict:
 
 def state_from_json(doc: dict) -> PureState:
     _check_version(doc, "state")
-    try:
-        layout = RegisterLayout.of(*[(str(n), int(d)) for n, d in doc["layout"]])
-        return PureState(layout, pairs_to_complex(doc["amps"]))
-    except KeyError as exc:
-        raise SchemaMismatch(f"state: missing field {exc}") from None
+    layout = RegisterLayout.of(*[(str(n), int(d)) for n, d in _field(doc, "state.layout", list)])
+    return PureState(layout, pairs_to_complex(_field(doc, "state.amps", list)))
 
 
 def net_to_json(net: NetFamily) -> dict:
-    """Word descriptions only; matrices are rebuilt and re-verified on load."""
-    if not net.is_word_built:
-        return {"schema_version": SCHEMA_VERSION, "kind": "custom", "d": net.d,
-                "matrices": complex_to_pairs(net.matrices)}
-    elements = [{"slots": [list(map(list, net.words[w].factors)) for w in spec.slot_words],
-                 "inverted": spec.inverted}
-                for spec in net.element_specs]
-    return {"schema_version": SCHEMA_VERSION, "kind": "words", "d": net.d, "m": net.m,
-            "elements": elements}
+    """A word family is its (d, m), rebuilt on load; a custom family lists its matrices."""
+    if net.is_word_built:
+        return {"schema_version": SCHEMA_VERSION, "kind": "words", "d": net.d, "m": net.m}
+    return {"schema_version": SCHEMA_VERSION, "kind": "custom", "d": net.d,
+            "matrices": complex_to_pairs(net.matrices)}
 
 
-def net_from_json(doc: dict) -> NetFamily:
+def net_from_json(doc: dict, cap: int = DEFAULT_CAP) -> NetFamily:
+    """The family of ``doc``; a word family is built by ``build_net(d, m, cap)``.
+
+    A words document holds exactly ``schema_version``, ``kind``, ``d`` and ``m``
+    (the first two may be absent); any other field is refused.
+    """
     _check_version(doc, "net")
     kind = doc.get("kind", "words")
+    d = _field(doc, "net.d", int)
     if kind == "custom":
-        return NetFamily.from_unitaries(pairs_to_complex(doc["matrices"]), d=doc.get("d"))
-    d, m = int(doc["d"]), int(doc["m"])
-    elements = doc["elements"]
-    if len(elements) != net_size(d, m):
-        raise SchemaMismatch(
-            f"net: {len(elements)} elements but degree {m} in dim {d} needs {net_size(d, m)}")
-    net = build_net(d, m, cap=net_size(d, m))
-    if elements != net_to_json(net)["elements"]:
-        raise SchemaMismatch(f"net: the elements are not the degree-{m} word family in dim {d}")
-    return net
+        return NetFamily.from_unitaries(pairs_to_complex(_field(doc, "net.matrices", list)), d=d)
+    if kind != "words":
+        raise SchemaMismatch(f"net: unknown kind {kind!r}")
+    extra = sorted(set(doc) - {"schema_version", "kind", "d", "m"})
+    if extra:
+        raise SchemaMismatch(f"net: a word family is its (d, m), but the document has {extra[0]!r}")
+    return build_net(d, _field(doc, "net.m", int), cap=cap)
 
 
 def save_json(doc: dict, path) -> None:

@@ -275,14 +275,15 @@ def test_verify_reruns_exact_demo(tmp_path, capsys, field, value):
 
 
 def _low_default_cap(monkeypatch):
-    """Make cli.build_net's default cap 1, below every family; record the caps it gets."""
-    real, caps = cli.build_net, []
+    """Make the default cap of the build_net that loads bundle families 1, below every
+    family; record the caps it gets."""
+    real, caps = serialize.build_net, []
 
     def build_net(d, m, cap=1):
         caps.append(cap)
         return real(d, m, cap=cap)
 
-    monkeypatch.setattr(cli, "build_net", build_net)
+    monkeypatch.setattr(serialize, "build_net", build_net)
     return caps
 
 
@@ -297,7 +298,7 @@ def test_verify_builds_the_family_at_the_table_order(tmp_path, monkeypatch, comp
     assert caps == [12, len(compile_bundle["plan"]["table"])]
 
 
-@pytest.mark.parametrize("where", ["column", "range", "net"])
+@pytest.mark.parametrize("where", ["column", "range", "net", "net-huge"])
 def test_verify_compile_bundle_rejects_bad_table(compile_bundle, tmp_path, capsys, where):
     doc = json.loads(json.dumps(compile_bundle))
     table = doc["plan"]["table"]
@@ -305,14 +306,16 @@ def test_verify_compile_bundle_rejects_bad_table(compile_bundle, tmp_path, capsy
         table[0][3] = table[1][3]
     elif where == "range":
         table[2][5] = len(table)
-    else:
+    elif where == "net":
         doc["plan"]["net"]["m"] += 1
+    else:
+        doc["plan"]["net"]["m"] = 10 ** 6      # 6^(10^6) has too many digits to print
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert cli.main(["verify", str(path)]) == 1
     out = capsys.readouterr().out
-    assert ("FAIL net" if where == "net" else "FAIL axioms") in out
+    assert ("FAIL net" if where.startswith("net") else "FAIL axioms") in out
     if where == "column":
         assert "column 3" in out
 
@@ -359,3 +362,67 @@ def test_verify_accepts_any_label_of_an_assigned_class(compile_bundle, tmp_path)
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", str(path)]) == 0
+
+
+@pytest.mark.parametrize("bundle, owner", [("qg_bundle", None), ("compile_bundle", "plan")])
+def test_verify_accepts_a_bare_d_and_m_net(request, tmp_path, capsys, bundle, owner):
+    """Bundles written before the net carried its schema_version and kind still verify."""
+    doc = json.loads(json.dumps(request.getfixturevalue(bundle)))
+    holder = doc[owner] if owner else doc
+    assert holder["net"] == serialize.net_to_json(net.build_net(2, holder["net"]["m"]))
+    holder["net"] = {"d": 2, "m": holder["net"]["m"]}
+    assert _verify_doc(doc, tmp_path / "bundle.json", capsys)[0] == 0
+
+
+def test_net_build_cache_is_d_and_m(tmp_path):
+    out = tmp_path / "net.json"
+    assert cli.main(["net-build", "--m", "5", "--out", str(out)]) == 0
+    assert len(out.read_bytes()) < 100
+    assert json.loads(out.read_text()) == {"schema_version": "1", "kind": "words", "d": 2, "m": 5}
+
+
+def _set_version(value):
+    return lambda doc: doc.update(schema_version=value)
+
+
+def _drop_net_m(doc):
+    del doc["net"]["m"]
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("tamper", [
+    pytest.param(_set_version("x"), id="version-x"),
+    pytest.param(_set_version(None), id="version-null"),
+    pytest.param(_set_version([1]), id="version-list"),
+    pytest.param(lambda doc: doc.update(kind=["quasigroup"]), id="kind-list"),
+    pytest.param(lambda doc: doc.update(eta=None), id="eta-null"),
+    pytest.param(lambda doc: doc.update(N="12"), id="N-string"),
+    pytest.param(_drop_net_m, id="net-without-m"),
+    pytest.param(lambda doc: [doc], id="top-level-list"),
+])
+def test_malformed_qg_bundle_is_a_schema_error(qg_bundle, tmp_path, capsys, command, tamper):
+    doc = json.loads(json.dumps(qg_bundle))
+    doc = tamper(doc) or doc
+    path = tmp_path / "qg.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = ["--out", str(tmp_path / "q.csv")] if command == "report" else []
+    assert cli.main([command, str(path), *out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda doc: doc.pop("scan"),
+    lambda doc: doc["scan"][0].update(accepted=1),
+    lambda doc: doc["scan"][0].update(zeta=None),
+    lambda doc: doc["scan"].append(3),
+], ids=["no-scan", "accepted-integer", "zeta-null", "scan-entry-number"])
+def test_report_malformed_compile_bundle_is_a_schema_error(compile_bundle, tmp_path, capsys,
+                                                           tamper):
+    doc = json.loads(json.dumps(compile_bundle))
+    tamper(doc)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["report", str(path), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "error: bundle field 'scan" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -102,6 +103,26 @@ def test_word_classes_are_the_distinct_elements_and_the_recount_groups(m):
 
 def test_d3_word_classes_carry_one_matrix():
     _assert_one_matrix_per_class(net.build_net(3, 1))
+
+
+# SHA-256 prefixes of the matrix and class bytes, recorded from the build that
+# kept a word sequence per label (x86-64, numpy 2.4): (d, m) alone rebuilds them
+_FAMILY_HASHES = {
+    (2, 1): ("6669b821bbf1a322", "2c4c770f1c0b80bd"),
+    (2, 2): ("90e0630804bea258", "2a9aa2b91551a457"),
+    (2, 3): ("9acd358722612a17", "e1e065326bdde4eb"),
+    (2, 4): ("ee125ed5fc2ff253", "1ef171a6a7cf957e"),
+    (2, 5): ("7b43e527d33d6a23", "ec8777d520ce7afa"),
+    (3, 1): ("280cdec1dd872dd6", "735c68374d23984a"),
+}
+
+
+@pytest.mark.parametrize("d, m", sorted(_FAMILY_HASHES))
+def test_word_family_matrices_and_classes_are_bitwise_fixed(d, m):
+    fam = net.build_net(d, m)
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (fam.matrices, fam.classes))
+    assert got == _FAMILY_HASHES[d, m]
+    assert fam.is_word_built and fam.mixing_bound == net.mixing_bound(d, m)
 
 
 def test_from_unitaries_merges_matrices_equal_to_nine_decimals():

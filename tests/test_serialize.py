@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import time
+
 import numpy as np
 import pytest
 
 from fastcu import algebra, net, qsim, serialize
-from fastcu.errors import SchemaMismatch
+from fastcu.errors import NetTooLarge, SchemaMismatch
 
 
 def test_complex_pair_roundtrip():
@@ -88,24 +91,55 @@ def test_net_roundtrip_keeps_matrices_and_classes_bitwise(custom):
     assert np.array_equal(back.classes, fam.classes) and back.n_classes == fam.n_classes == 156
 
 
-def test_net_json_rejects_corruption():
-    fam = net.build_net(2, 1)
+def test_word_net_json_is_d_and_m_and_reloads_bitwise():
+    fam = net.build_net(2, 5)
     doc = serialize.net_to_json(fam)
-    doc["elements"] = doc["elements"][:-1]
-    with pytest.raises(SchemaMismatch):
+    assert doc == {"schema_version": serialize.SCHEMA_VERSION, "kind": "words", "d": 2, "m": 5}
+    assert len(json.dumps(doc)) < 100
+    back = serialize.net_from_json(doc)
+    assert back.matrices.tobytes() == fam.matrices.tobytes()
+    assert back.classes.tobytes() == fam.classes.tobytes()
+
+
+def test_net_json_refuses_fields_beyond_d_and_m():
+    doc = serialize.net_to_json(net.build_net(2, 1))
+    with pytest.raises(SchemaMismatch, match="'elements'"):
+        serialize.net_from_json(dict(doc, elements=[]))
+    with pytest.raises(SchemaMismatch, match="unknown kind"):
+        serialize.net_from_json(dict(doc, kind="word"))
+
+
+def test_oversized_net_json_fails_before_building():
+    start = time.perf_counter()
+    for m in (40, 10 ** 9):
+        with pytest.raises(NetTooLarge):
+            serialize.net_from_json({"d": 2, "m": m})
+    with pytest.raises(NetTooLarge):
+        serialize.net_from_json({"d": 2, "m": 2}, cap=71)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("key, value", [("d", 2.7), ("d", "2"), ("d", True), ("m", 1.9),
+                                        ("m", True), ("m", None), ("m", ...)])
+def test_net_json_refuses_mistyped_d_and_m(key, value):
+    doc = {"d": 2, "m": 1}
+    if value is ...:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(SchemaMismatch, match=f"bundle field 'net.{key}' must be a JSON integer"):
         serialize.net_from_json(doc)
 
 
-def test_net_json_rejects_elements_off_the_word_family():
-    fam = net.build_net(2, 1)
-    doc = serialize.net_to_json(fam)
-    repeated = dict(doc, elements=[doc["elements"][0]] * len(doc["elements"]))
-    swapped = dict(doc, elements=list(doc["elements"]))
-    swapped["elements"][1], swapped["elements"][2] = swapped["elements"][2], swapped["elements"][1]
-    for bad in (repeated, swapped):
-        with pytest.raises(SchemaMismatch):
-            serialize.net_from_json(bad)
-    assert np.array_equal(serialize.net_from_json(doc).matrices, fam.matrices)
+@pytest.mark.parametrize("loader, doc", [
+    (serialize.group_from_json, {"order": 1}),
+    (serialize.quasigroup_from_json, {"table": "0"}),
+    (serialize.rep_from_json, {"dim": 2}),
+    (serialize.state_from_json, {"layout": [["a", 2]], "amps": None}),
+], ids=["group", "quasigroup", "representation", "state"])
+def test_loaders_refuse_missing_and_mistyped_fields(loader, doc):
+    with pytest.raises(SchemaMismatch, match="must be a JSON list"):
+        loader(doc)
 
 
 def test_schema_version_checked():
