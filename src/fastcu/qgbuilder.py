@@ -9,6 +9,9 @@ exhaustively afterwards.
 The family's classes of equal labels index the build; every column comes from
 an integer max-flow on the class graph, whose capacities are the class sizes.
 The flow network is handed to scipy as a ready CSR matrix with sorted indices.
+An SU(2) family first solves each flow on the nearest-capacity subgraph, which
+links every class only to its nearest partners; a flow of value n there is a
+maximum flow of the whole graph, and any other outcome solves the whole graph.
 Isometries that permute the classes (inversion, entrywise conjugation and, for
 2x2 families, the axis-permuting rotations) carry one flow to a whole orbit of
 classes.  Only the orbit's seed class expands its flow into labels; every
@@ -49,6 +52,8 @@ from .qsim import operator_norms, quaternion_product, su2_quaternions
 
 EDGE_GUARD = 1e-12
 WITNESS_MAX_N = 20
+# partner labels a class gathers per label of its own in the nearest-capacity subgraph
+NEAREST_CAPACITY = 4
 
 
 def residual_norm_matrix(matrices: np.ndarray, k: int) -> np.ndarray:
@@ -240,11 +245,19 @@ class FamilyGeometry:
             return sigma[rights], sigma[lefts]
         return sigma[lefts], sigma[rights]
 
-    def candidate_edges(self, k: int, radius: float):
-        """Class-level edges (cl, cr, dist) of label k's graph with dist at most radius."""
+    def product_points(self, k: int):
+        """Quaternions of the products V_c V_k of every class c, with their KD-tree (SU(2) only)."""
+        prodq = quaternion_product(self.quats, self.quats[self.classes[k]])
+        return prodq, cKDTree(prodq)
+
+    def candidate_edges(self, k: int, radius: float, products=None):
+        """Class-level edges (cl, cr, dist) of label k's graph with dist at most radius.
+
+        ``products`` is ``product_points(k)`` when the caller already holds it.
+        """
         if self.tree is not None:
-            prodq = quaternion_product(self.quats, self.quats[self.classes[k]])
-            pairs = self.tree.sparse_distance_matrix(cKDTree(prodq), radius, output_type="ndarray")
+            _, ptree = products or self.product_points(k)
+            pairs = self.tree.sparse_distance_matrix(ptree, radius, output_type="ndarray")
             # i indexes the static class points (right side), j the products
             return pairs["j"], pairs["i"], pairs["v"]
         reps = self.rep_matrices
@@ -284,6 +297,76 @@ def _solve_class_flow(geom: FamilyGeometry, lefts: np.ndarray,
     keep = (vals > 0) & (cols > ncl) & (cols < sink)
     return int(res.flow_value), (rows[keep], cols[keep].astype(np.int64) - 1 - ncl,
                                  vals[keep].astype(np.int64))
+
+
+def _nearest_partners(tree: cKDTree, points: np.ndarray, counts: np.ndarray, q: int,
+                      bound: float):
+    """Edges (row, partner) from ``points``, classes of count ``q``, to their nearest partners.
+
+    ``tree`` holds the partners' points, which carry the class counts.
+    Partners below ``bound`` are taken nearest first until they hold
+    NEAREST_CAPACITY times ``q`` labels.  Returns None when some point cannot
+    gather ``q`` labels below ``bound``: its class fails Hall's condition, so
+    no matching is perfect.
+    """
+    k = int(min(NEAREST_CAPACITY * q, len(counts)))
+    dist, idx = tree.query(points, k=k, distance_upper_bound=bound)
+    near = dist.reshape(len(points), k) < bound
+    idx = idx.reshape(len(points), k)
+    held = np.where(near, counts[np.where(near, idx, 0)], 0)
+    if np.any(held.sum(axis=1) < q):
+        return None
+    before = np.cumsum(held, axis=1) - held          # partner labels nearer than each
+    rows, cols = np.nonzero(near & (before < NEAREST_CAPACITY * q))
+    return rows, idx[rows, cols]
+
+
+def _nearest_capacity_edges(geom: FamilyGeometry, products, bound: float):
+    """Class edges below ``bound`` from every class to its nearest partners, or None.
+
+    Each product class V_c V_k links to its nearest family classes, and each
+    family class to its nearest products, until the partners hold
+    NEAREST_CAPACITY times the class's label count.  None means some class
+    cannot gather its own count below ``bound``, so no flow can saturate.
+    """
+    prodq, ptree = products
+    counts = geom.class_counts
+    lefts, rights = [], []
+    # classes of large count need the most partner labels: they fail Hall's test first
+    for q in np.unique(counts)[::-1]:
+        group = np.flatnonzero(counts == q)
+        for tree, points, flip in ((geom.tree, prodq, False), (ptree, geom.quats, True)):
+            found = _nearest_partners(tree, points[group], counts, int(q), bound)
+            if found is None:
+                return None
+            rows, partners = found
+            lefts.append(partners if flip else group[rows])
+            rights.append(group[rows] if flip else partners)
+    ncl = geom.n_classes
+    return np.divmod(np.unique(np.concatenate(lefts) * ncl + np.concatenate(rights)), ncl)
+
+
+def seed_flow(geom: FamilyGeometry, eta: float, cls: int):
+    """Maximum flow of class ``cls``'s graph at ``eta``, as ``_solve_class_flow`` returns it.
+
+    An SU(2) family first solves the flow on its nearest-capacity subgraph
+    (``_nearest_capacity_edges``).  No flow exceeds n, so a flow of value n
+    there is a maximum flow of the whole graph; any other outcome solves the
+    whole graph, on the same product points.
+    """
+    rep = int(geom.class_reps[cls])
+    bound = eta - EDGE_GUARD
+    products = None
+    if geom.tree is not None:
+        products = geom.product_points(rep)
+        edges = _nearest_capacity_edges(geom, products, bound)
+        if edges is not None:
+            size, flows = _solve_class_flow(geom, *edges)
+            if size == geom.n:
+                return size, flows
+    lefts, rights, dists = geom.candidate_edges(rep, radius=eta, products=products)
+    keep = dists < bound
+    return _solve_class_flow(geom, lefts[keep], rights[keep])
 
 
 def _expand_column(geom: FamilyGeometry, fl: np.ndarray, fr: np.ndarray,
@@ -331,7 +414,6 @@ class BuiltQuasigroup:
     eta: float
     certificate: ApproxRepCertificate
     matched_counts: np.ndarray
-    boundary_total: int
 
     @property
     def delta_from_matching(self) -> float:
@@ -342,17 +424,10 @@ def _process_seed_class(geom: FamilyGeometry, eta: float, cls: int, sizes: np.nd
                         columns: np.ndarray | None):
     """Solve the flow of seed class ``cls`` and fill in its orbit's unsized members.
 
-    Returns (size, boundary, members); with ``columns`` given, row ``member``
-    receives the completed column of every member.
+    Returns (size, members); with ``columns`` given, row ``member`` receives
+    the completed column of every member.
     """
-    rep = int(geom.class_reps[cls])
-    lefts, rights, dists = geom.candidate_edges(rep, radius=eta + 10 * EDGE_GUARD)
-    keep = dists < (eta - EDGE_GUARD)
-    on_edge = np.abs(dists - eta) <= EDGE_GUARD
-    counts = geom.class_counts
-    # label pairs within EDGE_GUARD of eta, dropped as non-edges
-    boundary = int(np.sum(counts[lefts[on_edge]] * counts[rights[on_edge]]))
-    size, flows = _solve_class_flow(geom, lefts[keep], rights[keep])
+    size, flows = seed_flow(geom, eta, cls)
     orbit = {member: transport for member, transport in geom.orbit_of(cls).items()
              if sizes[member] < 0}
     if columns is not None:
@@ -363,7 +438,7 @@ def _process_seed_class(geom: FamilyGeometry, eta: float, cls: int, sizes: np.nd
         for member, transport in orbit.items():
             columns[member] = seed if member == cls else \
                 _transport_column(matched, seed[matched], transport, geom.n)
-    return size, boundary, orbit
+    return size, orbit
 
 
 def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
@@ -371,32 +446,28 @@ def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
     """Shared core: matching size (and optionally column) per class.
 
     One flow solve covers a whole symmetry orbit of classes, seeded by its
-    lowest class.  Returns (sizes, columns, boundary_total, worst_frac,
-    complete): ``sizes[c]`` is class c's matching size, and ``columns`` (None
-    unless wanted) is the class_table of the build, row c the completed
-    column of class c in the table's index type.  An early bail on
-    ``reject_above`` leaves the pass incomplete, with unsized classes at -1.
+    lowest class.  Returns (sizes, columns, worst_frac, complete):
+    ``sizes[c]`` is class c's matching size, and ``columns`` (None unless
+    wanted) is the class_table of the build, row c the completed column of
+    class c in the table's index type.  An early bail on ``reject_above``
+    leaves the pass incomplete, with unsized classes at -1.
     """
     n = geom.n
     sizes = np.full(geom.n_classes, -1, dtype=np.int64)
     columns = np.empty((geom.n_classes, n), dtype=index_dtype(n)) if want_columns else None
-    boundary_total = 0
     worst = 0.0
     for cls in range(geom.n_classes):
         if sizes[cls] >= 0:
             continue
-        size, boundary, orbit = _process_seed_class(geom, eta, cls, sizes, columns)
-        for member in orbit:
-            sizes[member] = size
-            boundary_total += boundary * int(geom.class_counts[member])
+        size, orbit = _process_seed_class(geom, eta, cls, sizes, columns)
+        sizes[list(orbit)] = size
         worst = max(worst, (n - size) / n)
         if reject_above is not None and worst > reject_above:
-            return sizes, columns, boundary_total, worst, False
-    return sizes, columns, boundary_total, worst, True
+            return sizes, columns, worst, False
+    return sizes, columns, worst, True
 
 
-def _finish_build(geom: FamilyGeometry, eta: float, sizes, columns,
-                  boundary_total: int) -> BuiltQuasigroup:
+def _finish_build(geom: FamilyGeometry, eta: float, sizes, columns) -> BuiltQuasigroup:
     net, n = geom.net, geom.n
     matched_counts = sizes[geom.classes]
     try:
@@ -409,8 +480,7 @@ def _finish_build(geom: FamilyGeometry, eta: float, sizes, columns,
         raise AxiomViolation("recounted delta exceeds the matching-derived bound")
     matched_counts.setflags(write=False)
     return BuiltQuasigroup(quasigroup=quasigroup, net=net, eta=float(eta),
-                           certificate=certificate, matched_counts=matched_counts,
-                           boundary_total=boundary_total)
+                           certificate=certificate, matched_counts=matched_counts)
 
 
 def assemble_quasigroup(net: NetFamily, eta: float) -> BuiltQuasigroup:
@@ -423,9 +493,8 @@ def assemble_quasigroup(net: NetFamily, eta: float) -> BuiltQuasigroup:
     if eta <= 0:
         raise DimensionMismatch(f"eta must be positive, got {eta}")
     geom = FamilyGeometry(net)
-    sizes, columns, boundary, _, _ = _matching_pass(geom, eta, want_columns=True,
-                                                    reject_above=None)
-    return _finish_build(geom, eta, sizes, columns, boundary)
+    sizes, columns, _, _ = _matching_pass(geom, eta, want_columns=True, reject_above=None)
+    return _finish_build(geom, eta, sizes, columns)
 
 
 def assemble_or_reject(net: NetFamily, eta: float,
@@ -439,11 +508,11 @@ def assemble_or_reject(net: NetFamily, eta: float,
     if eta <= 0:
         raise DimensionMismatch(f"eta must be positive, got {eta}")
     geom = FamilyGeometry(net)
-    sizes, columns, boundary, worst, complete = _matching_pass(
-        geom, eta, want_columns=True, reject_above=delta_bound)
+    sizes, columns, worst, complete = _matching_pass(geom, eta, want_columns=True,
+                                                     reject_above=delta_bound)
     if not complete:
         return None, worst
-    return _finish_build(geom, eta, sizes, columns, boundary), worst
+    return _finish_build(geom, eta, sizes, columns), worst
 
 
 @dataclass(frozen=True)
@@ -464,7 +533,7 @@ def scan_quasigroup_deltas(net: NetFamily, etas,
     geom = FamilyGeometry(net)
     points = []
     for eta in etas:
-        _, _, _, worst, complete = _matching_pass(geom, float(eta), want_columns=False,
-                                                  reject_above=reject_above)
+        _, _, worst, complete = _matching_pass(geom, float(eta), want_columns=False,
+                                               reject_above=reject_above)
         points.append(EtaScanPoint(eta=float(eta), delta_matching=worst, complete=complete))
     return points

@@ -1,4 +1,4 @@
-"""JSON schemas for structures, states, nets, and report bundles.
+"""JSON schemas for structures, nets, and report bundles.
 
 Complex numbers are [re, im] pairs throughout.  Every emitted document carries
 ``schema_version``; loaders check it and re-validate whatever they rebuild.
@@ -19,7 +19,6 @@ from .algebra import (
 )
 from .errors import SchemaMismatch
 from .net import DEFAULT_CAP, NetFamily, build_net
-from .qsim import PureState, RegisterLayout
 
 SCHEMA_VERSION = "1"
 
@@ -106,21 +105,9 @@ def rep_from_json(doc: dict) -> np.ndarray:
     mats = pairs_to_complex(_field(doc, "representation.matrices", list))
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise SchemaMismatch(f"representation: expected square matrices, got {mats.shape}")
-    if mats.shape[1] != doc.get("dim", mats.shape[1]):
+    if mats.shape[1] != _field(doc, "representation.dim", int):
         raise SchemaMismatch("representation: dim field disagrees with the matrices")
     return mats
-
-
-def state_to_json(state: PureState) -> dict:
-    return {"schema_version": SCHEMA_VERSION,
-            "layout": [[n, d] for n, d in zip(state.layout.names, state.layout.dims)],
-            "amps": complex_to_pairs(state.amps)}
-
-
-def state_from_json(doc: dict) -> PureState:
-    _check_version(doc, "state")
-    layout = RegisterLayout.of(*[(str(n), int(d)) for n, d in _field(doc, "state.layout", list)])
-    return PureState(layout, pairs_to_complex(_field(doc, "state.amps", list)))
 
 
 def net_to_json(net: NetFamily) -> dict:

@@ -165,19 +165,59 @@ def test_flow_and_dense_paths_agree(net_m2):
             assert matched >= built.matched_counts[k] - graph.boundary_count
 
 
+TIE_ETA = 6 * math.sqrt(2) / 5     # a residual norm of many m = 2 label pairs
+
+
 @settings(deadline=None, max_examples=6)
 @given(m=st.sampled_from([1, 2]), eta=st.floats(0.3, 2.1))
-@example(m=2, eta=6 * math.sqrt(2) / 5)    # a residual norm of many label pairs: boundary ties
+@example(m=2, eta=TIE_ETA)
 def test_matched_counts_equal_reference_matching(net_m1, net_m2, m, eta):
     fam = net_m1 if m == 1 else net_m2
     built = qgbuilder.assemble_quasigroup(fam, eta)
-    boundary = 0
     for k in range(fam.size):
         graph = qgbuilder.build_graph(fam, k, eta)
         assert built.matched_counts[k] == qgbuilder.max_matching(graph).matched_count
-        boundary += graph.boundary_count
-    assert built.boundary_total == boundary
     assert built.certificate.delta_cert <= built.delta_from_matching + 1e-12
+
+
+def _column_norms(fam: net.NetFamily, built, cls: int) -> np.ndarray:
+    """SVD distances ||V_l V_k - V_{l*k}|| down class ``cls``'s column, k its first label.
+
+    These are the column's entries of ``residual_norm_matrix(fam.matrices, k)``.
+    """
+    k = np.flatnonzero(fam.classes == cls)[0]
+    mats = fam.matrices
+    return qsim.operator_norms(mats @ mats[k] - mats[built.quasigroup.class_table[cls]])
+
+
+def test_tie_threshold_matches_no_pair_on_eta(net_m2):
+    built = qgbuilder.assemble_quasigroup(net_m2, TIE_ETA)
+    ties = sum(qgbuilder.build_graph(net_m2, k, TIE_ETA).boundary_count
+               for k in range(net_m2.size))
+    assert ties > 0
+    # every column is perfect, so each of its pairs is a matched pair
+    assert np.all(built.matched_counts == net_m2.size)
+    for cls in range(net_m2.n_classes):
+        assert np.all(np.abs(_column_norms(net_m2, built, cls) - TIE_ETA) > qgbuilder.EDGE_GUARD)
+
+
+@settings(deadline=None, max_examples=6)
+@given(m=st.sampled_from([1, 2, 3]), eta=st.floats(0.3, 2.1))
+def test_perfect_columns_lie_strictly_below_eta(m, eta):
+    # a saturating flow may come from the nearest-capacity subgraph, but every
+    # pair of its column is still an edge of the eta graph
+    fam = _word_family(m)
+    built = qgbuilder.assemble_quasigroup(fam, eta)
+    geom = qgbuilder.FamilyGeometry(fam)
+    for cls in range(geom.n_classes):
+        if built.matched_counts[geom.class_reps[cls]] == fam.size:
+            assert np.all(_column_norms(fam, built, cls) < eta - qgbuilder.EDGE_GUARD)
+    # the label-level reference on every class at m <= 2, on the orbit seeds at m = 3
+    seeds = [c for c in range(geom.n_classes) if c == min(geom.orbit_of(c))]
+    for cls in range(geom.n_classes) if m < 3 else seeds:
+        k = int(geom.class_reps[cls])
+        graph = qgbuilder.build_graph(fam, k, eta)
+        assert built.matched_counts[k] == qgbuilder.max_matching(graph).matched_count
 
 
 def _closed_su3_family(count: int, rng) -> net.NetFamily:
@@ -321,8 +361,8 @@ def test_orbit_transport_consistency(net_m2):
     assert geom.conjugate_class is not None
     eta = 0.7
     # derive every class column via orbits, then check each against direct solves
-    sizes, columns, _, _, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
-                                                       reject_above=None)
+    sizes, columns, _, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
+                                                    reject_above=None)
     rng = np.random.default_rng(33)
     n = net_m2.size
     for cls in rng.choice(geom.n_classes, 8, replace=False):
@@ -400,8 +440,8 @@ def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, ever
     checked = transposed = 0
     for eta in etas:
         records.clear()
-        sizes, columns, _, worst, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
-                                                               reject_above=None)
+        sizes, columns, worst, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
+                                                            reject_above=None)
         pass_records = list(records)
         assert len(columns) == ncl
         if eta < 0.4:
@@ -412,10 +452,8 @@ def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, ever
                 continue
             orbit = geom.orbit_of(seed)
             seen.update(orbit)
-            lefts, rights, dists = geom.candidate_edges(int(geom.class_reps[seed]),
-                                                        radius=eta + 1e-11)
-            keep = dists < eta - 1e-12
-            _, (fl, fr, fv) = qgbuilder._solve_class_flow(geom, lefts[keep], rights[keep])
+            # reference: the seed's own flow, as the pass solves it
+            _, (fl, fr, fv) = qgbuilder.seed_flow(geom, eta, seed)
             for member, transport in list(orbit.items())[::every]:
                 # reference: expand the member's own transported flow
                 want = qgbuilder._expand_column(geom, *geom.transport_edges(fl, fr, transport), fv)

@@ -1,4 +1,4 @@
-"""JSON round trips for structures, states, nets."""
+"""JSON round trips for structures and nets."""
 
 from __future__ import annotations
 
@@ -49,13 +49,12 @@ def test_rep_roundtrip_and_validation():
         serialize.rep_from_json(doc)
 
 
-def test_state_roundtrip():
-    rng = np.random.default_rng(63)
-    layout = qsim.RegisterLayout.of(("a", 3), ("B", 2))
-    state = qsim.random_pure_state(layout, rng)
-    back = serialize.state_from_json(serialize.state_to_json(state))
-    assert back.layout == state.layout
-    assert np.array_equal(back.amps, state.amps)
+@pytest.mark.parametrize("dim, mats", [(True, np.ones((1, 1, 1))), (2.0, np.stack([np.eye(2)]))],
+                         ids=["true-for-1x1", "float-for-2x2"])
+def test_rep_json_refuses_a_dim_that_is_no_integer(dim, mats):
+    doc = dict(serialize.rep_to_json(mats), dim=dim)
+    with pytest.raises(SchemaMismatch, match="'representation.dim' must be a JSON integer"):
+        serialize.rep_from_json(doc)
 
 
 @pytest.mark.parametrize("data", [[[None, 0.0]], [["x", 0.0]], [[1.0, 0.0], [1.0]], 1.0,
@@ -135,8 +134,7 @@ def test_net_json_refuses_mistyped_d_and_m(key, value):
     (serialize.group_from_json, {"order": 1}),
     (serialize.quasigroup_from_json, {"table": "0"}),
     (serialize.rep_from_json, {"dim": 2}),
-    (serialize.state_from_json, {"layout": [["a", 2]], "amps": None}),
-], ids=["group", "quasigroup", "representation", "state"])
+], ids=["group", "quasigroup", "representation"])
 def test_loaders_refuse_missing_and_mistyped_fields(loader, doc):
     with pytest.raises(SchemaMismatch, match="must be a JSON list"):
         loader(doc)
