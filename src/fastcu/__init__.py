@@ -32,9 +32,7 @@ from .approx_protocol import (
     run_measured_variant,
 )
 from .compiler import (
-    BlockComponent,
     CompileTargets,
-    block_diagonal_compose,
     compile_target,
     error_budget,
     normalize_su,
@@ -55,7 +53,6 @@ from .qgbuilder import (
     build_graph,
     hall_deficiency_witness,
     max_matching,
-    scan_quasigroup_deltas,
 )
 from .qsim import (
     Branches,

@@ -136,15 +136,6 @@ def klein_four_group() -> FiniteGroup:
     return group_from_cayley(idx[:, None] ^ idx[None, :])
 
 
-def direct_product_table(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Componentwise product table with pairs packed as a*n2 + b."""
-    n1, n2 = t1.shape[0], t2.shape[0]
-    a1, b1 = np.divmod(np.arange(n1 * n2), n2)
-    left = t1[np.ix_(a1, a1)]
-    right = t2[np.ix_(b1, b1)]
-    return left * n2 + right
-
-
 class _Gathered:
     """Data-descriptor field of an n x n table gathered from class rows on each read.
 

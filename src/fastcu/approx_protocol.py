@@ -125,10 +125,6 @@ class QuasigroupProtocolSpec:
             out[:, i, :, i, :] = blocks[:, i] if i < self.n_terms else np.eye(d_b)
         return out.reshape(len(blocks), d_a * d_b, d_a * d_b)
 
-    def branch_matrix(self, outcome_l: int) -> np.ndarray:
-        """Unitary actually implemented when the ancilla outcome is l."""
-        return self.branch_matrices([outcome_l])[0]
-
     def term_matrices(self) -> np.ndarray:
         """The family's block V_k of each term label k, an (n_terms, d_b, d_b) stack."""
         return self.rep.matrices[list(self.term_map)]

@@ -19,11 +19,12 @@ import numpy as np
 from . import serialize
 from .algebra import certify_approx_rep, ordinary_rep, right_quasigroup_from_table
 from .approx_protocol import QuasigroupProtocolSpec, dilation_error
-from .compiler import CompileTargets, certified_bound, compile_target, error_budget, normalize_su
+from .compiler import (CompileTargets, certified_bound, compile_target, error_budget, normalize_su,
+                       word_family_cost)
 from .demos import EXACT_DEMOS, exact_demo_instance
 from .errors import DimensionMismatch, FastcuError, NetTooLarge, NotRightQuasigroup, SchemaMismatch
 from .exact_protocol import run_exact_protocol
-from .net import DEFAULT_CAP, advisory_m, build_net
+from .net import DEFAULT_CAP, advisory_m, build_net, nearest_in_net
 from .qgbuilder import FamilyGeometry, _matching_pass, assemble_quasigroup
 from .qsim import RegisterLayout, operator_norms, random_pure_state
 from .serialize import _NUMBER, _field
@@ -213,6 +214,13 @@ def _verify_table_and_net(table, net_doc: dict):
     return quasigroup, net
 
 
+def _matching_deficiency(net, eta: float) -> tuple[np.ndarray, float]:
+    """Each label's recomputed maximum matching size at ``eta``, and (n - min) / n."""
+    geom = FamilyGeometry(net)
+    matched = _matching_pass(geom, eta, want_columns=False, reject_above=None)[0][geom.classes]
+    return matched, (net.size - int(matched.min())) / net.size
+
+
 def _verify_quasigroup_bundle(doc: dict) -> int:
     for name, kind in (("N", int), ("eta", _NUMBER), ("delta_cert", _NUMBER)):
         _field(doc, name, kind)
@@ -228,12 +236,9 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
     if abs(cert.delta_cert - doc["delta_cert"]) > 1e-12:
         return _fail("recount", f"stored delta_cert={doc['delta_cert']} but recount={cert.delta_cert}")
     print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
-    geom = FamilyGeometry(net)
-    sizes = _matching_pass(geom, doc["eta"], want_columns=False, reject_above=None)[0]
-    matched = sizes[geom.classes]
+    matched, delta_matching = _matching_deficiency(net, doc["eta"])
     if not np.array_equal(np.asarray(doc["matched_counts"]), matched):
         return _fail("matching", "stored matched_counts differ from the recomputed matching sizes")
-    delta_matching = (n - int(matched.min())) / n
     if cert.delta_cert > delta_matching + 1e-12:
         return _fail("matching", f"recounted delta_cert={cert.delta_cert} exceeds the matching "
                                  f"deficiency {delta_matching}")
@@ -247,6 +252,31 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
     return 0
 
 
+def _verify_scan(rows: list[dict], blocks: np.ndarray, plan: dict, net) -> int:
+    """Re-derive each scan point from the blocks and its degree's word family: degrees run
+    1, ..., plan m, and only the last point is accepted, at the plan's eta, with the
+    recomputed matching deficiency as delta.  A rejected point's delta stopped at a target
+    the bundle does not store, so it is only checked to lie in [0, 1]."""
+    degrees = [row["m"] for row in rows]
+    if degrees != sorted(degrees) or sorted(set(degrees)) != list(range(1, plan["m"] + 1)):
+        return _fail("scan", f"degrees {degrees} do not run from 1 to the plan's m={plan['m']}")
+    families = {m: net if m == net.m else build_net(net.d, m) for m in set(degrees)}
+    delta = _matching_deficiency(net, plan["eta"])[1]
+    for i, row in enumerate(rows):
+        last = i == len(rows) - 1
+        want = {"cost_ebits": word_family_cost(net.d, row["m"]), "accepted": last,
+                "zeta": max(nearest_in_net(w, families[row["m"]]).zeta for w in blocks)}
+        if last:
+            want.update(eta=plan["eta"], delta=delta)
+        for name, value in want.items():
+            if not abs(row[name] - value) <= 1e-12:
+                return _fail("scan", f"point {i}: stored {name}={row[name]} but re-derived {value}")
+        if not (last or math.isnan(row["delta"]) or 0.0 <= row["delta"] <= 1.0):
+            return _fail("scan", f"point {i}: delta={row['delta']} is not in [0, 1]")
+    print(f"ok scan: {len(rows)} points re-derived, degree {plan['m']} accepted")
+    return 0
+
+
 def _verify_compile_bundle(doc: dict) -> int:
     plan = _field(doc, "plan", dict)
     for name, kind in (("m", int), ("eta", _NUMBER), ("delta_cert", _NUMBER), ("zeta", _NUMBER)):
@@ -254,7 +284,11 @@ def _verify_compile_bundle(doc: dict) -> int:
     _field(plan, "plan.zetas", list, _NUMBER)
     _field(plan, "plan.assignment", list, int)
     stored_report = _field(doc, "report", dict)
-    matrices = _field(_field(doc, "target", dict), "target.matrices", list)
+    target = _field(doc, "target", dict)
+    matrices = _field(target, "target.matrices", list)
+    dim = _field(target, "target.dim", int)
+    phases = _field(target, "target.phases", list, _NUMBER)
+    scan = [_scan_row(p) for p in _field(doc, "scan", list, dict)]
     loaded = _verify_table_and_net(_field(plan, "plan.table", list), _field(plan, "plan.net", dict))
     if loaded is None:
         return 1
@@ -269,6 +303,8 @@ def _verify_compile_bundle(doc: dict) -> int:
     blocks = serialize.pairs_to_complex(matrices)
     if len(plan["assignment"]) != len(blocks):
         return _fail("assignment", f"{len(plan['assignment'])} labels for {len(blocks)} blocks")
+    if dim != blocks.shape[-1] or len(phases) != len(blocks) or not np.isfinite(phases).all():
+        return _fail("target", f"dim={dim}, phases={phases} for blocks of shape {blocks.shape}")
     spec = QuasigroupProtocolSpec(quasigroup, ordinary_rep(quasigroup, net.matrices),
                                   term_map=tuple(plan["assignment"]))
     zetas = operator_norms(blocks - spec.term_matrices())
@@ -291,7 +327,7 @@ def _verify_compile_bundle(doc: dict) -> int:
         return _fail("report", f"stored fields {sorted(stored_report)}, expected {sorted(recomputed)}")
     print(f"ok report: every stored field matches; measured {report.diamond_bound_measured:.6f} "
           f"<= certified {report.certified_error_bound:.6f}, cost {report.cost_ebits:.6f} ebits")
-    return 0
+    return _verify_scan(scan, blocks, plan, net)
 
 
 def _verify_exact_demo_bundle(doc: dict) -> int:

@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    RightQuasigroup,
-    FiniteGroup,
-    certify_approx_rep,
-    ordinary_rep,
-    right_quasigroup_from_table,
-    direct_product_table,
-)
+from .algebra import ordinary_rep
 from .approx_protocol import QuasigroupProtocolSpec, dilation_error, dilation_gap_bound, term_gaps
-from .errors import BlockOverlap, BudgetExhausted, DimensionMismatch, NotUnitary
+from .errors import BudgetExhausted, DimensionMismatch, NotUnitary
 from .net import DEFAULT_CAP, NetFamily, build_net, net_size, nearest_in_net
 from .qgbuilder import BuiltQuasigroup, assemble_or_reject
 from .qsim import is_unitary, operator_norm, operator_norms
@@ -293,101 +286,3 @@ def error_budget(blocks: np.ndarray, spec: QuasigroupProtocolSpec, eta: float,
     return CompilationReport(gap_target_plan=zeta, gap_plan_actual=gap_uv,
                              gap_target_actual=gap_tv, diamond_bound_measured=2.0 * gap_tv,
                              certified_error_bound=bound, cost_ebits=cost)
-
-
-# --------------------------------------------------------------------------- #
-#                      block-diagonal composition                             #
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True, eq=False)
-class BlockComponent:
-    """One orthogonal block: a structure, its unitary family, and a certified eta/delta."""
-
-    structure: FiniteGroup | RightQuasigroup
-    matrices: np.ndarray
-    eta: float
-    delta: float
-    coords: tuple[int, ...] | None = None    # columns of the ambient space, contiguous default
-
-
-@dataclass(frozen=True, eq=False)
-class ComposedFamily:
-    quasigroup: RightQuasigroup
-    matrices: np.ndarray
-    eta: float
-    delta_bound: float
-    certificate: object
-    index_map: tuple[tuple[int, ...], ...]
-    cost_ebits: float
-
-
-def block_diagonal_compose(components: list[BlockComponent], ambient_dim: int | None = None) -> ComposedFamily:
-    """Direct-sum family over the direct-product structure of the blocks.
-
-    Element (k_1, ..., k_B) carries the direct sum of the per-block matrices;
-    the composite threshold is the worst block threshold and the composite
-    deficiency is at most 1 - prod(1 - delta_b).  The built table is recounted
-    rather than trusted.
-    """
-    if not components:
-        raise DimensionMismatch("need at least one block")
-    dims = [c.matrices.shape[1] for c in components]
-    total = sum(dims)
-    if ambient_dim is None:
-        ambient_dim = total
-    if ambient_dim != total:
-        raise BlockOverlap(f"blocks of total dim {total} do not partition dim {ambient_dim}")
-
-    offset = 0
-    coord_sets = []
-    for c, dim in zip(components, dims):
-        coords = c.coords if c.coords is not None else tuple(range(offset, offset + dim))
-        if len(coords) != dim or any(not 0 <= x < ambient_dim for x in coords):
-            raise BlockOverlap(f"bad coordinate set {coords} for a block of dim {dim}")
-        coord_sets.append(coords)
-        offset += dim
-    flat = [x for coords in coord_sets for x in coords]
-    if len(set(flat)) != len(flat):
-        raise BlockOverlap("block coordinate sets overlap")
-    if len(flat) != ambient_dim:
-        raise BlockOverlap("block coordinate sets do not cover the space")
-
-    tables = []
-    for c in components:
-        if isinstance(c.structure, FiniteGroup):
-            tables.append(c.structure.cayley)
-        else:
-            tables.append(c.structure.table)
-    table = tables[0]
-    for t in tables[1:]:
-        table = direct_product_table(table, t)
-    quasigroup = right_quasigroup_from_table(table)
-
-    sizes = [t.shape[0] for t in tables]
-    n = quasigroup.order
-    index_map = []
-    mats = np.zeros((n, ambient_dim, ambient_dim), dtype=complex)
-    for label in range(n):
-        rem = label
-        parts = []
-        for size in reversed(sizes):
-            rem, p = divmod(rem, size)
-            parts.append(p)
-        parts.reverse()
-        index_map.append(tuple(parts))
-        for c, coords, p in zip(components, coord_sets, parts):
-            mats[label][np.ix_(coords, coords)] = c.matrices[p]
-
-    eta = max(c.eta for c in components)
-    delta_bound = 1.0
-    for c in components:
-        delta_bound *= (1.0 - c.delta)
-    delta_bound = 1.0 - delta_bound
-    certificate = certify_approx_rep(mats, quasigroup, eta)
-    if certificate.delta_cert > delta_bound + 1e-12:
-        raise DimensionMismatch("composite recount exceeded the composed bound")
-    cost = sum(math.log2(s) for s in sizes)
-    return ComposedFamily(quasigroup=quasigroup, matrices=mats, eta=eta,
-                          delta_bound=delta_bound, certificate=certificate,
-                          index_map=tuple(index_map), cost_ebits=cost)

@@ -61,28 +61,6 @@ def highrank_pauli(rank: int = 2) -> HighRankControlledUnitary:
     return HighRankControlledUnitary(tuple(projectors), group, rep, (0, 1, 2, 3))
 
 
-def block_diagonal_target() -> list[np.ndarray]:
-    """Three controlled operators on a 4-dim space, block diagonal over two qubit blocks."""
-    sx = PAULI[1]
-    sz = PAULI[3]
-    w1 = [np.eye(2, dtype=complex),
-          _expm_2x2(1j * np.pi / 3 * sx),
-          _expm_2x2(1j * np.pi / 4 * sz)]
-    w2 = [np.eye(2, dtype=complex), np.eye(2, dtype=complex), sz.astype(complex)]
-    out = []
-    for a, b in zip(w1, w2):
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = a
-        m[2:, 2:] = b
-        out.append(m)
-    return out
-
-
-def _expm_2x2(a: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eig(a)
-    return (vecs * np.exp(vals)) @ np.linalg.inv(vecs)
-
-
 EXACT_DEMOS = {
     "pauli-klein4": controlled_pauli,
     "pauli-subset": controlled_pauli_subset,

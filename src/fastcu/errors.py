@@ -71,10 +71,6 @@ class BudgetExhausted(FastcuError):
         self.best = best
 
 
-class BlockOverlap(FastcuError):
-    pass
-
-
 class UnknownExample(FastcuError):
     pass
 

@@ -13,8 +13,8 @@ the Givens elimination sequence
     for column c = 0 .. d-2:  positions d-2, d-3, ..., c
 
 read left to right in the matrix product.  This is the same sequence the
-two-level decomposition emits, so a blockwise approximation of any special
-unitary is itself an element of the enumerated family.  (The naive "row by
+two-level decomposition emits, so replacing each factor of a decomposition by
+a word gives an element of the enumerated family.  (The naive "row by
 row" slot order cannot reach all of SU(d) for d >= 3: the product of a block
 on (0,1) followed by blocks on (1,2) always has a vanishing corner entry.)
 """
@@ -99,6 +99,10 @@ class NetFamily:
     _class_of_key: dict[bytes, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        res = operator_norms(np.einsum("kab,kac->kbc", self.matrices.conj(), self.matrices)
+                             - np.eye(self.d))
+        if res.max() > UNITARY_TOL:
+            raise NotUnitary(f"element {int(res.argmax())} is not unitary")
         index: dict[bytes, int] = {}
         classes = np.array([index.setdefault(key, len(index))
                             for key in _matrix_keys(self.matrices)], dtype=np.int64)
@@ -141,9 +145,6 @@ class NetFamily:
             raise DimensionMismatch(f"expected a stack of square matrices, got {mats.shape}")
         if d is not None and mats.shape[1] != d:
             raise DimensionMismatch(f"matrices have dim {mats.shape[1]}, expected {d}")
-        res = operator_norms(np.einsum("kab,kac->kbc", mats.conj(), mats) - np.eye(mats.shape[1]))
-        if res.max() > UNITARY_TOL:
-            raise NotUnitary(f"element {int(res.argmax())} is not unitary")
         return cls(d=mats.shape[1], matrices=mats)
 
 
@@ -185,10 +186,6 @@ def build_net(d: int, m: int, cap: int = DEFAULT_CAP) -> NetFamily:
                 out = out @ embed_block(word_mats[w], slot, d)
             mats[label] = out
     mats[half:] = np.conj(np.transpose(mats[:half], (0, 2, 1)))
-
-    res = operator_norms(np.einsum("kab,kac->kbc", mats.conj(), mats) - np.eye(d))
-    if res.max() > UNITARY_TOL:
-        raise NotUnitary(f"built element {int(res.argmax())} failed the unitarity check")
     return NetFamily(d=d, matrices=mats, m=m)
 
 
@@ -199,20 +196,16 @@ class TwoLevelFactor:
     position: int
     block: np.ndarray
 
-    def embedded(self, d: int) -> np.ndarray:
-        return embed_block(self.block, self.position, d)
-
 
 @dataclass(frozen=True, eq=False)
 class TwoLevelDecomposition:
     factors: tuple[TwoLevelFactor, ...]
     dim: int
-    reconstruction_error: float
 
     def product(self) -> np.ndarray:
         out = np.eye(self.dim, dtype=complex)
         for f in self.factors:
-            out = out @ f.embedded(self.dim)
+            out = out @ embed_block(f.block, f.position, self.dim)
         return out
 
 
@@ -245,19 +238,17 @@ def two_level_decompose(u: np.ndarray) -> TwoLevelDecomposition:
             rotations.append(TwoLevelFactor(pos, g))
     # the eliminations reduce m to the identity; factors of u are their adjoints
     factors = tuple(TwoLevelFactor(rot.position, rot.block.conj().T) for rot in rotations)
-    deco = TwoLevelDecomposition(factors=factors, dim=d, reconstruction_error=0.0)
+    deco = TwoLevelDecomposition(factors=factors, dim=d)
     err = operator_norm(deco.product() - u)
     if err > RECONSTRUCTION_TOL:
         raise NotUnitary(f"decomposition failed to reconstruct the input (error {err:.2e})")
-    return TwoLevelDecomposition(factors=factors, dim=d, reconstruction_error=float(err))
+    return deco
 
 
 @dataclass(frozen=True)
 class NearestResult:
     label: int
     zeta: float
-    mode: str
-    block_zetas: tuple[float, ...] | None = None
 
 
 def _stack_distances(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -274,47 +265,14 @@ def _stack_distances(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
     return operator_norms(stack - u[None])
 
 
-def nearest_in_net(u: np.ndarray, net: NetFamily, mode: str = "exhaustive") -> NearestResult:
-    """Closest family element to ``u`` in operator norm.
-
-    ``exhaustive`` scans every label (ties go to the smallest label: a class's first).
-    ``blockwise`` decomposes ``u`` into two-level factors, approximates each
-    block independently over the word list, and composes; the result is the
-    label of that composition and its true distance, which is at most the sum
-    of the block errors.
-    """
+def nearest_in_net(u: np.ndarray, net: NetFamily) -> NearestResult:
+    """Closest family element to ``u`` in operator norm; ties go to the smallest label."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (net.d, net.d):
         raise DimensionMismatch(f"input of shape {u.shape} does not match net dim {net.d}")
-    if mode == "exhaustive":
-        dists = _stack_distances(net.matrices, u)
-        label = int(np.argmin(dists))
-        return NearestResult(label=label, zeta=float(dists[label]), mode=mode)
-    if mode != "blockwise":
-        raise DimensionMismatch(f"unknown mode {mode!r}")
-    if not net.is_word_built:
-        raise DimensionMismatch("blockwise search needs a word-built net")
-
-    deco = two_level_decompose(u)
-    word_mats = enumerate_words(net.m)
-    n_words = word_mats.shape[0]
-    assignment = []
-    block_zetas = []
-    for factor in deco.factors:
-        dists = _stack_distances(word_mats, factor.block)
-        w = int(np.argmin(dists))
-        assignment.append(w)
-        block_zetas.append(float(dists[w]))
-    r = len(deco.factors)
-    label = 0
-    for w in assignment:
-        label = label * n_words + w
-    composed = net.matrix(label)
-    zeta = operator_norm(composed - u)
-    if zeta > sum(block_zetas) + 1e-9:
-        raise NotUnitary("blockwise composition violated the error chain")
-    return NearestResult(label=label, zeta=float(zeta), mode=mode,
-                         block_zetas=tuple(block_zetas))
+    dists = _stack_distances(net.matrices, u)
+    label = int(np.argmin(dists))
+    return NearestResult(label=label, zeta=float(dists[label]))
 
 
 def calibrated_worst_errors(max_m: int = 4, samples: int = 200,

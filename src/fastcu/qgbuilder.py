@@ -93,7 +93,6 @@ class MatchingResult:
     pairs: dict[int, int]
     matched_count: int
     completed: np.ndarray        # permutation, completed[l] = j
-    inside_threshold_count: int
 
 
 def _complete_permutation(column: np.ndarray) -> np.ndarray:
@@ -112,8 +111,7 @@ def max_matching(graph: CompatGraph) -> MatchingResult:
     matched_left = np.flatnonzero(pair_left >= 0)
     completed = _complete_permutation(pair_left.copy())
     pairs = {int(l): int(pair_left[l]) for l in matched_left}
-    return MatchingResult(pairs=pairs, matched_count=len(matched_left),
-                          completed=completed, inside_threshold_count=len(matched_left))
+    return MatchingResult(pairs=pairs, matched_count=len(matched_left), completed=completed)
 
 
 def hall_deficiency_witness(graph: CompatGraph, t: int) -> np.ndarray | None:
@@ -513,27 +511,3 @@ def assemble_or_reject(net: NetFamily, eta: float,
     if not complete:
         return None, worst
     return _finish_build(geom, eta, sizes, columns), worst
-
-
-@dataclass(frozen=True)
-class EtaScanPoint:
-    eta: float
-    delta_matching: float
-    complete: bool
-
-
-def scan_quasigroup_deltas(net: NetFamily, etas,
-                           reject_above: float | None = None) -> list[EtaScanPoint]:
-    """Matching-derived deficiency per eta, without building tables.
-
-    With ``reject_above`` set, a scan point stops early once some label's
-    deficiency already exceeds the threshold; the point is then marked
-    incomplete and its delta is a lower bound (still above the threshold).
-    """
-    geom = FamilyGeometry(net)
-    points = []
-    for eta in etas:
-        _, _, worst, complete = _matching_pass(geom, float(eta), want_columns=False,
-                                               reject_above=reject_above)
-        points.append(EtaScanPoint(eta=float(eta), delta_matching=worst, complete=complete))
-    return points

@@ -151,9 +151,6 @@ class PureState:
     def tensor(self) -> np.ndarray:
         return self.amps.reshape(self.layout.dims)
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
     def distance(self, other: "PureState") -> float:
         """Euclidean distance between amplitude vectors, no phase alignment."""
         return float(np.linalg.norm(self.amps - other.amps))

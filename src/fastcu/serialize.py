@@ -1,4 +1,4 @@
-"""JSON schemas for structures, nets, and report bundles.
+"""JSON schemas for representations, nets, and report bundles.
 
 Complex numbers are [re, im] pairs throughout.  Every emitted document carries
 ``schema_version``; loaders check it and re-validate whatever they rebuild.
@@ -11,12 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import (
-    FiniteGroup,
-    RightQuasigroup,
-    group_from_cayley,
-    right_quasigroup_from_table,
-)
 from .errors import SchemaMismatch
 from .net import DEFAULT_CAP, NetFamily, build_net
 
@@ -70,28 +64,6 @@ def _check_version(doc: dict, kind: str) -> None:
         raise SchemaMismatch(f"{kind}: expected a JSON object")
     if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise SchemaMismatch(f"{kind}: unsupported schema_version {doc.get('schema_version')!r}")
-
-
-def group_to_json(group: FiniteGroup, labels=None) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "order": group.order,
-           "cayley": group.cayley.tolist()}
-    if labels is not None:
-        doc["labels"] = list(labels)
-    return doc
-
-
-def group_from_json(doc: dict) -> FiniteGroup:
-    _check_version(doc, "group")
-    return group_from_cayley(_field(doc, "group.cayley", list))
-
-
-def quasigroup_to_json(q: RightQuasigroup) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "order": q.order, "table": q.table.tolist()}
-
-
-def quasigroup_from_json(doc: dict) -> RightQuasigroup:
-    _check_version(doc, "quasigroup")
-    return right_quasigroup_from_table(_field(doc, "quasigroup.table", list))
 
 
 def rep_to_json(matrices: np.ndarray) -> dict:

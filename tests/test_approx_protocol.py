@@ -549,7 +549,7 @@ def test_branch_matrices_equal_per_label_controlled_gates():
                       for i, k in enumerate(spec.term_map)}
             dense = qsim.controlled_gate(spec.d_a, blocks, spec.d_b)
             assert np.abs(stack[l] - dense).max() <= 1e-15
-            assert np.array_equal(spec.branch_matrix(l), stack[l])
+            assert np.array_equal(spec.branch_matrices([l])[0], stack[l])
 
 
 def test_max_branch_distance_equals_dense_branch_loop():
@@ -557,7 +557,7 @@ def test_max_branch_distance_equals_dense_branch_loop():
     spec = QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(5, 17, 40), d_a=5)
     assert spec.order == 72 and spec.d_a > spec.n_terms
     target = spec.target_matrix()
-    dense = max(qsim.operator_norm(target - spec.branch_matrix(l)) for l in range(spec.order))
+    dense = max(qsim.operator_norm(target - b) for b in spec.branch_matrices())
     assert dilation_error(spec, 0.8, 0.0).max_branch_distance == pytest.approx(dense, abs=1e-12)
     state = _supported_state(spec, np.random.default_rng(50))
     record = run_measured_variant(spec, state)

@@ -255,6 +255,72 @@ def test_verify_rejects_tampered_zeta(compile_bundle, tmp_path, capsys, tamper, 
     assert expected in capsys.readouterr().out
 
 
+def _scan_point(i, **fields):
+    return lambda doc: doc["scan"][i].update(fields)
+
+
+def _target(**fields):
+    return lambda doc: doc["target"].update(fields)
+
+
+def _every_scan_number(doc):
+    """Cheaper and closer scan points, and no accepted degree."""
+    for point in doc["scan"]:
+        point.update(cost_ebits=0.5, zeta=0.0)
+    doc["scan"][-1]["accepted"] = False
+
+
+@pytest.mark.parametrize("tamper, code, expected", [
+    pytest.param(lambda doc: None, 0, "ok scan: 2 points re-derived", id="untampered"),
+    pytest.param(_every_scan_number, 1, "FAIL scan", id="every-scan-number"),
+    pytest.param(_scan_point(0, cost_ebits=0.5), 1, "FAIL scan", id="rejected-cost"),
+    pytest.param(_scan_point(-1, cost_ebits=0.5), 1, "FAIL scan", id="accepted-cost"),
+    pytest.param(_scan_point(0, zeta=0.0), 1, "FAIL scan", id="rejected-zeta"),
+    pytest.param(_scan_point(-1, zeta=0.0), 1, "FAIL scan", id="accepted-zeta"),
+    pytest.param(_scan_point(0, accepted=True), 1, "FAIL scan", id="rejected-accepted"),
+    pytest.param(_scan_point(-1, accepted=False), 1, "FAIL scan", id="accepted-rejected"),
+    pytest.param(_scan_point(-1, eta=1.0), 1, "FAIL scan", id="accepted-eta"),
+    pytest.param(lambda doc: doc["scan"][-1].update(delta=doc["scan"][-1]["delta"] + 0.01), 1,
+                 "FAIL scan", id="accepted-delta"),
+    pytest.param(_scan_point(0, delta=1.5), 1, "FAIL scan", id="rejected-delta-above-one"),
+    pytest.param(_scan_point(0, m=2), 1, "FAIL scan", id="rejected-m"),
+    pytest.param(lambda doc: doc["scan"].pop(0), 1, "FAIL scan", id="dropped-degree"),
+    pytest.param(_target(dim=7), 1, "FAIL target", id="dim"),
+    pytest.param(_target(phases=[9.0]), 1, "FAIL target", id="one-phase"),
+    pytest.param(lambda doc: doc["target"]["phases"].append(0.0), 1, "FAIL target",
+                 id="extra-phase"),
+    pytest.param(_target(phases=[float("nan")] * 2), 1, "FAIL target", id="nan-phases"),
+    pytest.param(_scan_point(0, cost_ebits="0.5"), 2, "'scan.cost_ebits'", id="cost-string"),
+    pytest.param(_scan_point(-1, accepted=1), 2, "'scan.accepted'", id="accepted-integer"),
+    pytest.param(_scan_point(-1, m=None), 2, "'scan.m'", id="m-null"),
+])
+def test_verify_rederives_scan_and_target(compile_bundle, tmp_path, capsys, tamper, code,
+                                          expected):
+    doc = json.loads(json.dumps(compile_bundle))
+    assert [p["m"] for p in doc["scan"]] == [1, 2] and len(doc["target"]["phases"]) == 2
+    tamper(doc)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == code
+    captured = capsys.readouterr()
+    assert expected in (captured.err if code == 2 else captured.out)
+
+
+def test_verify_rederives_an_epsilon_scan_with_several_points_per_degree(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    blocks = np.stack([qsim.haar_unitary(2, rng) for _ in range(3)])
+    target = tmp_path / "target.json"
+    serialize.save_json(serialize.rep_to_json(blocks), target)
+    bundle = tmp_path / "bundle.json"
+    assert cli.main(["compile", str(target), "--epsilon-target", "3.0", "--out", str(bundle)]) == 0
+    degrees = [p["m"] for p in json.loads(bundle.read_text())["scan"]]
+    assert degrees == sorted(degrees) and len(degrees) > len(set(degrees))
+    capsys.readouterr()
+    assert cli.main(["verify", str(bundle)]) == 0
+    assert f"ok scan: {len(degrees)} points re-derived" in capsys.readouterr().out
+
+
 def test_compile_bundle_carries_no_seed(compile_bundle):
     # compilation is deterministic in its inputs; no seed is read or recorded
     assert "seed" not in compile_bundle
@@ -331,6 +397,7 @@ def demo_bundle(tmp_path_factory):
     ("qg_bundle", "matched_counts"), ("qg_bundle", "eta"), ("qg_bundle", "net.d"),
     ("compile_bundle", "plan.eta"), ("compile_bundle", "plan.assignment"),
     ("compile_bundle", "target.matrices"), ("compile_bundle", "report.cost_ebits"),
+    ("compile_bundle", "target.dim"), ("compile_bundle", "target.phases"),
     ("demo_bundle", "trials"), ("demo_bundle", "example"), ("demo_bundle", "cost_ebits"),
 ])
 @pytest.mark.parametrize("how", ["missing", "wrong-type", "null"])

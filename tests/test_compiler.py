@@ -1,4 +1,4 @@
-"""Normalization, compilation pipeline, error budgets, block composition."""
+"""Normalization, the compile pipeline and its error budget."""
 
 from __future__ import annotations
 
@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import traced_memory
-from fastcu import algebra, demos, net, qsim
+from fastcu import net, qsim
 from fastcu.approx_protocol import dilation_pair
 from fastcu.compiler import (
-    BlockComponent,
     CompileTargets,
-    block_diagonal_compose,
     compile_target,
     error_budget,
     normalize_su,
 )
-from fastcu.errors import BlockOverlap, BudgetExhausted, DimensionMismatch, NotUnitary
+from fastcu.errors import BudgetExhausted, DimensionMismatch, NotUnitary
 
 
 def test_normalize_su_already_special():
@@ -167,56 +165,6 @@ def test_lemma_advisory_positive_and_monotone():
     assert net.advisory_m(2, 0.1) >= net.advisory_m(2, 0.4)
 
 
-def test_block_compose_example_shape():
-    # first block: a net-built quasigroup family on one qubit block
-    fam = net.build_net(2, 1)
-    from fastcu import qgbuilder
-    built = qgbuilder.assemble_quasigroup(fam, eta=1.2)
-    c2 = algebra.cyclic_group(2)
-    z_family = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
-    composed = block_diagonal_compose([
-        BlockComponent(built.quasigroup, fam.matrices,
-                       eta=1.2, delta=built.certificate.delta_cert),
-        BlockComponent(c2, z_family, eta=1.2, delta=0.0),
-    ])
-    assert composed.quasigroup.order == 2 * fam.size
-    assert composed.matrices.shape == (24, 4, 4)
-    assert composed.eta == 1.2
-    assert composed.certificate.delta_cert <= composed.delta_bound + 1e-12
-    assert composed.cost_ebits == pytest.approx(np.log2(12) + 1.0)
-    # direct sums land on the advertised coordinates
-    lbl = 5
-    k1, k2 = composed.index_map[lbl]
-    assert np.allclose(composed.matrices[lbl][:2, :2], fam.matrices[k1])
-    assert np.allclose(composed.matrices[lbl][2:, 2:], z_family[k2])
-    assert np.allclose(composed.matrices[lbl][:2, 2:], 0)
-
-
-def test_block_compose_exact_blocks_zero_delta():
-    c2 = algebra.cyclic_group(2)
-    z_family = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
-    x_family = np.stack([np.eye(2), np.array([[0, 1], [1, 0]])]).astype(complex)
-    composed = block_diagonal_compose([
-        BlockComponent(c2, z_family, eta=0.5, delta=0.0),
-        BlockComponent(c2, x_family, eta=0.5, delta=0.0),
-    ])
-    assert composed.certificate.delta_cert == 0.0
-    assert composed.delta_bound == 0.0
-
-
-def test_block_compose_overlap_rejected():
-    c2 = algebra.cyclic_group(2)
-    fam = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
-    with pytest.raises(BlockOverlap):
-        block_diagonal_compose([
-            BlockComponent(c2, fam, eta=0.5, delta=0.0, coords=(0, 1)),
-            BlockComponent(c2, fam, eta=0.5, delta=0.0, coords=(1, 2)),
-        ], ambient_dim=4)
-    with pytest.raises(BlockOverlap):
-        block_diagonal_compose([BlockComponent(c2, fam, eta=0.5, delta=0.0)],
-                               ambient_dim=3)
-
-
 def test_error_budget_exact_plan_is_zero(regular_rep_net):
     group, fam = regular_rep_net
     target = normalize_su(fam.matrices[[1, 2]])
@@ -226,8 +174,3 @@ def test_error_budget_exact_plan_is_zero(regular_rep_net):
     assert report.gap_target_plan == pytest.approx(0.0, abs=1e-12)
     assert report.gap_plan_actual == pytest.approx(0.0, abs=1e-12)
     assert report.gap_target_actual == pytest.approx(0.0, abs=1e-10)
-
-
-def test_block_diagonal_demo_targets_are_unitary():
-    for w in demos.block_diagonal_target():
-        assert qsim.is_unitary(w)

@@ -184,41 +184,17 @@ def test_nearest_exhaustive_matches_brute_force(net_m2):
     u = net.two_level_decompose(np.array([
         [np.cos(np.pi / 3), 1j * np.sin(np.pi / 3)],
         [1j * np.sin(np.pi / 3), np.cos(np.pi / 3)]])).product()
-    r = net.nearest_in_net(u, net_m2, "exhaustive")
+    r = net.nearest_in_net(u, net_m2)
     dists = [qsim.operator_norm(u - net_m2.matrix(i)) for i in range(net_m2.size)]
     assert r.zeta == pytest.approx(min(dists), abs=1e-12)
     assert dists[r.label] == pytest.approx(min(dists), abs=1e-12)
     first = min(i for i in range(net_m2.size) if dists[i] <= min(dists) + 1e-12)
     assert r.label == first
-    rb = net.nearest_in_net(u, net_m2, "blockwise")
-    assert rb.zeta >= r.zeta - 1e-12
-    assert rb.zeta <= sum(rb.block_zetas) + 1e-9
-
-
-def test_nearest_blockwise_label_consistent():
-    fam = net.build_net(3, 1)
-    rng = np.random.default_rng(24)
-    for _ in range(3):
-        u = qsim.haar_special_unitary(3, rng)
-        rb = net.nearest_in_net(u, fam, "blockwise")
-        re_ = net.nearest_in_net(u, fam, "exhaustive")
-        assert re_.zeta <= rb.zeta + 1e-12
-        assert qsim.operator_norm(fam.matrix(rb.label) - u) == pytest.approx(rb.zeta, abs=1e-12)
-        assert rb.zeta <= len(rb.block_zetas) * max(rb.block_zetas) + 1e-9
 
 
 def test_nearest_rejects_wrong_dim(net_m1):
     with pytest.raises(DimensionMismatch):
         net.nearest_in_net(np.eye(3), net_m1)
-
-
-def test_exhaustive_beats_blockwise_over_samples(net_m2):
-    rng = np.random.default_rng(25)
-    for _ in range(10):
-        u = qsim.haar_special_unitary(2, rng)
-        ex = net.nearest_in_net(u, net_m2, "exhaustive")
-        bw = net.nearest_in_net(u, net_m2, "blockwise")
-        assert ex.zeta <= bw.zeta + 1e-12
 
 
 def test_advisory_degree_monotone_and_calibrated():
@@ -246,5 +222,3 @@ def test_degenerate_family_from_unitaries(regular_rep_net):
     _, fam = regular_rep_net
     assert fam.size == 4
     assert not fam.is_word_built
-    with pytest.raises(DimensionMismatch):
-        net.nearest_in_net(np.eye(4), fam, "blockwise")

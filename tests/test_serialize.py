@@ -1,4 +1,4 @@
-"""JSON round trips for structures and nets."""
+"""JSON round trips for representations and nets."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from fastcu import algebra, net, qsim, serialize
+from fastcu import net, qsim, serialize
 from fastcu.errors import NetTooLarge, SchemaMismatch
 
 
@@ -18,23 +18,6 @@ def test_complex_pair_roundtrip():
     pairs = serialize.complex_to_pairs(a)
     back = serialize.pairs_to_complex(pairs)
     assert np.array_equal(a, back)
-
-
-def test_group_roundtrip():
-    group = algebra.klein_four_group()
-    doc = serialize.group_to_json(group, labels=["e", "x", "y", "z"])
-    back = serialize.group_from_json(doc)
-    assert np.array_equal(back.cayley, group.cayley)
-    assert back.identity == group.identity
-
-
-def test_quasigroup_roundtrip():
-    rng = np.random.default_rng(61)
-    table = np.stack([rng.permutation(6) for _ in range(6)], axis=1)
-    q = algebra.right_quasigroup_from_table(table)
-    back = serialize.quasigroup_from_json(serialize.quasigroup_to_json(q))
-    assert np.array_equal(back.table, q.table)
-    assert np.array_equal(back.left_div, q.left_div)
 
 
 def test_rep_roundtrip_and_validation():
@@ -131,15 +114,14 @@ def test_net_json_refuses_mistyped_d_and_m(key, value):
 
 
 @pytest.mark.parametrize("loader, doc", [
-    (serialize.group_from_json, {"order": 1}),
-    (serialize.quasigroup_from_json, {"table": "0"}),
     (serialize.rep_from_json, {"dim": 2}),
-], ids=["group", "quasigroup", "representation"])
+], ids=["representation"])
 def test_loaders_refuse_missing_and_mistyped_fields(loader, doc):
     with pytest.raises(SchemaMismatch, match="must be a JSON list"):
         loader(doc)
 
 
 def test_schema_version_checked():
-    with pytest.raises(SchemaMismatch):
-        serialize.group_from_json({"schema_version": "999", "order": 1, "cayley": [[0]]})
+    with pytest.raises(SchemaMismatch, match="unsupported schema_version"):
+        serialize.rep_from_json({"schema_version": "999", "dim": 2,
+                                 "matrices": serialize.complex_to_pairs(np.eye(2)[None])})
