@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -20,11 +21,11 @@ from . import serialize
 from .algebra import certify_approx_rep, ordinary_rep, right_quasigroup_from_table
 from .approx_protocol import QuasigroupProtocolSpec, dilation_error
 from .compiler import (CompileTargets, certified_bound, compile_target, error_budget, normalize_su,
-                       word_family_cost)
+                       scan_degrees)
 from .demos import EXACT_DEMOS, exact_demo_instance
 from .errors import DimensionMismatch, FastcuError, NetTooLarge, NotRightQuasigroup, SchemaMismatch
 from .exact_protocol import run_exact_protocol
-from .net import DEFAULT_CAP, advisory_m, build_net, nearest_in_net
+from .net import DEFAULT_CAP, advisory_m, build_net
 from .qgbuilder import FamilyGeometry, _matching_pass, assemble_quasigroup
 from .qsim import RegisterLayout, operator_norms, random_pure_state
 from .serialize import _NUMBER, _field
@@ -109,18 +110,18 @@ def _demo_ok(doc: dict) -> bool:
 
 def cmd_exact_demo(args) -> int:
     doc = _exact_demo_bundle(args.name, args.seed, DEMO_TRIALS)
+    _emit(doc, args.out)
     print(f"{args.name}: N={doc['N']} cost={doc['cost_ebits']:.6f} ebits "
           f"max_dev={doc['max_branch_deviation']:.3e} "
           f"uniformity={doc['uniformity_error']:.3e} over {DEMO_TRIALS} inputs")
-    _emit(doc, args.out)
     return 0 if _demo_ok(doc) else 1
 
 
 def cmd_net_build(args) -> int:
     net = build_net(args.d, args.m, cap=args.cap)
+    _emit(serialize.net_to_json(net), args.out)
     print(f"net d={args.d} m={args.m}: size={net.size} mixing_bound={net.mixing_bound:.6f} "
           f"cost={math.log2(net.size):.4f} ebits")
-    _emit(serialize.net_to_json(net), args.out)
     return 0
 
 
@@ -140,9 +141,9 @@ def _qg_bundle(built) -> dict:
 def cmd_qg_build(args) -> int:
     net = build_net(args.d, args.m, cap=args.cap)
     built = assemble_quasigroup(net, args.eta)
+    _emit(_qg_bundle(built), args.out)
     print(f"quasigroup N={net.size} eta={args.eta}: delta_cert={built.certificate.delta_cert:.6f} "
           f"(matching bound {built.delta_from_matching:.6f})")
-    _emit(_qg_bundle(built), args.out)
     return 0
 
 
@@ -154,34 +155,33 @@ def cmd_compile(args) -> int:
                              delta=args.delta_target, epsilon=args.epsilon_target)
     result = compile_target(target, targets, cap=args.cap)
     plan, report = result.plan, result.report
-    advisory = advisory_m(target.d_b, plan.zeta) if 0 < plan.zeta < 1 else None
-    print(f"compiled at m={plan.m}: zeta={plan.zeta:.4f} eta={plan.eta:.4f} "
-          f"delta_cert={plan.delta_cert:.4f} cost={report.cost_ebits:.4f} ebits")
-    print(f"measured diamond bound {report.diamond_bound_measured:.4f} <= "
-          f"certified {report.certified_error_bound:.4f}"
-          + (f" (advisory degree {advisory})" if advisory is not None else ""))
-    bundle = {
+    built = plan.built
+    _emit({
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "compile",
         "target": {"dim": target.d_b,
                    "matrices": serialize.complex_to_pairs(target.blocks),
                    "phases": target.phases.tolist()},
+        "targets": dataclasses.asdict(targets),
         "plan": {
             "m": plan.m,
-            "eta": plan.eta,
-            "delta_cert": plan.delta_cert,
+            "eta": built.eta,
+            "delta_cert": built.certificate.delta_cert,
             "zeta": plan.zeta,
             "zetas": list(plan.zetas),
             "assignment": list(plan.assignment),
-            "table": plan.built.quasigroup.table.tolist(),
-            "net": serialize.net_to_json(plan.net),
+            "table": built.quasigroup.table.tolist(),
+            "net": serialize.net_to_json(built.net),
         },
         "report": dataclasses.asdict(report),
-        "scan": [{"m": p.m, "eta": p.eta, "zeta": p.zeta, "delta": p.delta,
-                  "cost_ebits": p.cost_ebits, "accepted": p.accepted}
-                 for p in result.scan_trace],
-    }
-    _emit(bundle, args.out)
+        "scan": [dataclasses.asdict(p) for p in result.scan_trace],
+    }, args.out)
+    advisory = advisory_m(target.d_b, plan.zeta) if 0 < plan.zeta < 1 else None
+    print(f"compiled at m={plan.m}: zeta={plan.zeta:.4f} eta={built.eta:.4f} "
+          f"delta_cert={built.certificate.delta_cert:.4f} cost={report.cost_ebits:.4f} ebits")
+    print(f"measured diamond bound {report.diamond_bound_measured:.4f} <= "
+          f"certified {report.certified_error_bound:.4f}"
+          + (f" (advisory degree {advisory})" if advisory is not None else ""))
     return 0
 
 
@@ -190,8 +190,9 @@ def _fail(name: str, detail: str) -> int:
     return 1
 
 
-def _verify_table_and_net(table, net_doc: dict):
-    """The bundle's quasigroup and family, or None after printing the failed check.
+def _verify_table_and_net(table, net_doc: dict, eta: float, delta_cert: float):
+    """The bundle's quasigroup, family and recounted certificate at ``eta``, or None after
+    printing the failed check; the recount must reproduce ``delta_cert``.
 
     The family is loaded with the table order as its cap: a bundle built with
     ``--cap`` above the default verifies without a flag, and a family larger
@@ -211,32 +212,30 @@ def _verify_table_and_net(table, net_doc: dict):
     except (NetTooLarge, DimensionMismatch) as exc:
         _fail("net", str(exc))
         return None
-    return quasigroup, net
-
-
-def _matching_deficiency(net, eta: float) -> tuple[np.ndarray, float]:
-    """Each label's recomputed maximum matching size at ``eta``, and (n - min) / n."""
-    geom = FamilyGeometry(net)
-    matched = _matching_pass(geom, eta, want_columns=False, reject_above=None)[0][geom.classes]
-    return matched, (net.size - int(matched.min())) / net.size
+    cert = certify_approx_rep(net.matrices, quasigroup, eta)
+    if abs(cert.delta_cert - delta_cert) > 1e-12:
+        _fail("recount", f"stored delta_cert={delta_cert} but recount={cert.delta_cert}")
+        return None
+    print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
+    return quasigroup, net, cert
 
 
 def _verify_quasigroup_bundle(doc: dict) -> int:
     for name, kind in (("N", int), ("eta", _NUMBER), ("delta_cert", _NUMBER)):
         _field(doc, name, kind)
     _field(doc, "matched_counts", list, int)
-    loaded = _verify_table_and_net(_field(doc, "table", list), _field(doc, "net", dict))
+    loaded = _verify_table_and_net(_field(doc, "table", list), _field(doc, "net", dict),
+                                   doc["eta"], doc["delta_cert"])
     if loaded is None:
         return 1
-    quasigroup, net = loaded
+    quasigroup, net, cert = loaded
     n = quasigroup.order
     if doc["N"] != n:
         return _fail("order", f"stored N={doc['N']} but the table has order {n}")
-    cert = certify_approx_rep(net.matrices, quasigroup, doc["eta"])
-    if abs(cert.delta_cert - doc["delta_cert"]) > 1e-12:
-        return _fail("recount", f"stored delta_cert={doc['delta_cert']} but recount={cert.delta_cert}")
-    print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
-    matched, delta_matching = _matching_deficiency(net, doc["eta"])
+    geom = FamilyGeometry(net)
+    sizes = _matching_pass(geom, doc["eta"], want_columns=False, reject_above=None)[0]
+    matched = sizes[geom.classes]
+    delta_matching = (n - int(matched.min())) / n
     if not np.array_equal(np.asarray(doc["matched_counts"]), matched):
         return _fail("matching", "stored matched_counts differ from the recomputed matching sizes")
     if cert.delta_cert > delta_matching + 1e-12:
@@ -252,29 +251,40 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
     return 0
 
 
-def _verify_scan(rows: list[dict], blocks: np.ndarray, plan: dict, net) -> int:
-    """Re-derive each scan point from the blocks and its degree's word family: degrees run
-    1, ..., plan m, and only the last point is accepted, at the plan's eta, with the
-    recomputed matching deficiency as delta.  A rejected point's delta stopped at a target
-    the bundle does not store, so it is only checked to lie in [0, 1]."""
-    degrees = [row["m"] for row in rows]
-    if degrees != sorted(degrees) or sorted(set(degrees)) != list(range(1, plan["m"] + 1)):
-        return _fail("scan", f"degrees {degrees} do not run from 1 to the plan's m={plan['m']}")
-    families = {m: net if m == net.m else build_net(net.d, m) for m in set(degrees)}
-    delta = _matching_deficiency(net, plan["eta"])[1]
-    for i, row in enumerate(rows):
-        last = i == len(rows) - 1
-        want = {"cost_ebits": word_family_cost(net.d, row["m"]), "accepted": last,
-                "zeta": max(nearest_in_net(w, families[row["m"]]).zeta for w in blocks)}
-        if last:
-            want.update(eta=plan["eta"], delta=delta)
-        for name, value in want.items():
-            if not abs(row[name] - value) <= 1e-12:
+def _verify_scan(rows: list[dict], blocks: np.ndarray, targets: CompileTargets, plan: dict,
+                 net) -> int:
+    """Re-run the compiler's degree search (``scan_degrees``) on degrees 1, ..., plan m, each
+    point's matching pass without columns.  Every stored point must equal its rerun, and the
+    search accepts the plan's degree at the plan's eta."""
+    def rerun(fam, eta, bound):     # the compile's matching pass without columns: (accepted, delta)
+        _, _, worst, complete = _matching_pass(FamilyGeometry(fam), eta, want_columns=False,
+                                               reject_above=bound)
+        return complete or None, worst
+
+    trace = []
+    families = ((m, net if m == net.m else build_net(net.d, m)) for m in range(1, plan["m"] + 1))
+    found = scan_degrees(blocks, targets, families, rerun, trace)
+    if len(rows) != len(trace):
+        return _fail("scan", f"{len(rows)} points stored but {len(trace)} re-derived")
+    for i, (row, point) in enumerate(zip(rows, trace)):
+        for name, value in _scan_row(dataclasses.asdict(point)).items():
+            if not np.isclose(row[name], value, rtol=0.0, atol=1e-12, equal_nan=True):
                 return _fail("scan", f"point {i}: stored {name}={row[name]} but re-derived {value}")
-        if not (last or math.isnan(row["delta"]) or 0.0 <= row["delta"] <= 1.0):
-            return _fail("scan", f"point {i}: delta={row['delta']} is not in [0, 1]")
+    if found is None or found[0] != plan["m"] or abs(trace[-1].eta - plan["eta"]) > 1e-12:
+        return _fail("scan", f"the scan does not accept degree {plan['m']} at eta={plan['eta']}")
     print(f"ok scan: {len(rows)} points re-derived, degree {plan['m']} accepted")
     return 0
+
+
+def _compile_targets(doc: dict) -> CompileTargets:
+    """The bundle's targets: every field a number, or null for the mode not used."""
+    stored = _field(doc, "targets", dict)
+    values = {k: None if stored.get(k, 0) is None else _field(stored, f"targets.{k}", _NUMBER)
+              for k in ("zeta", "eta", "delta", "epsilon")}
+    try:
+        return CompileTargets(**values)
+    except DimensionMismatch as exc:
+        raise SchemaMismatch(f"bundle field 'targets' is not a target set: {exc}") from None
 
 
 def _verify_compile_bundle(doc: dict) -> int:
@@ -284,23 +294,23 @@ def _verify_compile_bundle(doc: dict) -> int:
     _field(plan, "plan.zetas", list, _NUMBER)
     _field(plan, "plan.assignment", list, int)
     stored_report = _field(doc, "report", dict)
+    targets = _compile_targets(doc)
     target = _field(doc, "target", dict)
-    matrices = _field(target, "target.matrices", list)
+    blocks = serialize.pairs_to_complex(_field(target, "target.matrices", list))
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        raise SchemaMismatch(f"bundle field 'target.matrices' must be a stack of square blocks, "
+                             f"got shape {blocks.shape}")
     dim = _field(target, "target.dim", int)
     phases = _field(target, "target.phases", list, _NUMBER)
     scan = [_scan_row(p) for p in _field(doc, "scan", list, dict)]
-    loaded = _verify_table_and_net(_field(plan, "plan.table", list), _field(plan, "plan.net", dict))
+    loaded = _verify_table_and_net(_field(plan, "plan.table", list), _field(plan, "plan.net", dict),
+                                   plan["eta"], plan["delta_cert"])
     if loaded is None:
         return 1
-    quasigroup, net = loaded
+    quasigroup, net, cert = loaded
     if plan["m"] != net.m:
         return _fail("degree", f"stored m={plan['m']} but the family has degree {net.m}")
-    cert = certify_approx_rep(net.matrices, quasigroup, plan["eta"])
-    if abs(cert.delta_cert - plan["delta_cert"]) > 1e-12:
-        return _fail("recount", f"stored delta_cert={plan['delta_cert']} but recount={cert.delta_cert}")
-    print(f"ok recount: delta_cert={cert.delta_cert:.6f}")
 
-    blocks = serialize.pairs_to_complex(matrices)
     if len(plan["assignment"]) != len(blocks):
         return _fail("assignment", f"{len(plan['assignment'])} labels for {len(blocks)} blocks")
     if dim != blocks.shape[-1] or len(phases) != len(blocks) or not np.isfinite(phases).all():
@@ -327,7 +337,15 @@ def _verify_compile_bundle(doc: dict) -> int:
         return _fail("report", f"stored fields {sorted(stored_report)}, expected {sorted(recomputed)}")
     print(f"ok report: every stored field matches; measured {report.diamond_bound_measured:.6f} "
           f"<= certified {report.certified_error_bound:.6f}, cost {report.cost_ebits:.6f} ebits")
-    return _verify_scan(scan, blocks, plan, net)
+
+    goals = [("zeta", zetas.max(), targets.zeta), ("eta", plan["eta"], targets.eta),
+             ("delta_cert", cert.delta_cert, targets.delta),
+             ("certified bound", report.certified_error_bound, targets.epsilon)]
+    for name, value, goal in goals:
+        if goal is not None and value > goal + 1e-9:      # None: a target of the other mode
+            return _fail("targets", f"{name}={value} exceeds its target {goal}")
+    print("ok targets: the plan meets every target within 1e-9")
+    return _verify_scan(scan, blocks, targets, plan, net)
 
 
 def _verify_exact_demo_bundle(doc: dict) -> int:
@@ -418,11 +436,14 @@ def main(argv=None) -> int:
         "report": cmd_report,
     }
     try:
-        return handlers[args.command](args)
-    except SchemaMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: leave quietly, with nothing left to flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except FileNotFoundError as exc:
+    except (SchemaMismatch, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FastcuError as exc:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebra import ordinary_rep
 from .approx_protocol import QuasigroupProtocolSpec, dilation_error, dilation_gap_bound, term_gaps
-from .errors import BudgetExhausted, DimensionMismatch, NotUnitary
-from .net import DEFAULT_CAP, NetFamily, build_net, net_size, nearest_in_net
+from .errors import BudgetExhausted, DimensionMismatch, NetTooLarge, NotUnitary
+from .net import DEFAULT_CAP, NetFamily, build_net, nearest_in_net
 from .qgbuilder import BuiltQuasigroup, assemble_or_reject
 from .qsim import is_unitary, operator_norm, operator_norms
 
@@ -36,10 +36,6 @@ class TargetControlledUnitary:
 
     blocks: np.ndarray          # (M, d_b, d_b), each determinant-1
     phases: np.ndarray          # (M,)
-
-    @property
-    def n_terms(self) -> int:
-        return self.blocks.shape[0]
 
     @property
     def d_b(self) -> int:
@@ -89,17 +85,37 @@ class CompileTargets:
         elif self.epsilon <= 0:
             raise DimensionMismatch("epsilon target must be positive")
 
+    def eta_schedule(self, zeta: float) -> list[tuple[float, float]] | None:
+        """The (eta, deficiency bound) points a degree of worst block error ``zeta`` tries.
+
+        None rejects the degree on zeta.  Component targets try the eta target
+        (at most 2) against the delta target: the deficiency grows as eta
+        shrinks, so no smaller eta can pass.  An epsilon target tries the eta
+        grid downward, each point with the largest delta that keeps
+        2 (zeta + sqrt(eta^2 + 4 delta)) within epsilon, skipping those with none.
+        """
+        if self.epsilon is None:
+            return None if zeta > self.zeta else [(min(self.eta, 2.0), self.delta)]
+        budget = self.epsilon / 2.0 - zeta
+        if budget <= 0:
+            return None
+        top, lo = min(budget, 2.0), max(zeta, ETA_FLOOR)
+        grid = [g for g in np.geomspace(lo, 2.0, ETA_GRID_SIZE) if g <= top + 1e-15] \
+            if lo < 2.0 else []
+        if not grid or abs(grid[-1] - top) > 1e-12:
+            grid.append(top)
+        points = [(eta, (budget ** 2 - eta * eta) / 4.0)
+                  for eta in reversed(grid) if 2.0 * (zeta + eta) <= self.epsilon]
+        return [(eta, bound) for eta, bound in points if bound >= 0]
+
 
 @dataclass(frozen=True, eq=False)
 class CompilationPlan:
     m: int | None
-    net: NetFamily
-    built: BuiltQuasigroup
+    built: BuiltQuasigroup          # the family, eta and certificate
     assignment: tuple[int, ...]
     zetas: tuple[float, ...]
     zeta: float
-    eta: float
-    delta_cert: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,123 +150,63 @@ class CompilationReport:
 
 @dataclass(frozen=True, eq=False)
 class CompileResult:
-    target: TargetControlledUnitary
     plan: CompilationPlan
     spec: QuasigroupProtocolSpec
     report: CompilationReport
     scan_trace: tuple[ScanTracePoint, ...]
 
 
-def _eta_grid(zeta: float, eta_budget: float) -> list[float]:
-    lo = max(zeta, ETA_FLOOR)
-    hi = 2.0
-    if lo >= hi:
-        return [eta_budget]
-    grid = list(np.geomspace(lo, hi, ETA_GRID_SIZE))
-    grid = [g for g in grid if g <= eta_budget + 1e-15]
-    if not grid or abs(grid[-1] - eta_budget) > 1e-12:
-        grid.append(eta_budget)
-    return grid
+def scan_degrees(blocks: np.ndarray, targets: CompileTargets, families, attempt,
+                 trace: list[ScanTracePoint]):
+    """The degree search over ``families``, (m, family) pairs in order.
+
+    At each degree the blocks' nearest elements fix zeta, and ``attempt(family,
+    eta, bound) -> (result or None, worst deficiency)`` tries the points of
+    ``targets.eta_schedule(zeta)``.  Each attempt, and each degree rejected on
+    zeta, appends one point to ``trace``.  Returns (m, nearest, result) of the
+    first accepted point, or None.
+    """
+    for m, fam in families:
+        nearest = [nearest_in_net(w, fam) for w in blocks]
+        zeta = max(r.zeta for r in nearest)
+        cost = math.log2(fam.size)
+        schedule = targets.eta_schedule(zeta)
+        if schedule is None:
+            trace.append(ScanTracePoint(m=m or 0, eta=None, delta=None, zeta=zeta,
+                                        cost_ebits=cost, accepted=False))
+        for eta, bound in schedule or ():
+            result, worst = attempt(fam, eta, bound)
+            trace.append(ScanTracePoint(m=m or 0, eta=float(eta), delta=worst, zeta=zeta,
+                                        cost_ebits=cost, accepted=result is not None))
+            if result is not None:
+                return m, nearest, result
+    return None
 
 
 def compile_target(target: TargetControlledUnitary, targets: CompileTargets,
                    cap: int = DEFAULT_CAP, net_override: NetFamily | None = None) -> CompileResult:
-    """Search degrees m = 1, 2, ... for a plan meeting the targets.
-
-    For each degree the block approximations fix zeta; the threshold grid is
-    then scanned from the largest admissible value downward (the deficiency is
-    monotone, so the largest threshold is accepted or the degree is hopeless).
-    Raises BudgetExhausted with the best attempt when the cap is hit.
-    """
-    d = target.d_b
+    """Search degrees m = 1, 2, ... (``scan_degrees``) for a plan meeting the targets; raise
+    BudgetExhausted, carrying the scan so far, when the cap is hit."""
     trace: list[ScanTracePoint] = []
-    best: dict | None = None
-
-    degrees: list[tuple[int | None, NetFamily | None]]
-    if net_override is not None:
-        degrees = [(net_override.m, net_override)]
-    else:
-        degrees = [(m, None) for m in range(1, 64)]
-
-    for m, ready_net in degrees:
-        if ready_net is None:
-            if net_size(d, m) > cap:
-                note = f"degree {m} needs {net_size(d, m)} elements, over the cap {cap}"
-                raise BudgetExhausted(note, best=best)
-            fam = build_net(d, m, cap=cap)
-        else:
-            fam = ready_net
-
-        nearest = [nearest_in_net(w, fam) for w in target.blocks]
-        zetas = tuple(r.zeta for r in nearest)
-        zeta = max(zetas)
-        cost = math.log2(fam.size)
-
-        if targets.epsilon is not None:
-            eta_budget = targets.epsilon / 2.0 - zeta
-            rejected = eta_budget <= 0
-        else:
-            eta_budget = targets.eta
-            rejected = zeta > targets.zeta
-        if rejected:
-            trace.append(ScanTracePoint(m=m or 0, eta=None, delta=None, zeta=zeta,
-                                        cost_ebits=cost, accepted=False))
-            best = _better(best, m, zeta, None, None, cost)
-            continue
-
-        grid = _eta_grid(zeta, min(eta_budget, 2.0))
-        built = None
-        accepted_eta = None
-        for eta in reversed(grid):
-            if targets.epsilon is not None:
-                # even a perfect table cannot beat the budget below this eta
-                if 2.0 * (zeta + eta) > targets.epsilon:
-                    continue
-                reject_above = ((targets.epsilon / 2.0 - zeta) ** 2 - eta * eta) / 4.0
-                if reject_above < 0:
-                    continue
-            else:
-                reject_above = targets.delta
-            candidate, worst = assemble_or_reject(fam, eta, reject_above)
-            ok = candidate is not None
-            trace.append(ScanTracePoint(m=m or 0, eta=float(eta), delta=worst,
-                                        zeta=zeta, cost_ebits=cost, accepted=ok))
-            best = _better(best, m, zeta, eta, worst, cost)
-            if ok:
-                built = candidate
-                accepted_eta = float(eta)
-                break
-            if targets.epsilon is None:
-                # deficiency grows as eta shrinks, so in component-target mode
-                # no smaller grid point can pass once the largest one failed
-                break
-
-        if built is None:
-            continue
-
-        assignment = tuple(r.label for r in nearest)
-        plan = CompilationPlan(m=m, net=fam, built=built, assignment=assignment,
-                               zetas=zetas, zeta=zeta, eta=accepted_eta,
-                               delta_cert=built.certificate.delta_cert)
-        spec = QuasigroupProtocolSpec(
-            quasigroup=built.quasigroup,
-            rep=ordinary_rep(built.quasigroup, fam.matrices),
-            term_map=assignment,
-        )
-        report = error_budget(target.blocks, spec, plan.eta, plan.delta_cert, plan.m)
-        return CompileResult(target=target, plan=plan, spec=spec, report=report,
-                             scan_trace=tuple(trace))
-
-    raise BudgetExhausted("no degree within the cap met the targets", best=best)
-
-
-def _better(best, m, zeta, eta, delta, cost):
-    cand = {"m": m, "zeta": zeta, "eta": eta, "delta": delta, "cost_ebits": cost}
-    if best is None:
-        return cand
-    if delta is not None and (best.get("delta") is None or delta < best["delta"]):
-        return cand
-    return best
+    families = ((m, build_net(target.d_b, m, cap=cap)) for m in range(1, 64)) \
+        if net_override is None else [(net_override.m, net_override)]
+    try:
+        found = scan_degrees(target.blocks, targets, families, assemble_or_reject, trace)
+    except NetTooLarge as exc:
+        raise BudgetExhausted(str(exc), scan=tuple(trace)) from None
+    if found is None:
+        raise BudgetExhausted("no degree within the cap met the targets", scan=tuple(trace))
+    m, nearest, built = found
+    zetas = tuple(r.zeta for r in nearest)
+    plan = CompilationPlan(m=m, built=built, assignment=tuple(r.label for r in nearest),
+                           zetas=zetas, zeta=max(zetas))
+    spec = QuasigroupProtocolSpec(
+        quasigroup=built.quasigroup,
+        rep=ordinary_rep(built.quasigroup, built.net.matrices),
+        term_map=plan.assignment,
+    )
+    report = error_budget(target.blocks, spec, built.eta, built.certificate.delta_cert, m)
+    return CompileResult(plan=plan, spec=spec, report=report, scan_trace=tuple(trace))
 
 
 def certified_bound(zeta: float, eta: float, delta: float) -> float:

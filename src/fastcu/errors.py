@@ -64,11 +64,11 @@ class AxiomViolation(FastcuError):
 
 
 class BudgetExhausted(FastcuError):
-    """Compilation ran out of net budget. Carries the best attempt seen."""
+    """Compilation ran out of net budget. Carries the scan points tried, in order."""
 
-    def __init__(self, message: str, best: object | None = None):
+    def __init__(self, message: str, scan: tuple = ()):
         super().__init__(message)
-        self.best = best
+        self.scan = scan
 
 
 class UnknownExample(FastcuError):

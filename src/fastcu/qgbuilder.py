@@ -418,33 +418,12 @@ class BuiltQuasigroup:
         return float((self.quasigroup.order - self.matched_counts.min()) / self.quasigroup.order)
 
 
-def _process_seed_class(geom: FamilyGeometry, eta: float, cls: int, sizes: np.ndarray,
-                        columns: np.ndarray | None):
-    """Solve the flow of seed class ``cls`` and fill in its orbit's unsized members.
-
-    Returns (size, members); with ``columns`` given, row ``member`` receives
-    the completed column of every member.
-    """
-    size, flows = seed_flow(geom, eta, cls)
-    orbit = {member: transport for member, transport in geom.orbit_of(cls).items()
-             if sizes[member] < 0}
-    if columns is not None:
-        seed = _expand_column(geom, *flows)
-        # the expansion matches the first (outgoing flow) labels of each left class
-        outflow = np.bincount(flows[0], weights=flows[2], minlength=geom.n_classes)
-        matched = np.flatnonzero(geom.label_rank < outflow[geom.classes])
-        for member, transport in orbit.items():
-            columns[member] = seed if member == cls else \
-                _transport_column(matched, seed[matched], transport, geom.n)
-    return size, orbit
-
-
 def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
                    reject_above: float | None):
     """Shared core: matching size (and optionally column) per class.
 
-    One flow solve covers a whole symmetry orbit of classes, seeded by its
-    lowest class.  Returns (sizes, columns, worst_frac, complete):
+    One flow solve (``seed_flow``) covers a whole symmetry orbit of classes,
+    seeded by its lowest class.  Returns (sizes, columns, worst_frac, complete):
     ``sizes[c]`` is class c's matching size, and ``columns`` (None unless
     wanted) is the class_table of the build, row c the completed column of
     class c in the table's index type.  An early bail on ``reject_above``
@@ -457,7 +436,17 @@ def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
     for cls in range(geom.n_classes):
         if sizes[cls] >= 0:
             continue
-        size, orbit = _process_seed_class(geom, eta, cls, sizes, columns)
+        size, flows = seed_flow(geom, eta, cls)
+        orbit = {member: transport for member, transport in geom.orbit_of(cls).items()
+                 if sizes[member] < 0}
+        if columns is not None:
+            seed = _expand_column(geom, *flows)
+            # the expansion matches the first (outgoing flow) labels of each left class
+            outflow = np.bincount(flows[0], weights=flows[2], minlength=geom.n_classes)
+            matched = np.flatnonzero(geom.label_rank < outflow[geom.classes])
+            for member, transport in orbit.items():
+                columns[member] = seed if member == cls else \
+                    _transport_column(matched, seed[matched], transport, n)
         sizes[list(orbit)] = size
         worst = max(worst, (n - size) / n)
         if reject_above is not None and worst > reject_above:
@@ -482,26 +471,19 @@ def _finish_build(geom: FamilyGeometry, eta: float, sizes, columns) -> BuiltQuas
 
 
 def assemble_quasigroup(net: NetFamily, eta: float) -> BuiltQuasigroup:
-    """Build the full product table, one maximum matching per label, and certify it.
-
-    The certificate's delta comes from an exhaustive recount on the assembled
-    table; it can only be at most the matching-derived deficiency because
-    completion pairs may happen to fall below eta.
-    """
-    if eta <= 0:
-        raise DimensionMismatch(f"eta must be positive, got {eta}")
-    geom = FamilyGeometry(net)
-    sizes, columns, _, _ = _matching_pass(geom, eta, want_columns=True, reject_above=None)
-    return _finish_build(geom, eta, sizes, columns)
+    """Build the full product table, one maximum matching per label, and certify it."""
+    return assemble_or_reject(net, eta, None)[0]
 
 
 def assemble_or_reject(net: NetFamily, eta: float,
-                       delta_bound: float) -> tuple[BuiltQuasigroup | None, float]:
-    """Assemble unless some matching already exceeds the deficiency bound.
+                       delta_bound: float | None) -> tuple[BuiltQuasigroup | None, float]:
+    """Assemble unless some matching already exceeds the deficiency bound (None: no bound).
 
     Returns (built, worst_matching_deficiency); ``built`` is None exactly when
     the bound was exceeded, in which case the deficiency is a certified lower
-    bound above it.
+    bound above it.  The certificate's delta comes from an exhaustive recount
+    on the assembled table; it is at most the matching-derived deficiency,
+    because completion pairs may happen to fall below eta.
     """
     if eta <= 0:
         raise DimensionMismatch(f"eta must be positive, got {eta}")

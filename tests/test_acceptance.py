@@ -229,7 +229,8 @@ def compiled_3x2():
 def test_criterion_9_compile_end_to_end(compiled_3x2):
     target, result, elapsed = compiled_3x2
     plan, spec, report = result.plan, result.spec, result.report
-    assert plan.zeta <= 0.3 and plan.eta <= 0.3 and plan.delta_cert <= 0.3
+    built = plan.built
+    assert plan.zeta <= 0.3 and built.eta <= 0.3 and built.certificate.delta_cert <= 0.3
     assert report.diamond_bound_measured <= report.certified_error_bound + 1e-9
 
     # independent dense recomputation of the triangle chain

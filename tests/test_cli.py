@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,18 +311,96 @@ def test_verify_rederives_scan_and_target(compile_bundle, tmp_path, capsys, tamp
     assert expected in (captured.err if code == 2 else captured.out)
 
 
-def test_verify_rederives_an_epsilon_scan_with_several_points_per_degree(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def epsilon_bundle(tmp_path_factory):
+    """The seed-0 Haar blocks compiled at epsilon = 3.0; its certified bound is 3 plus an ulp."""
+    root = tmp_path_factory.mktemp("epsilon")
     rng = np.random.default_rng(0)
     blocks = np.stack([qsim.haar_unitary(2, rng) for _ in range(3)])
-    target = tmp_path / "target.json"
+    target = root / "target.json"
     serialize.save_json(serialize.rep_to_json(blocks), target)
-    bundle = tmp_path / "bundle.json"
+    bundle = root / "bundle.json"
     assert cli.main(["compile", str(target), "--epsilon-target", "3.0", "--out", str(bundle)]) == 0
-    degrees = [p["m"] for p in json.loads(bundle.read_text())["scan"]]
+    return json.loads(bundle.read_text())
+
+
+def test_verify_rederives_an_epsilon_scan_with_several_points_per_degree(epsilon_bundle, tmp_path,
+                                                                         capsys):
+    degrees = [p["m"] for p in epsilon_bundle["scan"]]
     assert degrees == sorted(degrees) and len(degrees) > len(set(degrees))
+    assert epsilon_bundle["targets"] == {"zeta": None, "eta": None, "delta": None, "epsilon": 3.0}
+    assert epsilon_bundle["report"]["certified_error_bound"] > 3.0
+    rc, out = _verify_doc(epsilon_bundle, tmp_path / "bundle.json", capsys)
+    assert rc == 0 and f"ok scan: {len(degrees)} points re-derived" in out
+
+
+def _raise_first_rejected_delta(doc):
+    point = next(p for p in doc["scan"] if p["delta"] is not None and not p["accepted"])
+    point["delta"] += 0.01
+
+
+@pytest.mark.parametrize("bundle, tamper, expected", [
+    pytest.param("epsilon_bundle", _raise_first_rejected_delta, "FAIL scan: point 0: stored delta",
+                 id="rejected-delta"),
+    pytest.param("epsilon_bundle", lambda doc: doc["targets"].update(epsilon=2.9),
+                 "FAIL targets: certified bound", id="epsilon"),
+    pytest.param("compile_bundle", lambda doc: doc["targets"].update(zeta=0.01),
+                 "FAIL targets: zeta", id="zeta"),
+    pytest.param("compile_bundle", lambda doc: doc["targets"].update(eta=1.5),
+                 "FAIL scan: point 1: stored eta", id="looser-eta"),
+])
+def test_verify_rederives_rejected_points_against_the_targets(request, tmp_path, capsys, bundle,
+                                                              tamper, expected):
+    doc = json.loads(json.dumps(request.getfixturevalue(bundle)))
+    tamper(doc)
+    rc, out = _verify_doc(doc, tmp_path / "bundle.json", capsys)
+    assert rc == 1 and expected in out
+
+
+@pytest.mark.parametrize("targets", [
+    {"zeta": 0.9, "eta": 1.4, "delta": None, "epsilon": None},
+    {"zeta": 0.9, "eta": 1.4, "delta": 0.5, "epsilon": 3.0},
+    {"zeta": 0.9, "eta": 1.4, "delta": 0.5, "epsilon": "3"},
+    {"zeta": 0.9, "eta": 1.4, "delta": 0.5},
+], ids=["no-delta", "both-modes", "epsilon-string", "epsilon-missing"])
+def test_verify_rejects_malformed_targets(compile_bundle, tmp_path, capsys, targets):
+    doc = json.loads(json.dumps(compile_bundle))
+    doc["targets"] = targets
+    (tmp_path / "bundle.json").write_text(json.dumps(doc))
     capsys.readouterr()
-    assert cli.main(["verify", str(bundle)]) == 0
-    assert f"ok scan: {len(degrees)} points re-derived" in capsys.readouterr().out
+    assert cli.main(["verify", str(tmp_path / "bundle.json")]) == 2
+    assert "error: bundle field 'targets" in capsys.readouterr().err
+
+
+def test_verify_rejects_blocks_that_are_not_square(compile_bundle, tmp_path, capsys):
+    doc = json.loads(json.dumps(compile_bundle))
+    doc["target"]["matrices"] = [block[:1] for block in doc["target"]["matrices"]]   # 1 x 2
+    (tmp_path / "bundle.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "bundle.json")]) == 2
+    assert "error: bundle field 'target.matrices' must be a stack of square blocks" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_quietly_after_writing_the_file(tmp_path, unbuffered):
+    out = tmp_path / "n.json"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)          # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fastcu.cli", "net-build", "--m", "2",
+                               "--out", str(out)], stdout=write, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert json.loads(out.read_text())["m"] == 2
 
 
 def test_compile_bundle_carries_no_seed(compile_bundle):
@@ -398,6 +480,7 @@ def demo_bundle(tmp_path_factory):
     ("compile_bundle", "plan.eta"), ("compile_bundle", "plan.assignment"),
     ("compile_bundle", "target.matrices"), ("compile_bundle", "report.cost_ebits"),
     ("compile_bundle", "target.dim"), ("compile_bundle", "target.phases"),
+    ("compile_bundle", "targets"),
     ("demo_bundle", "trials"), ("demo_bundle", "example"), ("demo_bundle", "cost_ebits"),
 ])
 @pytest.mark.parametrize("how", ["missing", "wrong-type", "null"])

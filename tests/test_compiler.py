@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ def test_compile_exact_family_through_degenerate_net(regular_rep_net):
     result = compile_target(target, CompileTargets(zeta=1e-6, eta=0.5, delta=1e-9),
                             net_override=fam)
     assert result.plan.zeta == pytest.approx(0.0, abs=1e-12)
-    assert result.plan.delta_cert == 0.0
+    assert result.plan.built.certificate.delta_cert == 0.0
     assert result.report.gap_target_actual == pytest.approx(0.0, abs=1e-10)
     assert result.report.certified_error_bound <= 2 * (1e-6 + np.sqrt(0.25 + 4e-9)) + 1e-12
 
@@ -80,8 +82,8 @@ def test_compile_seeded_targets_loose():
     result = compile_target(target, CompileTargets(zeta=0.9, eta=1.4, delta=0.5))
     report = result.report
     assert result.plan.zeta <= 0.9
-    assert result.plan.eta <= 1.4
-    assert result.plan.delta_cert <= 0.5
+    assert result.plan.built.eta <= 1.4
+    assert result.plan.built.certificate.delta_cert <= 0.5
     assert report.diamond_bound_measured <= report.certified_error_bound + 1e-9
     # triangle chain by independent dense recomputation
     ideal, actual = dilation_pair(result.spec)
@@ -133,7 +135,32 @@ def test_compile_budget_exhausted_reports_best():
     target = normalize_su(blocks)
     with pytest.raises(BudgetExhausted) as err:
         compile_target(target, CompileTargets(zeta=1e-6, eta=1e-6, delta=1e-9), cap=100)
-    assert err.value.best is not None
+    assert [(p.m, p.eta, p.accepted) for p in err.value.scan] == [(1, None, False), (2, None, False)]
+
+
+def test_budget_exhausted_carries_the_scan_so_far():
+    """The compile-m4 targets land at m = 4 (n = 2592); a cap one below stops the search there."""
+    rng = np.random.default_rng(0)
+    target = normalize_su(np.stack([qsim.haar_unitary(2, rng) for _ in range(3)]))
+    goal = CompileTargets(0.6, 0.3, 0.4)
+    full = compile_target(target, goal).scan_trace
+    with pytest.raises(BudgetExhausted, match=r"2 \* 6\^4 exceeds the cap 2591") as err:
+        compile_target(target, goal, cap=2591)
+    assert len(full) == 4 and full[-1].accepted
+    assert [astuple(p) for p in err.value.scan] == [astuple(p) for p in full[:3]]
+
+
+def test_eta_schedule_of_each_mode():
+    component = CompileTargets(zeta=0.5, eta=2.5, delta=0.4)
+    assert component.eta_schedule(0.6) is None
+    assert component.eta_schedule(0.5) == [(2.0, 0.4)]
+    epsilon = CompileTargets(epsilon=3.0)
+    assert epsilon.eta_schedule(1.5) is None
+    points = epsilon.eta_schedule(0.3)
+    etas = [eta for eta, _ in points]
+    assert etas == sorted(etas, reverse=True) and etas[0] == pytest.approx(1.2)
+    for eta, bound in points:
+        assert bound >= 0 and 2 * (0.3 + np.sqrt(eta ** 2 + 4 * bound)) <= 3.0 + 1e-12
 
 
 def test_compile_deterministic():
@@ -144,7 +171,7 @@ def test_compile_deterministic():
     a = compile_target(target, targets)
     b = compile_target(target, targets)
     assert a.plan.m == b.plan.m
-    assert a.plan.eta == b.plan.eta
+    assert a.plan.built.eta == b.plan.built.eta
     assert a.plan.assignment == b.plan.assignment
     assert np.array_equal(a.plan.built.quasigroup.table, b.plan.built.quasigroup.table)
     assert a.report.gap_target_actual == b.report.gap_target_actual
