@@ -27,6 +27,7 @@ UNIT_MODULUS_TOL = 1e-10
 REP_RESIDUAL_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 RECOUNT_CHUNK = 1 << 15     # residuals evaluated per quaternion recount chunk
+VALIDATE_CHUNK = 1 << 16    # table entries per left-division scatter and gather
 
 
 def index_dtype(n: int):
@@ -223,10 +224,21 @@ def quasigroup_from_transposed(table_t: np.ndarray, row_classes: np.ndarray) -> 
     if row_classes.shape != (n,) or row_classes.min() < 0 or row_classes.max() >= len(rows):
         raise DimensionMismatch(
             f"need {n} row classes in 0..{len(rows) - 1}, got shape {row_classes.shape}")
-    arange = np.arange(n, dtype=rows.dtype)[None, :]
-    left_div_rows = np.zeros_like(rows)
-    np.put_along_axis(left_div_rows, rows, np.broadcast_to(arange, rows.shape), axis=1)
-    ok = (np.take_along_axis(rows, left_div_rows, axis=1) == arange).all(axis=1)[row_classes]
+    count = len(rows)
+    arange = np.arange(n, dtype=rows.dtype)
+    offset_type = np.int32 if count * n < 2 ** 31 else np.int64
+    left_div_rows = np.zeros(rows.shape, dtype=rows.dtype)
+    flat_rows, flat_div = rows.reshape(-1), left_div_rows.reshape(-1)
+    ok = np.empty(count, dtype=bool)
+    # a flat scatter and a flat gather per chunk of rows: entry (c, j) sits at j + c n
+    step = max(1, VALIDATE_CHUNK // n)
+    for lo in range(0, count, step):
+        base = np.arange(lo * n, min(lo + step, count) * n, n, dtype=offset_type)[:, None]
+        offsets = rows[lo:lo + step] + base
+        flat_div[offsets] = arange
+        np.add(left_div_rows[lo:lo + step], base, out=offsets)
+        ok[lo:lo + step] = (flat_rows[offsets] == arange).all(axis=1)
+    ok = ok[row_classes]
     if not ok.all():
         bad = int(np.argmin(ok))
         raise NotRightQuasigroup(f"column {bad} is not a permutation of 0..{n - 1}")

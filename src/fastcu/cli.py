@@ -232,7 +232,7 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
     n = quasigroup.order
     if doc["N"] != n:
         return _fail("order", f"stored N={doc['N']} but the table has order {n}")
-    geom = FamilyGeometry(net)
+    geom = FamilyGeometry.of(net)
     sizes = _matching_pass(geom, doc["eta"], want_columns=False, reject_above=None)[0]
     matched = sizes[geom.classes]
     delta_matching = (n - int(matched.min())) / n
@@ -257,7 +257,7 @@ def _verify_scan(rows: list[dict], blocks: np.ndarray, targets: CompileTargets, 
     point's matching pass without columns.  Every stored point must equal its rerun, and the
     search accepts the plan's degree at the plan's eta."""
     def rerun(fam, eta, bound):     # the compile's matching pass without columns: (accepted, delta)
-        _, _, worst, complete = _matching_pass(FamilyGeometry(fam), eta, want_columns=False,
+        _, _, worst, complete = _matching_pass(FamilyGeometry.of(fam), eta, want_columns=False,
                                                reject_above=bound)
         return complete or None, worst
 

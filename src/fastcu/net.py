@@ -107,7 +107,11 @@ class NetFamily:
         classes = np.array([index.setdefault(key, len(index))
                             for key in _matrix_keys(self.matrices)], dtype=np.int64)
         first = np.unique(classes, return_index=True)[1]
-        object.__setattr__(self, "matrices", self.matrices[first[classes]])
+        matrices = self.matrices[first[classes]]
+        # read-only, so that nothing derived from the family (its geometry) goes stale
+        for a in (matrices, classes):
+            a.setflags(write=False)
+        object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "n_classes", len(index))
         object.__setattr__(self, "_class_of_key", index)

@@ -12,6 +12,9 @@ The flow network is handed to scipy as a ready CSR matrix with sorted indices.
 An SU(2) family first solves each flow on the nearest-capacity subgraph, which
 links every class only to its nearest partners; a flow of value n there is a
 maximum flow of the whole graph, and any other outcome solves the whole graph.
+Those partners do not depend on eta: each family has one geometry
+(``FamilyGeometry.of``), which ranks a seed class's nearest partners once and
+thresholds that ranking at every eta the family is built at.
 Isometries that permute the classes (inversion, entrywise conjugation and, for
 2x2 families, the axis-permuting rotations) carry one flow to a whole orbit of
 classes.  Only the orbit's seed class expands its flow into labels; every
@@ -30,7 +33,9 @@ family gets dense operator norms between class representatives.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,7 +192,7 @@ class FamilyGeometry:
     """
 
     def __init__(self, net: NetFamily):
-        self.net = net
+        # the geometry holds the family's arrays, not the family, so that it dies with it
         self.n = net.size
         self.classes = net.classes
         self.n_classes = net.n_classes
@@ -215,6 +220,19 @@ class FamilyGeometry:
         self.relabels = list(unique.values())
         self.label_maps = [order[self.class_offsets[sigma[self.classes]] + self.label_rank]
                            for sigma in self.relabels]
+        # nearest-partner ranking steps in Hall-test order: classes of large count need
+        # the most partner labels, so they fail first; each count group, both directions
+        self.rank_steps = [(int(q), np.flatnonzero(counts == q), flip)
+                           for q in np.unique(counts)[::-1] for flip in (False, True)]
+        self.rankings: dict[int, _Ranking] = {}
+
+    @classmethod
+    def of(cls, net: NetFamily) -> "FamilyGeometry":
+        """The family's one geometry, made on first use; it lives as long as the family."""
+        geom = _GEOMETRIES.get(net)
+        if geom is None:
+            geom = _GEOMETRIES[net] = cls(net)
+        return geom
 
     def labels_of(self, cls: int) -> np.ndarray:
         return self.class_labels[self.class_offsets[cls]:self.class_offsets[cls + 1]]
@@ -259,9 +277,13 @@ class FamilyGeometry:
             # i indexes the static class points (right side), j the products
             return pairs["j"], pairs["i"], pairs["v"]
         reps = self.rep_matrices
-        norms = operator_norms((reps @ self.net.matrices[k])[:, None] - reps[None])
+        norms = operator_norms((reps @ reps[self.classes[k]])[:, None] - reps[None])
         lefts, rights = np.nonzero(norms <= radius)
         return lefts, rights, norms[lefts, rights]
+
+
+# each family's geometry, dropped with its family: the geometry holds no reference to it
+_GEOMETRIES: weakref.WeakKeyDictionary[NetFamily, FamilyGeometry] = weakref.WeakKeyDictionary()
 
 
 def _solve_class_flow(geom: FamilyGeometry, lefts: np.ndarray,
@@ -297,51 +319,81 @@ def _solve_class_flow(geom: FamilyGeometry, lefts: np.ndarray,
                                  vals[keep].astype(np.int64))
 
 
-def _nearest_partners(tree: cKDTree, points: np.ndarray, counts: np.ndarray, q: int,
-                      bound: float):
-    """Edges (row, partner) from ``points``, classes of count ``q``, to their nearest partners.
+class _Ranking:
+    """The eta-free nearest partners of one seed class's graph, one step at a time.
 
-    ``tree`` holds the partners' points, which carry the class counts.
-    Partners below ``bound`` are taken nearest first until they hold
-    NEAREST_CAPACITY times ``q`` labels.  Returns None when some point cannot
-    gather ``q`` labels below ``bound``: its class fails Hall's condition, so
-    no matching is perfect.
+    Step i of ``FamilyGeometry.rank_steps`` adds its Hall radius to ``radii``
+    and its (keys, distances) to ``parts``; once every step is ranked, the
+    parts merge into sorted unique class-pair keys, each with its least
+    distance.
+    """
+
+    def __init__(self):
+        self.radii: list[float] = []
+        self.parts: list[tuple[np.ndarray, np.ndarray]] = []
+        self.keys: np.ndarray | None = None
+        self.dists: np.ndarray | None = None
+
+    def merge(self):
+        dists = np.concatenate([d for _, d in self.parts])
+        order = np.argsort(dists, kind="stable")      # a key's first occurrence is its nearest
+        self.keys, first = np.unique(np.concatenate([k for k, _ in self.parts])[order],
+                                     return_index=True)
+        self.dists = dists[order][first]
+        self.parts = []
+
+
+def _nearest_partners(tree: cKDTree, points: np.ndarray, counts: np.ndarray, q: int):
+    """Nearest partners of ``points``, classes of count ``q``, with their Hall radius.
+
+    ``tree`` holds the partners' points, which carry the class counts.  Each
+    point keeps its nearest partners, nearest first, while fewer than
+    NEAREST_CAPACITY times ``q`` labels come before them.  Returns (rows,
+    partners, distances, radius); the radius is the largest distance at
+    which a point first holds ``q`` partner labels, so every point gathers
+    ``q`` labels below a bound exactly when the radius is below it.  The
+    query is unbounded: cKDTree orders equidistant partners differently under
+    a distance bound, and the ranking must not depend on the eta it was
+    first built at.
     """
     k = int(min(NEAREST_CAPACITY * q, len(counts)))
-    dist, idx = tree.query(points, k=k, distance_upper_bound=bound)
-    near = dist.reshape(len(points), k) < bound
-    idx = idx.reshape(len(points), k)
-    held = np.where(near, counts[np.where(near, idx, 0)], 0)
-    if np.any(held.sum(axis=1) < q):
-        return None
-    before = np.cumsum(held, axis=1) - held          # partner labels nearer than each
-    rows, cols = np.nonzero(near & (before < NEAREST_CAPACITY * q))
-    return rows, idx[rows, cols]
+    dist, idx = tree.query(points, k=k)
+    dist, idx = dist.reshape(len(points), k), idx.reshape(len(points), k)
+    held = counts[idx]
+    total = np.cumsum(held, axis=1)
+    # k partners hold at least k labels, or every label of the family: each row reaches q
+    radius = float(dist[np.arange(len(points)), np.argmax(total >= q, axis=1)].max())
+    rows, cols = np.nonzero(total - held < NEAREST_CAPACITY * q)
+    return rows, idx[rows, cols], dist[rows, cols], radius
 
 
-def _nearest_capacity_edges(geom: FamilyGeometry, products, bound: float):
+def _nearest_capacity_edges(geom: FamilyGeometry, cls: int, bound: float, products):
     """Class edges below ``bound`` from every class to its nearest partners, or None.
 
-    Each product class V_c V_k links to its nearest family classes, and each
-    family class to its nearest products, until the partners hold
-    NEAREST_CAPACITY times the class's label count.  None means some class
-    cannot gather its own count below ``bound``, so no flow can saturate.
+    In the graph of seed class ``cls`` each product class V_c V_k links to its
+    nearest family classes, and each family class to its nearest products,
+    until the partners hold NEAREST_CAPACITY times the class's label count.
+    None means some class cannot gather its own count below ``bound``, so no
+    flow can saturate.  The ranking is built as far as the Hall test reads
+    it, one step at a time, and kept on the geometry for every later eta;
+    ``products()`` gives the seed's ``product_points`` when a step is built.
     """
-    prodq, ptree = products
-    counts = geom.class_counts
-    lefts, rights = [], []
-    # classes of large count need the most partner labels: they fail Hall's test first
-    for q in np.unique(counts)[::-1]:
-        group = np.flatnonzero(counts == q)
-        for tree, points, flip in ((geom.tree, prodq, False), (ptree, geom.quats, True)):
-            found = _nearest_partners(tree, points[group], counts, int(q), bound)
-            if found is None:
-                return None
-            rows, partners = found
-            lefts.append(partners if flip else group[rows])
-            rights.append(group[rows] if flip else partners)
-    ncl = geom.n_classes
-    return np.divmod(np.unique(np.concatenate(lefts) * ncl + np.concatenate(rights)), ncl)
+    rank = geom.rankings.setdefault(cls, _Ranking())
+    ncl, counts = geom.n_classes, geom.class_counts
+    key_type = np.int32 if ncl * ncl < 2 ** 31 else np.int64
+    for step, (q, group, flip) in enumerate(geom.rank_steps):
+        if step == len(rank.radii):
+            prodq, ptree = products()
+            tree, points = (ptree, geom.quats) if flip else (geom.tree, prodq)
+            rows, partners, dists, radius = _nearest_partners(tree, points[group], counts, q)
+            lefts, rights = (partners, group[rows]) if flip else (group[rows], partners)
+            rank.radii.append(radius)
+            rank.parts.append(((lefts * ncl + rights).astype(key_type), dists))
+        if rank.radii[step] >= bound:
+            return None
+    if rank.keys is None:
+        rank.merge()
+    return np.divmod(rank.keys[rank.dists < bound].astype(np.int64), ncl)
 
 
 def seed_flow(geom: FamilyGeometry, eta: float, cls: int):
@@ -356,12 +408,13 @@ def seed_flow(geom: FamilyGeometry, eta: float, cls: int):
     bound = eta - EDGE_GUARD
     products = None
     if geom.tree is not None:
-        products = geom.product_points(rep)
-        edges = _nearest_capacity_edges(geom, products, bound)
+        points = functools.cache(lambda: geom.product_points(rep))
+        edges = _nearest_capacity_edges(geom, cls, bound, points)
         if edges is not None:
             size, flows = _solve_class_flow(geom, *edges)
             if size == geom.n:
                 return size, flows
+        products = points()
     lefts, rights, dists = geom.candidate_edges(rep, radius=eta, products=products)
     keep = dists < bound
     return _solve_class_flow(geom, lefts[keep], rights[keep])
@@ -400,7 +453,8 @@ def _transport_column(lefts: np.ndarray, rights: np.ndarray, transport: Transpor
         lefts, rights = rights, lefts
     column = np.full(n, -1, dtype=np.int64)
     column[transport.labels[lefts]] = transport.labels[rights]
-    return _complete_permutation(column)
+    # a perfect matching is already a permutation
+    return column if len(lefts) == n else _complete_permutation(column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,8 +508,9 @@ def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
     return sizes, columns, worst, True
 
 
-def _finish_build(geom: FamilyGeometry, eta: float, sizes, columns) -> BuiltQuasigroup:
-    net, n = geom.net, geom.n
+def _finish_build(net: NetFamily, geom: FamilyGeometry, eta: float, sizes,
+                  columns) -> BuiltQuasigroup:
+    n = geom.n
     matched_counts = sizes[geom.classes]
     try:
         # the class columns become the class rows of the quasigroup as they are
@@ -487,9 +542,9 @@ def assemble_or_reject(net: NetFamily, eta: float,
     """
     if eta <= 0:
         raise DimensionMismatch(f"eta must be positive, got {eta}")
-    geom = FamilyGeometry(net)
+    geom = FamilyGeometry.of(net)
     sizes, columns, worst, complete = _matching_pass(geom, eta, want_columns=True,
                                                      reject_above=delta_bound)
     if not complete:
         return None, worst
-    return _finish_build(geom, eta, sizes, columns), worst
+    return _finish_build(net, geom, eta, sizes, columns), worst

@@ -141,6 +141,19 @@ def test_class_rows_bad_row_names_first_label():
         algebra.quasigroup_from_transposed(rows, np.array([0, 0, 2, 1]))
 
 
+def test_left_division_in_chunks_of_rows(monkeypatch):
+    rng = np.random.default_rng(37)
+    n, count = 9, 7
+    rows = np.stack([rng.permutation(n) for _ in range(count)])
+    classes = np.arange(n) % count
+    monkeypatch.setattr(algebra, "VALIDATE_CHUNK", 2 * n)     # two rows a chunk, the last alone
+    q = algebra.quasigroup_from_transposed(rows, classes)
+    assert np.array_equal(q.class_left_div, np.argsort(rows, axis=1))
+    rows[-1, 0] = rows[-1, 1]
+    with pytest.raises(NotRightQuasigroup, match=f"column {count - 1} "):
+        algebra.quasigroup_from_transposed(rows, classes)
+
+
 def test_table_entries_must_be_integers():
     with pytest.raises(DimensionMismatch, match="integers"):
         algebra.right_quasigroup_from_table([[0.7, 1.2], [1.0, 0.0]])

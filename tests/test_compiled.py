@@ -214,8 +214,11 @@ def test_cached_arrays_refuse_writes():
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
-    # the frozen stacks are copies: the representations stay writable
-    assert cgu.rep.matrices.flags.writeable and spec.rep.matrices.flags.writeable
+    # the frozen stacks are copies: a writable representation stays writable, and the
+    # spec's (a family's read-only matrices) shares no memory with them
+    assert cgu.rep.matrices.flags.writeable
+    for rep in (cgu.rep, spec.rep):
+        assert not any(np.shares_memory(array, rep.matrices) for array in arrays)
 
 
 def test_map_shapes_and_sparsity():

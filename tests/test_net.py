@@ -136,6 +136,16 @@ def test_from_unitaries_merges_matrices_equal_to_nine_decimals():
     _assert_one_matrix_per_class(fam)
 
 
+def test_family_arrays_are_read_only():
+    # a family's geometry is cached on first use, so its arrays must not change under it
+    given = np.stack([np.eye(2), np.diag([1j, -1j])]).astype(complex)
+    for fam in (net.build_net(2, 1), net.NetFamily.from_unitaries(given)):
+        for array in (fam.matrices, fam.classes):
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
+    assert given.flags.writeable                        # the caller's array is left alone
+
+
 def test_two_level_identity():
     deco = net.two_level_decompose(np.eye(4))
     assert len(deco.factors) == 6

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
@@ -439,18 +441,26 @@ def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, ever
         if eta < 0.4:
             assert worst > 0          # an imperfect matching leaves completion pairs
         seen: set[int] = set()
+        completions = 0
         for seed in range(ncl):
             if seed in seen:
                 continue
             orbit = geom.orbit_of(seed)
             seen.update(orbit)
+            # the seed's column is completed, and so is each other member's unless perfect
+            completions += 1 + sum(sizes[member] < geom.n for member in orbit if member != seed)
             # reference: the seed's own flow, as the pass solves it
             _, (fl, fr, fv) = qgbuilder.seed_flow(geom, eta, seed)
             for member, transport in list(orbit.items())[::every]:
                 # reference: expand the member's own transported flow
                 want = qgbuilder._expand_column(geom, *geom.transport_edges(fl, fr, transport), fv)
                 got = columns[member]
-                matched = _matched_labels(pass_records, got)
+                if member != seed and sizes[member] == geom.n:
+                    # a perfect matching transports to a permutation that needs no completion
+                    assert np.array_equal(np.sort(got), np.arange(geom.n))
+                    matched = np.arange(geom.n)
+                else:
+                    matched = _matched_labels(pass_records, got)
                 assert np.array_equal(matched, np.flatnonzero(records[-1][1] >= 0))
                 assert len(matched) == sizes[member]
                 free = np.setdiff1d(np.arange(geom.n), matched)
@@ -459,6 +469,7 @@ def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, ever
                                       np.sort(geom.classes * ncl + geom.classes[want]))
                 checked += 1
                 transposed += transport.transposed
+        assert len(pass_records) == completions
     assert transposed > 0
     if every == 1:
         assert checked == len(etas) * ncl
@@ -492,3 +503,68 @@ def test_class_flow_graph_is_scipys_canonical_csr(monkeypatch, net_m2):
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert got.data.dtype == np.int32
+
+
+ORDER_ETAS = (0.39, 0.6, 0.8, 1.0, 1.2)
+
+
+def _build_record(built) -> tuple:
+    return (built.quasigroup.class_table, built.certificate.per_k_violation_count,
+            built.matched_counts)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_builds_do_not_depend_on_eta_order(m):
+    # one family's geometry ranks its partners once, whatever eta asks first
+    runs = {}
+    for name, etas in (("ascending", ORDER_ETAS), ("descending", ORDER_ETAS[::-1])):
+        fam = net.build_net(2, m)
+        runs[name] = {eta: _build_record(qgbuilder.assemble_quasigroup(fam, eta)) for eta in etas}
+    runs["fresh"] = {eta: _build_record(qgbuilder.assemble_quasigroup(net.build_net(2, m), eta))
+                     for eta in ORDER_ETAS}
+    for eta in ORDER_ETAS:
+        for name in ("descending", "fresh"):
+            for got, want in zip(runs[name][eta], runs["ascending"][eta]):
+                assert np.array_equal(got, want), (name, eta)
+
+
+def _brute_force_hall(below: np.ndarray, counts: np.ndarray) -> bool:
+    """Every class reaches its own label count over ``below[product, family]``, both ways."""
+    return bool(np.all(below @ counts >= counts) and np.all(counts @ below >= counts))
+
+
+@settings(deadline=None, max_examples=12)
+@given(m=st.sampled_from([1, 2, 3]), eta=st.floats(0.3, 1.3))
+def test_ranking_against_brute_force(m, eta):
+    # the family is shared across examples: its rankings were built at other etas
+    geom = qgbuilder.FamilyGeometry.of(_word_family(m))
+    bound = eta - qgbuilder.EDGE_GUARD
+    for cls in range(geom.n_classes):
+        prodq, tree = geom.product_points(int(geom.class_reps[cls]))
+        dists = np.linalg.norm(prodq[:, None] - geom.quats[None], axis=-1)
+        assume(np.abs(dists - bound).min() > 1e-9)        # no tie within rounding of the bound
+        edges = qgbuilder._nearest_capacity_edges(geom, cls, bound, lambda: (prodq, tree))
+        assert (edges is not None) == _brute_force_hall(dists < bound, geom.class_counts)
+        if edges is not None:
+            lefts, rights = edges
+            assert np.all(dists[lefts, rights] < bound)
+    sizes = qgbuilder._matching_pass(geom, eta, want_columns=False, reject_above=None)[0]
+    for cls in range(geom.n_classes):
+        lefts, rights, dists = geom.candidate_edges(int(geom.class_reps[cls]), radius=eta)
+        keep = dists < bound
+        assert sizes[cls] == qgbuilder._solve_class_flow(geom, lefts[keep], rights[keep])[0]
+
+
+def test_geometry_dies_with_its_family():
+    gc.disable()
+    try:
+        fam = net.build_net(2, 2)
+        geom = qgbuilder.FamilyGeometry.of(fam)
+        assert qgbuilder.FamilyGeometry.of(fam) is geom
+        built = qgbuilder.assemble_quasigroup(fam, 0.8)
+        assert geom.rankings
+        refs = [weakref.ref(fam), weakref.ref(geom)]
+        del fam, geom, built
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
