@@ -46,6 +46,7 @@ from .qsim import (
     partial_trace,
     product_state,
     shift_gate,
+    su2_quaternions,
 )
 
 RESIDUAL_CAP = 2.0 + 1e-9
@@ -232,8 +233,18 @@ def term_gaps(requested: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def branch_distance(requested: np.ndarray, blocks: np.ndarray) -> float:
-    """Largest ||requested[i] - blocks[l, i]||_inf over outcomes l and terms i, at most 2."""
-    worst = float(operator_norms(requested[None] - blocks).max())
+    """Largest ||requested[i] - blocks[l, i]||_inf over outcomes l and terms i, at most 2.
+
+    When both stacks are SU(2), the norm is the distance of their unit
+    quaternions; any other family takes the largest singular value.
+    """
+    want = su2_quaternions(requested)
+    got = None if want is None else su2_quaternions(blocks.reshape(-1, *blocks.shape[-2:]))
+    if got is None:
+        worst = float(operator_norms(requested[None] - blocks).max())
+    else:
+        worst = float(np.linalg.norm(want[None] - got.reshape(*blocks.shape[:-2], 4),
+                                     axis=-1).max())
     if worst > RESIDUAL_CAP:
         raise DimensionMismatch(f"residual norm {worst:.3f} exceeds the cap of 2")
     return worst

@@ -19,11 +19,12 @@ Isometries that permute the classes (inversion, entrywise conjugation and, for
 2x2 families, the axis-permuting rotations) carry one flow to a whole orbit of
 classes.  Only the orbit's seed class expands its flow into labels; every
 other member gets the seed's matched label pairs through a label map (the
-i-th label of class c goes to the i-th label of its image class) and then
-completes its leftover labels in ascending order.  That gives each member the
-same matched and free label sets, and the same completion, as expanding its
-own transported flow; only the pairing of equal-matrix labels inside a class
-pair can differ.
+i-th label of class c goes to the i-th label of its image class), and its free
+labels are the images of the seed's, paired ascending; its row is written in
+place into the build's class table.  That gives each member the same matched
+and free label sets, and the same completion, as expanding its own
+transported flow; only the pairing of equal-matrix labels inside a class pair
+can differ.
 Only the source of candidate class edges depends on the family: 2x2 special
 unitaries embed isometrically into unit quaternions, where the operator-norm
 distance is the Euclidean distance, so a KD-tree supplies them; any other
@@ -446,15 +447,21 @@ def _expand_column(geom: FamilyGeometry, fl: np.ndarray, fr: np.ndarray,
     return _complete_permutation(column)
 
 
-def _transport_column(lefts: np.ndarray, rights: np.ndarray, transport: Transport,
-                      n: int) -> np.ndarray:
-    """Completed column of an orbit member from the seed's matched label pairs."""
+def _transport_row(row: np.ndarray, matched, free, transport: Transport) -> None:
+    """Write an orbit member's completed column into ``row``, from the seed's column.
+
+    ``matched`` holds the seed's matched (left, right) label pairs and
+    ``free`` its unmatched left and right labels.  The member's matched pairs
+    are their label-map images, and its free labels are the images of the
+    seed's, paired ascending: the completion ``_complete_permutation`` gives.
+    """
+    labels = transport.labels
+    (lefts, rights), (free_left, free_right) = matched, free
     if transport.transposed:
-        lefts, rights = rights, lefts
-    column = np.full(n, -1, dtype=np.int64)
-    column[transport.labels[lefts]] = transport.labels[rights]
-    # a perfect matching is already a permutation
-    return column if len(lefts) == n else _complete_permutation(column)
+        lefts, rights, free_left, free_right = rights, lefts, free_right, free_left
+    row[labels[lefts]] = labels[rights]
+    if len(free_left):
+        row[np.sort(labels[free_left])] = np.sort(labels[free_right])
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,13 +501,16 @@ def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
         orbit = {member: transport for member, transport in geom.orbit_of(cls).items()
                  if sizes[member] < 0}
         if columns is not None:
-            seed = _expand_column(geom, *flows)
+            seed = columns[cls] = _expand_column(geom, *flows)
             # the expansion matches the first (outgoing flow) labels of each left class
             outflow = np.bincount(flows[0], weights=flows[2], minlength=geom.n_classes)
-            matched = np.flatnonzero(geom.label_rank < outflow[geom.classes])
+            is_matched = geom.label_rank < outflow[geom.classes]
+            matched, free = np.flatnonzero(is_matched), np.flatnonzero(~is_matched)
+            # the completion gave the free left labels exactly the unused right labels
+            pairs, free_pairs = (matched, seed[matched]), (free, seed[free])
             for member, transport in orbit.items():
-                columns[member] = seed if member == cls else \
-                    _transport_column(matched, seed[matched], transport, n)
+                if member != cls:
+                    _transport_row(columns[member], pairs, free_pairs, transport)
         sizes[list(orbit)] = size
         worst = max(worst, (n - size) / n)
         if reject_above is not None and worst > reject_above:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fastcu import algebra, net, qgbuilder, qsim
+from fastcu import algebra, approx_protocol, net, qgbuilder, qsim
 from fastcu.algebra import certify_approx_rep, ordinary_rep
 from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
@@ -552,7 +552,7 @@ def test_branch_matrices_equal_per_label_controlled_gates():
             assert np.array_equal(spec.branch_matrices([l])[0], stack[l])
 
 
-def test_max_branch_distance_equals_dense_branch_loop():
+def test_max_branch_distance_equals_dense_branch_loop(monkeypatch):
     base = net_spec(m=2, eta=0.8, terms=(5, 17, 40))
     spec = QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(5, 17, 40), d_a=5)
     assert spec.order == 72 and spec.d_a > spec.n_terms
@@ -562,6 +562,29 @@ def test_max_branch_distance_equals_dense_branch_loop():
     state = _supported_state(spec, np.random.default_rng(50))
     record = run_measured_variant(spec, state)
     assert record.max_branch_distance == pytest.approx(dense, abs=1e-12)
+
+    # SU(2) stacks take the quaternion distance, any other family the SVD
+    svd_calls = []
+    norms = approx_protocol.operator_norms
+    monkeypatch.setattr(approx_protocol, "operator_norms",
+                        lambda stack: svd_calls.append(stack.shape) or norms(stack))
+    rng = np.random.default_rng(51)
+    for n_out, n_terms in ((1, 1), (40, 3), (200, 2)):
+        requested = np.stack([qsim.haar_special_unitary(2, rng) for _ in range(n_terms)])
+        blocks = np.stack([[qsim.haar_special_unitary(2, rng) for _ in range(n_terms)]
+                           for _ in range(n_out)])
+        got = branch_distance(requested, blocks)
+        assert not svd_calls
+        assert got == pytest.approx(float(norms(requested[None] - blocks).max()), abs=1e-12)
+    requested = np.stack([qsim.haar_special_unitary(3, rng) for _ in range(2)])
+    blocks = np.stack([[qsim.haar_special_unitary(3, rng) for _ in range(2)] for _ in range(5)])
+    dense = max(qsim.operator_norm(w - b) for row in blocks for w, b in zip(requested, row))
+    assert branch_distance(requested, blocks) == pytest.approx(dense, abs=1e-12)
+    assert svd_calls == [(5, 2, 3, 3)]
+    # a non-unitary input fails the SU(2) test and still meets the cap on the SVD route
+    with pytest.raises(DimensionMismatch):
+        branch_distance(np.eye(2, dtype=complex)[None], -2.0 * np.eye(2, dtype=complex)[None, None])
+    assert len(svd_calls) == 2
 
 
 @functools.lru_cache(maxsize=None)

@@ -397,71 +397,48 @@ def test_symmetry_orbits_transport_candidate_edges(net_m2):
             assert geom.class_counts[member] == geom.class_counts[cls]
 
 
-def _record_partials(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Patch the completion step to keep every (completed column, matched part) pair."""
-    records: list[tuple[np.ndarray, np.ndarray]] = []
-    complete = qgbuilder._complete_permutation
-
-    def recording(column):
-        partial = column.copy()
-        out = complete(column)
-        records.append((out.copy(), partial))
-        return out
-
-    monkeypatch.setattr(qgbuilder, "_complete_permutation", recording)
-    return records
-
-
-def _matched_labels(records, column) -> np.ndarray:
-    """Matched labels of the recorded completions that produced ``column``; they must agree."""
-    found = {tuple(np.flatnonzero(partial >= 0)) for out, partial in records
-             if np.array_equal(out, column)}
-    assert len(found) == 1
-    return np.array(found.pop(), dtype=np.int64)
+def _matched_lefts(geom, fl, fv) -> np.ndarray:
+    """Left labels that ``_expand_column`` matches: the first outflow labels of each class."""
+    outflow = np.bincount(fl, weights=fv, minlength=geom.n_classes)
+    return np.flatnonzero(geom.label_rank < outflow[geom.classes])
 
 
 @pytest.mark.parametrize("m, etas, every", [(2, (0.39, 0.6, 0.8, 1.2), 1), (3, (0.39, 0.8), 5)],
                          ids=["m2-all-classes", "m3-sampled"])
-def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, every):
+def test_orbit_transport_matches_per_member_expansion(m, etas, every):
     geom = qgbuilder.FamilyGeometry(net.build_net(2, m))
     # label maps: class c's i-th label goes to sigma[c]'s i-th label
     assert len(geom.label_maps) == len(geom.relabels)
     for sigma, labels in zip(geom.relabels, geom.label_maps):
         for c in range(geom.n_classes):
             assert np.array_equal(labels[geom.labels_of(c)], geom.labels_of(int(sigma[c])))
-    records = _record_partials(monkeypatch)
     ncl = geom.n_classes
     checked = transposed = 0
     for eta in etas:
-        records.clear()
         sizes, columns, worst, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
                                                             reject_above=None)
-        pass_records = list(records)
         assert len(columns) == ncl
         if eta < 0.4:
             assert worst > 0          # an imperfect matching leaves completion pairs
         seen: set[int] = set()
-        completions = 0
         for seed in range(ncl):
             if seed in seen:
                 continue
             orbit = geom.orbit_of(seed)
             seen.update(orbit)
-            # the seed's column is completed, and so is each other member's unless perfect
-            completions += 1 + sum(sizes[member] < geom.n for member in orbit if member != seed)
             # reference: the seed's own flow, as the pass solves it
             _, (fl, fr, fv) = qgbuilder.seed_flow(geom, eta, seed)
+            seed_lefts = _matched_lefts(geom, fl, fv)
+            seed_rights = columns[seed][seed_lefts].astype(np.int64)
             for member, transport in list(orbit.items())[::every]:
+                tl, tr = geom.transport_edges(fl, fr, transport)
                 # reference: expand the member's own transported flow
-                want = qgbuilder._expand_column(geom, *geom.transport_edges(fl, fr, transport), fv)
+                want = qgbuilder._expand_column(geom, tl, tr, fv)
                 got = columns[member]
-                if member != seed and sizes[member] == geom.n:
-                    # a perfect matching transports to a permutation that needs no completion
-                    assert np.array_equal(np.sort(got), np.arange(geom.n))
-                    matched = np.arange(geom.n)
-                else:
-                    matched = _matched_labels(pass_records, got)
-                assert np.array_equal(matched, np.flatnonzero(records[-1][1] >= 0))
+                # the member's matched labels are the label-map images of the seed's
+                ends = seed_rights if transport.transposed else seed_lefts
+                matched = np.sort(transport.labels[ends])
+                assert np.array_equal(matched, _matched_lefts(geom, tl, fv))
                 assert len(matched) == sizes[member]
                 free = np.setdiff1d(np.arange(geom.n), matched)
                 assert np.array_equal(got[free], want[free])          # completion pairs
@@ -469,10 +446,48 @@ def test_orbit_transport_matches_per_member_expansion(monkeypatch, m, etas, ever
                                       np.sort(geom.classes * ncl + geom.classes[want]))
                 checked += 1
                 transposed += transport.transposed
-        assert len(pass_records) == completions
     assert transposed > 0
     if every == 1:
         assert checked == len(etas) * ncl
+
+
+def _reference_transport_column(lefts: np.ndarray, rights: np.ndarray,
+                                transport: qgbuilder.Transport, n: int) -> np.ndarray:
+    """An orbit member's column as a fresh int64 array, completed by ``_complete_permutation``."""
+    if transport.transposed:
+        lefts, rights = rights, lefts
+    column = np.full(n, -1, dtype=np.int64)
+    column[transport.labels[lefts]] = transport.labels[rights]
+    return column if len(lefts) == n else qgbuilder._complete_permutation(column)
+
+
+@pytest.mark.parametrize("m, eta", [(3, 0.39), (3, 0.8), (4, 0.3)])
+def test_transported_rows_equal_completed_reference_columns(m, eta):
+    geom = qgbuilder.FamilyGeometry(net.build_net(2, m))
+    sizes, columns, _, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
+                                                    reject_above=None)
+    assert columns.dtype == algebra.index_dtype(geom.n)
+    seen: set[int] = set()
+    members = completed = orbits = 0
+    for seed in range(geom.n_classes):
+        if seed in seen:
+            continue
+        orbit = geom.orbit_of(seed)
+        seen.update(orbit)
+        orbits += 1
+        _, (fl, fr, fv) = qgbuilder.seed_flow(geom, eta, seed)
+        column = qgbuilder._expand_column(geom, fl, fr, fv)
+        matched = _matched_lefts(geom, fl, fv)
+        for member, transport in orbit.items():
+            want = column if member == seed else \
+                _reference_transport_column(matched, column[matched], transport, geom.n)
+            assert np.array_equal(columns[member], want.astype(columns.dtype)), (seed, member)
+            members += 1
+            completed += member != seed and sizes[member] < geom.n
+    assert members == geom.n_classes
+    if m == 4:
+        # unsaturated: every member that is not its orbit's seed has free labels to complete
+        assert completed == members - orbits
 
 
 def test_class_flow_graph_is_scipys_canonical_csr(monkeypatch, net_m2):
