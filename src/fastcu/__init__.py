@@ -40,8 +40,8 @@ from .compiler import (
 from .exact_protocol import (
     ControlledGroupUnitary,
     HighRankControlledUnitary,
-    build_exact_gates,
     lift_highrank,
+    one_round_gates,
     run_exact_protocol,
     run_lifted_protocol,
 )

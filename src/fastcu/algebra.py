@@ -86,6 +86,14 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return int(self.inverse[a])
 
+    def column(self, k: int) -> np.ndarray:
+        """g*k for every g (column k of the Cayley table), read-only."""
+        return self.cayley[:, k]
+
+    def ldiv_column(self, k: int) -> np.ndarray:
+        """The left quotient l = j*k^-1, the l with l*k = j, for every j; read-only."""
+        return self.cayley[:, self.inverse[k]]
+
     def to_right_quasigroup(self) -> "RightQuasigroup":
         return right_quasigroup_from_table(self.cayley)
 
@@ -301,7 +309,10 @@ class ProjectiveRep:
             if operator_norm(mats[e] - eye) > IDENTITY_TOL:
                 raise NotProjectiveRep(f"matrix at the identity label {e} is not the identity")
         if self.factor_system is not None:
-            res = rep_product_residual(self.structure, mats, self.factor_system)
+            # max over pairs of || V_g V_h - lam(g,h) V_{g*h} ||_inf, the one product check
+            prods = np.einsum("gab,hbc->ghac", mats, mats)
+            prods -= self.factor_system.lam[:, :, None, None] * mats[self.structure.cayley]
+            res = float(operator_norms(prods.reshape(n * n, d, d)).max())
             if res > REP_RESIDUAL_TOL:
                 raise NotProjectiveRep(f"factor system residual {res:.2e} exceeds tolerance")
 
@@ -310,20 +321,12 @@ class ProjectiveRep:
         return self.matrices.shape[1]
 
 
-def rep_product_residual(group: FiniteGroup, matrices: np.ndarray,
-                         factors: FactorSystem) -> float:
-    """Max over pairs of || V_g V_h - lam(g,h) V_{g*h} ||_inf."""
-    n = group.order
-    prods = np.einsum("gab,hbc->ghac", matrices, matrices)
-    expected = factors.lam[:, :, None, None] * matrices[group.cayley]
-    return float(operator_norms((prods - expected).reshape(n * n, *matrices.shape[1:])).max())
-
-
 def derive_factor_system(rep: ProjectiveRep) -> FactorSystem:
     """Extract the pair factors of a projective representation from its matrices.
 
-    Uses lam(g,h) = tr(V_{g*h}^dag V_g V_h)/d and verifies the residual, so the
-    caller only ever supplies matrices.
+    Uses lam(g,h) = tr(V_{g*h}^dag V_g V_h)/d; ``ProjectiveRep`` checks the
+    product residual when the factors are attached, so the caller only ever
+    supplies matrices.
     """
     if not isinstance(rep.structure, FiniteGroup):
         raise NotProjectiveRep("factor systems are defined over groups only")
@@ -336,11 +339,7 @@ def derive_factor_system(rep: ProjectiveRep) -> FactorSystem:
         g, h = np.unravel_index(int(np.argmax(np.abs(np.abs(lam) - 1.0))), lam.shape)
         raise NotProjectiveRep(
             f"pair ({g},{h}) yields |lam| = {abs(lam[g, h]):.6f}, not a projective rep")
-    factors = FactorSystem(lam)
-    res = rep_product_residual(group, mats, factors)
-    if res > REP_RESIDUAL_TOL:
-        raise NotProjectiveRep(f"product residual {res:.2e}: not a projective rep of this group")
-    return factors
+    return FactorSystem(lam)
 
 
 def projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:

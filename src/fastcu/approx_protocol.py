@@ -20,13 +20,12 @@ from .algebra import ProjectiveRep, RightQuasigroup
 from .errors import DimensionMismatch, UnsupportedInput
 from .exact_protocol import (
     CompiledRound,
-    OneRoundBlocks,
     check_support,
     circuit_map,
     compile_round,
-    correction_phases,
     correction_steps,
     one_round_circuit,
+    one_round_gates,
     run_one_round,
 )
 from .qsim import (
@@ -38,7 +37,6 @@ from .qsim import (
     apply_on,
     apply_on_rows,
     basis_state,
-    fourier_gate,
     is_unitary,
     measure_registers,
     operator_norm,
@@ -99,21 +97,29 @@ class QuasigroupProtocolSpec:
         """Dense control (x) target matrix, identity blocks past the last term."""
         return self.embed_terms(self.term_matrices()[None])[0]
 
-    def term_blocks(self, outcomes=None) -> np.ndarray:
-        """Blocks V_l^dag V_{l*k} of the given outcomes l (all N by default) for every term.
+    @property
+    def labels(self) -> tuple[int | None, ...]:
+        """The term label of each control state, None past the last term."""
+        return self.term_map + (None,) * (self.d_a - self.n_terms)
 
-        Returns a (len(outcomes), n_terms, d_b, d_b) stack; entry (l, i) is the
-        block that branch l applies in place of V_k, k the i-th term label.
-        The only place the branch blocks are formed.
+    @cached_property
+    def term_blocks(self) -> np.ndarray:
+        """Blocks V_l^dag V_{l*k} of every outcome l for every term, formed once and read-only.
+
+        An (N, n_terms, d_b, d_b) stack; entry (l, i) is the block that branch
+        l applies in place of V_k, k the i-th term label.  The only place the
+        branch blocks are formed.
         """
         mats = self.rep.matrices
-        ls = np.arange(self.order) if outcomes is None else np.asarray(outcomes)
-        products = np.stack([self.quasigroup.column(k)[ls] for k in self.term_map], axis=1)
-        return np.einsum("lab,libc->liac", mats[ls].conj().transpose(0, 2, 1), mats[products])
+        products = np.stack([self.quasigroup.column(k) for k in self.term_map], axis=1)
+        stack = np.einsum("lab,libc->liac", mats.conj().transpose(0, 2, 1), mats[products])
+        stack.setflags(write=False)
+        return stack
 
     def branch_matrices(self, outcomes=None) -> np.ndarray:
         """Branch unitaries of the given ancilla outcomes (all N by default) as a stack."""
-        return self.embed_terms(self.term_blocks(outcomes))
+        return self.embed_terms(self.term_blocks if outcomes is None
+                                else self.term_blocks[np.asarray(outcomes)])
 
     def embed_terms(self, blocks: np.ndarray) -> np.ndarray:
         """Block-diagonal control (x) target matrices of a (B, n_terms, d_b, d_b) stack.
@@ -136,7 +142,7 @@ class QuasigroupProtocolSpec:
     @cached_property
     def compiled(self) -> CompiledRound:
         """The measured protocol, compiled on first use (see ``exact_protocol.compile_round``)."""
-        return compile_round(build_quasigroup_gates(self), self.target_matrix())
+        return compile_round(one_round_gates(self.rep, self.labels), self.target_matrix())
 
     @cached_property
     def branch_stack(self) -> np.ndarray:
@@ -150,7 +156,7 @@ class QuasigroupProtocolSpec:
     @cached_property
     def max_branch_distance(self) -> float:
         """Worst ||V_k - V_l^dag V_{l*k}||_inf over outcomes l and terms k (``branch_distance``)."""
-        return branch_distance(self.term_matrices(), self.term_blocks())
+        return branch_distance(self.term_matrices(), self.term_blocks)
 
     @cached_property
     def hidden_map(self) -> sparse.csr_matrix:
@@ -161,30 +167,6 @@ class QuasigroupProtocolSpec:
         ``exact_protocol.circuit_map``.
         """
         return circuit_map(partial(_hidden_circuit, self), self.d_a, self.d_b)
-
-
-def left_div_permutation(quasigroup: RightQuasigroup, k: int) -> np.ndarray:
-    """Permutation gate |j> -> |l(j,k)| on the ancilla; columns are left-division rows."""
-    n = quasigroup.order
-    out = np.zeros((n, n), dtype=complex)
-    out[quasigroup.ldiv_column(k), np.arange(n)] = 1.0
-    return out
-
-
-def build_quasigroup_gates(spec: QuasigroupProtocolSpec) -> OneRoundBlocks:
-    """Block stacks of the quasigroup protocol; the correction undoes V_l.
-
-    Control states past the last term get the identity shift and phase 1.
-    """
-    n, spare = spec.order, spec.d_a - spec.n_terms
-    fourier = fourier_gate(n)
-    shifts = [left_div_permutation(spec.quasigroup, k) for k in spec.term_map]
-    shifts += [np.eye(n, dtype=complex)] * spare
-    products = [spec.quasigroup.column(k) for k in spec.term_map] + [np.full(n, -1)] * spare
-    mats = spec.rep.matrices
-    return OneRoundBlocks(shifts=np.stack(shifts), reps=mats, fourier=fourier,
-                          phases=correction_phases(fourier, np.stack(products, axis=1)),
-                          undo=mats.conj().transpose(0, 2, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +258,7 @@ class DilationErrorReport:
 
 def dilation_error(spec: QuasigroupProtocolSpec, eta: float, delta_cert: float) -> DilationErrorReport:
     """Exact ||U' - V'||_inf from the term gaps of the bare blocks, with the (eta, delta) bound."""
-    bare, blocks = spec.term_matrices(), spec.term_blocks()
+    bare, blocks = spec.term_matrices(), spec.term_blocks
     per_k = {k: float(gap) for k, gap in sorted(zip(spec.term_map, term_gaps(bare, blocks)))}
     measured = max(per_k.values())
     bound = dilation_gap_bound(eta, delta_cert)

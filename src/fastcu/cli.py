@@ -33,13 +33,21 @@ from .serialize import _NUMBER, _field
 DEMO_TRIALS = 50
 
 
+def _seed(text: str) -> int:
+    """A demo seed: numpy's generators take non-negative integers only."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fastcu", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("exact-demo", help="run a named exact-protocol demo")
     d.add_argument("name", choices=sorted(EXACT_DEMOS))
-    d.add_argument("--seed", type=int, default=0)
+    d.add_argument("--seed", type=_seed, default=0)
     d.add_argument("--out", default=None)
 
     n = sub.add_parser("net-build", help="build a word net and emit its cache")
@@ -254,8 +262,9 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
 def _verify_scan(rows: list[dict], blocks: np.ndarray, targets: CompileTargets, plan: dict,
                  net) -> int:
     """Re-run the compiler's degree search (``scan_degrees``) on degrees 1, ..., plan m, each
-    point's matching pass without columns.  Every stored point must equal its rerun, and the
-    search accepts the plan's degree at the plan's eta."""
+    point's matching pass without columns.  Every stored point must equal its rerun, the
+    search accepts the plan's degree at the plan's eta, and each assigned label lies in the
+    family class of the rerun's nearest label."""
     def rerun(fam, eta, bound):     # the compile's matching pass without columns: (accepted, delta)
         _, _, worst, complete = _matching_pass(FamilyGeometry.of(fam), eta, want_columns=False,
                                                reject_above=bound)
@@ -273,6 +282,12 @@ def _verify_scan(rows: list[dict], blocks: np.ndarray, targets: CompileTargets, 
     if found is None or found[0] != plan["m"] or abs(trace[-1].eta - plan["eta"]) > 1e-12:
         return _fail("scan", f"the scan does not accept degree {plan['m']} at eta={plan['eta']}")
     print(f"ok scan: {len(rows)} points re-derived, degree {plan['m']} accepted")
+    nearest = [r.label for r in found[1]]
+    for i, (label, want) in enumerate(zip(plan["assignment"], nearest)):
+        if net.classes[label] != net.classes[want]:
+            return _fail("assignment", f"block {i} is assigned label {label}, outside the class "
+                                       f"of its nearest label {want}")
+    print("ok assignment: every block is assigned its nearest element")
     return 0
 
 
@@ -354,10 +369,12 @@ def _verify_exact_demo_bundle(doc: dict) -> int:
                        ("uniformity_error", _NUMBER)):
         _field(doc, name, kind)
     _field(doc, "S", list, int)
-    trials = _field(doc, "trials", int)
-    if trials < 1:
-        return _fail("record", f"trials={trials!r} is not a positive integer")
-    redo = _exact_demo_bundle(_field(doc, "example", str), _field(doc, "seed", int), trials)
+    trials, seed = _field(doc, "trials", int), _field(doc, "seed", int)
+    if seed < 0:
+        raise SchemaMismatch(f"bundle field 'seed' must be a non-negative integer, got {seed}")
+    if not 1 <= trials <= DEMO_TRIALS:
+        return _fail("record", f"trials={trials!r} is not an integer in 1..{DEMO_TRIALS}")
+    redo = _exact_demo_bundle(_field(doc, "example", str), seed, trials)
     for name in ("N", "S"):
         if doc[name] != redo[name]:
             return _fail("instance", f"stored {name}={doc[name]} but the demo has {redo[name]}")

@@ -230,7 +230,7 @@ def error_budget(blocks: np.ndarray, spec: QuasigroupProtocolSpec, eta: float,
     """
     zeta = float(operator_norms(blocks - spec.term_matrices()).max())
     gap_uv = dilation_error(spec, eta, delta_cert).measured
-    gap_tv = float(term_gaps(blocks, spec.term_blocks()).max())
+    gap_tv = float(term_gaps(blocks, spec.term_blocks).max())
     bound = certified_bound(zeta, eta, delta_cert)
     cost = spec.cost_ebits()
     if m is not None and abs(cost - word_family_cost(spec.d_b, m)) > 1e-9:

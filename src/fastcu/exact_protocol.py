@@ -51,6 +51,7 @@ class ControlledGroupUnitary:
 
     ``labels[i]`` is the group element controlled by basis state ``|i>`` of the
     control register, or None for basis states outside the protocol's support.
+    The representation must carry its factor system (see ``projective_rep``).
     """
 
     group: FiniteGroup
@@ -60,6 +61,8 @@ class ControlledGroupUnitary:
     def __post_init__(self):
         if not isinstance(self.rep.structure, FiniteGroup) or self.rep.structure is not self.group:
             raise DimensionMismatch("representation must be defined over the given group")
+        if self.rep.factor_system is None:
+            raise MissingFactorSystem("the representation has no derived factor system")
         active = [k for k in self.labels if k is not None]
         if not active:
             raise DimensionMismatch("at least one control basis state must carry a label")
@@ -101,20 +104,7 @@ class ControlledGroupUnitary:
     @cached_property
     def compiled(self) -> "CompiledRound":
         """The protocol with the standard Fourier gate, compiled on first use."""
-        return compile_round(build_exact_gates(self), self.target_matrix())
-
-
-def shift_gate_for(cgu: ControlledGroupUnitary, k: int) -> np.ndarray:
-    """Ancilla gate |j> -> weight(j,k) |j * k^{-1}>; the weights are factor quotients."""
-    if cgu.rep.factor_system is None:
-        raise MissingFactorSystem("the representation has no derived factor system")
-    group, lam = cgu.group, cgu.rep.factor_system.lam
-    n = group.order
-    out = np.zeros((n, n), dtype=complex)
-    inv = group.inverse
-    for j in range(n):
-        out[group.cayley[j, inv[k]], j] = lam[k, inv[j]] / lam[inv[j], j]
-    return out
+        return compile_round(one_round_gates(self.rep, self.labels), self.target_matrix())
 
 
 def correction_phases(fourier: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -253,6 +243,39 @@ def compile_round(blocks: OneRoundBlocks, unitary: np.ndarray) -> CompiledRound:
                          circuit_map(circuit, len(blocks.shifts), blocks.reps.shape[1]))
 
 
+def one_round_gates(rep: ProjectiveRep, labels, fourier: np.ndarray | None = None) -> OneRoundBlocks:
+    """Every local gate of the one-round protocol as block stacks, each checked unitary.
+
+    ``labels[i]`` is the term label k of control state i, or None for a state
+    without a term (identity shift, phase 1).  Alice's shift for k sends |j>
+    to lam(l, k)|l>, l = l(j, k) the left quotient (l*k = j), with lam = 1
+    for a family without a factor system; branch (l, m) undoes V_l^dag.
+    Since V_l^dag V_{l*k} = V_k / lam(l, k), the weight cancels and every
+    branch of a group protocol is exactly the target.  Only the term,
+    left-division and lam columns of each k are read.  ``fourier`` defaults
+    to the standard Fourier gate.
+    """
+    structure, mats = rep.structure, rep.matrices
+    n = structure.order
+    fourier = fourier_gate(n) if fourier is None else fourier
+    lam = None if rep.factor_system is None else rep.factor_system.lam
+    shifts = np.zeros((len(labels), n, n), dtype=complex)
+    products = np.full((n, len(labels)), -1)
+    for i, k in enumerate(labels):
+        if k is None:
+            shifts[i] = np.eye(n)
+            continue
+        ldiv = structure.ldiv_column(k)
+        shifts[i, ldiv, np.arange(n)] = 1.0 if lam is None else lam[ldiv, k]
+        products[:, i] = structure.column(k)
+    phases = correction_phases(fourier, products)
+    for name, stack in (("fourier", fourier), ("shift", shifts), ("correction", phases)):
+        if not is_unitary(stack):
+            raise DimensionMismatch(f"a {name} gate failed the unitarity check")
+    return OneRoundBlocks(shifts=shifts, reps=mats, fourier=fourier, phases=phases,
+                          undo=mats.conj().transpose(0, 2, 1))
+
+
 def run_one_round(state: PureState, compiled: CompiledRound, control: str, target: str,
                   unsupported) -> Branches:
     """Every branch of one protocol round on ``state``, from one measurement of (a, b).
@@ -276,27 +299,6 @@ def run_one_round(state: PureState, compiled: CompiledRound, control: str, targe
     return measure_registers(full, ANCILLAS)
 
 
-def build_exact_gates(cgu: ControlledGroupUnitary,
-                      fourier: np.ndarray | None = None) -> OneRoundBlocks:
-    """Every local gate of the group protocol as block stacks, each checked unitary.
-
-    The correction of branch (l, m) undoes V_{l^-1}; ``fourier`` defaults to
-    the standard Fourier gate.
-    """
-    group, n = cgu.group, cgu.group.order
-    fourier = fourier_gate(n) if fourier is None else fourier
-    eye = np.eye(n, dtype=complex)
-    shifts = np.stack([eye if k is None else shift_gate_for(cgu, k) for k in cgu.labels])
-    products = np.stack([np.full(n, -1) if k is None else group.cayley[:, k] for k in cgu.labels],
-                        axis=1)
-    phases = correction_phases(fourier, products)
-    for name, stack in (("fourier", fourier), ("shift", shifts), ("correction", phases)):
-        if not is_unitary(stack):
-            raise DimensionMismatch(f"a {name} gate failed the unitarity check")
-    return OneRoundBlocks(shifts=shifts, reps=cgu.rep.matrices, fourier=fourier,
-                          phases=phases, undo=cgu.rep.matrices[group.inverse])
-
-
 def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
                        control: str = "A", target: str = "B",
                        fourier: np.ndarray | None = None) -> ExactRunRecord:
@@ -314,7 +316,7 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
         fourier = np.asarray(fourier, dtype=complex)
         if not is_unitary(fourier) or np.max(np.abs(np.abs(fourier) - 1 / math.sqrt(n))) > FLAT_ENTRY_TOL:
             raise DimensionMismatch("replacement Fourier gate must be unitary with flat entries")
-        compiled = compile_round(build_exact_gates(cgu, fourier), cgu.target_matrix())
+        compiled = compile_round(one_round_gates(cgu.rep, cgu.labels, fourier), cgu.target_matrix())
     branches = run_one_round(state, compiled, control, target,
                              [i for i, k in enumerate(cgu.labels) if k is None])
     target_state = apply_on(state, compiled.target, (control, target))

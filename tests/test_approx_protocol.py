@@ -16,18 +16,16 @@ from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
     _hidden_circuit,
     branch_distance,
-    build_quasigroup_gates,
     dilation_error,
     dilation_pair,
     hidden_variant_choi,
-    left_div_permutation,
     run_hidden_variant,
     run_measured_variant,
     shift_register_check,
     term_gaps,
 )
 from fastcu.errors import DimensionMismatch, UnsupportedInput
-from fastcu.exact_protocol import ControlledGroupUnitary, one_round_circuit, shift_gate_for
+from fastcu.exact_protocol import one_round_circuit, one_round_gates
 
 
 def exact_spec(n: int = 4, terms=(0, 2)) -> QuasigroupProtocolSpec:
@@ -77,19 +75,19 @@ def test_hat_gates_match_group_shift_gates():
     group = algebra.cyclic_group(5)
     w = np.exp(2j * np.pi / 5)
     mats = np.stack([np.diag([1.0, w ** k]).astype(complex) for k in range(5)])
-    rep = algebra.projective_rep(group, mats)
-    cgu = ControlledGroupUnitary.from_subset(group, rep, tuple(range(5)))
     q = group.to_right_quasigroup()
-    for k in range(5):
-        # for a group, left division is j * k^{-1}, so both constructions agree
-        assert np.allclose(left_div_permutation(q, k), shift_gate_for(cgu, k))
+    # for a group, left division is j * k^{-1}, and an ordinary rep has lam = 1,
+    # so the group's gates and its quasigroup's gates agree
+    on_group = one_round_gates(algebra.projective_rep(group, mats), tuple(range(5)))
+    on_table = one_round_gates(ordinary_rep(q, mats), tuple(range(5)))
+    for name in ("shifts", "phases", "undo"):
+        assert np.allclose(getattr(on_group, name), getattr(on_table, name))
 
 
 def test_hat_gate_columns_are_left_division_rows():
     spec = net_spec()
     q = spec.quasigroup
-    for k in spec.represented:
-        gate = left_div_permutation(q, k)
+    for gate, k in zip(one_round_gates(spec.rep, spec.labels).shifts, spec.term_map):
         for j in range(q.order):
             col = np.flatnonzero(gate[:, j])
             assert np.array_equal(col, [q.left_div[j, k]])
@@ -99,7 +97,7 @@ def test_hat_gates_trivial_order_one():
     table = np.zeros((1, 1), dtype=int)
     q = algebra.right_quasigroup_from_table(table)
     spec = QuasigroupProtocolSpec(q, ordinary_rep(q, np.eye(2)[None]), term_map=(0,))
-    assert np.allclose(left_div_permutation(spec.quasigroup, 0), [[1.0]])
+    assert np.allclose(one_round_gates(spec.rep, spec.labels).shifts, [[[1.0]]])
     assert np.allclose(qsim.fourier_gate(spec.order), [[1.0]])
 
 
@@ -175,7 +173,7 @@ def test_redundant_terms_leave_dilation_unchanged():
 
 def test_residual_norms_capped_by_two():
     for spec in (exact_spec(), net_spec()):
-        blocks = spec.term_blocks()
+        blocks = spec.term_blocks
         assert blocks.shape == (spec.order, spec.n_terms, spec.d_b, spec.d_b)
         assert branch_distance(spec.term_matrices(), blocks) <= 2.0 + 1e-9
         assert set(dilation_error(spec, 0.5, 0.0).per_k_measured) == set(spec.represented)
@@ -218,7 +216,7 @@ def test_dilation_measured_matches_dense_dilations_and_power_iteration():
     # power-iteration oracle for the worst represented label
     n = spec.order
     worst = 0.0
-    residuals = spec.term_matrices()[None] - spec.term_blocks()
+    residuals = spec.term_matrices()[None] - spec.term_blocks
     for t, k in enumerate(spec.term_map):
         e = residuals[:, t]
         h = np.einsum("lab,lac->bc", e.conj(), e) / n
@@ -326,7 +324,7 @@ def correction_gate(spec, l, m):
 def test_correction_gate_phases():
     for spec in (exact_spec(), _spare_control_spec()):
         n = spec.order
-        phases = build_quasigroup_gates(spec).phases
+        phases = one_round_gates(spec.rep, spec.labels).phases
         assert phases.shape == (n * n, spec.d_a, spec.d_a)
         for l in range(n):
             for m in range(n):
@@ -354,7 +352,10 @@ def test_measured_variant_refuses_input_register_named_like_an_ancilla(name):
 def _opened(spec, state, *extra):
     n = spec.order
     full = qsim.product_state(state, qsim.maximally_entangled(n), *extra)
-    shifts = {i: left_div_permutation(spec.quasigroup, k) for i, k in enumerate(spec.term_map)}
+    shifts = {}
+    for i, k in enumerate(spec.term_map):
+        shifts[i] = np.zeros((n, n), dtype=complex)
+        shifts[i][spec.quasigroup.left_div[:, k], np.arange(n)] = 1.0
     full = qsim.apply_on(full, qsim.controlled_gate(spec.d_a, shifts, n), ("A", "a"))
     reps = dict(enumerate(spec.rep.matrices))
     full = qsim.apply_on(full, qsim.controlled_gate(n, reps, spec.d_b), ("b", "B"))
@@ -417,7 +418,7 @@ def per_seed_trajectories(spec, state):
     as the simulator applies them at seed 0.
     """
     n = spec.order
-    blocks = build_quasigroup_gates(spec)
+    blocks = one_round_gates(spec.rep, spec.labels)
     powers = np.stack([qsim.shift_gate(n, l) for l in range(n)])
     opened = one_round_circuit(state, blocks, "A", "B")
     rows = []
@@ -618,7 +619,7 @@ def test_term_gap_equals_dense_dilation_gap(seed, n, picks, spare):
     spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=terms,
                                   d_a=len(terms) + spare)
     requested = np.stack([qsim.haar_unitary(2, rng) for _ in terms])
-    gap = term_gaps(requested, spec.term_blocks()).max()
+    gap = term_gaps(requested, spec.term_blocks).max()
 
     ideal, actual = dilation_pair(spec)
     t = qsim.controlled_gate(spec.d_a, dict(enumerate(requested)), spec.d_b)

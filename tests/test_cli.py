@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastcu import algebra, cli, net, qsim, serialize
+from fastcu import algebra, cli, compiler, net, qsim, serialize
+from fastcu.approx_protocol import QuasigroupProtocolSpec
 
 
 def test_exact_demo_all_names(tmp_path, capsys):
@@ -422,6 +424,36 @@ def test_verify_reruns_exact_demo(tmp_path, capsys, field, value):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_negative_demo_seed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["exact-demo", "pauli-klein4", "--seed", "-1"])
+    assert err.value.code == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    out = tmp_path / "demo.json"
+    assert cli.main(["exact-demo", "pauli-klein4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["seed"] = -1
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    assert "error: bundle field 'seed' must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [cli.DEMO_TRIALS + 1, 10 ** 12])
+def test_verify_bounds_demo_trials_before_running(tmp_path, capsys, monkeypatch, trials):
+    out = tmp_path / "demo.json"
+    assert cli.main(["exact-demo", "pauli-klein4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["trials"] = trials
+
+    def refuse(*args):
+        raise AssertionError("verify ran the demo")
+
+    monkeypatch.setattr(cli, "_exact_demo_bundle", refuse)
+    rc, stdout = _verify_doc(doc, out, capsys)
+    assert rc == 1 and f"FAIL record: trials={trials} is not an integer in 1..50" in stdout
+
+
 def _low_default_cap(monkeypatch):
     """Make the default cap of the build_net that loads bundle families 1, below every
     family; record the caps it gets."""
@@ -512,6 +544,29 @@ def test_verify_accepts_any_label_of_an_assigned_class(compile_bundle, tmp_path)
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["verify", str(path)]) == 0
+
+
+def test_verify_rederives_the_assignment(compile_bundle, tmp_path, capsys):
+    """Block 0 moved to its nearest label outside its class, with zetas, zeta and report
+    recomputed to match and still within the targets: only the rerun's nearest labels catch it."""
+    doc = json.loads(json.dumps(compile_bundle))
+    plan = doc["plan"]
+    fam = net.build_net(2, plan["m"])
+    blocks = serialize.pairs_to_complex(doc["target"]["matrices"])
+    dist = qsim.operator_norms(blocks[0] - fam.matrices)
+    dist[fam.classes == fam.classes[plan["assignment"][0]]] = np.inf
+    plan["assignment"][0] = int(np.argmin(dist))
+    quasigroup = algebra.right_quasigroup_from_table(np.asarray(plan["table"]))
+    spec = QuasigroupProtocolSpec(quasigroup, algebra.ordinary_rep(quasigroup, fam.matrices),
+                                  term_map=tuple(plan["assignment"]))
+    zetas = qsim.operator_norms(blocks - spec.term_matrices())
+    plan.update(zetas=zetas.tolist(), zeta=float(zetas.max()))
+    doc["report"] = dataclasses.asdict(
+        compiler.error_budget(blocks, spec, plan["eta"], plan["delta_cert"], plan["m"]))
+    assert plan["zeta"] <= doc["targets"]["zeta"]
+    rc, out = _verify_doc(doc, tmp_path / "bundle.json", capsys)
+    assert rc == 1
+    assert "ok report" in out and "ok scan" in out and "FAIL assignment: block 0" in out
 
 
 @pytest.mark.parametrize("bundle, owner", [("qg_bundle", None), ("compile_bundle", "plan")])

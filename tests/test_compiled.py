@@ -3,8 +3,10 @@
 Each instance runs its one-round circuit once, on the basis inputs, to build
 the linear map that every later input goes through.  These tests run the same
 circuit gate by gate on each input and compare branches, probabilities,
-densities and the Choi matrix, and check that the cached data cannot be
-written.
+densities and the Choi matrix, check that the cached data cannot be written,
+and pin the maps of the one gate builder to those of the two builders it
+replaced: the group protocol's factor-quotient shifts undone by V_{l^-1}, and
+the quasigroup protocol's permutation shifts undone by V_l^dag.
 """
 
 from __future__ import annotations
@@ -22,17 +24,19 @@ from fastcu.algebra import ordinary_rep
 from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
     _hidden_circuit,
-    build_quasigroup_gates,
     hidden_variant_choi,
     run_hidden_variant,
     run_measured_variant,
 )
 from fastcu.exact_protocol import (
     ControlledGroupUnitary,
-    build_exact_gates,
+    OneRoundBlocks,
+    compile_round,
+    correction_phases,
     correction_steps,
     lift_highrank,
     one_round_circuit,
+    one_round_gates,
     run_exact_protocol,
     run_lifted_protocol,
 )
@@ -70,9 +74,11 @@ def input_state(d_a, d_b, order, rng, unsupported=()):
 @functools.lru_cache(maxsize=None)
 def exact_case(name: str) -> ControlledGroupUnitary:
     group, rep = demos.pauli_rep()
-    return {"pauli-subset": demos.controlled_pauli_subset,
+    return {"pauli-klein4": demos.controlled_pauli,
+            "pauli-subset": demos.controlled_pauli_subset,
             "c3-subset": demos.controlled_c3_subset,
-            "pauli-gap": lambda: ControlledGroupUnitary(group, rep, (2, None, 1, 3))}[name]()
+            "pauli-gap": lambda: ControlledGroupUnitary(group, rep, (2, None, 1, 3)),
+            "lift": lambda: lift_highrank(demos.highrank_pauli(rank=2)).cgu}[name]()
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,6 +93,11 @@ def spec_case(name: str) -> QuasigroupProtocolSpec:
             mats[k] = mats[k] @ (vecs * np.exp(0.1j * vals)) @ vecs.conj().T
         q = group.to_right_quasigroup()
         return QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(0, 2))
+    if name == "N72":
+        fam = net.build_net(2, 2)
+        built = qgbuilder.assemble_quasigroup(fam, 0.8)
+        return QuasigroupProtocolSpec(built.quasigroup, ordinary_rep(built.quasigroup, fam.matrices),
+                                      term_map=(5, 17, 40))
     fam = net.build_net(2, 1)
     built = qgbuilder.assemble_quasigroup(fam, 1.1)
     rep = ordinary_rep(built.quasigroup, fam.matrices)
@@ -112,7 +123,8 @@ def test_exact_map_equals_gate_by_gate_run(name, replace_fourier, order, seed):
     state = input_state(cgu.d_a, cgu.d_b, order, rng, unsupported)
     record = run_exact_protocol(cgu, state, fourier=fourier)
     assert_same_branches(record.branches,
-                         gate_by_gate_round(state, build_exact_gates(cgu, fourier), "A", "B"))
+                         gate_by_gate_round(state, one_round_gates(cgu.rep, cgu.labels, fourier),
+                                            "A", "B"))
     assert record.max_deviation <= 1e-9
 
 
@@ -129,7 +141,7 @@ def test_lifted_map_equals_gate_by_gate_run(order, seed):
     e0[0] = 1.0
     full = qsim.PureState(state.layout.extended(("E", lifted.ancilla_dim)), np.kron(state.amps, e0))
     full = qsim.apply_on(full, lifted.pre, ("A", "E"))
-    want = gate_by_gate_round(full, build_exact_gates(lifted.cgu), "E", "B")
+    want = gate_by_gate_round(full, one_round_gates(lifted.cgu.rep, lifted.cgu.labels), "E", "B")
     posts = qsim.apply_on_rows(want.posts, want.layout, lifted.post, ("A", "E"))
     assert record.branches.layout == want.layout
     assert np.array_equal(record.branches.outcomes, want.outcomes)
@@ -150,7 +162,7 @@ def test_measured_map_equals_gate_by_gate_run(name, order, seed):
                         range(spec.n_terms, spec.d_a))
     record = run_measured_variant(spec, state)
     assert_same_branches(record.branches,
-                         gate_by_gate_round(state, build_quasigroup_gates(spec), "A", "B"))
+                         gate_by_gate_round(state, one_round_gates(spec.rep, spec.labels), "A", "B"))
     assert record.max_deviation <= 1e-9
 
 
@@ -230,3 +242,79 @@ def test_map_shapes_and_sparsity():
     assert spec.compiled.circuit.shape == (d * n ** 2, d)
     assert spec.hidden_map.shape == (d * n ** 4, d)
     assert spec.hidden_map.nnz <= spec.hidden_map.shape[0] * d // 100
+
+
+# --------------------------------------------------------------------------- #
+#   the builders that one_round_gates replaced, kept here to pin its maps     #
+# --------------------------------------------------------------------------- #
+
+
+def reference_shift_gate_for(cgu, k):
+    """Group shift |j> -> weight(j,k) |j * k^{-1}>; the weights are factor quotients."""
+    group, lam = cgu.group, cgu.rep.factor_system.lam
+    n = group.order
+    out = np.zeros((n, n), dtype=complex)
+    inv = group.inverse
+    for j in range(n):
+        out[group.cayley[j, inv[k]], j] = lam[k, inv[j]] / lam[inv[j], j]
+    return out
+
+
+def reference_exact_gates(cgu, fourier=None):
+    """The group protocol's gates; the correction of branch (l, m) undoes V_{l^-1}."""
+    group, n = cgu.group, cgu.group.order
+    fourier = qsim.fourier_gate(n) if fourier is None else fourier
+    eye = np.eye(n, dtype=complex)
+    shifts = np.stack([eye if k is None else reference_shift_gate_for(cgu, k) for k in cgu.labels])
+    products = np.stack([np.full(n, -1) if k is None else group.cayley[:, k] for k in cgu.labels],
+                        axis=1)
+    return OneRoundBlocks(shifts=shifts, reps=cgu.rep.matrices, fourier=fourier,
+                          phases=correction_phases(fourier, products),
+                          undo=cgu.rep.matrices[group.inverse])
+
+
+def reference_left_div_permutation(quasigroup, k):
+    """Permutation gate |j> -> |l(j,k)> on the ancilla; columns are left-division rows."""
+    n = quasigroup.order
+    out = np.zeros((n, n), dtype=complex)
+    out[quasigroup.ldiv_column(k), np.arange(n)] = 1.0
+    return out
+
+
+def reference_quasigroup_gates(spec):
+    """The quasigroup protocol's gates; the correction undoes V_l^dag."""
+    n, spare = spec.order, spec.d_a - spec.n_terms
+    fourier = qsim.fourier_gate(n)
+    shifts = [reference_left_div_permutation(spec.quasigroup, k) for k in spec.term_map]
+    shifts += [np.eye(n, dtype=complex)] * spare
+    products = [spec.quasigroup.column(k) for k in spec.term_map] + [np.full(n, -1)] * spare
+    mats = spec.rep.matrices
+    return OneRoundBlocks(shifts=np.stack(shifts), reps=mats, fourier=fourier,
+                          phases=correction_phases(fourier, np.stack(products, axis=1)),
+                          undo=mats.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("name", ["pauli-klein4", "pauli-subset", "c3-subset", "pauli-gap",
+                                  "lift"])
+def test_one_builder_pins_the_group_protocol_maps(name):
+    cgu = exact_case(name)
+    want = compile_round(reference_exact_gates(cgu), cgu.target_matrix()).circuit.toarray()
+    got = cgu.compiled.circuit.toarray()
+    assert np.abs(got - want).max() <= 1e-15
+    # c3-subset's V_{l^-1} and V_l^dag differ in the last bit; every other map is bitwise equal
+    assert np.array_equal(got, want) or name == "c3-subset"
+    # a replacement flat Fourier gate: the same map as the old builder's, every branch exact
+    fourier = flat_unitary(cgu.group.order, np.random.default_rng(61))
+    got = compile_round(one_round_gates(cgu.rep, cgu.labels, fourier), cgu.target_matrix())
+    want = compile_round(reference_exact_gates(cgu, fourier), cgu.target_matrix())
+    assert np.abs(got.circuit.toarray() - want.circuit.toarray()).max() <= 1e-15
+    state = input_state(cgu.d_a, cgu.d_b, ("A", "B"), np.random.default_rng(62),
+                        [i for i, k in enumerate(cgu.labels) if k is None])
+    assert run_exact_protocol(cgu, state, fourier=fourier).max_deviation <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["N12", "N12-spare-control-state", "N72"])
+def test_one_builder_pins_the_quasigroup_protocol_maps(name):
+    spec = spec_case(name)
+    want = compile_round(reference_quasigroup_gates(spec), spec.target_matrix()).circuit
+    assert np.array_equal(spec.compiled.circuit.toarray(), want.toarray())

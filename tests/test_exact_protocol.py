@@ -10,11 +10,10 @@ from fastcu.errors import DimensionMismatch, MissingFactorSystem, NonOrthogonalP
 from fastcu.exact_protocol import (
     ControlledGroupUnitary,
     HighRankControlledUnitary,
-    build_exact_gates,
     lift_highrank,
+    one_round_gates,
     run_exact_protocol,
     run_lifted_protocol,
-    shift_gate_for,
 )
 
 RUNS = 10
@@ -26,9 +25,7 @@ def _layout(cgu):
 
 def test_shift_gates_ordinary_rep_are_permutations(c3_diag):
     group, rep = c3_diag
-    cgu = ControlledGroupUnitary.from_subset(group, rep, (0, 1, 2))
-    for k in range(3):
-        gate = shift_gate_for(cgu, k)
+    for k, gate in enumerate(one_round_gates(rep, (0, 1, 2)).shifts):
         assert np.allclose(np.abs(gate[gate != 0]), 1.0)
         want = np.zeros((3, 3))
         for j in range(3):
@@ -37,21 +34,22 @@ def test_shift_gates_ordinary_rep_are_permutations(c3_diag):
 
 
 def test_shift_gate_weights_match_factor_quotients(klein_pauli):
+    """Term k's shift sends |j> to lam(l, k)|l>, l*k = j, and the weight cancels the
+    factor that undoing V_l^dag leaves: lam(l, k) V_l^dag V_{l*k} = V_k."""
     group, rep = klein_pauli
-    cgu = ControlledGroupUnitary.from_subset(group, rep, (0, 1, 2, 3))
-    lam = rep.factor_system.lam
-    gate = shift_gate_for(cgu, 1)
-    inv = group.inverse
-    for j in range(4):
-        row = group.cayley[j, inv[1]]
-        assert gate[row, j] == pytest.approx(lam[1, inv[j]] / lam[inv[j], j])
+    lam, mats = rep.factor_system.lam, rep.matrices
+    for k, gate in enumerate(one_round_gates(rep, (0, 1, 2, 3)).shifts):
+        for j in range(4):
+            l = group.cayley[j, group.inverse[k]]
+            assert np.flatnonzero(gate[:, j]).tolist() == [l]
+            assert gate[l, j] == lam[l, k]
+            assert np.abs(gate[l, j] * mats[l].conj().T @ mats[j] - mats[k]).max() <= 1e-15
 
 
 def test_trivial_group_gates():
     group = algebra.group_from_cayley([[0]])
     rep = algebra.projective_rep(group, np.eye(2)[None])
-    cgu = ControlledGroupUnitary.from_subset(group, rep, (0,))
-    gates = build_exact_gates(cgu)
+    gates = one_round_gates(rep, (0,))
     assert np.allclose(gates.shifts, [[[1.0]]])
     assert np.allclose(gates.fourier, [[1.0]])
     assert np.allclose(gates.phases, [np.eye(1)])
@@ -59,8 +57,7 @@ def test_trivial_group_gates():
 
 def test_gates_all_unitary(klein_pauli):
     group, rep = klein_pauli
-    cgu = ControlledGroupUnitary.from_subset(group, rep, (0, 1, 3))
-    gates = build_exact_gates(cgu)
+    gates = one_round_gates(rep, (0, 1, 3))
     assert gates.shifts.shape == (3, 4, 4) and gates.phases.shape == (16, 3, 3)
     for g in [gates.fourier, *gates.shifts, *gates.phases, *gates.undo]:
         assert qsim.is_unitary(g)
@@ -69,9 +66,8 @@ def test_gates_all_unitary(klein_pauli):
 def test_missing_factor_system_error(c3_diag):
     group, rep = c3_diag
     bare = algebra.ProjectiveRep(group, rep.matrices)
-    cgu = ControlledGroupUnitary.from_subset(group, bare, (0, 1))
     with pytest.raises(MissingFactorSystem):
-        shift_gate_for(cgu, 0)
+        ControlledGroupUnitary.from_subset(group, bare, (0, 1))
 
 
 @pytest.mark.parametrize("maker,cost", [
@@ -145,7 +141,7 @@ def test_alternative_flat_gate_preserves_exactness(klein_pauli):
 def test_correction_gate_consistent_with_fourier_entries(klein_pauli):
     group, rep = klein_pauli
     for labels in [(0, 1, 2, 3), (2, None, 1, 3)]:
-        phases = build_exact_gates(ControlledGroupUnitary(group, rep, labels)).phases
+        phases = one_round_gates(rep, labels).phases
         for l in range(4):
             for m in range(4):
                 gate = phases[4 * l + m]
@@ -257,7 +253,13 @@ def test_exact_protocol_equals_measure_then_correct(klein_pauli, labels, conjuga
     state = qsim.PureState(_layout(cgu), t / np.linalg.norm(t))
 
     full = qsim.product_state(state, qsim.maximally_entangled(n))
-    shifts = {i: shift_gate_for(cgu, k) for i, k in enumerate(labels) if k is not None}
+    shifts = {}
+    for i, k in enumerate(labels):
+        if k is not None:       # |j> -> lam(l, k)|l>, l*k = j
+            shifts[i] = np.zeros((n, n), dtype=complex)
+            for j in range(n):
+                l = group.cayley[j, group.inverse[k]]
+                shifts[i][l, j] = rep.factor_system.lam[l, k]
     full = qsim.apply_on(full, qsim.controlled_gate(cgu.d_a, shifts, n), ("A", "a"))
     reps = dict(enumerate(rep.matrices))
     full = qsim.apply_on(full, qsim.controlled_gate(n, reps, cgu.d_b), ("b", "B"))
@@ -267,7 +269,7 @@ def test_exact_protocol_equals_measure_then_correct(klein_pauli, labels, conjuga
         # cancel the phase the Fourier gate left on l*k
         phases = [1.0 if k is None else np.conj(2.0 * fourier[m, group.cayley[l, k]]) for k in labels]
         post = qsim.apply_on(post, np.diag(phases), "A")
-        post = qsim.apply_on(post, rep.matrices[group.inverse[l]], "B")
+        post = qsim.apply_on(post, rep.matrices[l].conj().T, "B")
         want.append((l, m, prob, post))
 
     got = run_exact_protocol(cgu, state, fourier=fourier).branches
