@@ -25,7 +25,6 @@ from .algebra import (
     right_quasigroup_from_table,
 )
 from .approx_protocol import (
-    QuasigroupProtocolSpec,
     dilation_error,
     hidden_variant_choi,
     run_hidden_variant,
@@ -40,6 +39,7 @@ from .compiler import (
 from .exact_protocol import (
     ControlledGroupUnitary,
     HighRankControlledUnitary,
+    QuasigroupProtocolSpec,
     lift_highrank,
     one_round_gates,
     run_exact_protocol,

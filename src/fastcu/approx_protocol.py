@@ -1,31 +1,30 @@
-"""One-round approximate protocol over a right quasigroup, with error machinery.
+"""Measured and hidden variants of the one-round protocol, with error machinery.
 
-The measured variant implements a branch unitary that depends on one party's
-outcome; the hidden variant consumes shared classical randomness so neither
-party learns which branch occurred, and the induced channel is the uniform
-mixture of the branch unitaries.  The dilation machinery turns a certified
-(eta, delta) pair into an exact operator-norm gap and a diamond-norm bound.
+Both run a ``QuasigroupProtocolSpec`` (see ``exact_protocol``).  The measured
+variant implements a branch unitary that depends on one party's outcome; the
+hidden variant consumes shared classical randomness so neither party learns
+which branch occurred, and the induced channel is the uniform mixture of the
+branch unitaries.  The dilation machinery turns a certified (eta, delta) pair
+into an exact operator-norm gap and a diamond-norm bound.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 from scipy import sparse
 
-from .algebra import ProjectiveRep, RightQuasigroup
 from .errors import DimensionMismatch, UnsupportedInput
 from .exact_protocol import (
-    CompiledRound,
-    check_support,
+    QuasigroupProtocolSpec,
+    check_input,
     circuit_map,
-    compile_round,
     correction_steps,
     one_round_circuit,
-    one_round_gates,
     run_one_round,
 )
 from .qsim import (
@@ -37,7 +36,6 @@ from .qsim import (
     apply_on,
     apply_on_rows,
     basis_state,
-    is_unitary,
     measure_registers,
     operator_norm,
     operator_norms,
@@ -51,132 +49,12 @@ RESIDUAL_CAP = 2.0 + 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class QuasigroupProtocolSpec:
-    """Controlled unitary whose blocks come from a family over a right quasigroup.
-
-    ``term_map[i]`` is the family label controlled by basis state ``|i>`` of the
-    control register; repeats are allowed (redundant terms).  ``d_a`` may exceed
-    the number of terms, in which case the extra basis states are unsupported.
-    """
-
-    quasigroup: RightQuasigroup
-    rep: ProjectiveRep
-    term_map: tuple[int, ...]
-    d_a: int = 0
-
-    def __post_init__(self):
-        if self.rep.structure is not self.quasigroup:
-            raise DimensionMismatch("representation must be defined over the given quasigroup")
-        if not self.term_map:
-            raise DimensionMismatch("need at least one term")
-        n = self.quasigroup.order
-        if any(not 0 <= k < n for k in self.term_map):
-            raise DimensionMismatch("term labels must be valid quasigroup elements")
-        if self.d_a == 0:
-            object.__setattr__(self, "d_a", len(self.term_map))
-        if self.d_a < len(self.term_map):
-            raise DimensionMismatch("control dimension smaller than the number of terms")
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.term_map)
-
-    @property
-    def represented(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.term_map)))
-
-    @property
-    def order(self) -> int:
-        return self.quasigroup.order
-
-    @property
-    def d_b(self) -> int:
-        return self.rep.dim
-
-    def target_matrix(self) -> np.ndarray:
-        """Dense control (x) target matrix, identity blocks past the last term."""
-        return self.embed_terms(self.term_matrices()[None])[0]
-
-    @property
-    def labels(self) -> tuple[int | None, ...]:
-        """The term label of each control state, None past the last term."""
-        return self.term_map + (None,) * (self.d_a - self.n_terms)
-
-    @cached_property
-    def term_blocks(self) -> np.ndarray:
-        """Blocks V_l^dag V_{l*k} of every outcome l for every term, formed once and read-only.
-
-        An (N, n_terms, d_b, d_b) stack; entry (l, i) is the block that branch
-        l applies in place of V_k, k the i-th term label.  The only place the
-        branch blocks are formed.
-        """
-        mats = self.rep.matrices
-        products = np.stack([self.quasigroup.column(k) for k in self.term_map], axis=1)
-        stack = np.einsum("lab,libc->liac", mats.conj().transpose(0, 2, 1), mats[products])
-        stack.setflags(write=False)
-        return stack
-
-    def branch_matrices(self, outcomes=None) -> np.ndarray:
-        """Branch unitaries of the given ancilla outcomes (all N by default) as a stack."""
-        return self.embed_terms(self.term_blocks if outcomes is None
-                                else self.term_blocks[np.asarray(outcomes)])
-
-    def embed_terms(self, blocks: np.ndarray) -> np.ndarray:
-        """Block-diagonal control (x) target matrices of a (B, n_terms, d_b, d_b) stack.
-
-        Control state i carries the i-th term block, the identity past the last term.
-        """
-        d_a, d_b = self.d_a, self.d_b
-        out = np.zeros((len(blocks), d_a, d_b, d_a, d_b), dtype=complex)
-        for i in range(d_a):
-            out[:, i, :, i, :] = blocks[:, i] if i < self.n_terms else np.eye(d_b)
-        return out.reshape(len(blocks), d_a * d_b, d_a * d_b)
-
-    def term_matrices(self) -> np.ndarray:
-        """The family's block V_k of each term label k, an (n_terms, d_b, d_b) stack."""
-        return self.rep.matrices[list(self.term_map)]
-
-    def cost_ebits(self) -> float:
-        return math.log2(self.order)
-
-    @cached_property
-    def compiled(self) -> CompiledRound:
-        """The measured protocol, compiled on first use (see ``exact_protocol.compile_round``)."""
-        return compile_round(one_round_gates(self.rep, self.labels), self.target_matrix())
-
-    @cached_property
-    def branch_stack(self) -> np.ndarray:
-        """``branch_matrices()`` of every outcome, checked unitary once and read-only."""
-        stack = self.branch_matrices()
-        if not is_unitary(stack):
-            raise DimensionMismatch("a branch unitary failed the unitarity check")
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
-    def max_branch_distance(self) -> float:
-        """Worst ||V_k - V_l^dag V_{l*k}||_inf over outcomes l and terms k (``branch_distance``)."""
-        return branch_distance(self.term_matrices(), self.term_blocks)
-
-    @cached_property
-    def hidden_map(self) -> sparse.csr_matrix:
-        """Map of the hidden circuit at seed 0 (``_hidden_circuit``), built on first use.
-
-        It takes a basis input of (control, target) to the state on
-        (control, target, a, b, x, y) before (b, x) is measured; see
-        ``exact_protocol.circuit_map``.
-        """
-        return circuit_map(partial(_hidden_circuit, self), self.d_a, self.d_b)
-
-
-@dataclass(frozen=True, eq=False)
 class MeasuredRunRecord:
     """Per-branch results of the measured variant against the branch unitaries."""
 
     branches: Branches                 # outcomes (l, m) of the ancillas (a, b)
     max_deviation: float
     l_marginals: np.ndarray
-    max_branch_distance: float         # diagnostic: worst || target - branch ||_inf
     cost_ebits: float
 
 
@@ -186,7 +64,7 @@ def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
 
     Branch (l, m) must equal the l-th branch unitary applied to the input.
     """
-    branches = run_one_round(state, spec.compiled, control, target, range(spec.n_terms, spec.d_a))
+    branches = run_one_round(spec, state, control, target, spec.compiled)
     # row l: the l-th branch unitary applied to the input
     expected = apply_on_rows(state.amps[None], state.layout, spec.branch_stack, (control, target))
     ls = branches.outcomes[:, 0]
@@ -195,7 +73,6 @@ def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
     return MeasuredRunRecord(branches=branches,
                              max_deviation=float(deviations.max(initial=0.0)),
                              l_marginals=marginals,
-                             max_branch_distance=spec.max_branch_distance,
                              cost_ebits=spec.cost_ebits())
 
 
@@ -259,7 +136,8 @@ class DilationErrorReport:
 def dilation_error(spec: QuasigroupProtocolSpec, eta: float, delta_cert: float) -> DilationErrorReport:
     """Exact ||U' - V'||_inf from the term gaps of the bare blocks, with the (eta, delta) bound."""
     bare, blocks = spec.term_matrices(), spec.term_blocks
-    per_k = {k: float(gap) for k, gap in sorted(zip(spec.term_map, term_gaps(bare, blocks)))}
+    per_k = dict(sorted((k, float(gap)) for k, gap in zip(spec.term_map, term_gaps(bare, blocks))
+                        if k is not None))
     measured = max(per_k.values())
     bound = dilation_gap_bound(eta, delta_cert)
     return DilationErrorReport(
@@ -355,21 +233,18 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     corrections are quantum-controlled off the unmeasured registers, which are
     discarded at the end.  The input may contain spectator registers, but
     none named a, b, x or y (the layout refuses duplicate names).  The
-    instance's hidden map runs the circuit at seed 0: seed r's state is seed
-    0's with x rolled by r, and x is traced out, so every seed leaves the
-    same state on the input's registers.  The output state is one partial
-    trace onto them (input order), the probability-weighted mixture of seed
-    0's (b, x) branches; it is compared with the mixture
+    spec's hidden map (``hidden_map``) runs the circuit at seed 0: seed r's
+    state is seed 0's with x rolled by r, and x is traced out, so every seed
+    leaves the same state on the input's registers.  The output state is one
+    partial trace onto them (input order), the probability-weighted mixture
+    of seed 0's (b, x) branches; it is compared with the mixture
     (1/N) sum_l U_l rho U_l^dag of the input over the branch stack U_l.
     """
     layout = state.layout
-    for name, dim in ((control, spec.d_a), (target, spec.d_b)):
-        if layout.dim_of(name) != dim:
-            raise DimensionMismatch(f"register {name} has dim {layout.dim_of(name)}, expected {dim}")
-    check_support(state, control, range(spec.n_terms, spec.d_a))
+    check_input(spec, state, control, target)
     unitaries = spec.branch_stack
     n = spec.order
-    full = apply_map(state, spec.hidden_map, (control, target),
+    full = apply_map(state, hidden_map(spec), (control, target),
                      RegisterLayout.of(*((name, n) for name in ("a", "b", "x", "y"))))
     rho_out = partial_trace(full, layout.names)
     # row l: the l-th branch unitary applied to the input, as in run_measured_variant
@@ -404,6 +279,23 @@ def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,
     return full
 
 
+def hidden_map(spec: QuasigroupProtocolSpec) -> sparse.csr_matrix:
+    """Map of the hidden circuit at seed 0 (``_hidden_circuit``), built on first use per spec.
+
+    It takes a basis input of (control, target) to the state on
+    (control, target, a, b, x, y) before (b, x) is measured; see
+    ``exact_protocol.circuit_map``.
+    """
+    if spec not in _HIDDEN_MAPS:
+        _HIDDEN_MAPS[spec] = circuit_map(partial(_hidden_circuit, spec), spec.d_a, spec.d_b)
+    return _HIDDEN_MAPS[spec]
+
+
+# each spec's hidden map, dropped with its spec: the map holds no reference to it
+_HIDDEN_MAPS: weakref.WeakKeyDictionary[QuasigroupProtocolSpec, sparse.csr_matrix] = \
+    weakref.WeakKeyDictionary()
+
+
 @dataclass(frozen=True)
 class ChannelComparison:
     choi_circuit: np.ndarray
@@ -422,10 +314,10 @@ def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
     d.  The input control dimension must equal the number of terms so the
     channel and the mixture share one domain.
     """
-    if spec.d_a != spec.n_terms:
+    if spec.unsupported:
         raise UnsupportedInput("channel comparison needs every control state to carry a term")
     d = spec.d_a * spec.d_b
-    hidden = spec.hidden_map.tocoo()
+    hidden = hidden_map(spec).tocoo()
     n_anc = hidden.shape[0] // d
     # entry (o, anc; j) of the map moves to row anc, column (o, j)
     rows, cols = hidden.row % n_anc, hidden.row // n_anc * d + hidden.col

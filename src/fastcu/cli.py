@@ -19,12 +19,12 @@ import numpy as np
 
 from . import serialize
 from .algebra import certify_approx_rep, ordinary_rep, right_quasigroup_from_table
-from .approx_protocol import QuasigroupProtocolSpec, dilation_error
+from .approx_protocol import dilation_error
 from .compiler import (CompileTargets, certified_bound, compile_target, error_budget, normalize_su,
                        scan_degrees)
 from .demos import EXACT_DEMOS, exact_demo_instance
 from .errors import DimensionMismatch, FastcuError, NetTooLarge, NotRightQuasigroup, SchemaMismatch
-from .exact_protocol import run_exact_protocol
+from .exact_protocol import QuasigroupProtocolSpec, run_exact_protocol
 from .net import DEFAULT_CAP, advisory_m, build_net
 from .qgbuilder import FamilyGeometry, _matching_pass, assemble_quasigroup
 from .qsim import RegisterLayout, operator_norms, random_pure_state
@@ -168,6 +168,7 @@ def cmd_compile(args) -> int:
         "schema_version": serialize.SCHEMA_VERSION,
         "kind": "compile",
         "target": {"dim": target.d_b,
+                   "input": serialize.complex_to_pairs(blocks),
                    "matrices": serialize.complex_to_pairs(target.blocks),
                    "phases": target.phases.tolist()},
         "targets": dataclasses.asdict(targets),
@@ -302,6 +303,14 @@ def _compile_targets(doc: dict) -> CompileTargets:
         raise SchemaMismatch(f"bundle field 'targets' is not a target set: {exc}") from None
 
 
+def _square_blocks(target: dict, name: str) -> np.ndarray:
+    blocks = serialize.pairs_to_complex(_field(target, f"target.{name}", list))
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        raise SchemaMismatch(f"bundle field 'target.{name}' must be a stack of square blocks, "
+                             f"got shape {blocks.shape}")
+    return blocks
+
+
 def _verify_compile_bundle(doc: dict) -> int:
     plan = _field(doc, "plan", dict)
     for name, kind in (("m", int), ("eta", _NUMBER), ("delta_cert", _NUMBER), ("zeta", _NUMBER)):
@@ -311,10 +320,7 @@ def _verify_compile_bundle(doc: dict) -> int:
     stored_report = _field(doc, "report", dict)
     targets = _compile_targets(doc)
     target = _field(doc, "target", dict)
-    blocks = serialize.pairs_to_complex(_field(target, "target.matrices", list))
-    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-        raise SchemaMismatch(f"bundle field 'target.matrices' must be a stack of square blocks, "
-                             f"got shape {blocks.shape}")
+    blocks, given = (_square_blocks(target, name) for name in ("matrices", "input"))
     dim = _field(target, "target.dim", int)
     phases = _field(target, "target.phases", list, _NUMBER)
     scan = [_scan_row(p) for p in _field(doc, "scan", list, dict)]
@@ -330,6 +336,14 @@ def _verify_compile_bundle(doc: dict) -> int:
         return _fail("assignment", f"{len(plan['assignment'])} labels for {len(blocks)} blocks")
     if dim != blocks.shape[-1] or len(phases) != len(blocks) or not np.isfinite(phases).all():
         return _fail("target", f"dim={dim}, phases={phases} for blocks of shape {blocks.shape}")
+    try:
+        derived = normalize_su(given)
+    except FastcuError as exc:          # a block that is not unitary
+        return _fail("target", f"target.input: {exc}")
+    if derived.blocks.shape != blocks.shape or max(np.abs(derived.blocks - blocks).max(),
+                                                   np.abs(derived.phases - phases).max()) > 1e-12:
+        return _fail("target", "target.matrices and target.phases are not the normalized input")
+    print("ok target: the blocks and phases are the normalized input")
     spec = QuasigroupProtocolSpec(quasigroup, ordinary_rep(quasigroup, net.matrices),
                                   term_map=tuple(plan["assignment"]))
     zetas = operator_norms(blocks - spec.term_matrices())

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import ordinary_rep
-from .approx_protocol import QuasigroupProtocolSpec, dilation_error, dilation_gap_bound, term_gaps
+from .approx_protocol import dilation_error, dilation_gap_bound, term_gaps
 from .errors import BudgetExhausted, DimensionMismatch, NetTooLarge, NotUnitary
+from .exact_protocol import QuasigroupProtocolSpec
 from .net import DEFAULT_CAP, NetFamily, build_net, nearest_in_net
 from .qgbuilder import BuiltQuasigroup, assemble_or_reject
 from .qsim import is_unitary, operator_norm, operator_norms

@@ -1,9 +1,10 @@
-"""Exact one-round protocol for controlled unitaries with group-structured blocks.
+"""The one-round protocol instance, and its exact case for group-structured blocks.
 
-The controlled operators form a subset of a projective representation of a
-finite group.  Both parties consume one rank-N maximally entangled pair, make
-one simultaneous exchange of measurement outcomes, and every branch reproduces
-the target unitary exactly.
+An instance controls blocks of a family over a right quasigroup or a group.
+Both parties consume one rank-N maximally entangled pair and make one
+simultaneous exchange of measurement outcomes.  When the controlled operators
+form a subset of a projective representation of a finite group, every branch
+reproduces the target unitary exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .algebra import FiniteGroup, ProjectiveRep
+from .algebra import FiniteGroup, ProjectiveRep, RightQuasigroup
 from .errors import (
     DimensionMismatch,
     MissingFactorSystem,
@@ -30,7 +31,6 @@ from .qsim import (
     apply_map,
     apply_on,
     apply_on_rows,
-    controlled_gate,
     fourier_gate,
     is_unitary,
     maximally_entangled,
@@ -43,68 +43,6 @@ from .qsim import (
 SUPPORT_TOL = 1e-12
 FLAT_ENTRY_TOL = 1e-10
 ANCILLAS = ("a", "b")      # the entangled pair's halves: Alice's a, Bob's b
-
-
-@dataclass(frozen=True, eq=False)
-class ControlledGroupUnitary:
-    """Controlled unitary whose blocks are representation matrices of a group.
-
-    ``labels[i]`` is the group element controlled by basis state ``|i>`` of the
-    control register, or None for basis states outside the protocol's support.
-    The representation must carry its factor system (see ``projective_rep``).
-    """
-
-    group: FiniteGroup
-    rep: ProjectiveRep
-    labels: tuple[int | None, ...]
-
-    def __post_init__(self):
-        if not isinstance(self.rep.structure, FiniteGroup) or self.rep.structure is not self.group:
-            raise DimensionMismatch("representation must be defined over the given group")
-        if self.rep.factor_system is None:
-            raise MissingFactorSystem("the representation has no derived factor system")
-        active = [k for k in self.labels if k is not None]
-        if not active:
-            raise DimensionMismatch("at least one control basis state must carry a label")
-        if len(set(active)) != len(active):
-            raise DimensionMismatch("control labels must be distinct group elements")
-        if any(not 0 <= k < self.group.order for k in active):
-            raise DimensionMismatch("control labels must be valid group elements")
-
-    @classmethod
-    def from_subset(cls, group: FiniteGroup, rep: ProjectiveRep, subset) -> "ControlledGroupUnitary":
-        return cls(group, rep, tuple(sorted(int(k) for k in subset)))
-
-    @property
-    def subset(self) -> tuple[int, ...]:
-        return tuple(k for k in self.labels if k is not None)
-
-    @property
-    def d_a(self) -> int:
-        return len(self.labels)
-
-    @property
-    def d_b(self) -> int:
-        return self.rep.dim
-
-    def target_matrix(self) -> np.ndarray:
-        """Dense control (x) target matrix; identity blocks on unsupported labels.
-
-        The identity completion is invisible on supported inputs and keeps the
-        matrix unitary.
-        """
-        d_b = self.d_b
-        blocks = {i: self.rep.matrices[k] for i, k in enumerate(self.labels) if k is not None}
-        return controlled_gate(self.d_a, blocks, d_b)
-
-    def cost_ebits(self) -> float:
-        """Entanglement consumed: log2 of the group order, independent of the subset."""
-        return math.log2(self.group.order)
-
-    @cached_property
-    def compiled(self) -> "CompiledRound":
-        """The protocol with the standard Fourier gate, compiled on first use."""
-        return compile_round(one_round_gates(self.rep, self.labels), self.target_matrix())
 
 
 def correction_phases(fourier: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -133,12 +71,15 @@ class ExactRunRecord:
     cost_ebits: float
 
 
-def check_support(state: PureState, control: str, unsupported) -> None:
-    """Raise UnsupportedInput if the control register has weight on ``unsupported`` states."""
-    unsupported = list(unsupported)
+def check_input(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str) -> None:
+    """Raise DimensionMismatch unless ``control`` and ``target`` have the spec's dims, and
+    UnsupportedInput if the control register has weight on its ``unsupported`` states."""
+    layout, unsupported = state.layout, list(spec.unsupported)
+    for name, dim in ((control, spec.d_a), (target, spec.d_b)):
+        if layout.dim_of(name) != dim:
+            raise DimensionMismatch(f"register {name} has dim {layout.dim_of(name)}, expected {dim}")
     if not unsupported:
         return
-    layout = state.layout
     axis = layout.axis(control)
     t = np.moveaxis(state.tensor(), axis, 0).reshape(layout.dims[axis], -1)
     mass = float(np.sum(np.abs(t[unsupported]) ** 2))
@@ -276,27 +217,179 @@ def one_round_gates(rep: ProjectiveRep, labels, fourier: np.ndarray | None = Non
                           undo=mats.conj().transpose(0, 2, 1))
 
 
-def run_one_round(state: PureState, compiled: CompiledRound, control: str, target: str,
-                  unsupported) -> Branches:
+def run_one_round(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str,
+                  compiled: CompiledRound) -> Branches:
     """Every branch of one protocol round on ``state``, from one measurement of (a, b).
 
     The input may contain spectator registers, but none named a or b; the
     protocol touches only ``control``, ``target`` and the two fresh rank-N
-    ancillas.  ``unsupported`` lists the control states that must carry no
-    weight.  The compiled map runs the whole round on (control, target), so
-    each branch's post state is final.
+    ancillas (see ``check_input``).  The compiled map runs the whole round on
+    (control, target), so each branch's post state is final.
     """
-    layout, blocks = state.layout, compiled.blocks
-    for name, dim in ((control, len(blocks.shifts)), (target, blocks.reps.shape[1])):
-        if layout.dim_of(name) != dim:
-            raise DimensionMismatch(f"register {name} has dim {layout.dim_of(name)}, expected {dim}")
-    if set(ANCILLAS) & set(layout.names):
-        raise DimensionMismatch(f"input registers {layout.names} reuse an ancilla name {ANCILLAS}")
-    check_support(state, control, unsupported)
-    n = len(blocks.fourier)
+    check_input(spec, state, control, target)
+    names = state.layout.names
+    if set(ANCILLAS) & set(names):
+        raise DimensionMismatch(f"input registers {names} reuse an ancilla name {ANCILLAS}")
     full = apply_map(state, compiled.circuit, (control, target),
-                     RegisterLayout.of(*((name, n) for name in ANCILLAS)))
+                     RegisterLayout.of(*((name, spec.order) for name in ANCILLAS)))
     return measure_registers(full, ANCILLAS)
+
+
+@dataclass(frozen=True, eq=False)
+class QuasigroupProtocolSpec:
+    """Controlled unitary whose blocks come from a family over a right quasigroup or a group.
+
+    ``term_map[i]`` is the family label controlled by basis state ``|i>`` of the
+    control register, or None for a state without a term; repeats are allowed
+    (redundant terms).  ``d_a`` may exceed the number of terms, in which case the
+    extra basis states carry no term either.  States without a term are
+    ``unsupported``: an input must carry no weight there.
+    """
+
+    quasigroup: FiniteGroup | RightQuasigroup
+    rep: ProjectiveRep
+    term_map: tuple[int | None, ...]
+    d_a: int = 0
+
+    def __post_init__(self):
+        if self.rep.structure is not self.quasigroup:
+            raise DimensionMismatch("representation must be defined over the given structure")
+        active = [k for k in self.term_map if k is not None]
+        if not active:
+            raise DimensionMismatch("need at least one term")
+        if any(not 0 <= k < self.order for k in active):
+            raise DimensionMismatch("term labels must be valid elements of the structure")
+        if self.d_a == 0:
+            object.__setattr__(self, "d_a", len(self.term_map))
+        if self.d_a < len(self.term_map):
+            raise DimensionMismatch("control dimension smaller than the number of terms")
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.term_map)
+
+    @property
+    def represented(self) -> tuple[int, ...]:
+        return tuple(sorted({k for k in self.term_map if k is not None}))
+
+    @property
+    def order(self) -> int:
+        return self.quasigroup.order
+
+    @property
+    def d_b(self) -> int:
+        return self.rep.dim
+
+    @property
+    def labels(self) -> tuple[int | None, ...]:
+        """The term label of each control state, None where it has no term."""
+        return self.term_map + (None,) * (self.d_a - self.n_terms)
+
+    @property
+    def unsupported(self) -> tuple[int, ...]:
+        """The control states without a term."""
+        return tuple(i for i, k in enumerate(self.labels) if k is None)
+
+    def target_matrix(self) -> np.ndarray:
+        """Dense control (x) target matrix, unitary through identity blocks on unsupported states."""
+        return self.embed_terms(self.term_matrices()[None])[0]
+
+    @cached_property
+    def term_blocks(self) -> np.ndarray:
+        """Blocks lam(l, k) V_l^dag V_{l*k} of every outcome l and term, formed once and read-only.
+
+        An (N, n_terms, d_b, d_b) stack; entry (l, i) is the block that branch
+        l applies in place of V_k, k the i-th term label, and the identity
+        where state i has no term.  lam = 1 without a factor system; with one,
+        lam(l, k) V_l^dag V_{l*k} = V_k.  The only place the branch blocks are
+        formed.
+        """
+        mats, d_b = self.rep.matrices, self.d_b
+        active = [i for i, k in enumerate(self.term_map) if k is not None]
+        terms = [self.term_map[i] for i in active]
+        products = np.stack([self.quasigroup.column(k) for k in terms], axis=1)
+        blocks = np.einsum("lab,libc->liac", mats.conj().transpose(0, 2, 1), mats[products])
+        if self.rep.factor_system is not None:
+            blocks *= self.rep.factor_system.lam[:, terms, None, None]
+        stack = np.tile(np.eye(d_b, dtype=complex), (self.order, self.n_terms, 1, 1))
+        stack[:, active] = blocks
+        stack.setflags(write=False)
+        return stack
+
+    def branch_matrices(self, outcomes=None) -> np.ndarray:
+        """Branch unitaries of the given ancilla outcomes (all N by default) as a stack."""
+        return self.embed_terms(self.term_blocks if outcomes is None
+                                else self.term_blocks[np.asarray(outcomes)])
+
+    def embed_terms(self, blocks: np.ndarray) -> np.ndarray:
+        """Block-diagonal control (x) target matrices of a (B, n_terms, d_b, d_b) stack.
+
+        Control state i carries the i-th term block, the identity past the last term.
+        """
+        d_a, d_b = self.d_a, self.d_b
+        out = np.zeros((len(blocks), d_a, d_b, d_a, d_b), dtype=complex)
+        for i in range(d_a):
+            out[:, i, :, i, :] = blocks[:, i] if i < self.n_terms else np.eye(d_b)
+        return out.reshape(len(blocks), d_a * d_b, d_a * d_b)
+
+    def term_matrices(self) -> np.ndarray:
+        """The family's block V_k of each term label k, the identity where a state has no term.
+
+        An (n_terms, d_b, d_b) stack.
+        """
+        mats = self.rep.matrices
+        return np.stack([np.eye(self.d_b, dtype=complex) if k is None else mats[k]
+                         for k in self.term_map])
+
+    def cost_ebits(self) -> float:
+        """Entanglement consumed: log2 of the structure's order, independent of the terms."""
+        return math.log2(self.order)
+
+    @cached_property
+    def compiled(self) -> CompiledRound:
+        """The protocol with the standard Fourier gate, compiled on first use (``compile_round``)."""
+        return compile_round(one_round_gates(self.rep, self.labels), self.target_matrix())
+
+    @cached_property
+    def branch_stack(self) -> np.ndarray:
+        """``branch_matrices()`` of every outcome, checked unitary once and read-only."""
+        stack = self.branch_matrices()
+        if not is_unitary(stack):
+            raise DimensionMismatch("a branch unitary failed the unitarity check")
+        stack.setflags(write=False)
+        return stack
+
+
+@dataclass(frozen=True, eq=False)
+class ControlledGroupUnitary(QuasigroupProtocolSpec):
+    """A spec over a finite group whose representation carries its factor system.
+
+    ``labels[i]`` is the group element controlled by basis state ``|i>`` of the
+    control register, or None for basis states outside the protocol's support;
+    the labels are distinct.  Every branch block is V_k, so every branch
+    reproduces the target.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.quasigroup, FiniteGroup):
+            raise DimensionMismatch("representation must be defined over a group")
+        if self.rep.factor_system is None:
+            raise MissingFactorSystem("the representation has no derived factor system")
+        if len(set(self.subset)) != len(self.subset):
+            raise DimensionMismatch("control labels must be distinct group elements")
+
+    @classmethod
+    def from_subset(cls, group: FiniteGroup, rep: ProjectiveRep, subset) -> "ControlledGroupUnitary":
+        return cls(group, rep, tuple(sorted(int(k) for k in subset)))
+
+    @property
+    def group(self) -> FiniteGroup:
+        return self.quasigroup
+
+    @property
+    def subset(self) -> tuple[int, ...]:
+        return tuple(k for k in self.labels if k is not None)
 
 
 def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
@@ -309,7 +402,7 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
     Fourier gate uses the instance's cached compilation; a replacement gate
     is compiled for this call.
     """
-    n = cgu.group.order
+    n = cgu.order
     if fourier is None:
         compiled = cgu.compiled
     else:
@@ -317,8 +410,7 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
         if not is_unitary(fourier) or np.max(np.abs(np.abs(fourier) - 1 / math.sqrt(n))) > FLAT_ENTRY_TOL:
             raise DimensionMismatch("replacement Fourier gate must be unitary with flat entries")
         compiled = compile_round(one_round_gates(cgu.rep, cgu.labels, fourier), cgu.target_matrix())
-    branches = run_one_round(state, compiled, control, target,
-                             [i for i, k in enumerate(cgu.labels) if k is None])
+    branches = run_one_round(cgu, state, control, target, compiled)
     target_state = apply_on(state, compiled.target, (control, target))
     deviations = np.linalg.norm(branches.posts - target_state.amps, axis=1)
     uniformity = np.abs(branches.probabilities - 1.0 / (n * n))

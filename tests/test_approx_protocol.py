@@ -123,7 +123,7 @@ def test_measured_variant_perturbed_matches_branch_unitaries():
     for l, m, prob, post in record.branches:
         want = qsim.apply_on(state, unitaries[l], ("A", "B"))
         assert post.distance(want) <= 1e-9
-    assert record.max_branch_distance >= 0.0
+    assert dilation_error(spec, 0.5, 0.0).max_branch_distance >= 0.0
 
 
 def test_measured_variant_single_term():
@@ -560,9 +560,6 @@ def test_max_branch_distance_equals_dense_branch_loop(monkeypatch):
     target = spec.target_matrix()
     dense = max(qsim.operator_norm(target - b) for b in spec.branch_matrices())
     assert dilation_error(spec, 0.8, 0.0).max_branch_distance == pytest.approx(dense, abs=1e-12)
-    state = _supported_state(spec, np.random.default_rng(50))
-    record = run_measured_variant(spec, state)
-    assert record.max_branch_distance == pytest.approx(dense, abs=1e-12)
 
     # SU(2) stacks take the quaternion distance, any other family the SVD
     svd_calls = []

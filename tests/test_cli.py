@@ -374,6 +374,43 @@ def test_verify_rejects_malformed_targets(compile_bundle, tmp_path, capsys, targ
     assert "error: bundle field 'targets" in capsys.readouterr().err
 
 
+def _shift_first_phase(doc):
+    doc["target"]["phases"][0] += 0.01
+
+
+def _scale_first_input_block(doc):
+    doc["target"]["input"][0] = [[[2 * re, 2 * im] for re, im in row]
+                                 for row in doc["target"]["input"][0]]
+
+
+@pytest.mark.parametrize("tamper, code, expected", [
+    pytest.param(lambda doc: None, 0, "ok target: the blocks and phases are the normalized input",
+                 id="untampered"),
+    pytest.param(_shift_first_phase, 1, "FAIL target: target.matrices and target.phases",
+                 id="phase"),
+    pytest.param(lambda doc: doc["target"]["input"].reverse(), 1,
+                 "FAIL target: target.matrices and target.phases", id="input-order"),
+    pytest.param(_scale_first_input_block, 1, "FAIL target: target.input: block 0 is not unitary",
+                 id="input-not-unitary"),
+    pytest.param(lambda doc: doc["target"]["input"].pop(), 1, "FAIL target", id="input-short"),
+    pytest.param(lambda doc: doc["target"].update(input=[b[:1] for b in doc["target"]["input"]]),
+                 2, "error: bundle field 'target.input' must be a stack of square blocks",
+                 id="input-not-square"),
+])
+def test_verify_rederives_the_target_from_its_input(epsilon_bundle, tmp_path, capsys, tamper,
+                                                    code, expected):
+    """The stored blocks and phases must be ``normalize_su`` of the stored input blocks."""
+    doc = json.loads(json.dumps(epsilon_bundle))
+    assert max(np.abs(doc["target"]["phases"])) > 1.0     # Haar U(2) blocks: phases to re-derive
+    tamper(doc)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == code
+    captured = capsys.readouterr()
+    assert expected in (captured.err if code == 2 else captured.out)
+
+
 def test_verify_rejects_blocks_that_are_not_square(compile_bundle, tmp_path, capsys):
     doc = json.loads(json.dumps(compile_bundle))
     doc["target"]["matrices"] = [block[:1] for block in doc["target"]["matrices"]]   # 1 x 2
@@ -512,6 +549,7 @@ def demo_bundle(tmp_path_factory):
     ("compile_bundle", "plan.eta"), ("compile_bundle", "plan.assignment"),
     ("compile_bundle", "target.matrices"), ("compile_bundle", "report.cost_ebits"),
     ("compile_bundle", "target.dim"), ("compile_bundle", "target.phases"),
+    ("compile_bundle", "target.input"),
     ("compile_bundle", "targets"),
     ("demo_bundle", "trials"), ("demo_bundle", "example"), ("demo_bundle", "cost_ebits"),
 ])

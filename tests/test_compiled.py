@@ -6,13 +6,17 @@ circuit gate by gate on each input and compare branches, probabilities,
 densities and the Choi matrix, check that the cached data cannot be written,
 and pin the maps of the one gate builder to those of the two builders it
 replaced: the group protocol's factor-quotient shifts undone by V_{l^-1}, and
-the quasigroup protocol's permutation shifts undone by V_l^dag.
+the quasigroup protocol's permutation shifts undone by V_l^dag.  Specs without
+a factor system keep the branch blocks V_l^dag V_{l*k} bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -196,8 +200,9 @@ def test_choi_from_map_equals_gate_by_gate_run(name):
 def test_runs_after_compilation_call_no_circuit(monkeypatch):
     """Once an instance is compiled, every run goes through its cached map."""
     cgu, spec = exact_case("pauli-subset"), spec_case("N12")
-    cgu.compiled, spec.compiled, spec.hidden_map
-    assert cgu.compiled is cgu.compiled and spec.hidden_map is spec.hidden_map
+    cgu.compiled, spec.compiled, approx_protocol.hidden_map(spec)
+    assert cgu.compiled is cgu.compiled
+    assert approx_protocol.hidden_map(spec) is approx_protocol.hidden_map(spec)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a compiled run called the circuit")
@@ -213,6 +218,18 @@ def test_runs_after_compilation_call_no_circuit(monkeypatch):
     hidden_variant_choi(spec)
 
 
+def test_hidden_map_is_dropped_with_its_spec():
+    q = algebra.cyclic_group(3).to_right_quasigroup()
+    mats = np.stack([np.diag([1.0, np.exp(2j * np.pi * k / 3)]) for k in range(3)])
+    spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(1, 2))
+    approx_protocol.hidden_map(spec)
+    assert spec in approx_protocol._HIDDEN_MAPS
+    gone = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert gone() is None
+
+
 def test_cached_arrays_refuse_writes():
     cgu, spec = exact_case("pauli-subset"), spec_case("N12")
     arrays = []
@@ -221,8 +238,8 @@ def test_cached_arrays_refuse_writes():
         arrays += [blocks.shifts, blocks.reps, blocks.fourier, blocks.phases, blocks.undo,
                    compiled.target, compiled.circuit.data, compiled.circuit.indices,
                    compiled.circuit.indptr]
-    arrays += [spec.branch_stack, spec.hidden_map.data, spec.hidden_map.indices,
-               spec.hidden_map.indptr]
+    hidden = approx_protocol.hidden_map(spec)
+    arrays += [spec.branch_stack, hidden.data, hidden.indices, hidden.indptr]
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
@@ -240,8 +257,9 @@ def test_map_shapes_and_sparsity():
     assert cgu.compiled.circuit.shape == (d * cgu.group.order ** 2, d)
     d, n = spec.d_a * spec.d_b, spec.order
     assert spec.compiled.circuit.shape == (d * n ** 2, d)
-    assert spec.hidden_map.shape == (d * n ** 4, d)
-    assert spec.hidden_map.nnz <= spec.hidden_map.shape[0] * d // 100
+    hidden = approx_protocol.hidden_map(spec)
+    assert hidden.shape == (d * n ** 4, d)
+    assert hidden.nnz <= hidden.shape[0] * d // 100
 
 
 # --------------------------------------------------------------------------- #
@@ -318,3 +336,33 @@ def test_one_builder_pins_the_quasigroup_protocol_maps(name):
     spec = spec_case(name)
     want = compile_round(reference_quasigroup_gates(spec), spec.target_matrix()).circuit
     assert np.array_equal(spec.compiled.circuit.toarray(), want.toarray())
+
+
+def reference_term_blocks(spec):
+    """The branch blocks V_l^dag V_{l*k} as formed before they carried lam (lam = 1 here)."""
+    mats = spec.rep.matrices
+    products = np.stack([spec.quasigroup.column(k) for k in spec.term_map], axis=1)
+    return np.einsum("lab,libc->liac", mats.conj().transpose(0, 2, 1), mats[products])
+
+
+@pytest.mark.parametrize("name", ["N12", "N12-spare-control-state", "N72"])
+def test_specs_without_factors_keep_their_blocks_and_maps_bit_for_bit(name):
+    """A spec over a family without a factor system: branch blocks, branch stack, compiled
+    map and hidden map are exactly those of the factor-free formula and gates."""
+    spec = spec_case(name)
+    blocks = reference_term_blocks(spec)
+    assert np.array_equal(spec.term_blocks, blocks)
+    stack = [qsim.controlled_gate(spec.d_a, dict(enumerate(row)), spec.d_b) for row in blocks]
+    assert np.array_equal(spec.branch_stack, np.stack(stack))
+    reference = compile_round(reference_quasigroup_gates(spec), spec.target_matrix())
+    got, want = spec.compiled.circuit, reference.circuit
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+    if spec.order > 12:         # the N = 72 hidden map has 161 M rows per basis input
+        return
+    # the hidden circuit reads only the order and the compiled gates
+    gates = types.SimpleNamespace(order=spec.order, compiled=reference)
+    want = exact_protocol.circuit_map(functools.partial(_hidden_circuit, gates), spec.d_a, spec.d_b)
+    got = approx_protocol.hidden_map(spec)
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))

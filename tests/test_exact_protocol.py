@@ -1,15 +1,17 @@
-"""Exact controlled-group protocol: gates, branch runs, lift, cost."""
+"""Exact controlled-group protocol: gates, branch runs, lift, cost, branch blocks."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from fastcu import algebra, demos, qsim
+from fastcu import algebra, compiler, demos, qsim
+from fastcu.approx_protocol import dilation_error, run_hidden_variant, run_measured_variant
 from fastcu.errors import DimensionMismatch, MissingFactorSystem, NonOrthogonalProjectors, UnsupportedInput
 from fastcu.exact_protocol import (
     ControlledGroupUnitary,
     HighRankControlledUnitary,
+    QuasigroupProtocolSpec,
     lift_highrank,
     one_round_gates,
     run_exact_protocol,
@@ -277,3 +279,49 @@ def test_exact_protocol_equals_measure_then_correct(klein_pauli, labels, conjuga
     for (*_, p, post), (*_, q, ref) in zip(got, want):
         assert p == pytest.approx(q, abs=1e-12)
         assert np.abs(post.amps - ref.amps).max() <= 1e-12
+
+
+# --------------------------------------------------------------------------- #
+#   a group instance is a spec over its group: one branch-block formula       #
+# --------------------------------------------------------------------------- #
+
+
+def test_spec_over_a_projective_group_rep_is_exact():
+    """The Pauli group as a plain spec: the branch blocks carry lam, so every branch is V_k."""
+    group, rep = demos.pauli_rep()
+    spec = QuasigroupProtocolSpec(group, rep, term_map=(1, 2, 3))
+    state = qsim.random_pure_state(_layout(spec), np.random.default_rng(20))
+    assert run_measured_variant(spec, state).max_deviation <= 1e-9
+    assert dilation_error(spec, 0.0, 0.0).measured <= 1e-12
+    assert run_hidden_variant(spec, state).deviation <= 1e-9
+
+
+@pytest.mark.parametrize("name", [*sorted(demos.EXACT_DEMOS), "lift"])
+def test_group_branch_blocks_are_the_term_blocks(name):
+    cgu = (lift_highrank(demos.highrank_pauli(rank=2)).cgu if name == "lift"
+           else demos.exact_demo_instance(name))
+    assert isinstance(cgu, QuasigroupProtocolSpec)
+    assert cgu.term_blocks.shape == (cgu.group.order, cgu.n_terms, cgu.d_b, cgu.d_b)
+    assert np.abs(cgu.term_blocks - cgu.term_matrices()[None]).max() <= 1e-12
+    report = compiler.error_budget(cgu.term_matrices(), cgu, 1e-6, 0.0, None)
+    assert max(report.gap_target_plan, report.gap_plan_actual, report.gap_target_actual) <= 1e-12
+    assert report.cost_ebits == np.log2(cgu.group.order)
+
+
+def test_states_without_a_term_carry_identity_blocks(klein_pauli):
+    group, rep = klein_pauli
+    cgu = ControlledGroupUnitary(group, rep, (2, None, 1, 3))
+    assert cgu.unsupported == (1,) and cgu.subset == (2, 1, 3)
+    assert np.array_equal(cgu.term_blocks[:, 1], np.broadcast_to(np.eye(2), (4, 2, 2)))
+    assert np.abs(cgu.term_blocks - cgu.term_matrices()[None]).max() <= 1e-12
+    assert set(dilation_error(cgu, 0.0, 0.0).per_k_measured) == {1, 2, 3}
+    padded = QuasigroupProtocolSpec(group, rep, term_map=(None, 3), d_a=3)
+    assert padded.unsupported == (0, 2) and padded.labels == (None, 3, None)
+    with pytest.raises(DimensionMismatch):
+        QuasigroupProtocolSpec(group, rep, term_map=(None, None))
+    with pytest.raises(DimensionMismatch):
+        ControlledGroupUnitary(group, rep, (1, None, 1))
+    table = group.to_right_quasigroup()
+    QuasigroupProtocolSpec(table, algebra.ordinary_rep(table, rep.matrices), term_map=(0, 1))
+    with pytest.raises(DimensionMismatch, match="over a group"):
+        ControlledGroupUnitary(table, algebra.ordinary_rep(table, rep.matrices), (0, 1))
