@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionMismatch, UnsupportedInput
+from .errors import DimensionMismatch, TooLarge, UnsupportedInput
 from .exact_protocol import (
     QuasigroupProtocolSpec,
     check_input,
@@ -46,6 +46,9 @@ from .qsim import (
 )
 
 RESIDUAL_CAP = 2.0 + 1e-9
+# largest hidden-circuit state, d_a * d_b * N^4 amplitudes (64 MiB), that ``hidden_map``
+# simulates per basis input: the N = 12 specs need at most 124 416, an N = 72 one 161 M
+HIDDEN_MAX_AMPLITUDES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +287,16 @@ def hidden_map(spec: QuasigroupProtocolSpec) -> sparse.csr_matrix:
 
     It takes a basis input of (control, target) to the state on
     (control, target, a, b, x, y) before (b, x) is measured; see
-    ``exact_protocol.circuit_map``.
+    ``exact_protocol.circuit_map``.  Raises ``TooLarge`` before simulating
+    anything when that state would exceed ``HIDDEN_MAX_AMPLITUDES``.
     """
     if spec not in _HIDDEN_MAPS:
+        amplitudes = spec.d_a * spec.d_b * spec.order ** 4
+        if amplitudes > HIDDEN_MAX_AMPLITUDES:
+            raise TooLarge(
+                f"the hidden circuit of an order-{spec.order} spec holds d_a * d_b * N^4 = "
+                f"{amplitudes} amplitudes ({amplitudes * 16 / 2 ** 30:.1f} GiB) per basis input, "
+                f"above the cap of {HIDDEN_MAX_AMPLITUDES}")
         _HIDDEN_MAPS[spec] = circuit_map(partial(_hidden_circuit, spec), spec.d_a, spec.d_b)
     return _HIDDEN_MAPS[spec]
 

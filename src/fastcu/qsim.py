@@ -189,6 +189,17 @@ def maximally_entangled(n: int, names: tuple[str, str] = ("a", "b")) -> PureStat
     return PureState(layout, amps.reshape(-1))
 
 
+def _move_axes(tensor: np.ndarray, source, destination) -> np.ndarray:
+    """``np.moveaxis(tensor, source, destination)``, or ``tensor`` itself when no axis moves.
+
+    Gates, measurements and traces bring their registers to the front with it
+    and put them back with it; the protocol runs' (control, target) lead
+    their layouts already, so those calls move nothing.
+    """
+    source, destination = list(source), list(destination)
+    return tensor if source == destination else np.moveaxis(tensor, source, destination)
+
+
 def apply_controlled(state: PureState, blocks: np.ndarray, controls, targets) -> PureState:
     """Apply ``blocks[c]`` on ``targets`` wherever the joint ``controls`` register reads c.
 
@@ -210,11 +221,10 @@ def apply_controlled(state: PureState, blocks: np.ndarray, controls, targets) ->
         raise DimensionMismatch(
             f"block stack shape {blocks.shape} does not fit controls {controls} of joint dim "
             f"{dc} and targets {targets} of joint dim {dt}")
-    t = np.moveaxis(state.tensor(), axes, range(len(axes)))
-    moved_shape = t.shape
-    t = blocks @ t.reshape(dc, dt, -1)
-    t = np.moveaxis(t.reshape(moved_shape), range(len(axes)), axes)
-    return PureState(layout, t.reshape(-1), normalized=state.normalized)
+    front = range(len(axes))
+    t = _move_axes(state.tensor(), axes, front)
+    out = (blocks @ t.reshape(dc, dt, -1)).reshape(t.shape)
+    return PureState(layout, _move_axes(out, front, axes).reshape(-1), normalized=state.normalized)
 
 
 def apply_on(state: PureState, gate: np.ndarray, registers) -> PureState:
@@ -234,9 +244,9 @@ def apply_on_rows(rows: np.ndarray, layout: RegisterLayout, gates: np.ndarray,
     axes = [1 + layout.axis(r) for r in registers]
     front = range(1, 1 + len(axes))
     d = math.prod(layout.dim_of(r) for r in registers)
-    t = np.moveaxis(np.asarray(rows, dtype=complex).reshape(-1, *layout.dims), axes, front)
+    t = _move_axes(np.asarray(rows, dtype=complex).reshape(-1, *layout.dims), axes, front)
     out = np.asarray(gates, dtype=complex) @ t.reshape(len(t), d, -1)
-    out = np.moveaxis(out.reshape(len(out), *t.shape[1:]), front, axes)
+    out = _move_axes(out.reshape(len(out), *t.shape[1:]), front, axes)
     return out.reshape(len(out), -1)
 
 
@@ -253,14 +263,14 @@ def apply_map(state: PureState, matrix, registers, ancillas: RegisterLayout) -> 
     layout = state.layout
     axes = [layout.axis(r) for r in registers]
     front = range(len(axes))
-    t = np.moveaxis(state.tensor(), axes, front)
+    t = _move_axes(state.tensor(), axes, front)
     d = math.prod(t.shape[:len(axes)])
     if matrix.shape != (d * ancillas.dim, d):
         raise DimensionMismatch(
             f"map of shape {matrix.shape} does not take registers {registers} of joint dim {d} "
             f"to them and ancillas of dim {ancillas.dim}")
     out = (matrix @ t.reshape(d, -1)).reshape(d, ancillas.dim, -1).swapaxes(1, 2)
-    out = np.moveaxis(out.reshape(*t.shape, ancillas.dim), front, axes)
+    out = _move_axes(out.reshape(*t.shape, ancillas.dim), front, axes)
     return PureState(layout.extended(*zip(ancillas.names, ancillas.dims)), out.reshape(-1),
                      normalized=state.normalized)
 
@@ -318,7 +328,10 @@ class Branches(Sequence):
             raise DimensionMismatch(
                 f"post states of shape {self.posts.shape} do not fit {len(self.probabilities)} "
                 f"branches on a layout of dim {self.layout.dim}")
-        worst = float(np.abs(np.linalg.norm(self.posts, axis=1) - 1.0).max(initial=0.0))
+        # |z|^2 = re^2 + im^2 along each row's float64 view (a copy only for strided posts)
+        pairs = np.ascontiguousarray(self.posts, dtype=complex).view(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
+        worst = float(np.abs(norms - 1.0).max(initial=0.0))
         if worst > ZERO_TOL:
             raise DimensionMismatch(f"a post state norm is off 1 by {worst:.3e}, above {ZERO_TOL}")
 
@@ -345,21 +358,32 @@ def measure_registers(state: PureState, registers) -> Branches:
 
     Branches with probability below ``BRANCH_PROB_FLOOR`` are dropped.  Post states
     live on the layout with the measured registers removed.
+
+    Row i of the state, with the measured registers in front, becomes post i
+    in place: the copy that moving them made is the post-state array when
+    every branch is kept, and otherwise the kept rows are gathered once; the
+    input state is never written.  Each row is scaled by 1 / sqrt(p) on its
+    float64 view, which is how numpy divides a complex row by a real number,
+    so the posts equal ``row / sqrt(p)`` (``np.array_equal``).
     """
     registers = [registers] if isinstance(registers, str) else list(registers)
     layout = state.layout
     axes = [layout.axis(r) for r in registers]
     dims = [layout.dims[a] for a in axes]
-    dm = math.prod(dims)
-    t = np.moveaxis(state.tensor(), axes, range(len(axes))).reshape(dm, -1)
-    probs = np.sum(np.abs(t) ** 2, axis=1)
+    posts = _move_axes(state.tensor(), axes, range(len(axes))).reshape(math.prod(dims), -1)
+    weights = np.abs(posts)
+    probs = np.square(weights, out=weights).sum(axis=1)
     total = float(probs.sum())
     if abs(total - 1.0) > ZERO_TOL:
         raise DimensionMismatch(f"measurement on non-normalized state, total prob {total:.3e}")
     kept = np.flatnonzero(probs > BRANCH_PROB_FLOOR)
-    posts = t[kept] / np.sqrt(probs[kept])[:, None]
+    if len(kept) < len(probs) or np.may_share_memory(posts, state.amps):
+        posts = posts[kept]
+    probs = probs[kept]
+    pairs = posts.view(np.float64)
+    pairs *= (1.0 / np.sqrt(probs))[:, None]
     return Branches(tuple(registers), np.stack(np.unravel_index(kept, dims), axis=1),
-                    probs[kept], posts, layout.without(registers))
+                    probs, posts, layout.without(registers))
 
 
 def partial_trace(state: PureState, keep) -> np.ndarray:
@@ -368,7 +392,7 @@ def partial_trace(state: PureState, keep) -> np.ndarray:
     layout = state.layout
     axes = [layout.axis(r) for r in keep]
     dk = math.prod(layout.dims[a] for a in axes)
-    t = np.moveaxis(state.tensor(), axes, range(len(axes))).reshape(dk, -1)
+    t = _move_axes(state.tensor(), axes, range(len(axes))).reshape(dk, -1)
     return t @ t.conj().T
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from fastcu.approx_protocol import (
     shift_register_check,
     term_gaps,
 )
-from fastcu.errors import DimensionMismatch, UnsupportedInput
+from fastcu.errors import DimensionMismatch, TooLarge, UnsupportedInput
 from fastcu.exact_protocol import one_round_circuit, one_round_gates
 
 
@@ -310,6 +311,22 @@ def test_hidden_variant_choi_requires_full_support():
     spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(0, 1), d_a=3)
     with pytest.raises(UnsupportedInput):
         hidden_variant_choi(spec)
+
+
+def test_hidden_variant_refuses_an_oversized_circuit_before_simulating():
+    """d_a * d_b * N^4 amplitudes per basis input: N = 12 runs, N = 72 (161 M) fails at once."""
+    small = net_spec(1, 1.1, (2, 9))
+    rows = small.d_a * small.d_b * small.order ** 4
+    assert rows == 82_944 <= approx_protocol.HIDDEN_MAX_AMPLITUDES
+    assert approx_protocol.hidden_map(small).shape == (rows, small.d_a * small.d_b)
+    big = net_spec(2, 0.8, (5, 17, 40))
+    assert big.d_a * big.d_b * big.order ** 4 == 161_243_136
+    state = qsim.random_pure_state(_layout(big), np.random.default_rng(0))
+    for run in (lambda: run_hidden_variant(big, state), lambda: hidden_variant_choi(big)):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="161243136 amplitudes"):
+            run()
+        assert time.perf_counter() - start < 1.0
 
 
 def correction_gate(spec, l, m):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from fastcu import qsim
 from fastcu.errors import DimensionMismatch
@@ -236,6 +237,106 @@ def test_branches_reject_rows_off_unit_norm():
         qsim.Branches(("m",), np.array([[0], [1]]), np.array([0.5, 0.5]), posts, layout)
     with pytest.raises(DimensionMismatch):
         qsim.Branches(("m",), np.array([[0]]), np.array([1.0]), posts[:1, :1], layout)
+
+
+def test_branches_check_non_contiguous_posts():
+    layout = qsim.RegisterLayout.of(("a", 3))
+    rng = np.random.default_rng(11)
+    unit = np.stack([qsim.random_pure_state(layout, rng).amps for _ in range(4)])
+    for posts in (np.asfortranarray(unit), unit[:, ::-1], unit[::2]):
+        assert not posts.flags.c_contiguous
+        n = len(posts)
+        branches = qsim.Branches(("m",), np.arange(n)[:, None], np.full(n, 1 / n), posts, layout)
+        assert branches.posts is posts
+        off = posts.copy(order="F")
+        off[-1] *= 1 + 1e-6
+        with pytest.raises(DimensionMismatch):
+            qsim.Branches(("m",), np.arange(n)[:, None], np.full(n, 1 / n), off, layout)
+
+
+def _measured_input_cases():
+    """(state, measured registers) per case; only "some branches dropped" has an outcome of
+    zero weight."""
+    rng = np.random.default_rng(12)
+    layout = qsim.RegisterLayout.of(("a", 2), ("b", 3), ("c", 2))
+    leading = qsim.random_pure_state(layout, rng)
+    every = qsim.random_pure_state(layout, rng)
+    t = qsim.random_pure_state(layout, rng).tensor().copy()
+    t[:, 1] = 0.0
+    dropped = qsim.PureState(layout, t / np.linalg.norm(t))
+    sides = qsim.random_pure_state(
+        qsim.RegisterLayout.of(("s0", 2), ("m", 3), ("s1", 2), ("n", 2), ("s2", 3)), rng)
+    earlier = qsim.measure_registers(sides, "s0")
+    return {
+        "measured registers lead": (leading, ("a", "b")),
+        "every branch kept": (every, ("c", "a")),
+        "some branches dropped": (dropped, ("b",)),
+        "spectators on either side": (sides, ("n", "m")),
+        "post state of an earlier measurement": (earlier.state(0), ("m",)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_measured_input_cases()))
+def test_measurement_never_writes_into_its_input(case):
+    state, measured = _measured_input_cases()[case]
+    before = state.amps.copy()
+    kept = state.layout.without(measured).names
+    rho = qsim.partial_trace(state, kept)
+    branches = qsim.measure_registers(state, measured)
+    if case == "measured registers lead":
+        assert np.shares_memory(qsim._move_axes(state.tensor(), (0, 1), (0, 1)), state.amps)
+    dims = [state.layout.dim_of(r) for r in measured]
+    assert (len(branches) < math.prod(dims)) == (case == "some branches dropped")
+    assert not np.shares_memory(branches.posts, state.amps)
+    assert state.amps.tobytes() == before.tobytes()
+    assert np.array_equal(qsim.partial_trace(state, kept), rho)
+    branches.posts[:] = 0.0
+    assert state.amps.tobytes() == before.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_leading_registers_equal_the_moveaxis_route(data):
+    """Gates, maps and traces on registers that lead the layout move no axis; the results
+    equal the explicit ``np.moveaxis`` route bit for bit."""
+    dims = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=5), label="dims")
+    names = [f"r{i}" for i in range(len(dims))]
+    n_lead = data.draw(st.integers(1, len(dims)), label="leading registers")
+    lead = names[:n_lead]
+    n_controls = data.draw(st.integers(0, n_lead - 1), label="controls")
+    controls, targets = lead[:n_controls], lead[n_controls:]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    layout = qsim.RegisterLayout(tuple(names), tuple(dims))
+    state = qsim.random_pure_state(layout, rng)
+    front = range(n_lead)
+    moved = np.moveaxis(state.tensor(), front, front)
+    d = math.prod(dims[:n_lead])
+
+    dc = math.prod(dims[:n_controls])
+    blocks = np.stack([qsim.haar_unitary(d // dc, rng) for _ in range(dc)])
+    want = np.moveaxis((blocks @ moved.reshape(dc, d // dc, -1)).reshape(moved.shape), front, front)
+    assert np.array_equal(qsim.apply_controlled(state, blocks, controls, targets).amps,
+                          want.reshape(-1))
+
+    ancillas = qsim.RegisterLayout.of(("x", data.draw(st.integers(1, 3), label="ancilla")))
+    dense = rng.normal(size=(d * ancillas.dim, d)) + 1j * rng.normal(size=(d * ancillas.dim, d))
+    for matrix in (dense, sparse.csr_matrix(dense)):
+        out = (matrix @ moved.reshape(d, -1)).reshape(d, ancillas.dim, -1).swapaxes(1, 2)
+        want = np.moveaxis(out.reshape(*moved.shape, ancillas.dim), front, front)
+        got = qsim.apply_map(qsim.PureState(layout, state.amps, normalized=False), matrix, lead,
+                             ancillas)
+        assert np.array_equal(got.amps, want.reshape(-1))
+
+    rows = np.stack([qsim.random_pure_state(layout, rng).amps for _ in range(3)])
+    gates = np.stack([qsim.haar_unitary(d, rng) for _ in range(3)])
+    shifted = range(1, 1 + n_lead)
+    t = np.moveaxis(rows.reshape(-1, *dims), shifted, shifted)
+    for gate in (gates[0], gates):
+        out = np.moveaxis((gate @ t.reshape(3, d, -1)).reshape(t.shape), shifted, shifted)
+        assert np.array_equal(qsim.apply_on_rows(rows, layout, gate, lead), out.reshape(3, -1))
+
+    flat = moved.reshape(d, -1)
+    assert np.array_equal(qsim.partial_trace(state, lead), flat @ flat.conj().T)
 
 
 def test_branch_rows_are_outcome_probability_state_tuples():
