@@ -21,11 +21,13 @@ from scipy import sparse
 from .errors import DimensionMismatch, TooLarge, UnsupportedInput
 from .exact_protocol import (
     QuasigroupProtocolSpec,
+    RunRecord,
     check_input,
     circuit_map,
     correction_steps,
     one_round_circuit,
     run_one_round,
+    run_record,
 )
 from .qsim import (
     Branches,
@@ -51,32 +53,20 @@ RESIDUAL_CAP = 2.0 + 1e-9
 HIDDEN_MAX_AMPLITUDES = 1 << 22
 
 
-@dataclass(frozen=True, eq=False)
-class MeasuredRunRecord:
-    """Per-branch results of the measured variant against the branch unitaries."""
-
-    branches: Branches                 # outcomes (l, m) of the ancillas (a, b)
-    max_deviation: float
-    l_marginals: np.ndarray
-    cost_ebits: float
+def branch_rows(spec: QuasigroupProtocolSpec, state: PureState, control: str,
+                target: str) -> np.ndarray:
+    """Row l: the l-th branch unitary applied to the input, on the input's layout."""
+    return apply_on_rows(state.amps[None], state.layout, spec.branch_stack, (control, target))
 
 
 def run_measured_variant(spec: QuasigroupProtocolSpec, state: PureState,
-                         control: str = "A", target: str = "B") -> MeasuredRunRecord:
+                         control: str = "A", target: str = "B") -> RunRecord:
     """Simulate every branch (see ``run_one_round``) against the branch unitaries.
 
     Branch (l, m) must equal the l-th branch unitary applied to the input.
     """
     branches = run_one_round(spec, state, control, target, spec.compiled)
-    # row l: the l-th branch unitary applied to the input
-    expected = apply_on_rows(state.amps[None], state.layout, spec.branch_stack, (control, target))
-    ls = branches.outcomes[:, 0]
-    deviations = np.linalg.norm(branches.posts - expected[ls], axis=1)
-    marginals = np.bincount(ls, weights=branches.probabilities, minlength=spec.order)
-    return MeasuredRunRecord(branches=branches,
-                             max_deviation=float(deviations.max(initial=0.0)),
-                             l_marginals=marginals,
-                             cost_ebits=spec.cost_ebits())
+    return run_record(spec, branches, branch_rows(spec, state, control, target))
 
 
 def term_gaps(requested: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -132,15 +122,13 @@ class DilationErrorReport:
     certified_gap_bound: float
     diamond_bound_measured: float
     diamond_bound_certified: float
-    max_branch_distance: float     # worst || target - branch ||_inf, the largest residual norm
     per_k_measured: dict[int, float]
 
 
 def dilation_error(spec: QuasigroupProtocolSpec, eta: float, delta_cert: float) -> DilationErrorReport:
     """Exact ||U' - V'||_inf from the term gaps of the bare blocks, with the (eta, delta) bound."""
-    bare, blocks = spec.term_matrices(), spec.term_blocks
-    per_k = dict(sorted((k, float(gap)) for k, gap in zip(spec.term_map, term_gaps(bare, blocks))
-                        if k is not None))
+    gaps = term_gaps(spec.term_matrices(), spec.term_blocks)
+    per_k = dict(sorted((k, float(gap)) for k, gap in zip(spec.term_map, gaps) if k is not None))
     measured = max(per_k.values())
     bound = dilation_gap_bound(eta, delta_cert)
     return DilationErrorReport(
@@ -148,7 +136,6 @@ def dilation_error(spec: QuasigroupProtocolSpec, eta: float, delta_cert: float) 
         certified_gap_bound=bound,
         diamond_bound_measured=2.0 * measured,
         diamond_bound_certified=2.0 * bound,
-        max_branch_distance=branch_distance(bare, blocks),
         per_k_measured=per_k,
     )
 
@@ -163,7 +150,7 @@ def dilation_pair(spec: QuasigroupProtocolSpec) -> tuple[np.ndarray, np.ndarray]
     n = spec.order
     d = spec.d_a * spec.d_b
     ideal = np.broadcast_to(spec.target_matrix() / math.sqrt(n), (n, d, d)).reshape(n * d, d)
-    actual = spec.branch_matrices().reshape(n * d, d) / math.sqrt(n)
+    actual = spec.branch_stack.reshape(n * d, d) / math.sqrt(n)
     return ideal, actual
 
 
@@ -243,19 +230,16 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     of seed 0's (b, x) branches; it is compared with the mixture
     (1/N) sum_l U_l rho U_l^dag of the input over the branch stack U_l.
     """
-    layout = state.layout
     check_input(spec, state, control, target)
-    unitaries = spec.branch_stack
     n = spec.order
     full = apply_map(state, hidden_map(spec), (control, target),
                      RegisterLayout.of(*((name, n) for name in ("a", "b", "x", "y"))))
-    rho_out = partial_trace(full, layout.names)
-    # row l: the l-th branch unitary applied to the input, as in run_measured_variant
-    rows = apply_on_rows(state.amps[None], layout, unitaries, (control, target))
+    rho_out = partial_trace(full, state.layout.names)
+    rows = branch_rows(spec, state, control, target)
     expected = rows.T @ rows.conj() / n
     return HiddenRunRecord(branches=measure_registers(full, ("b", "x")), output_density=rho_out,
                            expected_density=expected, deviation=operator_norm(rho_out - expected),
-                           ensemble=unitaries)
+                           ensemble=spec.branch_stack)
 
 
 def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,

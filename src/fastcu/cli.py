@@ -33,12 +33,15 @@ from .serialize import _NUMBER, _field
 DEMO_TRIALS = 50
 
 
-def _seed(text: str) -> int:
-    """A demo seed: numpy's generators take non-negative integers only."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
-    return seed
+def _bounded(kind, low, strict: bool = False):
+    """An argparse type: a ``kind`` value of at least ``low``, or above it when ``strict``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if strict else 'at least'} {low}, got {text}")
+        return value
+    return parse
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -47,19 +50,19 @@ def _parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("exact-demo", help="run a named exact-protocol demo")
     d.add_argument("name", choices=sorted(EXACT_DEMOS))
-    d.add_argument("--seed", type=_seed, default=0)
+    d.add_argument("--seed", type=_bounded(int, 0), default=0)    # numpy seeds are non-negative
     d.add_argument("--out", default=None)
 
     n = sub.add_parser("net-build", help="build a word net and emit its cache")
-    n.add_argument("--d", type=int, default=2)
-    n.add_argument("--m", type=int, required=True)
+    n.add_argument("--d", type=_bounded(int, 2), default=2)
+    n.add_argument("--m", type=_bounded(int, 1), required=True)
     n.add_argument("--cap", type=int, default=DEFAULT_CAP)
     n.add_argument("--out", default=None)
 
     q = sub.add_parser("qg-build", help="assemble a right quasigroup over a net")
-    q.add_argument("--d", type=int, default=2)
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--eta", type=float, required=True)
+    q.add_argument("--d", type=_bounded(int, 2), default=2)
+    q.add_argument("--m", type=_bounded(int, 1), required=True)
+    q.add_argument("--eta", type=_bounded(float, 0.0, strict=True), required=True)
     q.add_argument("--cap", type=int, default=DEFAULT_CAP)
     q.add_argument("--out", default=None)
 
@@ -159,9 +162,7 @@ def cmd_compile(args) -> int:
     doc = serialize.load_json(args.input)
     blocks = serialize.rep_from_json(doc)
     target = normalize_su(blocks)
-    targets = CompileTargets(zeta=args.zeta_target, eta=args.eta,
-                             delta=args.delta_target, epsilon=args.epsilon_target)
-    result = compile_target(target, targets, cap=args.cap)
+    result = compile_target(target, args.targets, cap=args.cap)
     plan, report = result.plan, result.report
     built = plan.built
     _emit({
@@ -171,7 +172,7 @@ def cmd_compile(args) -> int:
                    "input": serialize.complex_to_pairs(blocks),
                    "matrices": serialize.complex_to_pairs(target.blocks),
                    "phases": target.phases.tolist()},
-        "targets": dataclasses.asdict(targets),
+        "targets": dataclasses.asdict(args.targets),
         "plan": {
             "m": plan.m,
             "eta": built.eta,
@@ -457,7 +458,14 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    if args.command == "compile":       # a bad target set is a usage error, found before any work
+        try:
+            args.targets = CompileTargets(zeta=args.zeta_target, eta=args.eta,
+                                          delta=args.delta_target, epsilon=args.epsilon_target)
+        except DimensionMismatch as exc:
+            parser.error(str(exc))
     handlers = {
         "exact-demo": cmd_exact_demo,
         "net-build": cmd_net_build,

@@ -61,14 +61,32 @@ def correction_phases(fourier: np.ndarray, products: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ExactRunRecord:
-    """All measurement branches of one protocol run against the target state."""
+class RunRecord:
+    """Every measurement branch of one protocol run against the state it must leave.
+
+    A branch with a-outcome l must equal row l of ``expected`` (amplitudes on
+    the branches' layout), or its one row when every branch must be the same.
+    """
 
     branches: Branches        # outcomes (l, m) of the ancillas (a, b)
-    target_state: PureState
+    expected: np.ndarray      # (N, dim) or (1, dim)
     max_deviation: float
-    uniformity_error: float
+    uniformity_error: float   # largest |p - 1/N^2| over the branches
+    l_marginals: np.ndarray   # probability of each outcome l
     cost_ebits: float
+
+
+def run_record(spec: QuasigroupProtocolSpec, branches: Branches, expected: np.ndarray) -> RunRecord:
+    """Check each branch against ``expected`` (see ``RunRecord``) and its probability against 1/N^2."""
+    n, ls = spec.order, branches.outcomes[:, 0]
+    deviations = np.linalg.norm(branches.posts - (expected if len(expected) == 1 else expected[ls]),
+                                axis=1)
+    uniformity = np.abs(branches.probabilities - 1.0 / (n * n))
+    return RunRecord(branches=branches, expected=expected,
+                     max_deviation=float(deviations.max(initial=0.0)),
+                     uniformity_error=float(uniformity.max(initial=0.0)),
+                     l_marginals=np.bincount(ls, weights=branches.probabilities, minlength=n),
+                     cost_ebits=spec.cost_ebits())
 
 
 def check_input(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str) -> None:
@@ -241,15 +259,14 @@ class QuasigroupProtocolSpec:
 
     ``term_map[i]`` is the family label controlled by basis state ``|i>`` of the
     control register, or None for a state without a term; repeats are allowed
-    (redundant terms).  ``d_a`` may exceed the number of terms, in which case the
-    extra basis states carry no term either.  States without a term are
-    ``unsupported``: an input must carry no weight there.
+    (redundant terms).  The control register has one basis state per entry.
+    States without a term are ``unsupported``: an input must carry no weight
+    there.
     """
 
     quasigroup: FiniteGroup | RightQuasigroup
     rep: ProjectiveRep
     term_map: tuple[int | None, ...]
-    d_a: int = 0
 
     def __post_init__(self):
         if self.rep.structure is not self.quasigroup:
@@ -259,13 +276,9 @@ class QuasigroupProtocolSpec:
             raise DimensionMismatch("need at least one term")
         if any(not 0 <= k < self.order for k in active):
             raise DimensionMismatch("term labels must be valid elements of the structure")
-        if self.d_a == 0:
-            object.__setattr__(self, "d_a", len(self.term_map))
-        if self.d_a < len(self.term_map):
-            raise DimensionMismatch("control dimension smaller than the number of terms")
 
     @property
-    def n_terms(self) -> int:
+    def d_a(self) -> int:
         return len(self.term_map)
 
     @property
@@ -282,13 +295,13 @@ class QuasigroupProtocolSpec:
 
     @property
     def labels(self) -> tuple[int | None, ...]:
-        """The term label of each control state, None where it has no term."""
-        return self.term_map + (None,) * (self.d_a - self.n_terms)
+        """The term label of each control state, None where it has no term: the term map."""
+        return self.term_map
 
     @property
     def unsupported(self) -> tuple[int, ...]:
         """The control states without a term."""
-        return tuple(i for i, k in enumerate(self.labels) if k is None)
+        return tuple(i for i, k in enumerate(self.term_map) if k is None)
 
     def target_matrix(self) -> np.ndarray:
         """Dense control (x) target matrix, unitary through identity blocks on unsupported states."""
@@ -298,11 +311,11 @@ class QuasigroupProtocolSpec:
     def term_blocks(self) -> np.ndarray:
         """Blocks lam(l, k) V_l^dag V_{l*k} of every outcome l and term, formed once and read-only.
 
-        An (N, n_terms, d_b, d_b) stack; entry (l, i) is the block that branch
-        l applies in place of V_k, k the i-th term label, and the identity
-        where state i has no term.  lam = 1 without a factor system; with one,
-        lam(l, k) V_l^dag V_{l*k} = V_k.  The only place the branch blocks are
-        formed.
+        An (N, d_a, d_b, d_b) stack; entry (l, i) is the block that branch l
+        applies in place of V_k, k the label of control state i, and the
+        identity where state i has no term.  lam = 1 without a factor system;
+        with one, lam(l, k) V_l^dag V_{l*k} = V_k.  The only place the branch
+        blocks are formed.
         """
         mats, d_b = self.rep.matrices, self.d_b
         active = [i for i, k in enumerate(self.term_map) if k is not None]
@@ -311,32 +324,21 @@ class QuasigroupProtocolSpec:
         blocks = np.einsum("lab,libc->liac", mats.conj().transpose(0, 2, 1), mats[products])
         if self.rep.factor_system is not None:
             blocks *= self.rep.factor_system.lam[:, terms, None, None]
-        stack = np.tile(np.eye(d_b, dtype=complex), (self.order, self.n_terms, 1, 1))
+        stack = np.tile(np.eye(d_b, dtype=complex), (self.order, self.d_a, 1, 1))
         stack[:, active] = blocks
         stack.setflags(write=False)
         return stack
 
-    def branch_matrices(self, outcomes=None) -> np.ndarray:
-        """Branch unitaries of the given ancilla outcomes (all N by default) as a stack."""
-        return self.embed_terms(self.term_blocks if outcomes is None
-                                else self.term_blocks[np.asarray(outcomes)])
-
     def embed_terms(self, blocks: np.ndarray) -> np.ndarray:
-        """Block-diagonal control (x) target matrices of a (B, n_terms, d_b, d_b) stack.
-
-        Control state i carries the i-th term block, the identity past the last term.
-        """
+        """Block-diagonal control (x) target matrices of a (B, d_a, d_b, d_b) stack, block i on i."""
         d_a, d_b = self.d_a, self.d_b
         out = np.zeros((len(blocks), d_a, d_b, d_a, d_b), dtype=complex)
         for i in range(d_a):
-            out[:, i, :, i, :] = blocks[:, i] if i < self.n_terms else np.eye(d_b)
+            out[:, i, :, i, :] = blocks[:, i]
         return out.reshape(len(blocks), d_a * d_b, d_a * d_b)
 
     def term_matrices(self) -> np.ndarray:
-        """The family's block V_k of each term label k, the identity where a state has no term.
-
-        An (n_terms, d_b, d_b) stack.
-        """
+        """(d_a, d_b, d_b) stack: V_k for each control state's label k, the identity without one."""
         mats = self.rep.matrices
         return np.stack([np.eye(self.d_b, dtype=complex) if k is None else mats[k]
                          for k in self.term_map])
@@ -348,12 +350,12 @@ class QuasigroupProtocolSpec:
     @cached_property
     def compiled(self) -> CompiledRound:
         """The protocol with the standard Fourier gate, compiled on first use (``compile_round``)."""
-        return compile_round(one_round_gates(self.rep, self.labels), self.target_matrix())
+        return compile_round(one_round_gates(self.rep, self.term_map), self.target_matrix())
 
     @cached_property
     def branch_stack(self) -> np.ndarray:
-        """``branch_matrices()`` of every outcome, checked unitary once and read-only."""
-        stack = self.branch_matrices()
+        """Branch unitary of every outcome l, (N, d, d), checked unitary once and read-only."""
+        stack = self.embed_terms(self.term_blocks)
         if not is_unitary(stack):
             raise DimensionMismatch("a branch unitary failed the unitarity check")
         stack.setflags(write=False)
@@ -364,9 +366,9 @@ class QuasigroupProtocolSpec:
 class ControlledGroupUnitary(QuasigroupProtocolSpec):
     """A spec over a finite group whose representation carries its factor system.
 
-    ``labels[i]`` is the group element controlled by basis state ``|i>`` of the
-    control register, or None for basis states outside the protocol's support;
-    the labels are distinct.  Every branch block is V_k, so every branch
+    ``term_map[i]`` is the group element controlled by basis state ``|i>`` of
+    the control register, or None for basis states outside the protocol's
+    support; the labels are distinct.  Every branch block is V_k, so every branch
     reproduces the target.
     """
 
@@ -389,35 +391,28 @@ class ControlledGroupUnitary(QuasigroupProtocolSpec):
 
     @property
     def subset(self) -> tuple[int, ...]:
-        return tuple(k for k in self.labels if k is not None)
+        return tuple(k for k in self.term_map if k is not None)
 
 
 def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
                        control: str = "A", target: str = "B",
-                       fourier: np.ndarray | None = None) -> ExactRunRecord:
+                       fourier: np.ndarray | None = None) -> RunRecord:
     """Simulate every branch of the protocol on the given input state (see ``run_one_round``).
 
-    Each branch's final state is compared against the target unitary applied
-    directly (exact equality, no global-phase allowance).  The standard
-    Fourier gate uses the instance's cached compilation; a replacement gate
-    is compiled for this call.
+    Every branch must equal the target unitary applied directly (exact
+    equality, no global-phase allowance).  The standard Fourier gate uses the
+    instance's cached compilation; a replacement gate is compiled for this call.
     """
-    n = cgu.order
     if fourier is None:
         compiled = cgu.compiled
     else:
         fourier = np.asarray(fourier, dtype=complex)
-        if not is_unitary(fourier) or np.max(np.abs(np.abs(fourier) - 1 / math.sqrt(n))) > FLAT_ENTRY_TOL:
+        flat = np.max(np.abs(np.abs(fourier) - 1 / math.sqrt(cgu.order)))
+        if not is_unitary(fourier) or flat > FLAT_ENTRY_TOL:
             raise DimensionMismatch("replacement Fourier gate must be unitary with flat entries")
-        compiled = compile_round(one_round_gates(cgu.rep, cgu.labels, fourier), cgu.target_matrix())
+        compiled = compile_round(one_round_gates(cgu.rep, cgu.term_map, fourier), cgu.target_matrix())
     branches = run_one_round(cgu, state, control, target, compiled)
-    target_state = apply_on(state, compiled.target, (control, target))
-    deviations = np.linalg.norm(branches.posts - target_state.amps, axis=1)
-    uniformity = np.abs(branches.probabilities - 1.0 / (n * n))
-    return ExactRunRecord(branches=branches, target_state=target_state,
-                          max_deviation=float(deviations.max(initial=0.0)),
-                          uniformity_error=float(uniformity.max(initial=0.0)),
-                          cost_ebits=cgu.cost_ebits())
+    return run_record(cgu, branches, apply_on(state, compiled.target, (control, target)).amps[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,8 +427,10 @@ class HighRankControlledUnitary:
     def __post_init__(self):
         projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
         object.__setattr__(self, "projectors", projs)
-        if len(projs) != len(self.subset):
-            raise DimensionMismatch("need one group label per projector")
+        if not projs or len(projs) != len(self.subset):
+            raise DimensionMismatch("need at least one projector and one group label per projector")
+        if any(not 0 <= k < self.group.order for k in self.subset):
+            raise DimensionMismatch("projector labels must be elements of the group")
         d_a = projs[0].shape[0]
         total = np.zeros((d_a, d_a), dtype=complex)
         for i, p in enumerate(projs):
@@ -495,35 +492,20 @@ def lift_highrank(h: HighRankControlledUnitary) -> LiftedProtocol:
     return LiftedProtocol(pre=pre, cgu=cgu, post=pre.conj().T, source=h)
 
 
-@dataclass(frozen=True, eq=False)
-class LiftedRunRecord:
-    branches: Branches        # rank-1 run's branches with post applied to each
-    target_state: PureState
-    max_deviation: float
-    cost_ebits: float
-
-
 def run_lifted_protocol(lifted: LiftedProtocol, state: PureState,
                         control: str = "A", target: str = "B",
-                        ancilla: str = "E") -> LiftedRunRecord:
-    """Run pre, the rank-1 protocol on (ancilla, target), then post on every branch."""
+                        ancilla: str = "E") -> RunRecord:
+    """Run pre, the rank-1 protocol on (ancilla, target), then post on every branch; each
+    branch must leave the target applied to the input, with the ancilla back in |0>."""
     h = lifted.source
     layout = state.layout
     if layout.dim_of(control) != h.d_a or layout.dim_of(target) != h.d_b:
         raise DimensionMismatch("input registers do not match the controlled unitary")
-    e_dim = lifted.ancilla_dim
-    full_layout = layout.extended((ancilla, e_dim))
-    zero_e = np.zeros(e_dim, dtype=complex)
+    zero_e = np.zeros(lifted.ancilla_dim, dtype=complex)
     zero_e[0] = 1.0
-    full = PureState(full_layout, np.kron(state.amps, zero_e))
+    full = PureState(layout.extended((ancilla, lifted.ancilla_dim)), np.kron(state.amps, zero_e))
     full = apply_on(full, lifted.pre, (control, ancilla))
-    record = run_exact_protocol(lifted.cgu, full, control=ancilla, target=target)
-
-    target_state = apply_on(state, h.target_matrix(), (control, target))
-    expected = PureState(full_layout, np.kron(target_state.amps, zero_e))
-    exact = record.branches
+    exact = run_exact_protocol(lifted.cgu, full, control=ancilla, target=target).branches
     finals = apply_on_rows(exact.posts, exact.layout, lifted.post, (control, ancilla))
-    deviations = np.linalg.norm(finals - expected.amps, axis=1)
-    return LiftedRunRecord(branches=replace(exact, posts=finals), target_state=expected,
-                           max_deviation=float(deviations.max(initial=0.0)),
-                           cost_ebits=lifted.cgu.cost_ebits())
+    expected = np.kron(apply_on(state, h.target_matrix(), (control, target)).amps, zero_e)
+    return run_record(lifted.cgu, replace(exact, posts=finals), expected[None])

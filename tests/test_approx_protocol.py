@@ -65,10 +65,10 @@ def _layout(spec):
 def _supported_state(spec, rng):
     """Random input with weight only on control states that carry a term."""
     state = qsim.random_pure_state(_layout(spec), rng)
-    if spec.d_a == spec.n_terms:
+    if not spec.unsupported:
         return state
     t = state.tensor().copy()
-    t[spec.n_terms:] = 0
+    t[list(spec.unsupported)] = 0
     return qsim.PureState(state.layout, t / np.linalg.norm(t))
 
 
@@ -120,11 +120,11 @@ def test_measured_variant_perturbed_matches_branch_unitaries():
     state = qsim.random_pure_state(_layout(spec), rng)
     record = run_measured_variant(spec, state)
     assert record.max_deviation <= 1e-9
-    unitaries = spec.branch_matrices()
+    unitaries = spec.branch_stack
     for l, m, prob, post in record.branches:
         want = qsim.apply_on(state, unitaries[l], ("A", "B"))
         assert post.distance(want) <= 1e-9
-    assert dilation_error(spec, 0.5, 0.0).max_branch_distance >= 0.0
+    assert branch_distance(spec.term_matrices(), spec.term_blocks) >= 0.0
 
 
 def test_measured_variant_single_term():
@@ -149,7 +149,7 @@ def test_unsupported_input_when_control_larger():
     w = np.exp(2j * np.pi / 3)
     mats = np.stack([np.diag([1.0, w ** k]).astype(complex) for k in range(3)])
     q = group.to_right_quasigroup()
-    spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(0, 1), d_a=3)
+    spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(0, 1, None))
     layout = qsim.RegisterLayout.of(("A", 3), ("B", 2))
     amps = np.zeros(6, dtype=complex)
     amps[4] = 1.0   # control state 2 has no term
@@ -175,7 +175,7 @@ def test_redundant_terms_leave_dilation_unchanged():
 def test_residual_norms_capped_by_two():
     for spec in (exact_spec(), net_spec()):
         blocks = spec.term_blocks
-        assert blocks.shape == (spec.order, spec.n_terms, spec.d_b, spec.d_b)
+        assert blocks.shape == (spec.order, spec.d_a, spec.d_b, spec.d_b)
         assert branch_distance(spec.term_matrices(), blocks) <= 2.0 + 1e-9
         assert set(dilation_error(spec, 0.5, 0.0).per_k_measured) == set(spec.represented)
 
@@ -183,7 +183,7 @@ def test_residual_norms_capped_by_two():
 def test_branch_family_unitary_and_exact_case():
     spec = exact_spec()
     target = spec.target_matrix()
-    for u in spec.branch_matrices():
+    for u in spec.branch_stack:
         assert qsim.is_unitary(u)
         assert qsim.operator_norm(u - target) <= 1e-12
 
@@ -267,7 +267,7 @@ def test_hidden_variant_choi_ensemble_equals_vec_loop(make):
     spec = make()
     d = spec.d_a * spec.d_b
     want = np.zeros((d * d, d * d), dtype=complex)
-    for u in spec.branch_matrices():
+    for u in spec.branch_stack:
         v = u.reshape(-1)
         want += np.outer(v, v.conj()) / spec.order
     choi = hidden_variant_choi(spec).choi_ensemble
@@ -308,7 +308,7 @@ def test_hidden_variant_choi_requires_full_support():
     w = np.exp(2j * np.pi / 3)
     mats = np.stack([np.diag([1.0, w ** k]).astype(complex) for k in range(3)])
     q = group.to_right_quasigroup()
-    spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(0, 1), d_a=3)
+    spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(0, 1, None))
     with pytest.raises(UnsupportedInput):
         hidden_variant_choi(spec)
 
@@ -334,7 +334,8 @@ def correction_gate(spec, l, m):
     n = spec.order
     phases = np.ones(spec.d_a, dtype=complex)
     for i, k in enumerate(spec.term_map):
-        phases[i] = np.exp(-2j * np.pi * (m * int(spec.quasigroup.column(k)[l]) % n) / n)
+        if k is not None:
+            phases[i] = np.exp(-2j * np.pi * (m * int(spec.quasigroup.column(k)[l]) % n) / n)
     return np.diag(phases)
 
 
@@ -371,8 +372,9 @@ def _opened(spec, state, *extra):
     full = qsim.product_state(state, qsim.maximally_entangled(n), *extra)
     shifts = {}
     for i, k in enumerate(spec.term_map):
-        shifts[i] = np.zeros((n, n), dtype=complex)
-        shifts[i][spec.quasigroup.left_div[:, k], np.arange(n)] = 1.0
+        if k is not None:
+            shifts[i] = np.zeros((n, n), dtype=complex)
+            shifts[i][spec.quasigroup.left_div[:, k], np.arange(n)] = 1.0
     full = qsim.apply_on(full, qsim.controlled_gate(spec.d_a, shifts, n), ("A", "a"))
     reps = dict(enumerate(spec.rep.matrices))
     full = qsim.apply_on(full, qsim.controlled_gate(n, reps, spec.d_b), ("b", "B"))
@@ -461,7 +463,7 @@ def _assert_same_branches(got, want):
 
 def _spare_control_spec():
     base = net_spec()
-    return QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(3, 7), d_a=3)
+    return QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(3, 7, None))
 
 
 @pytest.mark.parametrize("make", [
@@ -546,7 +548,7 @@ def test_hidden_record_equals_every_seed_of_the_dense_reference(spec, seed):
                                                 for r, m, s, prob, st in dense_trajectories(spec, state)])
     want = hidden_density_reference(spec, state, dense_trajectories)
     assert np.abs(record.output_density - want).max() <= 1e-12
-    if spec.d_a == spec.n_terms:
+    if not spec.unsupported:
         choi = hidden_variant_choi(spec).choi_circuit
         assert np.abs(choi - choi_reference(spec, dense_trajectories)).max() <= 1e-12
 
@@ -561,22 +563,22 @@ def test_hidden_record_equals_every_seed_of_the_dense_reference(spec, seed):
 def test_branch_matrices_equal_per_label_controlled_gates():
     for spec in (net_spec(m=2, eta=0.8, terms=(5, 17, 40)), _spare_control_spec()):
         mats = spec.rep.matrices
-        stack = spec.branch_matrices()
+        stack = spec.branch_stack
         for l in range(spec.order):
             blocks = {i: mats[l].conj().T @ mats[spec.quasigroup.table[l, k]]
-                      for i, k in enumerate(spec.term_map)}
+                      for i, k in enumerate(spec.term_map) if k is not None}
             dense = qsim.controlled_gate(spec.d_a, blocks, spec.d_b)
             assert np.abs(stack[l] - dense).max() <= 1e-15
-            assert np.array_equal(spec.branch_matrices([l])[0], stack[l])
 
 
 def test_max_branch_distance_equals_dense_branch_loop(monkeypatch):
     base = net_spec(m=2, eta=0.8, terms=(5, 17, 40))
-    spec = QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(5, 17, 40), d_a=5)
-    assert spec.order == 72 and spec.d_a > spec.n_terms
+    spec = QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(5, 17, 40, None, None))
+    assert spec.order == 72 and spec.unsupported == (3, 4)
     target = spec.target_matrix()
-    dense = max(qsim.operator_norm(target - b) for b in spec.branch_matrices())
-    assert dilation_error(spec, 0.8, 0.0).max_branch_distance == pytest.approx(dense, abs=1e-12)
+    dense = max(qsim.operator_norm(target - b) for b in spec.branch_stack)
+    got = branch_distance(spec.term_matrices(), spec.term_blocks)
+    assert got == pytest.approx(dense, abs=1e-12)
 
     # SU(2) stacks take the quaternion distance, any other family the SVD
     svd_calls = []
@@ -630,9 +632,9 @@ def test_term_gap_equals_dense_dilation_gap(seed, n, picks, spare):
     q = algebra.right_quasigroup_from_table(np.stack([rng.permutation(n) for _ in range(n)], axis=1))
     mats = np.stack([qsim.haar_unitary(2, rng) for _ in range(n)])
     terms = tuple(p % n for p in picks)        # repeated labels included
-    spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=terms,
-                                  d_a=len(terms) + spare)
-    requested = np.stack([qsim.haar_unitary(2, rng) for _ in terms])
+    spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=terms + (None,) * spare)
+    # a state without a term is requested the identity, the block every branch applies there
+    requested = np.stack([qsim.haar_unitary(2, rng) for _ in terms] + [np.eye(2)] * spare)
     gap = term_gaps(requested, spec.term_blocks).max()
 
     ideal, actual = dilation_pair(spec)

@@ -465,7 +465,7 @@ def test_negative_demo_seed_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["exact-demo", "pauli-klein4", "--seed", "-1"])
     assert err.value.code == 2
-    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
     out = tmp_path / "demo.json"
     assert cli.main(["exact-demo", "pauli-klein4", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -669,3 +669,45 @@ def test_report_malformed_compile_bundle_is_a_schema_error(compile_bundle, tmp_p
     capsys.readouterr()
     assert cli.main(["report", str(path), "--out", str(tmp_path / "s.csv")]) == 2
     assert "error: bundle field 'scan" in capsys.readouterr().err
+
+
+COMPONENTS = ["--zeta-target", "0.6", "--eta", "0.3", "--delta-target", "0.4"]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["compile", "BLOCKS"], "need positive zeta, eta and delta targets"),
+    (["compile", "BLOCKS", *COMPONENTS, "--epsilon-target", "3"],
+     "give either component targets or an epsilon target"),
+    (["compile", "BLOCKS", "--zeta-target", "0", "--eta", "0.3", "--delta-target", "0.4"],
+     "need positive zeta, eta and delta targets"),
+    (["compile", "BLOCKS", "--epsilon-target", "-1"], "epsilon target must be positive"),
+    (["qg-build", "--m", "0", "--eta", "0.6"], "argument --m: must be at least 1, got 0"),
+    (["qg-build", "--m", "2", "--eta", "0"], "argument --eta: must be above 0.0, got 0"),
+    (["qg-build", "--m", "2", "--eta", "-0.5"], "argument --eta: must be above 0.0, got -0.5"),
+    (["qg-build", "--m", "2", "--eta", "nan"], "argument --eta: must be above 0.0, got nan"),
+    (["net-build", "--m", "2", "--d", "1"], "argument --d: must be at least 2, got 1"),
+], ids=["compile-no-targets", "compile-both-modes", "compile-zero-zeta", "compile-negative-epsilon",
+        "qg-m0", "qg-eta0", "qg-eta-negative", "qg-eta-nan", "net-d1"])
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv, reason):
+    """Exit 2 with the reason on stderr, before any file is read or family built."""
+    def build_net(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    for module in (cli, compiler):
+        monkeypatch.setattr(module, "build_net", build_net)
+    monkeypatch.setattr(serialize, "load_json", build_net)
+    with pytest.raises(SystemExit) as err:
+        cli.main([str(tmp_path / "blocks.json") if a == "BLOCKS" else a for a in argv])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert reason in stderr and "Traceback" not in stderr
+
+
+def test_compile_hitting_the_cap_still_exits_1(tmp_path, capsys):
+    blocks = tmp_path / "blocks.json"
+    block = qsim.haar_unitary(2, np.random.default_rng(0))
+    serialize.save_json(serialize.rep_to_json(block[None]), blocks)
+    argv = ["compile", str(blocks), "--zeta-target", "1e-6", "--eta", "0.3",
+            "--delta-target", "0.4", "--cap", "72"]
+    assert cli.main(argv) == 1
+    assert "exceeds the cap 72" in capsys.readouterr().err

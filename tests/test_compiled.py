@@ -105,8 +105,8 @@ def spec_case(name: str) -> QuasigroupProtocolSpec:
     fam = net.build_net(2, 1)
     built = qgbuilder.assemble_quasigroup(fam, 1.1)
     rep = ordinary_rep(built.quasigroup, fam.matrices)
-    d_a = 3 if name == "N12-spare-control-state" else 0
-    return QuasigroupProtocolSpec(built.quasigroup, rep, term_map=(2, 9), d_a=d_a)
+    spare = (None,) if name == "N12-spare-control-state" else ()
+    return QuasigroupProtocolSpec(built.quasigroup, rep, term_map=(2, 9, *spare))
 
 
 def flat_unitary(n: int, rng) -> np.ndarray:
@@ -163,7 +163,7 @@ SPEC_NAMES = ["N12", "perturbed", "N12-spare-control-state"]
 def test_measured_map_equals_gate_by_gate_run(name, order, seed):
     spec = spec_case(name)
     state = input_state(spec.d_a, spec.d_b, order, np.random.default_rng(seed),
-                        range(spec.n_terms, spec.d_a))
+                        spec.unsupported)
     record = run_measured_variant(spec, state)
     assert_same_branches(record.branches,
                          gate_by_gate_round(state, one_round_gates(spec.rep, spec.labels), "A", "B"))
@@ -176,13 +176,60 @@ def test_measured_map_equals_gate_by_gate_run(name, order, seed):
 def test_hidden_map_equals_gate_by_gate_run(name, order, seed):
     spec = spec_case(name)
     state = input_state(spec.d_a, spec.d_b, order, np.random.default_rng(seed),
-                        range(spec.n_terms, spec.d_a))
+                        spec.unsupported)
     record = run_hidden_variant(spec, state)
     full = _hidden_circuit(spec, state, "A", "B")
     assert_same_branches(record.branches, qsim.measure_registers(full, ("b", "x")))
     density = qsim.partial_trace(full, state.layout.names)
     assert np.abs(record.output_density - density).max() <= TOL
     assert record.deviation <= TOL
+
+
+RECORD_CASES = [("exact", name) for name in (*sorted(demos.EXACT_DEMOS), "pauli-gap")] \
+    + [("measured", name) for name in SPEC_NAMES] + [("lift", "lift")]
+
+
+def recorded_run(kind, name, replace_fourier, order, rng):
+    """One run of a record case, and the state each outcome l must leave, row l (or 0 for all)."""
+    if kind == "lift":
+        lifted = lift_highrank(demos.highrank_pauli(rank=2))
+        h = lifted.source
+        state = input_state(h.d_a, h.d_b, order, rng)
+        e0 = np.eye(lifted.ancilla_dim)[0]
+        want = np.kron(qsim.apply_on(state, h.target_matrix(), ("A", "B")).amps, e0)
+        return lifted.cgu, run_lifted_protocol(lifted, state), want[None]
+    spec = exact_case(name) if kind == "exact" else spec_case(name)
+    state = input_state(spec.d_a, spec.d_b, order, rng, spec.unsupported)
+    if kind == "measured":
+        want = [qsim.apply_on(state, u, ("A", "B")).amps for u in spec.branch_stack]
+        return spec, run_measured_variant(spec, state), np.stack(want)
+    fourier = flat_unitary(spec.order, rng) if replace_fourier else None
+    want = qsim.apply_on(state, spec.target_matrix(), ("A", "B")).amps
+    return spec, run_exact_protocol(spec, state, fourier=fourier), want[None]
+
+
+@settings(deadline=None, max_examples=24)
+@given(case=st.sampled_from(RECORD_CASES), replace_fourier=st.booleans(),
+       order=st.sampled_from(ORDERS), seed=st.integers(0, 2 ** 16))
+@example(case=("measured", "N12-spare-control-state"), replace_fourier=False,
+         order=("B", "S", "A"), seed=0)
+@example(case=("exact", "pauli-gap"), replace_fourier=True, order=("B", "S", "A"), seed=0)
+@example(case=("lift", "lift"), replace_fourier=False, order=("B", "S", "A"), seed=0)
+def test_one_record_checks_every_branch_of_every_run(case, replace_fourier, order, seed):
+    """Exact, measured and lifted runs: the record's deviation is the per-branch loop over its
+    ``expected`` rows, every branch has probability 1/N^2 and every outcome l has 1/N."""
+    spec, record, want = recorded_run(*case, replace_fourier, order, np.random.default_rng(seed))
+    n = spec.order
+    assert record.expected.shape == want.shape
+    assert np.abs(record.expected - want).max() <= TOL
+    assert len(record.branches) == n * n
+    loop = max(float(np.linalg.norm(post.amps - record.expected[l if len(want) > 1 else 0]))
+               for l, m, prob, post in record.branches)
+    assert record.max_deviation == pytest.approx(loop, abs=1e-15)
+    assert record.max_deviation <= 1e-9
+    assert record.uniformity_error <= 1e-10
+    assert np.abs(record.l_marginals - 1.0 / n).max() <= 1e-10
+    assert record.cost_ebits == math.log2(n)
 
 
 @pytest.mark.parametrize("name", ["N12", "perturbed"])
@@ -301,11 +348,11 @@ def reference_left_div_permutation(quasigroup, k):
 
 def reference_quasigroup_gates(spec):
     """The quasigroup protocol's gates; the correction undoes V_l^dag."""
-    n, spare = spec.order, spec.d_a - spec.n_terms
+    n = spec.order
     fourier = qsim.fourier_gate(n)
-    shifts = [reference_left_div_permutation(spec.quasigroup, k) for k in spec.term_map]
-    shifts += [np.eye(n, dtype=complex)] * spare
-    products = [spec.quasigroup.column(k) for k in spec.term_map] + [np.full(n, -1)] * spare
+    shifts = [np.eye(n, dtype=complex) if k is None
+              else reference_left_div_permutation(spec.quasigroup, k) for k in spec.term_map]
+    products = [np.full(n, -1) if k is None else spec.quasigroup.column(k) for k in spec.term_map]
     mats = spec.rep.matrices
     return OneRoundBlocks(shifts=np.stack(shifts), reps=mats, fourier=fourier,
                           phases=correction_phases(fourier, np.stack(products, axis=1)),
@@ -339,9 +386,10 @@ def test_one_builder_pins_the_quasigroup_protocol_maps(name):
 
 
 def reference_term_blocks(spec):
-    """The branch blocks V_l^dag V_{l*k} as formed before they carried lam (lam = 1 here)."""
+    """The branch blocks V_l^dag V_{l*k} of the terms, as formed before they carried lam (lam = 1
+    here)."""
     mats = spec.rep.matrices
-    products = np.stack([spec.quasigroup.column(k) for k in spec.term_map], axis=1)
+    products = np.stack([spec.quasigroup.column(k) for k in spec.term_map if k is not None], axis=1)
     return np.einsum("lab,libc->liac", mats.conj().transpose(0, 2, 1), mats[products])
 
 
@@ -351,8 +399,12 @@ def test_specs_without_factors_keep_their_blocks_and_maps_bit_for_bit(name):
     map and hidden map are exactly those of the factor-free formula and gates."""
     spec = spec_case(name)
     blocks = reference_term_blocks(spec)
-    assert np.array_equal(spec.term_blocks, blocks)
-    stack = [qsim.controlled_gate(spec.d_a, dict(enumerate(row)), spec.d_b) for row in blocks]
+    active = [i for i, k in enumerate(spec.term_map) if k is not None]
+    assert np.array_equal(spec.term_blocks[:, active], blocks)
+    assert np.array_equal(spec.term_blocks[:, list(spec.unsupported)],
+                          np.broadcast_to(np.eye(spec.d_b), (spec.order, len(spec.unsupported),
+                                                             spec.d_b, spec.d_b)))
+    stack = [qsim.controlled_gate(spec.d_a, dict(zip(active, row)), spec.d_b) for row in blocks]
     assert np.array_equal(spec.branch_stack, np.stack(stack))
     reference = compile_round(reference_quasigroup_gates(spec), spec.target_matrix())
     got, want = spec.compiled.circuit, reference.circuit

@@ -190,7 +190,7 @@ def test_lift_rank2_matches_dense_target():
         assert record.max_deviation <= 1e-9
         # target state is the dense action tensored with the reset ancilla
         want = qsim.apply_on(state, dense, ("A", "B"))
-        assert np.allclose(record.target_state.amps.reshape(-1, lifted.ancilla_dim)[:, 0],
+        assert np.allclose(record.expected[0].reshape(-1, lifted.ancilla_dim)[:, 0],
                            want.amps)
 
 
@@ -204,7 +204,7 @@ def test_lift_single_full_projector(klein_pauli):
     assert record.max_deviation <= 1e-9
     # the composite acts as identity (x) X on every input
     want = qsim.apply_on(state, np.kron(np.eye(3), rep.matrices[1]), ("A", "B"))
-    assert np.allclose(record.target_state.amps.reshape(-1, 1)[:, 0], want.amps)
+    assert np.allclose(record.expected[0].reshape(-1, 1)[:, 0], want.amps)
 
 
 def test_lift_rejects_bad_projectors(klein_pauli):
@@ -215,6 +215,13 @@ def test_lift_rejects_bad_projectors(klein_pauli):
         HighRankControlledUnitary((p0, p_bad), group, rep, (0, 1))
     with pytest.raises(NonOrthogonalProjectors):
         HighRankControlledUnitary((p0, p0), group, rep, (0, 1))
+    p1 = np.eye(2, dtype=complex) - p0
+    with pytest.raises(DimensionMismatch, match="at least one projector"):
+        HighRankControlledUnitary((), group, rep, ())
+    with pytest.raises(DimensionMismatch, match="elements of the group"):
+        HighRankControlledUnitary((p0, p1), group, rep, (0, group.order))
+    with pytest.raises(DimensionMismatch, match="elements of the group"):
+        HighRankControlledUnitary((p0, p1), group, rep, (-1, 1))
 
 
 def test_exactness_holds_over_hundred_inputs(klein_pauli):
@@ -301,7 +308,7 @@ def test_group_branch_blocks_are_the_term_blocks(name):
     cgu = (lift_highrank(demos.highrank_pauli(rank=2)).cgu if name == "lift"
            else demos.exact_demo_instance(name))
     assert isinstance(cgu, QuasigroupProtocolSpec)
-    assert cgu.term_blocks.shape == (cgu.group.order, cgu.n_terms, cgu.d_b, cgu.d_b)
+    assert cgu.term_blocks.shape == (cgu.group.order, cgu.d_a, cgu.d_b, cgu.d_b)
     assert np.abs(cgu.term_blocks - cgu.term_matrices()[None]).max() <= 1e-12
     report = compiler.error_budget(cgu.term_matrices(), cgu, 1e-6, 0.0, None)
     assert max(report.gap_target_plan, report.gap_plan_actual, report.gap_target_actual) <= 1e-12
@@ -315,8 +322,8 @@ def test_states_without_a_term_carry_identity_blocks(klein_pauli):
     assert np.array_equal(cgu.term_blocks[:, 1], np.broadcast_to(np.eye(2), (4, 2, 2)))
     assert np.abs(cgu.term_blocks - cgu.term_matrices()[None]).max() <= 1e-12
     assert set(dilation_error(cgu, 0.0, 0.0).per_k_measured) == {1, 2, 3}
-    padded = QuasigroupProtocolSpec(group, rep, term_map=(None, 3), d_a=3)
-    assert padded.unsupported == (0, 2) and padded.labels == (None, 3, None)
+    padded = QuasigroupProtocolSpec(group, rep, term_map=(None, 3, None))
+    assert padded.unsupported == (0, 2) and padded.labels == (None, 3, None) and padded.d_a == 3
     with pytest.raises(DimensionMismatch):
         QuasigroupProtocolSpec(group, rep, term_map=(None, None))
     with pytest.raises(DimensionMismatch):
