@@ -21,13 +21,13 @@ from .errors import (
     NotProjectiveRep,
     NotRightQuasigroup,
 )
-from .qsim import operator_norm, operator_norms, quaternion_product, su2_quaternions
+from .qsim import operator_norm, operator_norms, su2_quaternions
 
 UNIT_MODULUS_TOL = 1e-10
 REP_RESIDUAL_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 RECOUNT_CHUNK = 1 << 15     # residuals evaluated per quaternion recount chunk
-VALIDATE_CHUNK = 1 << 16    # table entries per left-division scatter and gather
+VALIDATE_CHUNK = 1 << 16    # table entries per left-division scatter
 
 
 def index_dtype(n: int):
@@ -220,11 +220,11 @@ def right_quasigroup_from_table(table) -> RightQuasigroup:
 def quasigroup_from_transposed(table_t: np.ndarray, row_classes: np.ndarray) -> RightQuasigroup:
     """Build from class rows: row a of the transposed table is ``table_t[row_classes[a]]``.
 
-    The left-division scatter plus a round-trip gather proves each row is a
-    permutation: a value missing from a row leaves its left-division slot at
-    the zero initialization and the gathered product cannot reproduce it.
-    Each class row is validated and left-divided once; no n x n table is
-    formed.
+    The left-division scatter proves each row is a permutation: every entry
+    lies in 0..n-1, so the n entries of a row fill all n slots of its
+    left-division row exactly when they are distinct, and a repeated value
+    leaves a slot at its -1 initialization.  Each class row is validated and
+    left-divided once; no n x n table is formed.
     """
     rows = _as_index_table(table_t, copy=False, square=False)
     n = rows.shape[1]
@@ -235,17 +235,16 @@ def quasigroup_from_transposed(table_t: np.ndarray, row_classes: np.ndarray) -> 
     count = len(rows)
     arange = np.arange(n, dtype=rows.dtype)
     offset_type = np.int32 if count * n < 2 ** 31 else np.int64
-    left_div_rows = np.zeros(rows.shape, dtype=rows.dtype)
-    flat_rows, flat_div = rows.reshape(-1), left_div_rows.reshape(-1)
+    left_div_rows = np.full(rows.shape, -1, dtype=rows.dtype)
+    flat_div = left_div_rows.reshape(-1)
     ok = np.empty(count, dtype=bool)
-    # a flat scatter and a flat gather per chunk of rows: entry (c, j) sits at j + c n
+    # one flat scatter per chunk of rows, entry (c, j) at j + c n; the cover test
+    # stays inside the loop so that no classes x n temporary is formed
     step = max(1, VALIDATE_CHUNK // n)
     for lo in range(0, count, step):
         base = np.arange(lo * n, min(lo + step, count) * n, n, dtype=offset_type)[:, None]
-        offsets = rows[lo:lo + step] + base
-        flat_div[offsets] = arange
-        np.add(left_div_rows[lo:lo + step], base, out=offsets)
-        ok[lo:lo + step] = (flat_rows[offsets] == arange).all(axis=1)
+        flat_div[rows[lo:lo + step] + base] = arange
+        ok[lo:lo + step] = (left_div_rows[lo:lo + step] >= 0).all(axis=1)
     ok = ok[row_classes]
     if not ok.all():
         bad = int(np.argmin(ok))
@@ -388,22 +387,34 @@ def _recount_representatives(keys: np.ndarray, classes: np.ndarray):
     return reps, rep_index.ravel(), key_id, first
 
 
+def _right_multiplication(quats: np.ndarray) -> np.ndarray:
+    """The 4 x 4 matrices R(q) with p @ R(q) the coordinates of the product p q."""
+    w, x, y, z = quats.T
+    return np.stack([np.stack([w, x, y, z], axis=-1),
+                     np.stack([-x, w, z, -y], axis=-1),
+                     np.stack([-y, -z, w, x], axis=-1),
+                     np.stack([-z, y, -x, w], axis=-1)], axis=1)
+
+
 def _quaternion_recount(quats, q: RightQuasigroup, reps, key_id, first, eta: float):
     """Violation counts and worst residual of each representative k, in quaternions.
 
-    The products q_u q_k are formed once per distinct quaternion u and
-    gathered per left label l(j, k); the residual is |q_l q_k - q_j|.
+    The products q_u q_k are formed once per distinct quaternion u, one
+    matmul by the right-multiplication matrix of q_k per chunk of
+    representatives, and gathered per left label l(j, k); the residual is
+    |q_l q_k - q_j|, its square summed from the differences (an inner-product
+    form would cancel for small residuals).
     """
     n, n_keys = len(quats), len(first)
-    # column-major: each component is contiguous, which speeds the products, not their bits
-    distinct = np.asfortranarray(quats[first])
+    distinct = quats[first]
+    right = _right_multiplication(quats[reps])
     eta_sq = eta * eta
     max_sq = 0.0
     rep_counts = np.empty(len(reps), dtype=np.int64)
     chunk = max(1, RECOUNT_CHUNK // n)
     for k0 in range(0, len(reps), chunk):
         sel = reps[k0:k0 + chunk]
-        prods = quaternion_product(distinct, quats[sel, None, :]).reshape(-1, 4)
+        prods = np.matmul(distinct, right[k0:k0 + chunk]).reshape(-1, 4)
         ld = q.class_left_div[q.classes[sel]]
         diff = np.take(prods, key_id[ld] + (n_keys * np.arange(len(sel)))[:, None], axis=0)
         diff -= quats[None, :, :]

@@ -34,12 +34,14 @@ DEMO_TRIALS = 50
 
 
 def _bounded(kind, low, strict: bool = False):
-    """An argparse type: a ``kind`` value of at least ``low``, or above it when ``strict``."""
+    """An argparse type: a finite ``kind`` value of at least ``low`` (above it when ``strict``)."""
     def parse(text: str):
         value = kind(text)
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(
                 f"must be {'above' if strict else 'at least'} {low}, got {text}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
     return parse
 
@@ -56,14 +58,14 @@ def _parser() -> argparse.ArgumentParser:
     n = sub.add_parser("net-build", help="build a word net and emit its cache")
     n.add_argument("--d", type=_bounded(int, 2), default=2)
     n.add_argument("--m", type=_bounded(int, 1), required=True)
-    n.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    n.add_argument("--cap", type=_bounded(int, 1), default=DEFAULT_CAP)
     n.add_argument("--out", default=None)
 
     q = sub.add_parser("qg-build", help="assemble a right quasigroup over a net")
     q.add_argument("--d", type=_bounded(int, 2), default=2)
     q.add_argument("--m", type=_bounded(int, 1), required=True)
     q.add_argument("--eta", type=_bounded(float, 0.0, strict=True), required=True)
-    q.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    q.add_argument("--cap", type=_bounded(int, 1), default=DEFAULT_CAP)
     q.add_argument("--out", default=None)
 
     c = sub.add_parser("compile", help="compile a controlled unitary from a representation JSON")
@@ -72,7 +74,7 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--eta", type=float, default=None, help="eta target")
     c.add_argument("--delta-target", type=float, default=None)
     c.add_argument("--epsilon-target", type=float, default=None)
-    c.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    c.add_argument("--cap", type=_bounded(int, 1), default=DEFAULT_CAP)
     c.add_argument("--out", default=None)
 
     v = sub.add_parser("verify", help="re-run all checks against a saved bundle")

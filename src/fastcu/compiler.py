@@ -78,6 +78,9 @@ class CompileTargets:
 
     def __post_init__(self):
         component = (self.zeta, self.eta, self.delta)
+        # NaN passes every "<= 0" test and an infinite target accepts anything
+        if not all(math.isfinite(t) for t in (*component, self.epsilon) if t is not None):
+            raise DimensionMismatch(f"targets must be finite, got {self}")
         if self.epsilon is None:
             if any(t is None or t <= 0 for t in component):
                 raise DimensionMismatch("need positive zeta, eta and delta targets")

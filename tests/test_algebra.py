@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_right_quasigroup
-from fastcu import algebra, net, qsim
+from fastcu import algebra, net, qgbuilder, qsim
 from fastcu.errors import (
     DimensionMismatch,
     NoIdentity,
@@ -141,17 +141,30 @@ def test_class_rows_bad_row_names_first_label():
         algebra.quasigroup_from_transposed(rows, np.array([0, 0, 2, 1]))
 
 
-def test_left_division_in_chunks_of_rows(monkeypatch):
-    rng = np.random.default_rng(37)
-    n, count = 9, 7
+@settings(deadline=None, max_examples=60)
+@given(n=st.integers(2, 12), count=st.integers(1, 9), per_chunk=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+@example(n=9, count=7, per_chunk=2, seed=37, data=None)    # two rows a chunk, the last alone
+def test_left_division_in_chunks_of_rows(n, count, per_chunk, seed, data):
+    """One planted duplicate, anywhere in any chunk, names the first label of its row."""
+    rng = np.random.default_rng(seed)
     rows = np.stack([rng.permutation(n) for _ in range(count)])
-    classes = np.arange(n) % count
-    monkeypatch.setattr(algebra, "VALIDATE_CHUNK", 2 * n)     # two rows a chunk, the last alone
-    q = algebra.quasigroup_from_transposed(rows, classes)
-    assert np.array_equal(q.class_left_div, np.argsort(rows, axis=1))
-    rows[-1, 0] = rows[-1, 1]
-    with pytest.raises(NotRightQuasigroup, match=f"column {count - 1} "):
-        algebra.quasigroup_from_transposed(rows, classes)
+    classes = rng.integers(0, count, n)
+    classes[rng.permutation(n)[:count]] = np.arange(min(n, count))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "VALIDATE_CHUNK", per_chunk * n)
+        q = algebra.quasigroup_from_transposed(rows, classes)
+        assert np.array_equal(q.class_left_div, np.argsort(rows, axis=1))
+        if data is None:
+            bad, (y, other) = count - 1, (0, 1)
+        else:
+            bad = data.draw(st.sampled_from(sorted(set(classes.tolist()))))
+            y, other = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                          unique=True))
+        rows[bad, y] = rows[bad, other]
+        first = int(np.flatnonzero(classes == bad)[0])
+        with pytest.raises(NotRightQuasigroup, match=f"^column {first} "):
+            algebra.quasigroup_from_transposed(rows, classes)
 
 
 def test_table_entries_must_be_integers():
@@ -323,6 +336,31 @@ def test_certify_grouped_recount_matches_svd_double_loop(seed, extra, copies, sh
     assert np.all(lo <= cert.per_k_violation_count)
     assert np.all(cert.per_k_violation_count <= hi)
     assert cert.max_residual == pytest.approx(worst, abs=1e-12)
+
+
+def _elementwise_recount(quats, q, eta):
+    """Per-label counts and worst residual, products by the elementwise quaternion formula."""
+    counts = np.empty(q.order, dtype=np.int64)
+    worst = 0.0
+    for k in range(q.order):
+        diff = qsim.quaternion_product(quats[q.ldiv_column(k)], quats[k]) - quats
+        sq = np.einsum("jc,jc->j", diff, diff)
+        counts[k] = np.count_nonzero(sq >= eta * eta)
+        worst = max(worst, float(sq.max()))
+    return counts, np.sqrt(worst)
+
+
+@settings(deadline=None, max_examples=15)
+@given(m=st.sampled_from([1, 2, 3]), eta=st.floats(0.3, 1.5))
+@example(m=3, eta=0.6)
+def test_matmul_recount_matches_elementwise_products_on_built_tables(m, eta):
+    """The matmul products count exactly as the elementwise ones, within an ulp of residual."""
+    fam = net.build_net(2, m)
+    built = qgbuilder.assemble_quasigroup(fam, eta)
+    counts, worst = _elementwise_recount(qsim.su2_quaternions(fam.matrices), built.quasigroup, eta)
+    cert = built.certificate
+    assert np.array_equal(cert.per_k_violation_count, counts)
+    assert abs(cert.max_residual - worst) <= 4.5e-16
 
 
 def test_certify_monotone_in_eta():

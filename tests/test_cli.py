@@ -681,13 +681,19 @@ COMPONENTS = ["--zeta-target", "0.6", "--eta", "0.3", "--delta-target", "0.4"]
     (["compile", "BLOCKS", "--zeta-target", "0", "--eta", "0.3", "--delta-target", "0.4"],
      "need positive zeta, eta and delta targets"),
     (["compile", "BLOCKS", "--epsilon-target", "-1"], "epsilon target must be positive"),
+    (["compile", "BLOCKS", "--epsilon-target", "nan"], "targets must be finite"),
+    (["compile", "BLOCKS", "--zeta-target", "inf", "--eta", "inf", "--delta-target", "inf"],
+     "targets must be finite"),
     (["qg-build", "--m", "0", "--eta", "0.6"], "argument --m: must be at least 1, got 0"),
     (["qg-build", "--m", "2", "--eta", "0"], "argument --eta: must be above 0.0, got 0"),
     (["qg-build", "--m", "2", "--eta", "-0.5"], "argument --eta: must be above 0.0, got -0.5"),
     (["qg-build", "--m", "2", "--eta", "nan"], "argument --eta: must be above 0.0, got nan"),
+    (["qg-build", "--m", "2", "--eta", "inf"], "argument --eta: must be finite, got inf"),
     (["net-build", "--m", "2", "--d", "1"], "argument --d: must be at least 2, got 1"),
+    (["net-build", "--m", "2", "--cap", "0"], "argument --cap: must be at least 1, got 0"),
 ], ids=["compile-no-targets", "compile-both-modes", "compile-zero-zeta", "compile-negative-epsilon",
-        "qg-m0", "qg-eta0", "qg-eta-negative", "qg-eta-nan", "net-d1"])
+        "compile-epsilon-nan", "compile-components-inf", "qg-m0", "qg-eta0", "qg-eta-negative",
+        "qg-eta-nan", "qg-eta-inf", "net-d1", "net-cap0"])
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, monkeypatch, argv, reason):
     """Exit 2 with the reason on stderr, before any file is read or family built."""
     def build_net(*args, **kwargs):

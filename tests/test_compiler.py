@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple
 
 import numpy as np
@@ -53,6 +54,18 @@ def test_compile_targets_validation():
         CompileTargets(zeta=0.5, eta=0.5, delta=0.5, epsilon=0.5)
     CompileTargets(epsilon=1.0)
     CompileTargets(zeta=0.5, eta=0.5, delta=0.5)
+
+
+@pytest.mark.parametrize("targets", [
+    {"epsilon": math.nan}, {"epsilon": math.inf},
+    {"zeta": math.nan, "eta": 0.5, "delta": 0.5}, {"zeta": 0.5, "eta": 0.5, "delta": math.nan},
+    {"zeta": math.inf, "eta": math.inf, "delta": math.inf},
+    {"zeta": 0.5, "eta": math.inf, "delta": 0.5},
+])
+def test_compile_targets_must_be_finite(targets):
+    # NaN passes a "<= 0" test, and an infinite target would accept any plan
+    with pytest.raises(DimensionMismatch, match="finite"):
+        CompileTargets(**targets)
 
 
 def test_compile_exact_family_through_degenerate_net(regular_rep_net):
