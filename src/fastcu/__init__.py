@@ -17,7 +17,6 @@ from .algebra import (
     RightQuasigroup,
     certify_approx_rep,
     cyclic_group,
-    derive_factor_system,
     group_from_cayley,
     klein_four_group,
     ordinary_rep,

@@ -1,4 +1,4 @@
-"""Finite groups, projective representations, and right quasigroups.
+"""Right quasigroups, the finite groups among them, and projective representations.
 
 All structures are index based: elements are the integers 0..N-1 and products
 are table lookups.  Construction validates the defining axioms and derives the
@@ -9,7 +9,7 @@ re-checks them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (
     NotProjectiveRep,
     NotRightQuasigroup,
 )
-from .qsim import operator_norm, operator_norms, su2_quaternions
+from .qsim import ZERO_TOL, operator_norm, operator_norms, su2_quaternions, unitarity_residuals
 
 UNIT_MODULUS_TOL = 1e-10
 REP_RESIDUAL_TOL = 1e-9
@@ -69,80 +69,6 @@ def _distinct_rows(rows: np.ndarray):
     bits = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))).ravel()
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     return first, inverse.ravel()
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
-    """Finite group of order N given by its Cayley table (row*column product)."""
-
-    order: int
-    cayley: np.ndarray
-    identity: int
-    inverse: np.ndarray
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
-    def column(self, k: int) -> np.ndarray:
-        """g*k for every g (column k of the Cayley table), read-only."""
-        return self.cayley[:, k]
-
-    def ldiv_column(self, k: int) -> np.ndarray:
-        """The left quotient l = j*k^-1, the l with l*k = j, for every j; read-only."""
-        return self.cayley[:, self.inverse[k]]
-
-    def to_right_quasigroup(self) -> "RightQuasigroup":
-        return right_quasigroup_from_table(self.cayley)
-
-
-def group_from_cayley(table) -> FiniteGroup:
-    """Validate a Cayley table and derive identity and inverses."""
-    cayley = _as_index_table(table)
-    n = cayley.shape[0]
-    idx = np.arange(n)
-
-    identity = None
-    for e in range(n):
-        if np.array_equal(cayley[e], idx) and np.array_equal(cayley[:, e], idx):
-            identity = e
-            break
-    if identity is None:
-        raise NoIdentity("no two-sided identity element in the table")
-
-    inverse = np.full(n, -1, dtype=np.int64)
-    for a in range(n):
-        right = np.flatnonzero(cayley[a] == identity)
-        left = np.flatnonzero(cayley[:, a] == identity)
-        both = np.intersect1d(right, left)
-        if both.size == 0:
-            raise NoInverse(f"element {a} has no two-sided inverse")
-        inverse[a] = both[0]
-
-    # (a*b)*c vs a*(b*c) on all triples at once; identity, inverses and
-    # associativity together force every row and column to be a permutation
-    lhs = cayley[cayley]      # lhs[a,b,c] = (a*b)*c
-    rhs = cayley[:, cayley]   # rhs[a,b,c] = a*(b*c)
-    bad = np.argwhere(lhs != rhs)
-    if bad.size:
-        a, b, c = (int(x) for x in bad[0])
-        raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-
-    cayley.setflags(write=False)
-    inverse.setflags(write=False)
-    return FiniteGroup(order=n, cayley=cayley, identity=identity, inverse=inverse)
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    idx = np.arange(n)
-    return group_from_cayley((idx[:, None] + idx[None, :]) % n)
-
-
-def klein_four_group() -> FiniteGroup:
-    idx = np.arange(4)
-    return group_from_cayley(idx[:, None] ^ idx[None, :])
 
 
 class _Gathered:
@@ -193,7 +119,7 @@ class RightQuasigroup:
     left_div: np.ndarray = _Gathered()
 
     def __repr__(self) -> str:
-        return f"RightQuasigroup(order={self.order}, classes={len(self.class_table)})"
+        return f"{type(self).__name__}(order={self.order}, classes={len(self.class_table)})"
 
     def column(self, k: int) -> np.ndarray:
         """y*k for every y (column k of the table), read-only."""
@@ -255,6 +181,75 @@ def quasigroup_from_transposed(table_t: np.ndarray, row_classes: np.ndarray) -> 
                            classes=row_classes)
 
 
+@dataclass(frozen=True, eq=False, repr=False, kw_only=True)
+class FiniteGroup(RightQuasigroup):
+    """Finite group of order N: a right quasigroup with an identity and inverses.
+
+    Every element is its own class, so row k of ``class_table`` is column k
+    of the Cayley table (row*column product) and ``classes`` is 0..N-1.
+    """
+
+    identity: int
+    inverse: np.ndarray
+
+    @property
+    def cayley(self) -> np.ndarray:
+        """The Cayley table, ``cayley[g, h] = g*h``: a read-only view of the class rows."""
+        return self.class_table.T
+
+    def to_right_quasigroup(self) -> RightQuasigroup:
+        """The same table as a plain right quasigroup, which carries no group structure."""
+        return right_quasigroup_from_table(self.cayley)
+
+
+def group_from_cayley(table) -> FiniteGroup:
+    """Validate a Cayley table and derive identity and inverses."""
+    cayley = _as_index_table(table)
+    n = cayley.shape[0]
+    idx = np.arange(n)
+
+    identity = None
+    for e in range(n):
+        if np.array_equal(cayley[e], idx) and np.array_equal(cayley[:, e], idx):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentity("no two-sided identity element in the table")
+
+    inverse = np.full(n, -1, dtype=np.int64)
+    for a in range(n):
+        right = np.flatnonzero(cayley[a] == identity)
+        left = np.flatnonzero(cayley[:, a] == identity)
+        both = np.intersect1d(right, left)
+        if both.size == 0:
+            raise NoInverse(f"element {a} has no two-sided inverse")
+        inverse[a] = both[0]
+
+    # (a*b)*c vs a*(b*c) on all triples at once; identity, inverses and
+    # associativity together force every row and column to be a permutation
+    lhs = cayley[cayley]      # lhs[a,b,c] = (a*b)*c
+    rhs = cayley[:, cayley]   # rhs[a,b,c] = a*(b*c)
+    bad = np.argwhere(lhs != rhs)
+    if bad.size:
+        a, b, c = (int(x) for x in bad[0])
+        raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+
+    q = quasigroup_from_transposed(np.ascontiguousarray(cayley.T), idx)
+    inverse.setflags(write=False)
+    return FiniteGroup(order=n, class_table=q.class_table, class_left_div=q.class_left_div,
+                       classes=q.classes, identity=identity, inverse=inverse)
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    idx = np.arange(n)
+    return group_from_cayley((idx[:, None] + idx[None, :]) % n)
+
+
+def klein_four_group() -> FiniteGroup:
+    idx = np.arange(4)
+    return group_from_cayley(idx[:, None] ^ idx[None, :])
+
+
 @dataclass(frozen=True, eq=False)
 class FactorSystem:
     """Unit-modulus scalars lam[g, h] relating pair products to single elements."""
@@ -266,8 +261,11 @@ class FactorSystem:
         object.__setattr__(self, "lam", lam)
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
             raise DimensionMismatch(f"factor table must be square, got {lam.shape}")
-        if np.max(np.abs(np.abs(lam) - 1.0)) > UNIT_MODULUS_TOL:
-            raise NotProjectiveRep("factor system entries are not unit modulus")
+        off = np.abs(np.abs(lam) - 1.0)
+        if off.max() > UNIT_MODULUS_TOL:
+            g, h = np.unravel_index(int(np.argmax(off)), lam.shape)
+            raise NotProjectiveRep(
+                f"pair ({g},{h}) yields |lam| = {abs(lam[g, h]):.6f}, not a projective rep")
 
     def cocycle_residual(self, group: FiniteGroup) -> float:
         """Max violation of lam(g,h)*lam(g*h,k) = lam(g,h*k)*lam(h,k) over all triples."""
@@ -281,14 +279,15 @@ class FactorSystem:
 class ProjectiveRep:
     """Family of unitaries indexed by a group or right quasigroup.
 
-    When ``factor_system`` is present the family multiplies as a projective
-    representation of the group; a plain (ordinary) family over a right
-    quasigroup carries no factors.
+    Over a group the family must be a projective representation: the
+    constructor derives its ``factor_system`` lam(g,h) = tr(V_{g*h}^dag V_g V_h)/d
+    from the pair products and checks them against it.  A family over a plain
+    right quasigroup carries no factors.
     """
 
-    structure: FiniteGroup | RightQuasigroup
+    structure: RightQuasigroup
     matrices: np.ndarray
-    factor_system: FactorSystem | None = None
+    factor_system: FactorSystem | None = field(init=False, default=None)
 
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=complex)
@@ -297,60 +296,38 @@ class ProjectiveRep:
         if mats.ndim != 3 or mats.shape[0] != n or mats.shape[1] != mats.shape[2]:
             raise DimensionMismatch(
                 f"expected {n} square matrices, got array of shape {mats.shape}")
-        d = mats.shape[1]
-        eye = np.eye(d)
-        residual = operator_norms(np.einsum("kab,kac->kbc", mats.conj(), mats) - eye)
-        if residual.max() > UNIT_MODULUS_TOL:
+        residual = unitarity_residuals(mats)
+        if residual.max() > ZERO_TOL:
             k = int(np.argmax(residual))
             raise NotProjectiveRep(f"matrix {k} is not unitary (residual {residual[k]:.2e})")
-        if isinstance(self.structure, FiniteGroup):
-            e = self.structure.identity
-            if operator_norm(mats[e] - eye) > IDENTITY_TOL:
-                raise NotProjectiveRep(f"matrix at the identity label {e} is not the identity")
-        if self.factor_system is not None:
-            # max over pairs of || V_g V_h - lam(g,h) V_{g*h} ||_inf, the one product check
-            prods = np.einsum("gab,hbc->ghac", mats, mats)
-            prods -= self.factor_system.lam[:, :, None, None] * mats[self.structure.cayley]
-            res = float(operator_norms(prods.reshape(n * n, d, d)).max())
-            if res > REP_RESIDUAL_TOL:
-                raise NotProjectiveRep(f"factor system residual {res:.2e} exceeds tolerance")
+        if not isinstance(self.structure, FiniteGroup):
+            return
+        d, e = mats.shape[1], self.structure.identity
+        if operator_norm(mats[e] - np.eye(d)) > IDENTITY_TOL:
+            raise NotProjectiveRep(f"matrix at the identity label {e} is not the identity")
+        prods = np.einsum("gab,hbc->ghac", mats, mats)
+        at_products = mats[self.structure.cayley]
+        factors = FactorSystem(np.einsum("ghab,ghab->gh", at_products.conj(), prods) / d)
+        # max over pairs of || V_g V_h - lam(g,h) V_{g*h} ||_inf, the one product check
+        prods -= factors.lam[:, :, None, None] * at_products
+        res = float(operator_norms(prods.reshape(n * n, d, d)).max())
+        if res > REP_RESIDUAL_TOL:
+            raise NotProjectiveRep(f"factor system residual {res:.2e} exceeds tolerance")
+        object.__setattr__(self, "factor_system", factors)
 
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
 
 
-def derive_factor_system(rep: ProjectiveRep) -> FactorSystem:
-    """Extract the pair factors of a projective representation from its matrices.
-
-    Uses lam(g,h) = tr(V_{g*h}^dag V_g V_h)/d; ``ProjectiveRep`` checks the
-    product residual when the factors are attached, so the caller only ever
-    supplies matrices.
-    """
-    if not isinstance(rep.structure, FiniteGroup):
-        raise NotProjectiveRep("factor systems are defined over groups only")
-    group = rep.structure
-    mats = rep.matrices
-    d = rep.dim
-    prods = np.einsum("gab,hbc->ghac", mats, mats)
-    lam = np.einsum("ghab,ghab->gh", mats[group.cayley].conj(), prods) / d
-    if np.max(np.abs(np.abs(lam) - 1.0)) > UNIT_MODULUS_TOL:
-        g, h = np.unravel_index(int(np.argmax(np.abs(np.abs(lam) - 1.0))), lam.shape)
-        raise NotProjectiveRep(
-            f"pair ({g},{h}) yields |lam| = {abs(lam[g, h]):.6f}, not a projective rep")
-    return FactorSystem(lam)
-
-
 def projective_rep(group: FiniteGroup, matrices) -> ProjectiveRep:
-    """Build a ProjectiveRep with its factor system derived and validated."""
-    bare = ProjectiveRep(group, np.asarray(matrices, dtype=complex))
-    factors = derive_factor_system(bare)
-    return ProjectiveRep(group, bare.matrices, factors)
+    """A projective representation of ``group``, its factor system derived and checked."""
+    return ProjectiveRep(group, matrices)
 
 
-def ordinary_rep(structure: FiniteGroup | RightQuasigroup, matrices) -> ProjectiveRep:
-    """Representation without factors (the right-quasigroup and lam==1 cases)."""
-    return ProjectiveRep(structure, np.asarray(matrices, dtype=complex))
+def ordinary_rep(structure: RightQuasigroup, matrices) -> ProjectiveRep:
+    """A family over ``structure``; over a group it carries its (derived) factor system."""
+    return ProjectiveRep(structure, matrices)
 
 
 @dataclass(frozen=True)

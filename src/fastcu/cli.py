@@ -2,8 +2,9 @@
 
 Every run is deterministic given its flags and seed.  Outputs are JSON bundles
 (schema above each writer) or tidy CSV for plotting; summaries go to stdout.
-Exit codes: 0 all checks pass, 1 a bound or invariant failed, 2 usage, IO or a
-malformed bundle.
+Exit codes: 0 all checks pass, 1 a bound or invariant failed, 2 usage, IO (a
+missing, unreadable or unwritable path) or a malformed bundle (invalid JSON or
+UTF-8 included).
 """
 
 from __future__ import annotations
@@ -384,11 +385,9 @@ def _verify_exact_demo_bundle(doc: dict) -> int:
     """Re-run the demo from its example, seed and trials; no stored number is evidence."""
     for name, kind in (("N", int), ("cost_ebits", _NUMBER), ("max_branch_deviation", _NUMBER),
                        ("uniformity_error", _NUMBER)):
-        _field(doc, name, kind)
+        _non_negative(doc, name, kind)
     _field(doc, "S", list, int)
-    trials, seed = _field(doc, "trials", int), _field(doc, "seed", int)
-    if seed < 0:
-        raise SchemaMismatch(f"bundle field 'seed' must be a non-negative integer, got {seed}")
+    trials, seed = _field(doc, "trials", int), _non_negative(doc, "seed", int)
     if not 1 <= trials <= DEMO_TRIALS:
         return _fail("record", f"trials={trials!r} is not an integer in 1..{DEMO_TRIALS}")
     redo = _exact_demo_bundle(_field(doc, "example", str), seed, trials)
@@ -425,10 +424,19 @@ def cmd_verify(args) -> int:
                                       "exact-demo": _verify_exact_demo_bundle}, "verify")
 
 
+def _non_negative(doc: dict, path: str, kind):
+    """The ``_field`` at ``path``; a negative value makes the bundle malformed."""
+    value = _field(doc, path, kind)
+    if value < 0:
+        raise SchemaMismatch(f"bundle field {path!r} must be a non-negative "
+                             f"{'integer' if kind is int else 'number'}, got {value}")
+    return value
+
+
 def _scan_row(p: dict) -> dict:
     """A compile scan point; a degree rejected before matching has null eta and delta."""
-    eta, delta = (math.nan if p.get(k, 0) is None else _field(p, f"scan.{k}", _NUMBER)
-                  for k in ("eta", "delta"))
+    eta, delta = (math.nan if p.get(k, 0) is None else read(p, f"scan.{k}", _NUMBER)
+                  for k, read in (("eta", _field), ("delta", _non_negative)))
     zeta = _field(p, "scan.zeta", _NUMBER)
     return {"m": _field(p, "scan.m", int), "eta": eta, "zeta": zeta, "delta": delta,
             "cost_ebits": _field(p, "scan.cost_ebits", _NUMBER),
@@ -440,7 +448,7 @@ def _quasigroup_row(doc: dict) -> dict:
     n = _field(doc, "N", int)
     if n < 1:
         raise SchemaMismatch(f"bundle field 'N' must be a positive order, got {n}")
-    eta, delta = _field(doc, "eta", _NUMBER), _field(doc, "delta_cert", _NUMBER)
+    eta, delta = _field(doc, "eta", _NUMBER), _non_negative(doc, "delta_cert", _NUMBER)
     return {"m": _field(_field(doc, "net", dict), "net.m", int), "eta": eta,
             "zeta": math.nan, "delta": delta, "cost_ebits": math.log2(n),
             "error_bound": certified_bound(0.0, eta, delta), "accepted": 1}
@@ -484,7 +492,7 @@ def main(argv=None) -> int:
         # the reader closed stdout: leave quietly, with nothing left to flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
-    except (SchemaMismatch, FileNotFoundError) as exc:
+    except (SchemaMismatch, OSError) as exc:   # after BrokenPipeError, itself an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FastcuError as exc:

@@ -20,7 +20,7 @@ from .errors import BudgetExhausted, DimensionMismatch, NetTooLarge, NotUnitary
 from .exact_protocol import QuasigroupProtocolSpec
 from .net import DEFAULT_CAP, NetFamily, build_net, nearest_in_net
 from .qgbuilder import BuiltQuasigroup, assemble_or_reject
-from .qsim import is_unitary, operator_norm, operator_norms
+from .qsim import ZERO_TOL, operator_norm, operator_norms, unitarity_residuals
 
 ETA_GRID_SIZE = 16
 ETA_FLOOR = 1e-6
@@ -51,12 +51,13 @@ def normalize_su(blocks) -> TargetControlledUnitary:
     mats = np.asarray(blocks, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatch(f"expected a stack of square blocks, got {mats.shape}")
+    bad = np.flatnonzero(unitarity_residuals(mats) > ZERO_TOL)
+    if bad.size:
+        raise NotUnitary(f"block {bad[0]} is not unitary")
     d = mats.shape[1]
     out = np.empty_like(mats)
     phases = np.empty(mats.shape[0])
     for i, w in enumerate(mats):
-        if not is_unitary(w):
-            raise NotUnitary(f"block {i} is not unitary")
         theta = float(np.angle(np.linalg.det(w)))   # principal value in (-pi, pi]
         phases[i] = theta / d
         out[i] = np.exp(-1j * theta / d) * w

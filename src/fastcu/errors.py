@@ -31,10 +31,6 @@ class DimensionMismatch(FastcuError):
     pass
 
 
-class MissingFactorSystem(FastcuError):
-    pass
-
-
 class UnsupportedInput(FastcuError):
     pass
 

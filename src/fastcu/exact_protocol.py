@@ -1,6 +1,6 @@
 """The one-round protocol instance, and its exact case for group-structured blocks.
 
-An instance controls blocks of a family over a right quasigroup or a group.
+An instance controls blocks of a family over a right quasigroup, a group included.
 Both parties consume one rank-N maximally entangled pair and make one
 simultaneous exchange of measurement outcomes.  When the controlled operators
 form a subset of a projective representation of a finite group, every branch
@@ -17,12 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .algebra import FiniteGroup, ProjectiveRep, RightQuasigroup
-from .errors import (
-    DimensionMismatch,
-    MissingFactorSystem,
-    NonOrthogonalProjectors,
-    UnsupportedInput,
-)
+from .errors import DimensionMismatch, NonOrthogonalProjectors, UnsupportedInput
 from .qsim import (
     Branches,
     PureState,
@@ -255,7 +250,7 @@ def run_one_round(spec: QuasigroupProtocolSpec, state: PureState, control: str, 
 
 @dataclass(frozen=True, eq=False)
 class QuasigroupProtocolSpec:
-    """Controlled unitary whose blocks come from a family over a right quasigroup or a group.
+    """Controlled unitary whose blocks come from a family over a right quasigroup, groups included.
 
     ``term_map[i]`` is the family label controlled by basis state ``|i>`` of the
     control register, or None for a state without a term; repeats are allowed
@@ -264,7 +259,7 @@ class QuasigroupProtocolSpec:
     there.
     """
 
-    quasigroup: FiniteGroup | RightQuasigroup
+    quasigroup: RightQuasigroup
     rep: ProjectiveRep
     term_map: tuple[int | None, ...]
 
@@ -364,7 +359,7 @@ class QuasigroupProtocolSpec:
 
 @dataclass(frozen=True, eq=False)
 class ControlledGroupUnitary(QuasigroupProtocolSpec):
-    """A spec over a finite group whose representation carries its factor system.
+    """A spec over a finite group; its representation carries the group's factor system.
 
     ``term_map[i]`` is the group element controlled by basis state ``|i>`` of
     the control register, or None for basis states outside the protocol's
@@ -376,8 +371,6 @@ class ControlledGroupUnitary(QuasigroupProtocolSpec):
         super().__post_init__()
         if not isinstance(self.quasigroup, FiniteGroup):
             raise DimensionMismatch("representation must be defined over a group")
-        if self.rep.factor_system is None:
-            raise MissingFactorSystem("the representation has no derived factor system")
         if len(set(self.subset)) != len(self.subset):
             raise DimensionMismatch("control labels must be distinct group elements")
 

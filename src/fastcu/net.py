@@ -29,11 +29,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, NetTooLarge, NotSpecial, NotUnitary
-from .qsim import operator_norm, operator_norms, su2_quaternions
+from .qsim import ZERO_TOL, operator_norm, operator_norms, su2_quaternions, unitarity_residuals
 
 MIXING_RATE = math.sqrt(5.0) / 3.0
 DEFAULT_CAP = 50_000
-UNITARY_TOL = 1e-10
 SPECIAL_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-9
 
@@ -99,9 +98,8 @@ class NetFamily:
     _class_of_key: dict[bytes, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        res = operator_norms(np.einsum("kab,kac->kbc", self.matrices.conj(), self.matrices)
-                             - np.eye(self.d))
-        if res.max() > UNITARY_TOL:
+        res = unitarity_residuals(self.matrices)
+        if res.max() > ZERO_TOL:
             raise NotUnitary(f"element {int(res.argmax())} is not unitary")
         index: dict[bytes, int] = {}
         classes = np.array([index.setdefault(key, len(index))
@@ -223,7 +221,7 @@ def two_level_decompose(u: np.ndarray) -> TwoLevelDecomposition:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {u.shape}")
     d = u.shape[0]
-    if operator_norm(u.conj().T @ u - np.eye(d)) > UNITARY_TOL:
+    if unitarity_residuals(u) > ZERO_TOL:
         raise NotUnitary("input is not unitary within tolerance")
     if abs(np.linalg.det(u) - 1.0) > SPECIAL_TOL:
         raise NotSpecial(f"determinant {np.linalg.det(u):.6f} is not 1")

@@ -41,15 +41,22 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def is_unitary(matrix: np.ndarray, tol: float = ZERO_TOL) -> bool:
-    """Whether a matrix, or every matrix of a (..., n, n) stack, is unitary within ``tol``."""
+def unitarity_residuals(stack: np.ndarray) -> np.ndarray:
+    """||M^dag M - I||_inf of a square matrix, or of each matrix of a (..., n, n) stack.
+
+    The one unitarity measure of the package: a matrix is unitary when its
+    residual is at most ``ZERO_TOL``.
+    """
+    m = np.asarray(stack, dtype=complex)
+    return operator_norms(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1]))
+
+
+def is_unitary(matrix: np.ndarray) -> bool:
+    """Whether a matrix, or every matrix of a (..., n, n) stack, is unitary within ``ZERO_TOL``."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    if m.size == 0:
-        return True
-    residual = m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])
-    return bool(np.all(operator_norms(residual) <= tol))
+    return m.size == 0 or bool(np.all(unitarity_residuals(m) <= ZERO_TOL))
 
 
 def su2_quaternions(stack: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:

@@ -117,5 +117,5 @@ def save_json(doc: dict, path) -> None:
 def load_json(path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None

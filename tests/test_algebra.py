@@ -110,6 +110,49 @@ def test_right_quasigroup_from_group_tables():
         assert q.order == group.order
 
 
+def test_a_group_is_a_right_quasigroup():
+    assert issubclass(algebra.FiniteGroup, algebra.RightQuasigroup)
+    own = vars(algebra.FiniteGroup)
+    assert not {"column", "ldiv_column", "mul", "inv"} & set(own)
+    assert [f.name for f in dataclasses.fields(algebra.ProjectiveRep) if f.init] == \
+        ["structure", "matrices"]
+
+
+def _product_table(a: int, b: int) -> np.ndarray:
+    """Cayley table of Z_a x Z_b, element (x, y) labeled x*b + y."""
+    x, y = np.divmod(np.arange(a * b), b)
+    return ((x[:, None] + x[None, :]) % a) * b + (y[:, None] + y[None, :]) % b
+
+
+@settings(deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["cyclic", "klein", "product"]), a=st.integers(1, 6),
+       b=st.integers(1, 4), data=st.data())
+def test_group_columns_and_tables_agree_with_its_cayley_table(kind, a, b, data):
+    """Groups given by their tables, relabeled at random: the inherited column, left-division
+    and gathered tables read the Cayley table, and the plain right quasigroup of the table
+    has the class rows that ``right_quasigroup_from_table`` gives it."""
+    base = {"cyclic": lambda: _product_table(a, 1), "klein": lambda: _product_table(2, 2),
+            "product": lambda: _product_table(a, b)}[kind]()
+    n = len(base)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    cayley = np.empty_like(base)
+    cayley[perm[:, None], perm[None, :]] = perm[base]
+    group = algebra.group_from_cayley(cayley)
+    assert np.array_equal(group.cayley, cayley) and not group.cayley.flags.writeable
+    assert np.array_equal(group.table, cayley)
+    idx = np.arange(n)
+    for k in range(n):
+        assert np.array_equal(group.column(k), cayley[:, k])
+        assert np.array_equal(group.ldiv_column(k), cayley[:, group.inverse[k]])
+        assert np.array_equal(cayley[group.ldiv_column(k), k], idx)
+        assert np.array_equal(group.left_div[:, k], group.ldiv_column(k))
+    plain = group.to_right_quasigroup()
+    ref = algebra.right_quasigroup_from_table(cayley)
+    assert type(plain) is algebra.RightQuasigroup
+    for name in ("class_table", "class_left_div", "classes"):
+        assert np.array_equal(getattr(plain, name), getattr(ref, name))
+
+
 def test_right_quasigroup_latin_square():
     latin = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     q = algebra.right_quasigroup_from_table(latin)

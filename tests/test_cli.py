@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import json
@@ -174,6 +175,23 @@ def test_missing_file_is_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["verify", str(bad)]) == 2
+
+
+def _write_non_utf8_bundle(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "quasigroup", "note": "\u00e9"}'.encode("latin-1"))
+    return ["verify", str(path)]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (lambda tmp_path: ["verify", str(tmp_path)], "Is a directory"),
+    (lambda tmp_path: ["net-build", "--m", "1", "--out", str(tmp_path)], "Is a directory"),
+    (_write_non_utf8_bundle, "not valid JSON ('utf-8' codec can't decode"),
+], ids=["verify-a-directory", "net-build-out-a-directory", "non-utf8-bundle"])
+def test_unreadable_or_unwritable_path_is_io_error(tmp_path, capsys, argv, reason):
+    assert cli.main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
 
 
 def test_report_on_qg_bundle(tmp_path):
@@ -717,3 +735,99 @@ def test_compile_hitting_the_cap_still_exits_1(tmp_path, capsys):
             "--delta-target", "0.4", "--cap", "72"]
     assert cli.main(argv) == 1
     assert "exceeds the cap 72" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, bundle, tamper, field", [
+    ("verify", "epsilon_bundle", lambda doc: doc["scan"][0].update(delta=-0.5), "scan.delta"),
+    ("report", "epsilon_bundle", lambda doc: doc["scan"][0].update(delta=-0.5), "scan.delta"),
+    ("report", "qg_bundle", lambda doc: doc.update(delta_cert=-1), "delta_cert"),
+], ids=["verify-compile-scan", "report-compile-scan", "report-qg"])
+def test_negative_delta_is_a_schema_error(request, tmp_path, capsys, command, bundle, tamper,
+                                          field):
+    """A negative delta is malformed; sqrt(eta^2 + 4 delta) can have no value for it."""
+    doc = json.loads(json.dumps(request.getfixturevalue(bundle)))
+    tamper(doc)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = ["--out", str(tmp_path / "s.csv")] if command == "report" else []
+    assert cli.main([command, str(path), *out]) == 2
+    assert f"error: bundle field '{field}' must be a non-negative number" in capsys.readouterr().err
+
+
+def _leaves(node, path=()):
+    """(path, value) of every number and string leaf, through the first and last entry of
+    each list."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaves(child, (*path, key))
+    elif isinstance(node, list):
+        for i in sorted({0, len(node) - 1}) if node else ():
+            yield from _leaves(node[i], (*path, i))
+    elif isinstance(node, (int, float, str)) and not isinstance(node, bool):
+        yield path, node
+
+
+def _tampered_values(value):
+    """Ints moved by 1, floats by 0.05 and sign-flipped (unless zero), strings extended."""
+    if isinstance(value, str):
+        return [value + "x"]
+    if isinstance(value, int):
+        return [value + 1, value - 1]
+    return [value + 0.05, value - 0.05] + ([-value] if value != 0 else [])
+
+
+def _with_leaf(doc, path, value):
+    """``doc`` with the leaf at ``path`` set to ``value``; only the containers on the path
+    are copied."""
+    if not path:
+        return value
+    out = copy.copy(doc)
+    out[path[0]] = _with_leaf(doc[path[0]], path[1:], value)
+    return out
+
+
+def _eta_in_residual_gap(doc, eta):
+    """Whether no residual ||V_l(j,k) V_k - V_j|| of a quasigroup bundle lies between its eta
+    and ``eta``: the recount and the matching cannot tell the two apart."""
+    q = algebra.right_quasigroup_from_table(doc["table"])
+    mats = serialize.net_from_json(doc["net"]).matrices
+    residuals = qsim.operator_norms(mats[q.left_div] @ mats[None] - mats[:, None])
+    low, high = sorted((doc["eta"], eta))
+    return not ((residuals >= low) & (residuals <= high)).any()
+
+
+# inputs a rerun takes as given, so a changed value may still verify (README, verify)
+SWEEP_INPUTS = {"compile": {"targets"}, "exact-demo": {"seed", "trials"}, "quasigroup": {"eta"}}
+
+
+def test_verify_catches_every_leaf_tamper(epsilon_bundle, demo_bundle, tmp_path, monkeypatch,
+                                          capsys):
+    """Every sampled leaf of a compile, a quasigroup and an exact-demo bundle, changed,
+    makes verify exit 1 or 2 without an exception, unless it is an input of the rerun.
+
+    The tampered document is handed to ``cli.main(["verify", path])`` in place of the
+    file's contents, so no JSON is written or parsed per case."""
+    qg_path = tmp_path / "qg.json"
+    assert cli.main(["qg-build", "--m", "1", "--eta", "1.1", "--out", str(qg_path)]) == 0
+    bundles = [epsilon_bundle, json.loads(qg_path.read_text()), demo_bundle]
+    snapshots = [json.dumps(doc) for doc in bundles]
+    escaped, passed = [], []
+    for doc in bundles:
+        kind = doc["kind"]
+        for path, value in _leaves(doc):
+            for new in _tampered_values(value):
+                tampered = _with_leaf(doc, path, new)
+                monkeypatch.setattr(serialize, "load_json", lambda _, doc=tampered: doc)
+                try:
+                    code = cli.main(["verify", str(tmp_path / "tampered.json")])
+                except Exception as exc:    # every escape is a finding
+                    escaped.append((kind, path, new, repr(exc)))
+                    continue
+                allowed = path[0] in SWEEP_INPUTS[kind] and (
+                    path != ("eta",) or _eta_in_residual_gap(doc, new))
+                if code not in (1, 2) and not allowed:
+                    passed.append((kind, path, new, code))
+    capsys.readouterr()
+    assert escaped == [] and passed == []
+    assert [json.dumps(doc) for doc in bundles] == snapshots     # no shared container changed

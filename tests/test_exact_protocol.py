@@ -7,7 +7,7 @@ import pytest
 
 from fastcu import algebra, compiler, demos, qsim
 from fastcu.approx_protocol import dilation_error, run_hidden_variant, run_measured_variant
-from fastcu.errors import DimensionMismatch, MissingFactorSystem, NonOrthogonalProjectors, UnsupportedInput
+from fastcu.errors import DimensionMismatch, NonOrthogonalProjectors, UnsupportedInput
 from fastcu.exact_protocol import (
     ControlledGroupUnitary,
     HighRankControlledUnitary,
@@ -65,11 +65,16 @@ def test_gates_all_unitary(klein_pauli):
         assert qsim.is_unitary(g)
 
 
-def test_missing_factor_system_error(c3_diag):
-    group, rep = c3_diag
-    bare = algebra.ProjectiveRep(group, rep.matrices)
-    with pytest.raises(MissingFactorSystem):
-        ControlledGroupUnitary.from_subset(group, bare, (0, 1))
+def test_group_rep_carries_factor_system(klein_pauli):
+    """A representation over a group always derives its factors; none can be given or left out."""
+    group, rep = klein_pauli
+    again = algebra.ProjectiveRep(group, rep.matrices)
+    assert np.array_equal(again.factor_system.lam, rep.factor_system.lam)
+    assert algebra.ordinary_rep(group, rep.matrices).factor_system is not None
+    assert algebra.ordinary_rep(group.to_right_quasigroup(), rep.matrices).factor_system is None
+    with pytest.raises(TypeError):
+        algebra.ProjectiveRep(group, rep.matrices, rep.factor_system)
+    assert ControlledGroupUnitary.from_subset(group, again, (0, 1)).rep.factor_system is not None
 
 
 @pytest.mark.parametrize("maker,cost", [
