@@ -11,21 +11,19 @@ into an exact operator-norm gap and a diamond-norm bound.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy import sparse
 
 from .errors import DimensionMismatch, TooLarge, UnsupportedInput
 from .exact_protocol import (
+    ANCILLAS,
     QuasigroupProtocolSpec,
     RunRecord,
-    check_input,
-    circuit_map,
     correction_steps,
     one_round_circuit,
+    round_state,
     run_one_round,
     run_record,
 )
@@ -34,7 +32,6 @@ from .qsim import (
     PureState,
     RegisterLayout,
     apply_controlled,
-    apply_map,
     apply_on,
     apply_on_rows,
     basis_state,
@@ -48,9 +45,11 @@ from .qsim import (
 )
 
 RESIDUAL_CAP = 2.0 + 1e-9
-# largest hidden-circuit state, d_a * d_b * N^4 amplitudes (64 MiB), that ``hidden_map``
-# simulates per basis input: the N = 12 specs need at most 124 416, an N = 72 one 161 M
+# largest hidden-circuit support, d_a * d_b * N^2 amplitudes (64 MiB), that the hidden run
+# and its Choi check simulate per basis input: an N = 72 spec with three terms needs 31 104,
+# a compiled plan of three qubit blocks at N = 432 1.1 M; one at N = 2592 (40 M) is refused
 HIDDEN_MAX_AMPLITUDES = 1 << 22
+CHOI_CHUNK_ENTRIES = 1 << 18       # ancilla rows (times d^2 entries) densified at a time, 4 MiB
 
 
 def branch_rows(spec: QuasigroupProtocolSpec, state: PureState, control: str,
@@ -190,12 +189,16 @@ def shift_register_check(n: int) -> float:
 class HiddenRunRecord:
     """Trajectory ensemble of the hidden-outcome circuit on one input state.
 
-    Only shared seed 0 is simulated.  Seed r's (b, x) branches are seed 0's
-    with outcome s read as s + r mod N (see ``_hidden_circuit``): the same
-    probabilities and post states, held and norm-checked once in ``branches``.
+    Only shared seed 0 is simulated, on the circuit's support (see
+    ``run_hidden_variant``): there the registers x and y hold -l and l, l
+    the value of the pointer a, so the circuit is the measured round with
+    (x, y) = (-a, a) appended.  Branch (l, m) of ``branches`` is therefore
+    seed 0's (b, x) outcome (m, -l mod N), and seed r's is (m, r - l mod N),
+    with the same probability and post state.  The posts live on the
+    input's layout; a and y, which both hold l, are not stored.
     """
 
-    branches: Branches                 # seed 0's branches of measuring (b, x)
+    branches: Branches                 # the measured round's (a, b) branches, outcomes (l, m)
     output_density: np.ndarray         # induced state on the input's registers, in its order
     expected_density: np.ndarray       # uniform branch mixture applied to the input
     deviation: float
@@ -206,12 +209,24 @@ class HiddenRunRecord:
         """(seed_r, outcome_m, outcome_s, weight, PureState) per trajectory, built on access.
 
         Every seed r = 0..N-1 is listed, each with its rows sorted by (m, s).
+        Each state lives on the input's layout; in the circuit, a and y hold
+        l = r - s beside it.
         """
         n = len(self.ensemble)
         rows = list(self.branches)
         return [row for r in range(n)
-                for row in sorted(((r, m, (s + r) % n, p / n, st) for m, s, p, st in rows),
+                for row in sorted(((r, m, (r - l) % n, p / n, st) for l, m, p, st in rows),
                                   key=lambda row: row[1:3])]
+
+
+def _check_hidden_size(spec: QuasigroupProtocolSpec) -> None:
+    """Raise TooLarge when the hidden circuit's support exceeds ``HIDDEN_MAX_AMPLITUDES``."""
+    amplitudes = spec.d_a * spec.d_b * spec.order ** 2
+    if amplitudes > HIDDEN_MAX_AMPLITUDES:
+        raise TooLarge(
+            f"the hidden circuit of an order-{spec.order} spec holds d_a * d_b * N^2 = "
+            f"{amplitudes} amplitudes ({amplitudes * 16 / 2 ** 30:.1f} GiB) per basis input, "
+            f"above the cap of {HIDDEN_MAX_AMPLITUDES}")
 
 
 def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
@@ -222,34 +237,44 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     correlated pair (x, y); the branch pointer never gets measured, and the
     corrections are quantum-controlled off the unmeasured registers, which are
     discarded at the end.  The input may contain spectator registers, but
-    none named a, b, x or y (the layout refuses duplicate names).  The
-    spec's hidden map (``hidden_map``) runs the circuit at seed 0: seed r's
-    state is seed 0's with x rolled by r, and x is traced out, so every seed
-    leaves the same state on the input's registers.  The output state is one
-    partial trace onto them (input order), the probability-weighted mixture
-    of seed 0's (b, x) branches; it is compared with the mixture
-    (1/N) sum_l U_l rho U_l^dag of the input over the branch stack U_l.
+    none named a, b, x or y.  Seed r's state is seed 0's with x rolled by r
+    (see ``_hidden_circuit``), and x is traced out, so only seed 0 is run.
+
+    The relay is a permutation of basis states: from (x, y) = (0, 0) the
+    pointer a = l leaves x = -l and y = l.  On that support the undo
+    controlled on y is the undo controlled on a, so seed 0's circuit is the
+    measured round (``spec.compiled``) with (x, y) = (-a, a) appended, and
+    its state holds d_a * d_b * N^2 amplitudes per basis input, not N^4.
+    The round runs once; its (a, b) branches are the (b, x) outcomes with
+    x = -a (see ``HiddenRunRecord``), and tracing out (a, b) gives the output
+    state on the input's registers (input order).  That is compared with
+    the mixture (1/N) sum_l U_l rho U_l^dag of the input over the branch
+    stack U_l.  Raises ``TooLarge`` (``_check_hidden_size``) before anything
+    is simulated.
     """
-    check_input(spec, state, control, target)
-    n = spec.order
-    full = apply_map(state, hidden_map(spec), (control, target),
-                     RegisterLayout.of(*((name, n) for name in ("a", "b", "x", "y"))))
-    rho_out = partial_trace(full, state.layout.names)
+    names = state.layout.names
+    if {"x", "y"} & set(names):
+        raise DimensionMismatch(f"input registers {names} reuse a relay name ('x', 'y')")
+    _check_hidden_size(spec)
+    full = round_state(spec, state, control, target, spec.compiled)
+    rho_out = partial_trace(full, names)
     rows = branch_rows(spec, state, control, target)
-    expected = rows.T @ rows.conj() / n
-    return HiddenRunRecord(branches=measure_registers(full, ("b", "x")), output_density=rho_out,
+    expected = rows.T @ rows.conj() / spec.order
+    return HiddenRunRecord(branches=measure_registers(full, ANCILLAS), output_density=rho_out,
                            expected_density=expected, deviation=operator_norm(rho_out - expected),
                            ensemble=spec.branch_stack)
 
 
 def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,
                     control: str, target: str) -> PureState:
-    """The hidden circuit's state at shared seed 0, before (b, x) is measured.
+    """The hidden circuit's state at shared seed 0, before (b, x) is measured, gate by gate.
 
     The one-round opening is joined by the correlated pair (x, y) = (0, 0).
     The branch pointer a shifts x down by l, x shifts y down by its own
     value, and the phases are controlled on (a, b) and V_l^dag on y.  The
-    state lives on (control, target, a, b, x, y).
+    state lives on (control, target, a, b, x, y), d_a * d_b * N^4 amplitudes
+    per basis input; the tests keep it as the dense reference of
+    ``run_hidden_variant``.
 
     Seed r would start from X_x^r X_y^r |0, 0>.  The pointer shift commutes
     with both, the relay C (y -= x) gives C X_x^r X_y^r = X_x^r C, and the
@@ -266,30 +291,6 @@ def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,
     return full
 
 
-def hidden_map(spec: QuasigroupProtocolSpec) -> sparse.csr_matrix:
-    """Map of the hidden circuit at seed 0 (``_hidden_circuit``), built on first use per spec.
-
-    It takes a basis input of (control, target) to the state on
-    (control, target, a, b, x, y) before (b, x) is measured; see
-    ``exact_protocol.circuit_map``.  Raises ``TooLarge`` before simulating
-    anything when that state would exceed ``HIDDEN_MAX_AMPLITUDES``.
-    """
-    if spec not in _HIDDEN_MAPS:
-        amplitudes = spec.d_a * spec.d_b * spec.order ** 4
-        if amplitudes > HIDDEN_MAX_AMPLITUDES:
-            raise TooLarge(
-                f"the hidden circuit of an order-{spec.order} spec holds d_a * d_b * N^4 = "
-                f"{amplitudes} amplitudes ({amplitudes * 16 / 2 ** 30:.1f} GiB) per basis input, "
-                f"above the cap of {HIDDEN_MAX_AMPLITUDES}")
-        _HIDDEN_MAPS[spec] = circuit_map(partial(_hidden_circuit, spec), spec.d_a, spec.d_b)
-    return _HIDDEN_MAPS[spec]
-
-
-# each spec's hidden map, dropped with its spec: the map holds no reference to it
-_HIDDEN_MAPS: weakref.WeakKeyDictionary[QuasigroupProtocolSpec, sparse.csr_matrix] = \
-    weakref.WeakKeyDictionary()
-
-
 @dataclass(frozen=True)
 class ChannelComparison:
     choi_circuit: np.ndarray
@@ -301,22 +302,33 @@ def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
     """Choi matrix of the hidden circuit versus the uniform branch mixture.
 
     Row-major vec on (A, B, Ar, Br), Ar and Br the reference halves.  The
-    circuit side is read from the hidden map: column j of the map is the
-    circuit on basis input j, and tracing out the ancillas pairs its columns,
-    sum over ancilla values of <o, anc|circuit|j> <o', anc|circuit|j'>^*.
-    The ensemble side is sum_l vec(U_l) vec(U_l)^dag / N.  Both have trace
-    d.  The input control dimension must equal the number of terms so the
-    channel and the mixture share one domain.
+    circuit side is read from the measured round's map (``spec.compiled``):
+    on the hidden circuit's support the ancillas (a, b, x, y) are
+    (a, b, -a, a), one to one with (a, b) (see ``run_hidden_variant``).
+    Column j of the map is the round on basis input j, and tracing out the
+    ancillas pairs its columns, sum over ancilla values of
+    <o, anc|circuit|j> <o', anc|circuit|j'>^*.  The ensemble side is
+    sum_l vec(U_l) vec(U_l)^dag / N.  Both have trace d.  The input control
+    dimension must equal the number of terms so the channel and the mixture
+    share one domain.  Raises ``TooLarge`` (``_check_hidden_size``) before
+    anything is simulated.
     """
     if spec.unsupported:
         raise UnsupportedInput("channel comparison needs every control state to carry a term")
+    _check_hidden_size(spec)
     d = spec.d_a * spec.d_b
-    hidden = hidden_map(spec).tocoo()
-    n_anc = hidden.shape[0] // d
+    circuit = spec.compiled.circuit.tocoo()
+    n_anc = circuit.shape[0] // d
     # entry (o, anc; j) of the map moves to row anc, column (o, j)
-    rows, cols = hidden.row % n_anc, hidden.row // n_anc * d + hidden.col
-    by_ancilla = sparse.csr_matrix((hidden.data, (rows, cols)), shape=(n_anc, d * d))
-    choi_circ = (by_ancilla.T @ by_ancilla.conj()).toarray()
+    rows, cols = circuit.row % n_anc, circuit.row // n_anc * d + circuit.col
+    by_ancilla = sparse.csr_matrix((circuit.data, (rows, cols)), shape=(n_anc, d * d))
+    # dense products over chunks of ancilla rows: one sparse product adds the N^2 rows' terms
+    # one after another, which drifted by 2e-12 at N = 432, where the chunks stay near 1e-15
+    step = max(1, CHOI_CHUNK_ENTRIES // (d * d))
+    choi_circ = np.zeros((d * d, d * d), dtype=complex)
+    for start in range(0, n_anc, step):
+        chunk = by_ancilla[start:start + step].toarray()
+        choi_circ += chunk.T @ chunk.conj()
     vecs = spec.branch_stack.reshape(spec.order, d * d)
     choi_ens = vecs.T @ vecs.conj() / spec.order
     return ChannelComparison(choi_circuit=choi_circ, choi_ensemble=choi_ens,

@@ -230,22 +230,28 @@ def one_round_gates(rep: ProjectiveRep, labels, fourier: np.ndarray | None = Non
                           undo=mats.conj().transpose(0, 2, 1))
 
 
-def run_one_round(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str,
-                  compiled: CompiledRound) -> Branches:
-    """Every branch of one protocol round on ``state``, from one measurement of (a, b).
+def round_state(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str,
+                compiled: CompiledRound) -> PureState:
+    """The state after one protocol round on ``state``, before (a, b) is measured.
 
     The input may contain spectator registers, but none named a or b; the
     protocol touches only ``control``, ``target`` and the two fresh rank-N
-    ancillas (see ``check_input``).  The compiled map runs the whole round on
-    (control, target), so each branch's post state is final.
+    ancillas (see ``check_input``), appended after the input's registers.
+    The compiled map runs the whole round on (control, target).
     """
     check_input(spec, state, control, target)
     names = state.layout.names
     if set(ANCILLAS) & set(names):
         raise DimensionMismatch(f"input registers {names} reuse an ancilla name {ANCILLAS}")
-    full = apply_map(state, compiled.circuit, (control, target),
+    return apply_map(state, compiled.circuit, (control, target),
                      RegisterLayout.of(*((name, spec.order) for name in ANCILLAS)))
-    return measure_registers(full, ANCILLAS)
+
+
+def run_one_round(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str,
+                  compiled: CompiledRound) -> Branches:
+    """Every branch of one protocol round on ``state``, from one measurement of (a, b) of
+    ``round_state``; each branch's post state is final."""
+    return measure_registers(round_state(spec, state, control, target, compiled), ANCILLAS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,10 +453,13 @@ class HighRankControlledUnitary:
     def d_b(self) -> int:
         return self.rep.dim
 
+    @cached_property
     def target_matrix(self) -> np.ndarray:
+        """Dense control (x) target matrix sum_k P_k (x) V_k, formed on first use and read-only."""
         out = np.zeros((self.d_a * self.d_b,) * 2, dtype=complex)
         for p, k in zip(self.projectors, self.subset):
             out += np.kron(p, self.rep.matrices[k])
+        out.setflags(write=False)
         return out
 
 
@@ -500,5 +509,5 @@ def run_lifted_protocol(lifted: LiftedProtocol, state: PureState,
     full = apply_on(full, lifted.pre, (control, ancilla))
     exact = run_exact_protocol(lifted.cgu, full, control=ancilla, target=target).branches
     finals = apply_on_rows(exact.posts, exact.layout, lifted.post, (control, ancilla))
-    expected = np.kron(apply_on(state, h.target_matrix(), (control, target)).amps, zero_e)
+    expected = np.kron(apply_on(state, h.target_matrix, (control, target)).amps, zero_e)
     return run_record(lifted.cgu, replace(exact, posts=finals), expected[None])

@@ -114,8 +114,13 @@ def save_json(doc: dict, path) -> None:
     Path(path).write_text(json.dumps(doc, allow_nan=False), encoding="utf-8")
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"non-standard constant {token}")
+
+
 def load_json(path) -> dict:
+    """Read strict JSON, as ``save_json`` writes it: NaN, Infinity and -Infinity are refused."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError or a refused constant
         raise SchemaMismatch(f"{path}: not valid JSON ({exc})") from None

@@ -313,7 +313,8 @@ def _every_scan_number(doc):
     pytest.param(_target(phases=[9.0]), 1, "FAIL target", id="one-phase"),
     pytest.param(lambda doc: doc["target"]["phases"].append(0.0), 1, "FAIL target",
                  id="extra-phase"),
-    pytest.param(_target(phases=[float("nan")] * 2), 1, "FAIL target", id="nan-phases"),
+    pytest.param(_target(phases=[float("nan")] * 2), 2, "not valid JSON (non-standard constant NaN)",
+                 id="nan-phases"),
     pytest.param(_scan_point(0, cost_ebits="0.5"), 2, "'scan.cost_ebits'", id="cost-string"),
     pytest.param(_scan_point(-1, accepted=1), 2, "'scan.accepted'", id="accepted-integer"),
     pytest.param(_scan_point(-1, m=None), 2, "'scan.m'", id="m-null"),
@@ -660,6 +661,9 @@ def _drop_net_m(doc):
     pytest.param(lambda doc: doc.update(N="12"), id="N-string"),
     pytest.param(_drop_net_m, id="net-without-m"),
     pytest.param(lambda doc: [doc], id="top-level-list"),
+    pytest.param(lambda doc: doc.update(delta_cert=float("nan")), id="delta-cert-nan"),
+    pytest.param(lambda doc: doc.update(eta=float("inf")), id="eta-infinity"),
+    pytest.param(lambda doc: doc.update(delta_cert=-float("inf")), id="delta-cert-minus-infinity"),
 ])
 def test_malformed_qg_bundle_is_a_schema_error(qg_bundle, tmp_path, capsys, command, tamper):
     doc = json.loads(json.dumps(qg_bundle))

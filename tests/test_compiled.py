@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import gc
 import math
-import types
 import weakref
 
 import numpy as np
@@ -170,16 +169,43 @@ def test_measured_map_equals_gate_by_gate_run(name, order, seed):
     assert record.max_deviation <= 1e-9
 
 
+HIDDEN_NAMES = SPEC_NAMES + sorted(demos.EXACT_DEMOS)
+
+
+def hidden_case(name: str) -> QuasigroupProtocolSpec:
+    return exact_case(name) if name in demos.EXACT_DEMOS else spec_case(name)
+
+
+def as_round_branches(dense, n):
+    """The dense hidden circuit's (b, x) branches as the round's (a, b) branches, sorted by
+    (l, m): outcome (m, s) is (l, m) with l = -s, and its post, on (..., a, y), must vanish
+    off a = y = l (at most 1e-12), where the slice kept is the round's post."""
+    rows = sorted(((-s % n, m, p, post) for m, s, p, post in dense), key=lambda row: row[:2])
+    names, posts = dense.layout.names, []
+    for l, m, p, post in rows:
+        t = np.moveaxis(post.tensor(), [names.index("a"), names.index("y")], [0, 1]).copy()
+        posts.append(t[l, l].reshape(-1).copy())
+        t[l, l] = 0
+        assert np.abs(t).max() <= TOL
+    return qsim.Branches(("a", "b"), np.array([row[:2] for row in rows]),
+                         np.array([row[2] for row in rows]), np.stack(posts),
+                         dense.layout.without(("a", "y")))
+
+
 @settings(deadline=None, max_examples=10)
-@given(name=st.sampled_from(SPEC_NAMES), order=st.sampled_from(ORDERS), seed=st.integers(0, 2 ** 16))
+@given(name=st.sampled_from(HIDDEN_NAMES), order=st.sampled_from(ORDERS), seed=st.integers(0, 2 ** 16))
 @example(name="N12", order=("B", "S", "A"), seed=0)
+@example(name="pauli-subset", order=("B", "S", "A"), seed=0)
 def test_hidden_map_equals_gate_by_gate_run(name, order, seed):
-    spec = spec_case(name)
+    """The hidden run reads the measured round's map; the dense circuit, gate by gate, holds
+    the same branches, relabeled, and the same output state."""
+    spec = hidden_case(name)
     state = input_state(spec.d_a, spec.d_b, order, np.random.default_rng(seed),
                         spec.unsupported)
     record = run_hidden_variant(spec, state)
     full = _hidden_circuit(spec, state, "A", "B")
-    assert_same_branches(record.branches, qsim.measure_registers(full, ("b", "x")))
+    assert_same_branches(record.branches,
+                         as_round_branches(qsim.measure_registers(full, ("b", "x")), spec.order))
     density = qsim.partial_trace(full, state.layout.names)
     assert np.abs(record.output_density - density).max() <= TOL
     assert record.deviation <= TOL
@@ -196,7 +222,7 @@ def recorded_run(kind, name, replace_fourier, order, rng):
         h = lifted.source
         state = input_state(h.d_a, h.d_b, order, rng)
         e0 = np.eye(lifted.ancilla_dim)[0]
-        want = np.kron(qsim.apply_on(state, h.target_matrix(), ("A", "B")).amps, e0)
+        want = np.kron(qsim.apply_on(state, h.target_matrix, ("A", "B")).amps, e0)
         return lifted.cgu, run_lifted_protocol(lifted, state), want[None]
     spec = exact_case(name) if kind == "exact" else spec_case(name)
     state = input_state(spec.d_a, spec.d_b, order, rng, spec.unsupported)
@@ -232,9 +258,9 @@ def test_one_record_checks_every_branch_of_every_run(case, replace_fourier, orde
     assert record.cost_ebits == math.log2(n)
 
 
-@pytest.mark.parametrize("name", ["N12", "perturbed"])
+@pytest.mark.parametrize("name", ["N12", "perturbed", *sorted(demos.EXACT_DEMOS)])
 def test_choi_from_map_equals_gate_by_gate_run(name):
-    spec = spec_case(name)
+    spec = hidden_case(name)
     d = spec.d_a * spec.d_b
     layout = qsim.RegisterLayout.of(("A", spec.d_a), ("B", spec.d_b),
                                     ("Ar", spec.d_a), ("Br", spec.d_b))
@@ -247,9 +273,8 @@ def test_choi_from_map_equals_gate_by_gate_run(name):
 def test_runs_after_compilation_call_no_circuit(monkeypatch):
     """Once an instance is compiled, every run goes through its cached map."""
     cgu, spec = exact_case("pauli-subset"), spec_case("N12")
-    cgu.compiled, spec.compiled, approx_protocol.hidden_map(spec)
+    cgu.compiled, spec.compiled
     assert cgu.compiled is cgu.compiled
-    assert approx_protocol.hidden_map(spec) is approx_protocol.hidden_map(spec)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a compiled run called the circuit")
@@ -266,11 +291,13 @@ def test_runs_after_compilation_call_no_circuit(monkeypatch):
 
 
 def test_hidden_map_is_dropped_with_its_spec():
+    """The hidden runs read the spec's compiled round and keep nothing beside it."""
     q = algebra.cyclic_group(3).to_right_quasigroup()
     mats = np.stack([np.diag([1.0, np.exp(2j * np.pi * k / 3)]) for k in range(3)])
     spec = QuasigroupProtocolSpec(q, ordinary_rep(q, mats), term_map=(1, 2))
-    approx_protocol.hidden_map(spec)
-    assert spec in approx_protocol._HIDDEN_MAPS
+    run_hidden_variant(spec, input_state(spec.d_a, spec.d_b, ("A", "B"), np.random.default_rng(8)))
+    hidden_variant_choi(spec)
+    assert "compiled" in vars(spec)
     gone = weakref.ref(spec)
     del spec
     gc.collect()
@@ -285,8 +312,7 @@ def test_cached_arrays_refuse_writes():
         arrays += [blocks.shifts, blocks.reps, blocks.fourier, blocks.phases, blocks.undo,
                    compiled.target, compiled.circuit.data, compiled.circuit.indices,
                    compiled.circuit.indptr]
-    hidden = approx_protocol.hidden_map(spec)
-    arrays += [spec.branch_stack, hidden.data, hidden.indices, hidden.indptr]
+    arrays.append(spec.branch_stack)
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
@@ -298,15 +324,20 @@ def test_cached_arrays_refuse_writes():
 
 
 def test_map_shapes_and_sparsity():
-    """The measured map has N^2 rows per input dim, the hidden map N^4; both are sparse."""
-    cgu, spec = exact_case("pauli-subset"), spec_case("N12")
-    d = cgu.d_a * cgu.d_b
-    assert cgu.compiled.circuit.shape == (d * cgu.group.order ** 2, d)
-    d, n = spec.d_a * spec.d_b, spec.order
-    assert spec.compiled.circuit.shape == (d * n ** 2, d)
-    hidden = approx_protocol.hidden_map(spec)
-    assert hidden.shape == (d * n ** 4, d)
-    assert hidden.nnz <= hidden.shape[0] * d // 100
+    """The measured map has N^2 rows per input dim.  The hidden circuit's d * N^4 rows per
+    basis input, built gate by gate, are that map with row (o, a, b) moved to
+    (o, a, b, -a, a) and zeros elsewhere: its support is d * N^2."""
+    for spec in (spec_case("N12"), spec_case("perturbed"), exact_case("pauli-subset")):
+        d, n = spec.d_a * spec.d_b, spec.order
+        circuit = spec.compiled.circuit
+        assert circuit.shape == (d * n ** 2, d)
+        hidden = exact_protocol.circuit_map(functools.partial(_hidden_circuit, spec), spec.d_a,
+                                            spec.d_b).toarray().reshape(d, n, n, n, n, d)
+        a = np.arange(n)
+        support = hidden[:, a, :, -a % n, a].transpose(1, 0, 2, 3)  # (o, a, b; j), x = -a, y = a
+        assert np.abs(support.reshape(d * n * n, d) - circuit.toarray()).max() <= TOL
+        hidden[:, a, :, -a % n, a] = 0
+        assert np.abs(hidden).max() <= TOL
 
 
 # --------------------------------------------------------------------------- #
@@ -395,8 +426,9 @@ def reference_term_blocks(spec):
 
 @pytest.mark.parametrize("name", ["N12", "N12-spare-control-state", "N72"])
 def test_specs_without_factors_keep_their_blocks_and_maps_bit_for_bit(name):
-    """A spec over a family without a factor system: branch blocks, branch stack, compiled
-    map and hidden map are exactly those of the factor-free formula and gates."""
+    """A spec over a family without a factor system: branch blocks, branch stack and compiled
+    map, which the hidden runs read too, are exactly those of the factor-free formula and
+    gates."""
     spec = spec_case(name)
     blocks = reference_term_blocks(spec)
     active = [i for i, k in enumerate(spec.term_map) if k is not None]
@@ -408,13 +440,5 @@ def test_specs_without_factors_keep_their_blocks_and_maps_bit_for_bit(name):
     assert np.array_equal(spec.branch_stack, np.stack(stack))
     reference = compile_round(reference_quasigroup_gates(spec), spec.target_matrix())
     got, want = spec.compiled.circuit, reference.circuit
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, part), getattr(want, part))
-    if spec.order > 12:         # the N = 72 hidden map has 161 M rows per basis input
-        return
-    # the hidden circuit reads only the order and the compiled gates
-    gates = types.SimpleNamespace(order=spec.order, compiled=reference)
-    want = exact_protocol.circuit_map(functools.partial(_hidden_circuit, gates), spec.d_a, spec.d_b)
-    got = approx_protocol.hidden_map(spec)
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, part), getattr(want, part))

@@ -188,7 +188,10 @@ def test_lift_rank2_matches_dense_target():
     lifted = lift_highrank(h)
     rng = np.random.default_rng(16)
     layout = qsim.RegisterLayout.of(("A", 8), ("B", 2))
-    dense = h.target_matrix()
+    dense = h.target_matrix
+    assert h.target_matrix is dense         # formed once, on first use
+    with pytest.raises(ValueError):
+        dense[0, 0] = 0
     for _ in range(5):
         state = qsim.random_pure_state(layout, rng)
         record = run_lifted_protocol(lifted, state)
