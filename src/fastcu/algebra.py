@@ -426,8 +426,8 @@ def certify_approx_rep(matrices, quasigroup: RightQuasigroup, eta: float) -> App
     if mats.ndim != 3 or mats.shape[0] != n or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatch(
             f"need {n} square matrices for a quasigroup of order {n}, got {mats.shape}")
-    if eta <= 0:
-        raise DimensionMismatch(f"eta must be positive, got {eta}")
+    if not 0 < eta < math.inf:       # NaN fails every comparison
+        raise DimensionMismatch(f"eta must be positive and finite, got {eta}")
     quats = su2_quaternions(mats) if mats.shape[1] == 2 else None
     reps, rep_index, key_id, first = _recount_representatives(
         mats if quats is None else quats, quasigroup.classes)

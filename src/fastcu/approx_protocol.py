@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionMismatch, TooLarge, UnsupportedInput
+from .errors import DimensionMismatch, UnsupportedInput
 from .exact_protocol import (
     ANCILLAS,
     QuasigroupProtocolSpec,
     RunRecord,
     correction_steps,
     one_round_circuit,
+    one_round_gates,
     round_state,
     run_one_round,
     run_record,
@@ -45,10 +46,6 @@ from .qsim import (
 )
 
 RESIDUAL_CAP = 2.0 + 1e-9
-# largest hidden-circuit support, d_a * d_b * N^2 amplitudes (64 MiB), that the hidden run
-# and its Choi check simulate per basis input: an N = 72 spec with three terms needs 31 104,
-# a compiled plan of three qubit blocks at N = 432 1.1 M; one at N = 2592 (40 M) is refused
-HIDDEN_MAX_AMPLITUDES = 1 << 22
 CHOI_CHUNK_ENTRIES = 1 << 18       # ancilla rows (times d^2 entries) densified at a time, 4 MiB
 
 
@@ -148,7 +145,7 @@ def dilation_pair(spec: QuasigroupProtocolSpec) -> tuple[np.ndarray, np.ndarray]
     """
     n = spec.order
     d = spec.d_a * spec.d_b
-    ideal = np.broadcast_to(spec.target_matrix() / math.sqrt(n), (n, d, d)).reshape(n * d, d)
+    ideal = np.broadcast_to(spec.target_matrix / math.sqrt(n), (n, d, d)).reshape(n * d, d)
     actual = spec.branch_stack.reshape(n * d, d) / math.sqrt(n)
     return ideal, actual
 
@@ -219,16 +216,6 @@ class HiddenRunRecord:
                                   key=lambda row: row[1:3])]
 
 
-def _check_hidden_size(spec: QuasigroupProtocolSpec) -> None:
-    """Raise TooLarge when the hidden circuit's support exceeds ``HIDDEN_MAX_AMPLITUDES``."""
-    amplitudes = spec.d_a * spec.d_b * spec.order ** 2
-    if amplitudes > HIDDEN_MAX_AMPLITUDES:
-        raise TooLarge(
-            f"the hidden circuit of an order-{spec.order} spec holds d_a * d_b * N^2 = "
-            f"{amplitudes} amplitudes ({amplitudes * 16 / 2 ** 30:.1f} GiB) per basis input, "
-            f"above the cap of {HIDDEN_MAX_AMPLITUDES}")
-
-
 def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
                        control: str = "A", target: str = "B") -> HiddenRunRecord:
     """Simulate the hidden-outcome circuit as pure trajectories over the shared seed.
@@ -249,13 +236,12 @@ def run_hidden_variant(spec: QuasigroupProtocolSpec, state: PureState,
     x = -a (see ``HiddenRunRecord``), and tracing out (a, b) gives the output
     state on the input's registers (input order).  That is compared with
     the mixture (1/N) sum_l U_l rho U_l^dag of the input over the branch
-    stack U_l.  Raises ``TooLarge`` (``_check_hidden_size``) before anything
-    is simulated.
+    stack U_l.  Building the map raises ``TooLarge`` (``one_round_gates``)
+    before anything is simulated.
     """
     names = state.layout.names
     if {"x", "y"} & set(names):
         raise DimensionMismatch(f"input registers {names} reuse a relay name ('x', 'y')")
-    _check_hidden_size(spec)
     full = round_state(spec, state, control, target, spec.compiled)
     rho_out = partial_trace(full, names)
     rows = branch_rows(spec, state, control, target)
@@ -281,7 +267,7 @@ def _hidden_circuit(spec: QuasigroupProtocolSpec, state: PureState,
     phases and V_l^dag never touch x, so seed r's state is X_x^r times this one.
     """
     n = spec.order
-    blocks = spec.compiled.blocks
+    blocks = one_round_gates(spec.rep, spec.term_map)
     shift_powers = np.stack([shift_gate(n, l) for l in range(n)])
     seed = basis_state(RegisterLayout.of(("x", n), ("y", n)), {"x": 0, "y": 0})
     full = product_state(one_round_circuit(state, blocks, control, target), seed)
@@ -310,14 +296,13 @@ def hidden_variant_choi(spec: QuasigroupProtocolSpec) -> ChannelComparison:
     <o, anc|circuit|j> <o', anc|circuit|j'>^*.  The ensemble side is
     sum_l vec(U_l) vec(U_l)^dag / N.  Both have trace d.  The input control
     dimension must equal the number of terms so the channel and the mixture
-    share one domain.  Raises ``TooLarge`` (``_check_hidden_size``) before
-    anything is simulated.
+    share one domain.  Building the map raises ``TooLarge``
+    (``one_round_gates``) before anything is simulated.
     """
     if spec.unsupported:
         raise UnsupportedInput("channel comparison needs every control state to carry a term")
-    _check_hidden_size(spec)
     d = spec.d_a * spec.d_b
-    circuit = spec.compiled.circuit.tocoo()
+    circuit = spec.compiled.tocoo()
     n_anc = circuit.shape[0] // d
     # entry (o, anc; j) of the map moves to row anc, column (o, j)
     rows, cols = circuit.row % n_anc, circuit.row // n_anc * d + circuit.col

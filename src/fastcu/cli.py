@@ -27,7 +27,7 @@ from .demos import EXACT_DEMOS, exact_demo_instance
 from .errors import DimensionMismatch, FastcuError, NetTooLarge, NotRightQuasigroup, SchemaMismatch
 from .exact_protocol import QuasigroupProtocolSpec, run_exact_protocol
 from .net import DEFAULT_CAP, advisory_m, build_net
-from .qgbuilder import FamilyGeometry, _matching_pass, assemble_quasigroup
+from .qgbuilder import assemble_or_reject, assemble_quasigroup
 from .qsim import RegisterLayout, operator_norms, random_pure_state
 from .serialize import _NUMBER, _field
 
@@ -245,9 +245,7 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
     n = quasigroup.order
     if doc["N"] != n:
         return _fail("order", f"stored N={doc['N']} but the table has order {n}")
-    geom = FamilyGeometry.of(net)
-    sizes = _matching_pass(geom, doc["eta"], want_columns=False, reject_above=None)[0]
-    matched = sizes[geom.classes]
+    matched = assemble_quasigroup(net, doc["eta"]).matched_counts
     delta_matching = (n - int(matched.min())) / n
     if not np.array_equal(np.asarray(doc["matched_counts"]), matched):
         return _fail("matching", "stored matched_counts differ from the recomputed matching sizes")
@@ -267,17 +265,12 @@ def _verify_quasigroup_bundle(doc: dict) -> int:
 def _verify_scan(rows: list[dict], blocks: np.ndarray, targets: CompileTargets, plan: dict,
                  net) -> int:
     """Re-run the compiler's degree search (``scan_degrees``) on degrees 1, ..., plan m, each
-    point's matching pass without columns.  Every stored point must equal its rerun, the
-    search accepts the plan's degree at the plan's eta, and each assigned label lies in the
-    family class of the rerun's nearest label."""
-    def rerun(fam, eta, bound):     # the compile's matching pass without columns: (accepted, delta)
-        _, _, worst, complete = _matching_pass(FamilyGeometry.of(fam), eta, want_columns=False,
-                                               reject_above=bound)
-        return complete or None, worst
-
+    point built by the compile's own ``assemble_or_reject``.  Every stored point must equal
+    its rerun, the search accepts the plan's degree at the plan's eta, and each assigned
+    label lies in the family class of the rerun's nearest label."""
     trace = []
     families = ((m, net if m == net.m else build_net(net.d, m)) for m in range(1, plan["m"] + 1))
-    found = scan_degrees(blocks, targets, families, rerun, trace)
+    found = scan_degrees(blocks, targets, families, assemble_or_reject, trace)
     if len(rows) != len(trace):
         return _fail("scan", f"{len(rows)} points stored but {len(trace)} re-derived")
     for i, (row, point) in enumerate(zip(rows, trace)):

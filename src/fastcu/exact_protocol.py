@@ -10,14 +10,14 @@ reproduces the target unitary exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .algebra import FiniteGroup, ProjectiveRep, RightQuasigroup
-from .errors import DimensionMismatch, NonOrthogonalProjectors, UnsupportedInput
+from .errors import DimensionMismatch, NonOrthogonalProjectors, TooLarge, UnsupportedInput
 from .qsim import (
     Branches,
     PureState,
@@ -38,6 +38,10 @@ from .qsim import (
 SUPPORT_TOL = 1e-12
 FLAT_ENTRY_TOL = 1e-10
 ANCILLAS = ("a", "b")      # the entangled pair's halves: Alice's a, Bob's b
+# largest round state, d_a * d_b * N^2 amplitudes (64 MiB), that one basis input may reach:
+# an N = 72 spec with three terms needs 31 104, a compiled plan of three qubit blocks at
+# N = 432 1.1 M; one at N = 2592 (40 M) is refused before any gate is built
+MAX_AMPLITUDES = 1 << 22
 
 
 def correction_phases(fourier: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -143,13 +147,6 @@ def correction_steps(blocks: OneRoundBlocks, control: str, target: str, undo_on:
     return (blocks.phases, ANCILLAS, control), (blocks.undo, undo_on, target)
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """A copy of ``array`` that refuses in-place writes."""
-    out = np.array(array)
-    out.setflags(write=False)
-    return out
-
-
 def circuit_map(circuit, d_control: int, d_target: int) -> sparse.csr_matrix:
     """Linear map of a circuit on (control, target), from one gate-by-gate run per basis input.
 
@@ -168,33 +165,16 @@ def circuit_map(circuit, d_control: int, d_target: int) -> sparse.csr_matrix:
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledRound:
-    """One protocol instance, compiled once: its gates, its target and its circuit's map.
-
-    ``circuit`` takes a basis input of (control, target) to the state on
-    (control, target, a, b) after the opening and every correction, before
-    (a, b) is measured.  Every array is read-only, so the cached instance
-    cannot drift from what was checked.
-    """
-
-    blocks: OneRoundBlocks
-    target: np.ndarray                  # (d_a * d_b, d_a * d_b) control (x) target matrix
-    circuit: sparse.csr_matrix          # (d_a * d_b * N * N, d_a * d_b)
-
-
-def compile_round(blocks: OneRoundBlocks, unitary: np.ndarray) -> CompiledRound:
-    """Freeze the gate stacks and the target unitary, and build the round's map from its circuit."""
-    blocks = OneRoundBlocks(**{f.name: _read_only(getattr(blocks, f.name)) for f in fields(blocks)})
-
+def compile_round(blocks: OneRoundBlocks) -> sparse.csr_matrix:
+    """The round's map on (control, target): the opening and every correction, before
+    (a, b) is measured, built from the gates by ``circuit_map``."""
     def circuit(state: PureState, control: str, target: str) -> PureState:
         full = one_round_circuit(state, blocks, control, target)
         for step in correction_steps(blocks, control, target, "a"):
             full = apply_controlled(full, *step)
         return full
 
-    return CompiledRound(blocks, _read_only(unitary),
-                         circuit_map(circuit, len(blocks.shifts), blocks.reps.shape[1]))
+    return circuit_map(circuit, len(blocks.shifts), blocks.reps.shape[1])
 
 
 def one_round_gates(rep: ProjectiveRep, labels, fourier: np.ndarray | None = None) -> OneRoundBlocks:
@@ -207,10 +187,18 @@ def one_round_gates(rep: ProjectiveRep, labels, fourier: np.ndarray | None = Non
     Since V_l^dag V_{l*k} = V_k / lam(l, k), the weight cancels and every
     branch of a group protocol is exactly the target.  Only the term,
     left-division and lam columns of each k are read.  ``fourier`` defaults
-    to the standard Fourier gate.
+    to the standard Fourier gate.  Raises ``TooLarge`` before any gate is
+    built when the round's state on one basis input, d_a * d_b * N^2
+    amplitudes, exceeds ``MAX_AMPLITUDES``: every runner builds its gates here.
     """
     structure, mats = rep.structure, rep.matrices
     n = structure.order
+    amplitudes = len(labels) * rep.dim * n * n
+    if amplitudes > MAX_AMPLITUDES:
+        raise TooLarge(
+            f"the round of an order-{n} spec holds d_a * d_b * N^2 = {amplitudes} amplitudes "
+            f"({amplitudes * 16 / 2 ** 30:.1f} GiB) per basis input, above the cap of "
+            f"{MAX_AMPLITUDES}")
     fourier = fourier_gate(n) if fourier is None else fourier
     lam = None if rep.factor_system is None else rep.factor_system.lam
     shifts = np.zeros((len(labels), n, n), dtype=complex)
@@ -231,24 +219,24 @@ def one_round_gates(rep: ProjectiveRep, labels, fourier: np.ndarray | None = Non
 
 
 def round_state(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str,
-                compiled: CompiledRound) -> PureState:
+                compiled: sparse.csr_matrix) -> PureState:
     """The state after one protocol round on ``state``, before (a, b) is measured.
 
     The input may contain spectator registers, but none named a or b; the
     protocol touches only ``control``, ``target`` and the two fresh rank-N
     ancillas (see ``check_input``), appended after the input's registers.
-    The compiled map runs the whole round on (control, target).
+    The compiled map (``compile_round``) runs the whole round on (control, target).
     """
     check_input(spec, state, control, target)
     names = state.layout.names
     if set(ANCILLAS) & set(names):
         raise DimensionMismatch(f"input registers {names} reuse an ancilla name {ANCILLAS}")
-    return apply_map(state, compiled.circuit, (control, target),
+    return apply_map(state, compiled, (control, target),
                      RegisterLayout.of(*((name, spec.order) for name in ANCILLAS)))
 
 
 def run_one_round(spec: QuasigroupProtocolSpec, state: PureState, control: str, target: str,
-                  compiled: CompiledRound) -> Branches:
+                  compiled: sparse.csr_matrix) -> Branches:
     """Every branch of one protocol round on ``state``, from one measurement of (a, b) of
     ``round_state``; each branch's post state is final."""
     return measure_registers(round_state(spec, state, control, target, compiled), ANCILLAS)
@@ -304,9 +292,13 @@ class QuasigroupProtocolSpec:
         """The control states without a term."""
         return tuple(i for i, k in enumerate(self.term_map) if k is None)
 
+    @cached_property
     def target_matrix(self) -> np.ndarray:
-        """Dense control (x) target matrix, unitary through identity blocks on unsupported states."""
-        return self.embed_terms(self.term_matrices()[None])[0]
+        """Dense control (x) target matrix, unitary through identity blocks on unsupported
+        states, formed on first use and read-only."""
+        out = self.embed_terms(self.term_matrices()[None])[0]
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def term_blocks(self) -> np.ndarray:
@@ -349,9 +341,10 @@ class QuasigroupProtocolSpec:
         return math.log2(self.order)
 
     @cached_property
-    def compiled(self) -> CompiledRound:
-        """The protocol with the standard Fourier gate, compiled on first use (``compile_round``)."""
-        return compile_round(one_round_gates(self.rep, self.term_map), self.target_matrix())
+    def compiled(self) -> sparse.csr_matrix:
+        """The round's read-only map with the standard Fourier gate, compiled on first use
+        (``compile_round``)."""
+        return compile_round(one_round_gates(self.rep, self.term_map))
 
     @cached_property
     def branch_stack(self) -> np.ndarray:
@@ -400,18 +393,18 @@ def run_exact_protocol(cgu: ControlledGroupUnitary, state: PureState,
 
     Every branch must equal the target unitary applied directly (exact
     equality, no global-phase allowance).  The standard Fourier gate uses the
-    instance's cached compilation; a replacement gate is compiled for this call.
+    instance's cached map; a replacement gate is compiled for this call.
     """
     if fourier is None:
         compiled = cgu.compiled
-    else:
-        fourier = np.asarray(fourier, dtype=complex)
-        flat = np.max(np.abs(np.abs(fourier) - 1 / math.sqrt(cgu.order)))
-        if not is_unitary(fourier) or flat > FLAT_ENTRY_TOL:
-            raise DimensionMismatch("replacement Fourier gate must be unitary with flat entries")
-        compiled = compile_round(one_round_gates(cgu.rep, cgu.term_map, fourier), cgu.target_matrix())
+    else:       # one_round_gates checks the gate unitary, after its size cap
+        fourier, n = np.asarray(fourier, dtype=complex), cgu.order
+        if fourier.shape != (n, n) or \
+                not np.abs(np.abs(fourier) - 1 / math.sqrt(n)).max() <= FLAT_ENTRY_TOL:
+            raise DimensionMismatch("replacement Fourier gate must be N x N with flat entries")
+        compiled = compile_round(one_round_gates(cgu.rep, cgu.term_map, fourier))
     branches = run_one_round(cgu, state, control, target, compiled)
-    return run_record(cgu, branches, apply_on(state, compiled.target, (control, target)).amps[None])
+    return run_record(cgu, branches, apply_on(state, cgu.target_matrix, (control, target)).amps[None])
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -479,20 +480,19 @@ class BuiltQuasigroup:
         return float((self.quasigroup.order - self.matched_counts.min()) / self.quasigroup.order)
 
 
-def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
-                   reject_above: float | None):
-    """Shared core: matching size (and optionally column) per class.
+def _matching_pass(geom: FamilyGeometry, eta: float, reject_above: float | None):
+    """Matching size and completed column per class.
 
     One flow solve (``seed_flow``) covers a whole symmetry orbit of classes,
     seeded by its lowest class.  Returns (sizes, columns, worst_frac, complete):
-    ``sizes[c]`` is class c's matching size, and ``columns`` (None unless
-    wanted) is the class_table of the build, row c the completed column of
-    class c in the table's index type.  An early bail on ``reject_above``
-    leaves the pass incomplete, with unsized classes at -1.
+    ``sizes[c]`` is class c's matching size, and ``columns`` is the
+    class_table of the build, row c the completed column of class c in the
+    table's index type.  An early bail on ``reject_above`` leaves the pass
+    incomplete, with unsized classes at -1.
     """
     n = geom.n
     sizes = np.full(geom.n_classes, -1, dtype=np.int64)
-    columns = np.empty((geom.n_classes, n), dtype=index_dtype(n)) if want_columns else None
+    columns = np.empty((geom.n_classes, n), dtype=index_dtype(n))
     worst = 0.0
     for cls in range(geom.n_classes):
         if sizes[cls] >= 0:
@@ -500,17 +500,16 @@ def _matching_pass(geom: FamilyGeometry, eta: float, want_columns: bool,
         size, flows = seed_flow(geom, eta, cls)
         orbit = {member: transport for member, transport in geom.orbit_of(cls).items()
                  if sizes[member] < 0}
-        if columns is not None:
-            seed = columns[cls] = _expand_column(geom, *flows)
-            # the expansion matches the first (outgoing flow) labels of each left class
-            outflow = np.bincount(flows[0], weights=flows[2], minlength=geom.n_classes)
-            is_matched = geom.label_rank < outflow[geom.classes]
-            matched, free = np.flatnonzero(is_matched), np.flatnonzero(~is_matched)
-            # the completion gave the free left labels exactly the unused right labels
-            pairs, free_pairs = (matched, seed[matched]), (free, seed[free])
-            for member, transport in orbit.items():
-                if member != cls:
-                    _transport_row(columns[member], pairs, free_pairs, transport)
+        seed = columns[cls] = _expand_column(geom, *flows)
+        # the expansion matches the first (outgoing flow) labels of each left class
+        outflow = np.bincount(flows[0], weights=flows[2], minlength=geom.n_classes)
+        is_matched = geom.label_rank < outflow[geom.classes]
+        matched, free = np.flatnonzero(is_matched), np.flatnonzero(~is_matched)
+        # the completion gave the free left labels exactly the unused right labels
+        pairs, free_pairs = (matched, seed[matched]), (free, seed[free])
+        for member, transport in orbit.items():
+            if member != cls:
+                _transport_row(columns[member], pairs, free_pairs, transport)
         sizes[list(orbit)] = size
         worst = max(worst, (n - size) / n)
         if reject_above is not None and worst > reject_above:
@@ -550,11 +549,10 @@ def assemble_or_reject(net: NetFamily, eta: float,
     on the assembled table; it is at most the matching-derived deficiency,
     because completion pairs may happen to fall below eta.
     """
-    if eta <= 0:
-        raise DimensionMismatch(f"eta must be positive, got {eta}")
+    if not 0 < eta < math.inf:       # NaN fails every comparison
+        raise DimensionMismatch(f"eta must be positive and finite, got {eta}")
     geom = FamilyGeometry.of(net)
-    sizes, columns, worst, complete = _matching_pass(geom, eta, want_columns=True,
-                                                     reject_above=delta_bound)
+    sizes, columns, worst, complete = _matching_pass(geom, eta, reject_above=delta_bound)
     if not complete:
         return None, worst
     return _finish_build(net, geom, eta, sizes, columns), worst

@@ -148,7 +148,7 @@ class PureState:
                 f"amplitude vector of length {amps.size} does not fit layout of dim {self.layout.dim}")
         if self.normalized:
             norm = math.sqrt(np.vdot(amps, amps).real)
-            if abs(norm - 1.0) > ZERO_TOL:
+            if not abs(norm - 1.0) <= ZERO_TOL:     # a NaN amplitude fails too
                 raise DimensionMismatch(f"state norm {norm:.3e} is not 1 within {ZERO_TOL}")
 
     @property
@@ -339,7 +339,7 @@ class Branches(Sequence):
         pairs = np.ascontiguousarray(self.posts, dtype=complex).view(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
         worst = float(np.abs(norms - 1.0).max(initial=0.0))
-        if worst > ZERO_TOL:
+        if not worst <= ZERO_TOL:      # a NaN entry fails too
             raise DimensionMismatch(f"a post state norm is off 1 by {worst:.3e}, above {ZERO_TOL}")
 
     def __len__(self) -> int:
@@ -381,7 +381,7 @@ def measure_registers(state: PureState, registers) -> Branches:
     weights = np.abs(posts)
     probs = np.square(weights, out=weights).sum(axis=1)
     total = float(probs.sum())
-    if abs(total - 1.0) > ZERO_TOL:
+    if not abs(total - 1.0) <= ZERO_TOL:      # a NaN amplitude fails too
         raise DimensionMismatch(f"measurement on non-normalized state, total prob {total:.3e}")
     kept = np.flatnonzero(probs > BRANCH_PROB_FLOOR)
     if len(kept) < len(probs) or np.may_share_memory(posts, state.amps):

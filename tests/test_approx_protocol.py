@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fastcu import algebra, approx_protocol, net, qgbuilder, qsim
+from fastcu import algebra, approx_protocol, demos, exact_protocol, net, qgbuilder, qsim
 from fastcu.algebra import certify_approx_rep, ordinary_rep
 from fastcu.approx_protocol import (
     QuasigroupProtocolSpec,
@@ -106,7 +107,7 @@ def test_measured_variant_exact_rep_equals_target():
     rng = np.random.default_rng(40)
     state = qsim.random_pure_state(_layout(spec), rng)
     record = run_measured_variant(spec, state)
-    target = qsim.apply_on(state, spec.target_matrix(), ("A", "B"))
+    target = qsim.apply_on(state, spec.target_matrix, ("A", "B"))
     assert record.max_deviation <= 1e-9
     for *_ , post in record.branches:
         assert post.distance(target) <= 1e-9
@@ -181,7 +182,7 @@ def test_residual_norms_capped_by_two():
 
 def test_branch_family_unitary_and_exact_case():
     spec = exact_spec()
-    target = spec.target_matrix()
+    target = spec.target_matrix
     for u in spec.branch_stack:
         assert qsim.is_unitary(u)
         assert qsim.operator_norm(u - target) <= 1e-12
@@ -239,7 +240,7 @@ def test_hidden_variant_exact_rep_unitary_channel():
     state = qsim.random_pure_state(_layout(spec), rng)
     record = run_hidden_variant(spec, state)
     assert record.deviation <= 1e-10
-    psi = qsim.apply_on(state, spec.target_matrix(), ("A", "B")).amps
+    psi = qsim.apply_on(state, spec.target_matrix, ("A", "B")).amps
     assert qsim.operator_norm(record.output_density - np.outer(psi, psi.conj())) <= 1e-10
 
 
@@ -314,16 +315,55 @@ def test_hidden_variant_choi_requires_full_support():
 
 def test_hidden_variant_refuses_an_oversized_circuit_before_simulating(monkeypatch):
     """d_a * d_b * N^2 amplitudes per basis input: N = 72 holds 31 104 and runs, and a compiled
-    plan of three qubit blocks at N = 432 fits the cap; above the cap both runs fail at once,
-    before the round is compiled."""
+    plan of three qubit blocks at N = 432 fits the cap; above the cap every runner fails at
+    once, in the one gate builder, before any gate is built or the round compiled."""
     spec = net_spec(2, 0.8, (5, 17, 40))
     assert spec.d_a * spec.d_b * spec.order ** 2 == 31_104
-    assert 3 * 2 * 432 ** 2 <= approx_protocol.HIDDEN_MAX_AMPLITUDES < 3 * 2 * 2592 ** 2
-    monkeypatch.setattr(approx_protocol, "HIDDEN_MAX_AMPLITUDES", 31_103)
+    assert 3 * 2 * 432 ** 2 <= exact_protocol.MAX_AMPLITUDES < 3 * 2 * 2592 ** 2
+    monkeypatch.setattr(exact_protocol, "MAX_AMPLITUDES", 31_103)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gate was built above the cap")
+
+    for name in ("fourier_gate", "correction_phases", "circuit_map"):
+        monkeypatch.setattr(exact_protocol, name, refuse)
     state = qsim.random_pure_state(_layout(spec), np.random.default_rng(0))
-    for run in (lambda: run_hidden_variant(spec, state), lambda: hidden_variant_choi(spec)):
+    flat = qsim.fourier_gate(spec.order)
+    for run in (lambda: run_hidden_variant(spec, state), lambda: hidden_variant_choi(spec),
+                lambda: run_measured_variant(spec, state),
+                lambda: exact_protocol.run_exact_protocol(spec, state),
+                lambda: exact_protocol.run_exact_protocol(spec, state, fourier=flat),
+                lambda: one_round_gates(spec.rep, spec.term_map)):
         with pytest.raises(TooLarge, match="31104 amplitudes"):
             run()
+    assert "compiled" not in vars(spec)
+    # the lifted run's rank-1 protocol, on (E, B), goes through the same builder
+    lifted = exact_protocol.lift_highrank(demos.highrank_pauli(rank=2))
+    cgu = lifted.cgu
+    amplitudes = cgu.d_a * cgu.d_b * cgu.order ** 2
+    monkeypatch.setattr(exact_protocol, "MAX_AMPLITUDES", amplitudes - 1)
+    h = lifted.source
+    state = qsim.random_pure_state(qsim.RegisterLayout.of(("A", h.d_a), ("B", h.d_b)),
+                                   np.random.default_rng(1))
+    with pytest.raises(TooLarge, match=f"{amplitudes} amplitudes"):
+        exact_protocol.run_lifted_protocol(lifted, state)
+    assert "compiled" not in vars(cgu)
+
+
+def test_every_runner_refuses_a_word_family_spec_at_n2592_at_once():
+    """The real cap: an m = 4 word-family spec with three terms holds 40 M amplitudes per
+    basis input (0.6 GiB); the measured, exact and hidden runs refuse it within a second."""
+    fam = net.build_net(2, 4)
+    built = qgbuilder.assemble_quasigroup(fam, 0.6)
+    spec = QuasigroupProtocolSpec(built.quasigroup, ordinary_rep(built.quasigroup, fam.matrices),
+                                  term_map=(0, 864, 1728))
+    assert spec.order == 2592
+    state = qsim.random_pure_state(_layout(spec), np.random.default_rng(2))
+    for run in (run_measured_variant, exact_protocol.run_exact_protocol, run_hidden_variant):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="40310784 amplitudes"):
+            run(spec, state)
+        assert time.perf_counter() - start < 1.0
     assert "compiled" not in vars(spec)
 
 
@@ -611,7 +651,7 @@ def test_max_branch_distance_equals_dense_branch_loop(monkeypatch):
     base = net_spec(m=2, eta=0.8, terms=(5, 17, 40))
     spec = QuasigroupProtocolSpec(base.quasigroup, base.rep, term_map=(5, 17, 40, None, None))
     assert spec.order == 72 and spec.unsupported == (3, 4)
-    target = spec.target_matrix()
+    target = spec.target_matrix
     dense = max(qsim.operator_norm(target - b) for b in spec.branch_stack)
     got = branch_distance(spec.term_matrices(), spec.term_blocks)
     assert got == pytest.approx(dense, abs=1e-12)

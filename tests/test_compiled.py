@@ -230,7 +230,7 @@ def recorded_run(kind, name, replace_fourier, order, rng):
         want = [qsim.apply_on(state, u, ("A", "B")).amps for u in spec.branch_stack]
         return spec, run_measured_variant(spec, state), np.stack(want)
     fourier = flat_unitary(spec.order, rng) if replace_fourier else None
-    want = qsim.apply_on(state, spec.target_matrix(), ("A", "B")).amps
+    want = qsim.apply_on(state, spec.target_matrix, ("A", "B")).amps
     return spec, run_exact_protocol(spec, state, fourier=fourier), want[None]
 
 
@@ -308,15 +308,12 @@ def test_cached_arrays_refuse_writes():
     cgu, spec = exact_case("pauli-subset"), spec_case("N12")
     arrays = []
     for compiled in (cgu.compiled, spec.compiled):
-        blocks = compiled.blocks
-        arrays += [blocks.shifts, blocks.reps, blocks.fourier, blocks.phases, blocks.undo,
-                   compiled.target, compiled.circuit.data, compiled.circuit.indices,
-                   compiled.circuit.indptr]
-    arrays.append(spec.branch_stack)
+        arrays += [compiled.data, compiled.indices, compiled.indptr]
+    arrays += [cgu.target_matrix, spec.target_matrix, spec.branch_stack]
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
-    # the frozen stacks are copies: a writable representation stays writable, and the
+    # the cached arrays are new: a writable representation stays writable, and the
     # spec's (a family's read-only matrices) shares no memory with them
     assert cgu.rep.matrices.flags.writeable
     for rep in (cgu.rep, spec.rep):
@@ -329,7 +326,7 @@ def test_map_shapes_and_sparsity():
     (o, a, b, -a, a) and zeros elsewhere: its support is d * N^2."""
     for spec in (spec_case("N12"), spec_case("perturbed"), exact_case("pauli-subset")):
         d, n = spec.d_a * spec.d_b, spec.order
-        circuit = spec.compiled.circuit
+        circuit = spec.compiled
         assert circuit.shape == (d * n ** 2, d)
         hidden = exact_protocol.circuit_map(functools.partial(_hidden_circuit, spec), spec.d_a,
                                             spec.d_b).toarray().reshape(d, n, n, n, n, d)
@@ -394,16 +391,16 @@ def reference_quasigroup_gates(spec):
                                   "lift"])
 def test_one_builder_pins_the_group_protocol_maps(name):
     cgu = exact_case(name)
-    want = compile_round(reference_exact_gates(cgu), cgu.target_matrix()).circuit.toarray()
-    got = cgu.compiled.circuit.toarray()
+    want = compile_round(reference_exact_gates(cgu)).toarray()
+    got = cgu.compiled.toarray()
     assert np.abs(got - want).max() <= 1e-15
     # c3-subset's V_{l^-1} and V_l^dag differ in the last bit; every other map is bitwise equal
     assert np.array_equal(got, want) or name == "c3-subset"
     # a replacement flat Fourier gate: the same map as the old builder's, every branch exact
     fourier = flat_unitary(cgu.group.order, np.random.default_rng(61))
-    got = compile_round(one_round_gates(cgu.rep, cgu.labels, fourier), cgu.target_matrix())
-    want = compile_round(reference_exact_gates(cgu, fourier), cgu.target_matrix())
-    assert np.abs(got.circuit.toarray() - want.circuit.toarray()).max() <= 1e-15
+    got = compile_round(one_round_gates(cgu.rep, cgu.labels, fourier))
+    want = compile_round(reference_exact_gates(cgu, fourier))
+    assert np.abs(got.toarray() - want.toarray()).max() <= 1e-15
     state = input_state(cgu.d_a, cgu.d_b, ("A", "B"), np.random.default_rng(62),
                         [i for i, k in enumerate(cgu.labels) if k is None])
     assert run_exact_protocol(cgu, state, fourier=fourier).max_deviation <= 1e-9
@@ -412,8 +409,8 @@ def test_one_builder_pins_the_group_protocol_maps(name):
 @pytest.mark.parametrize("name", ["N12", "N12-spare-control-state", "N72"])
 def test_one_builder_pins_the_quasigroup_protocol_maps(name):
     spec = spec_case(name)
-    want = compile_round(reference_quasigroup_gates(spec), spec.target_matrix()).circuit
-    assert np.array_equal(spec.compiled.circuit.toarray(), want.toarray())
+    want = compile_round(reference_quasigroup_gates(spec))
+    assert np.array_equal(spec.compiled.toarray(), want.toarray())
 
 
 def reference_term_blocks(spec):
@@ -438,7 +435,6 @@ def test_specs_without_factors_keep_their_blocks_and_maps_bit_for_bit(name):
                                                              spec.d_b, spec.d_b)))
     stack = [qsim.controlled_gate(spec.d_a, dict(zip(active, row)), spec.d_b) for row in blocks]
     assert np.array_equal(spec.branch_stack, np.stack(stack))
-    reference = compile_round(reference_quasigroup_gates(spec), spec.target_matrix())
-    got, want = spec.compiled.circuit, reference.circuit
+    got, want = spec.compiled, compile_round(reference_quasigroup_gates(spec))
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, part), getattr(want, part))

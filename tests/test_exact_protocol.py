@@ -340,3 +340,14 @@ def test_states_without_a_term_carry_identity_blocks(klein_pauli):
     QuasigroupProtocolSpec(table, algebra.ordinary_rep(table, rep.matrices), term_map=(0, 1))
     with pytest.raises(DimensionMismatch, match="over a group"):
         ControlledGroupUnitary(table, algebra.ordinary_rep(table, rep.matrices), (0, 1))
+
+
+def test_exact_run_refuses_a_nan_amplitude():
+    """A NaN input once gave a record of no branches, deviation 0 and uniformity error 0."""
+    cgu = demos.controlled_pauli()
+    amps = qsim.random_pure_state(_layout(cgu), np.random.default_rng(3)).amps.copy()
+    amps[5] = np.nan
+    with pytest.raises(DimensionMismatch):
+        qsim.PureState(_layout(cgu), amps)
+    with pytest.raises(DimensionMismatch):
+        run_exact_protocol(cgu, qsim.PureState(_layout(cgu), amps, normalized=False))

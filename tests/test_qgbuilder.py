@@ -15,7 +15,7 @@ from scipy.sparse import csr_matrix
 
 from conftest import random_right_quasigroup, traced_memory
 from fastcu import algebra, net, qgbuilder, qsim
-from fastcu.errors import TooLarge
+from fastcu.errors import DimensionMismatch, TooLarge
 
 
 def brute_force_matching(adj: np.ndarray) -> int:
@@ -355,8 +355,7 @@ def test_orbit_transport_consistency(net_m2):
     assert geom.conjugate_class is not None
     eta = 0.7
     # derive every class column via orbits, then check each against direct solves
-    sizes, columns, _, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
-                                                    reject_above=None)
+    sizes, columns, _, _ = qgbuilder._matching_pass(geom, eta, reject_above=None)
     rng = np.random.default_rng(33)
     n = net_m2.size
     for cls in rng.choice(geom.n_classes, 8, replace=False):
@@ -415,8 +414,7 @@ def test_orbit_transport_matches_per_member_expansion(m, etas, every):
     ncl = geom.n_classes
     checked = transposed = 0
     for eta in etas:
-        sizes, columns, worst, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
-                                                            reject_above=None)
+        sizes, columns, worst, _ = qgbuilder._matching_pass(geom, eta, reject_above=None)
         assert len(columns) == ncl
         if eta < 0.4:
             assert worst > 0          # an imperfect matching leaves completion pairs
@@ -464,8 +462,7 @@ def _reference_transport_column(lefts: np.ndarray, rights: np.ndarray,
 @pytest.mark.parametrize("m, eta", [(3, 0.39), (3, 0.8), (4, 0.3)])
 def test_transported_rows_equal_completed_reference_columns(m, eta):
     geom = qgbuilder.FamilyGeometry(net.build_net(2, m))
-    sizes, columns, _, _ = qgbuilder._matching_pass(geom, eta, want_columns=True,
-                                                    reject_above=None)
+    sizes, columns, _, _ = qgbuilder._matching_pass(geom, eta, reject_above=None)
     assert columns.dtype == algebra.index_dtype(geom.n)
     seen: set[int] = set()
     members = completed = orbits = 0
@@ -563,7 +560,7 @@ def test_ranking_against_brute_force(m, eta):
         if edges is not None:
             lefts, rights = edges
             assert np.all(dists[lefts, rights] < bound)
-    sizes = qgbuilder._matching_pass(geom, eta, want_columns=False, reject_above=None)[0]
+    sizes = qgbuilder._matching_pass(geom, eta, reject_above=None)[0]
     for cls in range(geom.n_classes):
         lefts, rights, dists = geom.candidate_edges(int(geom.class_reps[cls]), radius=eta)
         keep = dists < bound
@@ -583,3 +580,15 @@ def test_geometry_dies_with_its_family():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf, 0.0, -0.5])
+def test_non_finite_or_non_positive_eta_is_refused(net_m1, eta):
+    """A NaN eta once assembled a table certified at delta 0 with an empty matching."""
+    with pytest.raises(DimensionMismatch, match="positive and finite"):
+        qgbuilder.assemble_quasigroup(net_m1, eta)
+    with pytest.raises(DimensionMismatch, match="positive and finite"):
+        qgbuilder.assemble_or_reject(net_m1, eta, 0.5)
+    q = qgbuilder.assemble_quasigroup(net_m1, 1.2).quasigroup
+    with pytest.raises(DimensionMismatch, match="positive and finite"):
+        algebra.certify_approx_rep(net_m1.matrices, q, eta)

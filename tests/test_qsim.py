@@ -406,3 +406,18 @@ def test_pure_state_norm_validation():
         qsim.PureState(layout, np.array([1.0, 1.0]))
     raw = qsim.PureState(layout, np.array([1.0, 1.0]), normalized=False)
     assert raw.norm == pytest.approx(np.sqrt(2))
+
+
+def test_nan_amplitudes_fail_every_norm_check():
+    """NaN fails every comparison, so each norm check refuses it rather than passing it."""
+    layout = qsim.RegisterLayout.of(("a", 2), ("b", 2))
+    amps = np.array([0.5, 0.5, 0.5, np.nan], dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        qsim.PureState(layout, amps)
+    raw = qsim.PureState(layout, amps, normalized=False)
+    with pytest.raises(DimensionMismatch, match="non-normalized"):
+        qsim.measure_registers(raw, "a")
+    posts = np.array([[1.0, 0.0], [np.nan, 0.0]], dtype=complex)
+    with pytest.raises(DimensionMismatch):
+        qsim.Branches(("a",), np.array([[0], [1]]), np.array([0.5, 0.5]), posts,
+                      layout.without(["a"]))
